@@ -1,17 +1,19 @@
 """The translation-backend registry: parity pins, ResettableStats, hash_pt.
 
 The heart of this file is the **golden parity pin**: every evaluated preset
-(single-core, plus the two multi-core scenarios) is re-run on a small
-deterministic window and the full ``SimulationResult`` is asserted
-bit-identical to ``tests/data/backend_parity_golden.json``, which was
-generated by ``tools/gen_parity_golden.py`` against the *pre-registry*
-hard-wired system factory.  If registry dispatch, backend construction order,
-stats registration or warm-up resets perturb any simulated outcome by even
-one cycle, these pins catch it.
+(single-core and two-core, plus SMARTS-sampled and L1-resident variants) is
+re-run on a small deterministic window and the full ``SimulationResult`` is
+asserted bit-identical to ``tests/data/backend_parity_golden.json``.  The
+scenarios come from ``tools/gen_parity_golden.py``, which generated the file;
+the first 16 entries date from the *pre-registry* hard-wired system factory.
+If registry dispatch, backend construction order, stats registration, warm-up
+resets or an engine refactor perturb any simulated outcome by even one cycle,
+these pins catch it.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import re
@@ -35,28 +37,13 @@ GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data",
                            "backend_parity_golden.json")
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# Mirrors tools/gen_parity_golden.py — keep the two in sync.
-MAX_REFS = 2500
-HARDWARE_SCALE = 16
+_GENERATOR_SPEC = importlib.util.spec_from_file_location(
+    "gen_parity_golden", os.path.join(REPO_ROOT, "tools", "gen_parity_golden.py"))
+_GENERATOR = importlib.util.module_from_spec(_GENERATOR_SPEC)
+_GENERATOR_SPEC.loader.exec_module(_GENERATOR)
 
-
-def _scenario_for(preset: str, num_cores: int = 1) -> dict:
-    spec = {
-        "name": f"parity-{preset}-{num_cores}c",
-        "system": preset,
-        "max_refs": MAX_REFS,
-        "seed": 42,
-        "hardware_scale": HARDWARE_SCALE,
-        "warmup_fraction": 0.25,
-        "workload": "rnd",
-    }
-    if num_cores > 1:
-        spec["num_cores"] = num_cores
-        spec["workload"] = {"kind": "mix", "tenants": [
-            {"workload": "bfs", "core": 0},
-            {"workload": "rnd", "core": 1},
-        ]}
-    return spec
+MAX_REFS = _GENERATOR.MAX_REFS
+HARDWARE_SCALE = _GENERATOR.HARDWARE_SCALE
 
 
 def _canonical(result_dict: dict) -> str:
@@ -70,16 +57,16 @@ with open(GOLDEN_PATH, encoding="utf-8") as _handle:
 
 
 class TestGoldenParity:
-    """Registry dispatch reproduces the pre-registry factory bit-for-bit."""
+    """Every golden scenario reproduces its committed result bit-for-bit."""
+
+    def test_golden_file_covers_every_generator_key(self):
+        assert sorted(_GOLDEN) == sorted(_GENERATOR.golden_keys())
 
     @pytest.mark.parametrize("key", sorted(_GOLDEN), ids=lambda k: k)
     def test_preset_is_bit_identical_to_pre_registry_golden(self, key):
-        preset, cores = key.split("/")
-        num_cores = int(cores.rstrip("core"))
-        result = Simulator.from_scenario(
-            _scenario_for(preset, num_cores=num_cores)).run()
+        result = Simulator.from_scenario(_GENERATOR.scenario_for_key(key)).run()
         assert _canonical(result.to_json_dict()) == _canonical(_GOLDEN[key]), (
-            f"{key}: simulation result diverged from the pre-registry golden "
+            f"{key}: simulation result diverged from the committed golden "
             "(tools/gen_parity_golden.py documents regeneration)")
 
 

@@ -1,11 +1,20 @@
 #!/usr/bin/env python3
 """Regenerate the backend parity golden data (tests/data/backend_parity_golden.json).
 
-Runs every evaluated system preset (and two multi-core scenarios) on a small
-deterministic window and records the full ``SimulationResult`` as canonical
-JSON.  ``tests/test_backends.py`` re-runs the same scenarios and asserts
-bit-identical equality, which pins that the translation-backend registry
-dispatch reproduces the pre-registry hard-wired construction exactly.
+Runs every evaluated system preset (plus multi-core, SMARTS-sampled and
+L1-resident variants) on a small deterministic window and records the full
+``SimulationResult`` as canonical JSON.  ``tests/test_backends.py`` re-runs
+the same scenarios (built by :func:`scenario_for_key` below) and asserts
+bit-identical equality, which pins every simulated outcome across refactors
+of the engines, the structures and the backend registry.
+
+Golden keys read ``<preset>/<N>core`` or ``<preset>/<N>core/<variant>``:
+
+``sampled``
+    SMARTS sampling, one 256-ref window in every 4 with a 128-ref re-warm.
+``l1_resident``
+    ``rnd`` shrunk to an L1-resident working set at ``hardware_scale=1``
+    and 12,000 refs: the regime with L1 D-TLB and L1-D hit ratios above 0.7.
 
 Usage (from the repo root)::
 
@@ -42,18 +51,36 @@ SINGLE_CORE_PRESETS = (
     "victima_no_predictor",
     "victima_miss_only",
     "victima_eviction_only",
+    "hash_pt",
     "nested_paging",
     "virt_pom_tlb",
     "ideal_shadow",
     "virt_victima",
 )
 
-MULTI_CORE_PRESETS = ("victima", "pom_tlb")
+MULTI_CORE_PRESETS = ("victima", "pom_tlb", "radix", "hash_pt")
+
+SAMPLED_KEYS = ("victima/1core/sampled", "victima/2core/sampled")
+SAMPLING = {"stride": 4, "warmup_refs": 128, "window_refs": 256}
+
+L1_RESIDENT_KEYS = ("radix/1core/l1_resident", "victima/1core/l1_resident")
+L1_RESIDENT_REFS = 12_000
+L1_RESIDENT_PARAMS = {"table_bytes": 16384, "index_bytes": 8192,
+                      "index_fraction": 0.5}
 
 
-def scenario_for(preset: str, num_cores: int = 1) -> dict:
+def golden_keys() -> list:
+    return ([f"{preset}/1core" for preset in SINGLE_CORE_PRESETS]
+            + [f"{preset}/2core" for preset in MULTI_CORE_PRESETS]
+            + list(SAMPLED_KEYS) + list(L1_RESIDENT_KEYS))
+
+
+def scenario_for_key(key: str) -> dict:
+    """The scenario mapping whose result is stored under golden ``key``."""
+    preset, cores, *variant = key.split("/")
+    num_cores = int(cores[:-len("core")])
     spec = {
-        "name": f"parity-{preset}-{num_cores}c",
+        "name": "-".join(["parity", preset, f"{num_cores}c", *variant]),
         "system": preset,
         "max_refs": MAX_REFS,
         "seed": 42,
@@ -67,20 +94,21 @@ def scenario_for(preset: str, num_cores: int = 1) -> dict:
             {"workload": "bfs", "core": 0},
             {"workload": "rnd", "core": 1},
         ]}
+    if variant == ["sampled"]:
+        spec["sampling"] = dict(SAMPLING)
+    elif variant == ["l1_resident"]:
+        spec.update(hardware_scale=1, max_refs=L1_RESIDENT_REFS,
+                    workload={"workload": "rnd", "params": L1_RESIDENT_PARAMS})
+    elif variant:
+        raise ValueError(f"unknown golden variant in {key!r}")
     return spec
 
 
 def run_all() -> dict:
     golden = {}
-    for preset in SINGLE_CORE_PRESETS:
-        key = f"{preset}/1core"
+    for key in golden_keys():
         print(f"  {key} ...", flush=True)
-        result = Simulator.from_scenario(scenario_for(preset)).run()
-        golden[key] = result.to_json_dict()
-    for preset in MULTI_CORE_PRESETS:
-        key = f"{preset}/2core"
-        print(f"  {key} ...", flush=True)
-        result = Simulator.from_scenario(scenario_for(preset, num_cores=2)).run()
+        result = Simulator.from_scenario(scenario_for_key(key)).run()
         golden[key] = result.to_json_dict()
     return golden
 
