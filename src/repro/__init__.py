@@ -66,7 +66,7 @@ from repro.sim.simulator import CoreResult, SimulationResult, Simulator
 from repro.sim.system import MultiCoreSystem, System, build_system
 from repro.workloads.registry import WORKLOAD_NAMES, make_workload
 
-__version__ = "1.5.0"
+__version__ = "1.6.0"
 
 __all__ = [
     "ScenarioSpec",

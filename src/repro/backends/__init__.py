@@ -32,7 +32,6 @@ from repro.backends.native import (
     POMTLBBackend,
     RadixBackend,
     VictimaBackend,
-    default_native_backend,
 )
 from repro.backends.virt import (
     NestedPagingBackend,
@@ -40,7 +39,6 @@ from repro.backends.virt import (
     VirtBuildContext,
     VirtPOMTLBBackend,
     VirtVictimaBackend,
-    default_virt_backend,
 )
 
 __all__ = [
@@ -57,13 +55,11 @@ __all__ = [
     "POMTLBBackend",
     "VictimaBackend",
     "NativeBuildContext",
-    "default_native_backend",
     "NestedPagingBackend",
     "ShadowPagingBackend",
     "VirtPOMTLBBackend",
     "VirtVictimaBackend",
     "VirtBuildContext",
-    "default_virt_backend",
     "HashedPageTable",
     "HashedPageTablePort",
     "HashedPageTableBackend",

@@ -163,23 +163,6 @@ class VictimaBackend(TranslationBackend):
         return self.victima.invalidate_all()
 
 
-def default_native_backend(walker, page_table, victima=None, l3_tlb=None,
-                           pom_tlb=None) -> TranslationBackend:
-    """Synthesise the backend the legacy ``MMU(...)`` keyword arguments imply.
-
-    Kept for direct constructions (unit tests, notebooks): the priority
-    order — Victima, then L3 TLB, then POM-TLB, then the plain walk — is
-    exactly the branch order of the historical ``MMU._resolve_miss``.
-    """
-    if victima is not None:
-        return VictimaBackend(victima, walker, page_table)
-    if l3_tlb is not None:
-        return L3TLBBackend(l3_tlb, walker, page_table)
-    if pom_tlb is not None:
-        return POMTLBBackend(pom_tlb, walker, page_table)
-    return RadixBackend(walker, page_table)
-
-
 # --------------------------------------------------------------------------- #
 # Build hooks (one per evaluated native system)
 # --------------------------------------------------------------------------- #

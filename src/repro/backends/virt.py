@@ -18,7 +18,7 @@ construction, so it cannot exist before the backend does.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.backends.base import MissResolution, TranslationBackend
 from repro.backends.registry import BackendSpec, register_backend
@@ -27,7 +27,6 @@ from repro.core.ptw_cp import BoundingBox, ComparatorPTWCostPredictor
 from repro.core.victima import VictimaController
 from repro.mmu.mmu import ServedBy
 from repro.sim.config import SystemKind
-from repro.virt.virt_mmu import VirtMode
 
 
 @dataclass
@@ -47,8 +46,6 @@ class VirtTranslationBackend(TranslationBackend):
     """Base for backends that resolve misses through the nested walker."""
 
     virtualized = True
-    #: How the virtualized MMU labels this resolution style.
-    mode = VirtMode.NESTED_PAGING
 
     def __init__(self):
         self.nested_walker = None
@@ -75,8 +72,6 @@ class NestedPagingBackend(VirtTranslationBackend):
 
 class ShadowPagingBackend(VirtTranslationBackend):
     """Ideal shadow paging: a free-to-maintain one-dimensional shadow walk."""
-
-    mode = VirtMode.SHADOW_PAGING
 
     def __init__(self, shadow_walker):
         super().__init__()
@@ -156,23 +151,6 @@ class VirtPOMTLBBackend(VirtTranslationBackend):
 
     def install(self, pte, asid: int) -> None:
         self.pom_tlb.insert(pte, asid)
-
-
-def default_virt_backend(nested_walker, shadow_walker,
-                         mode: VirtMode = VirtMode.NESTED_PAGING,
-                         pom_tlb=None, victima=None) -> VirtTranslationBackend:
-    """Synthesise the backend the legacy ``VirtualizedMMU(...)`` arguments
-    imply — shadow paging, then Victima, then POM-TLB, then plain nested
-    paging, exactly the historical ``_resolve_miss`` branch order."""
-    if mode is VirtMode.SHADOW_PAGING:
-        backend: VirtTranslationBackend = ShadowPagingBackend(shadow_walker)
-    elif victima is not None:
-        backend = VirtVictimaBackend(victima)
-    elif pom_tlb is not None:
-        backend = VirtPOMTLBBackend(pom_tlb)
-    else:
-        backend = NestedPagingBackend()
-    return backend.bind(nested_walker)
 
 
 # --------------------------------------------------------------------------- #

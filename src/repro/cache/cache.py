@@ -117,11 +117,6 @@ class Cache(ResettableStats):
         self.on_eviction = on_eviction
         self.stats = CacheStats()
         self._sets: List[CacheSet] = [CacheSet(associativity) for _ in range(self.num_sets)]
-        #: Optional SoA mirror (repro.sim.soa) notified when a set's resident
-        #: blocks change, so vectorized classification can lazily re-sync just
-        #: the touched sets.  Hit-side replacement updates keep residency and
-        #: need no notification.
-        self._mirror = None
         self._register_stats()
 
     # ------------------------------------------------------------------ #
@@ -181,9 +176,6 @@ class Cache(ResettableStats):
         cache_set = self._set_for(block.key)
         existing_way = cache_set.tags.get(block.tag)
         block.prefetched = prefetched
-        if self._mirror is not None:
-            # Either path replaces a block object in this set.
-            self._mirror.note_set_dirty(block.key[0] & (self.num_sets - 1))
         if existing_way is not None:
             old = cache_set.ways[existing_way]
             assert old is not None
@@ -225,8 +217,6 @@ class Cache(ResettableStats):
         block = cache_set.ways[way]
         cache_set.ways[way] = None
         assert block is not None
-        if self._mirror is not None:
-            self._mirror.note_set_dirty(key[0] & (self.num_sets - 1))
         self._record_eviction(block, invalidation=True)
         return True
 
@@ -245,8 +235,6 @@ class Cache(ResettableStats):
                     del cache_set.tags[block.tag]
                     self._record_eviction(block, invalidation=True)
                     removed += 1
-        if removed and self._mirror is not None:
-            self._mirror.note_all_dirty()
         return removed
 
     def _record_eviction(self, block: CacheBlock, invalidation: bool = False) -> None:

@@ -124,23 +124,15 @@ class CacheHierarchy:
         block = CacheBlock(key=key, kind=BlockKind.DATA, dirty=dirty)
         return cache.insert(block, prefetched=prefetched)
 
-    def observe_prefetchers(self, ip: int, paddr: int):
-        """Train both data prefetchers on one demand access.
-
-        Returns the ``(l1_targets, l2_targets)`` candidate physical addresses
-        *without* performing the fills: ``observe`` only mutates prefetcher
-        tables, so the vectorized fast path (repro.sim.soa) can scan a run of
-        L1 hits for the first reference that issues prefetches and apply its
-        fills afterwards, in the same order the scalar loop would have.
-        """
+    def _train_prefetchers(self, ip: int, paddr: int, is_instruction: bool) -> None:
+        # Train both prefetchers before filling either: fills never feed back
+        # into ``observe``, so this matches the historical interleaved order.
+        if is_instruction:
+            return
         l1_targets = (self.l1d_prefetcher.observe(ip, paddr)
                       if self.l1d_prefetcher is not None else ())
         l2_targets = (self.l2_prefetcher.observe(ip, paddr)
                       if self.l2_prefetcher is not None else ())
-        return l1_targets, l2_targets
-
-    def apply_prefetch_fills(self, l1_targets, l2_targets) -> None:
-        """Fill the prefetch candidates returned by :meth:`observe_prefetchers`."""
         for target in l1_targets:
             key = data_key(target)
             if not self.l1d.contains(key):
@@ -149,16 +141,6 @@ class CacheHierarchy:
             key = data_key(target)
             if not self.l2.contains(key):
                 self._fill(self.l2, key, prefetched=True)
-
-    def _train_prefetchers(self, ip: int, paddr: int, is_instruction: bool) -> None:
-        # observe/fill are split so the SoA fast path can reuse them; fills
-        # never feed back into ``observe``, so training both before filling
-        # either is equivalent to the historical interleaved order.
-        if is_instruction:
-            return
-        l1_targets, l2_targets = self.observe_prefetchers(ip, paddr)
-        if l1_targets or l2_targets:
-            self.apply_prefetch_fills(l1_targets, l2_targets)
 
     # ------------------------------------------------------------------ #
     # Introspection helpers used by experiments and tests

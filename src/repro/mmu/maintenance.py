@@ -42,23 +42,21 @@ class MaintenanceResult:
 class TLBMaintenance:
     """Coordinates invalidations across TLBs, PWCs and the translation backend.
 
-    ``victima`` keeps its historical direct handle (and cost model); passing a
-    :class:`~repro.backends.base.TranslationBackend` instead wires whatever
-    invalidatable state the backend declares: a Victima backend contributes
-    its controller, backends whose structures are already in ``tlbs`` (the L3
-    TLB) or hold no invalidatable state contribute nothing extra, and
-    memory-resident backends (the hashed page table) have their generic
-    ``invalidate_*`` hooks called on every operation.
+    ``backend`` (a :class:`~repro.backends.base.TranslationBackend`) wires
+    whatever invalidatable state it declares: a Victima backend contributes
+    its controller (and its cost model), backends whose structures are
+    already in ``tlbs`` (the L3 TLB) or hold no invalidatable state
+    contribute nothing extra, and memory-resident backends (the hashed page
+    table) have their generic ``invalidate_*`` hooks called on every
+    operation.
     """
 
     def __init__(self, tlbs: List[TLB], pwcs: Optional[PageWalkCaches] = None,
-                 victima=None, backend=None):
+                 backend=None):
         self.tlbs = tlbs
         self.pwcs = pwcs
         self.backend = backend
-        if victima is None and backend is not None:
-            victima = backend.victima
-        self.victima = victima
+        self.victima = backend.victima if backend is not None else None
         # Backends whose structures are not the Victima controller and not a
         # TLB already swept via ``tlbs`` get their own invalidation hooks.
         self._backend_invalidates = (backend is not None

@@ -13,9 +13,7 @@ TLB:
 The back-end behind the L2 TLB is a pluggable
 :class:`~repro.backends.base.TranslationBackend` (see ``docs/backends.md``):
 the MMU dispatches every L2 TLB miss to ``backend.translate`` and never
-branches on which mechanism is attached.  Constructing an MMU with the legacy
-``victima``/``l3_tlb``/``pom_tlb`` keyword arguments synthesises the matching
-backend, so hand-built MMUs keep working unchanged.
+branches on which mechanism is attached.
 
 The virtualized MMU (nested paging, Figure 3 / 19) lives in
 :mod:`repro.virt.virt_mmu` and reuses the same components.
@@ -32,7 +30,6 @@ from repro.common.pressure import PressureMonitor
 from repro.common.stats import ResettableStats
 from repro.memory.page_allocator import VirtualMemoryManager
 from repro.memory.page_table import PageTableEntry
-from repro.mmu.page_walker import PageTableWalker
 from repro.mmu.tlb import TLB, TLBEntry
 
 
@@ -108,11 +105,6 @@ class MMUStats:
             self.l3_tlb_hits += 1
 
     @property
-    def l2_tlb_mpki(self) -> float:  # convenience for reports; MPKI proper
-        return 0.0                   # is computed by the simulator with the
-                                     # retired-instruction count.
-
-    @property
     def mean_miss_latency(self) -> float:
         return self.total_miss_latency / self.l2_tlb_misses if self.l2_tlb_misses else 0.0
 
@@ -122,12 +114,11 @@ class MMUStats:
 
 
 class MMU(ResettableStats):
-    """Two-level TLB hierarchy + page-table walker + pluggable back-end.
+    """Two-level TLB hierarchy + pluggable back-end.
 
-    ``backend`` is any :class:`~repro.backends.base.TranslationBackend`; when
-    omitted, one is synthesised from the legacy ``victima`` / ``l3_tlb`` /
-    ``pom_tlb`` keyword arguments (their historical priority order), so both
-    construction styles behave identically.
+    ``backend`` is the :class:`~repro.backends.base.TranslationBackend`
+    (page-table walker included) that resolves every L2 TLB miss; the system
+    factory builds it through the backend registry.
     """
 
     def __init__(
@@ -136,34 +127,18 @@ class MMU(ResettableStats):
         l1_dtlb_4k: TLB,
         l1_dtlb_2m: TLB,
         l2_tlb: TLB,
-        walker: PageTableWalker,
         memory_manager: VirtualMemoryManager,
         pressure: PressureMonitor,
-        l3_tlb: Optional[TLB] = None,
-        pom_tlb=None,
-        victima=None,
+        backend,
         asid: int = 0,
-        backend=None,
     ):
         self.l1_itlb = l1_itlb
         self.l1_dtlb_4k = l1_dtlb_4k
         self.l1_dtlb_2m = l1_dtlb_2m
         self.l2_tlb = l2_tlb
-        self.walker = walker
         self.memory_manager = memory_manager
-        self.page_table = memory_manager.page_table
         self.pressure = pressure
-        if backend is None:
-            # Deferred import: repro.backends imports ServedBy from this module.
-            from repro.backends.native import default_native_backend
-            backend = default_native_backend(walker, self.page_table,
-                                             victima=victima, l3_tlb=l3_tlb,
-                                             pom_tlb=pom_tlb)
         self.backend = backend
-        # Legacy structure handles (result collection, tests) follow the backend.
-        self.l3_tlb = backend.l3_tlb
-        self.pom_tlb = backend.pom_tlb
-        self.victima = backend.victima
         self.asid = asid
         self.stats = MMUStats()
         self._register_stats()

@@ -102,11 +102,6 @@ class TLB(ResettableStats):
         self._access_counter = 0
         # set index -> list of entries (at most `associativity` long)
         self._sets: List[List[TLBEntry]] = [[] for _ in range(self.num_sets)]
-        #: Optional SoA mirror (repro.sim.soa) notified when a set's contents
-        #: change, so vectorized classification can lazily re-sync just the
-        #: touched sets.  Pure-LRU touches don't change residency and need no
-        #: notification.
-        self._mirror = None
         # Hot-path precomputation: (page size, offset-bit shift, stat label)
         # per supported size, so lookups avoid the PageSize.offset_bits
         # property (which recomputes a bit_length per call).
@@ -176,10 +171,6 @@ class TLB(ResettableStats):
         vpn = pte.vpn
         existing = self._find(vpn, asid, pte.page_size)
         self._access_counter += 1
-        if self._mirror is not None:
-            # Both paths change what the set translates to (a refresh may
-            # carry a different PTE for the same VPN).
-            self._mirror.note_set_dirty(vpn & (self.num_sets - 1))
         if existing is not None:
             existing.pte = pte
             existing.last_touch = self._access_counter
@@ -210,8 +201,6 @@ class TLB(ResettableStats):
         removed = sum(len(s) for s in self._sets)
         self._sets = [[] for _ in range(self.num_sets)]
         self.stats.invalidations += removed
-        if self._mirror is not None:
-            self._mirror.note_all_dirty()
         return removed
 
     def invalidate_asid(self, asid: int) -> int:
@@ -221,8 +210,6 @@ class TLB(ResettableStats):
             removed += len(tlb_set) - len(keep)
             tlb_set[:] = keep
         self.stats.invalidations += removed
-        if self._mirror is not None:
-            self._mirror.note_all_dirty()
         return removed
 
     def invalidate_page(self, vaddr: int, asid: int) -> int:
@@ -234,8 +221,6 @@ class TLB(ResettableStats):
             keep = [e for e in tlb_set if e.tag != tag]
             removed += len(tlb_set) - len(keep)
             tlb_set[:] = keep
-            if self._mirror is not None:
-                self._mirror.note_set_dirty(self._set_index(vpn))
         self.stats.invalidations += removed
         return removed
 

@@ -155,7 +155,7 @@ class MultiCoreSimulator:
                 continue
             for base, size in workload.memory_regions():
                 mapped += self.system.memory_manager.prefault_range(base, size)
-        shared = getattr(self.system, "shared_backend", None)
+        shared = self.system.shared_backend
         if shared is not None:
             # As in the single-core engine, the shared backend structure (the
             # POM-TLB or the hashed page table) starts warm: it has
@@ -164,9 +164,6 @@ class MultiCoreSimulator:
             # per-core ports only route lookups.
             for pte in self.system.page_table.all_entries():
                 shared.insert(pte, pte.asid)
-        elif self.system.pom_tlb is not None:
-            for pte in self.system.page_table.all_entries():
-                self.system.pom_tlb.insert(pte, pte.asid)
         return mapped
 
     def run(self) -> SimulationResult:
@@ -396,22 +393,10 @@ class MultiCoreSimulator:
     def _reset_core_stats(self, run: _CoreRun) -> None:
         """Zero one core's measured statistics at its warm-up boundary.
 
-        Cores built by :func:`repro.sim.system.build_multicore_system` carry a
-        per-core :class:`~repro.common.stats.StatsRegistry`; hand-assembled
-        cores fall back to the historical field-by-field reset.
+        :func:`repro.sim.system.build_multicore_system` gives every core its
+        own :class:`~repro.common.stats.StatsRegistry`.
         """
-        core = run.core
-        registry = getattr(core, "stats_registry", None)
-        if registry is not None:
-            registry.reset_all()
-        else:
-            core.mmu.stats.__init__()
-            core.walker.stats.__init__()
-            for cache in core.private_caches():
-                cache.stats.__init__()
-            if core.victima is not None:
-                core.victima.stats.__init__()
-            core.pressure.reset_stats()
+        run.core.stats_registry.reset_all()
         run.instructions = 0
         run.cycles = 0.0
         run.translation_cycles = 0.0
@@ -420,16 +405,7 @@ class MultiCoreSimulator:
 
     def _reset_shared_stats(self) -> None:
         """Zero shared-structure statistics once every core is warm."""
-        registry = getattr(self.system, "stats_registry", None)
-        if registry is not None:
-            registry.reset_all()
-            return
-        for cache in self.system.shared_caches():
-            cache.stats.__init__()
-        self.system.dram.reset_stats()
-        self.system.shared_pressure.reset_stats()
-        if self.system.pom_tlb is not None:
-            self.system.pom_tlb.stats.__init__()
+        self.system.stats_registry.reset_all()
 
     # ------------------------------------------------------------------ #
     # Result assembly

@@ -34,10 +34,10 @@ from repro.workloads.registry import make_workload
 class _LoopState:
     """Mutable accumulator state shared by the fast-path loop variants.
 
-    One instance lives for a whole run; ``Simulator._process_batch`` (and the
-    SoA engine's bulk path) read and write it between batches.  ``refs``
-    counts *detailed* references only and is never reset at the warm-up
-    boundary — exactly like the historical local variable it replaces.
+    One instance lives for a whole run; ``Simulator._process_batch`` reads
+    and writes it between batches.  ``refs`` counts *detailed* references
+    only and is never reset at the warm-up boundary — exactly like the
+    historical local variable it replaces.
     """
 
     __slots__ = ("instructions", "cycles", "translation_cycles", "refs",
@@ -63,11 +63,11 @@ class _RunContext:
 
     __slots__ = ("simulator", "base_cpi", "epoch_instructions", "translate_data",
                  "hierarchy_access", "record_instructions",
-                 "record_l2_cache_miss", "victima", "engine")
+                 "record_l2_cache_miss", "victima")
 
     def __init__(self, simulator, base_cpi, epoch_instructions, translate_data,
                  hierarchy_access, record_instructions, record_l2_cache_miss,
-                 victima, engine):
+                 victima):
         self.simulator = simulator
         self.base_cpi = base_cpi
         self.epoch_instructions = epoch_instructions
@@ -76,7 +76,6 @@ class _RunContext:
         self.record_instructions = record_instructions
         self.record_l2_cache_miss = record_l2_cache_miss
         self.victima = victima
-        self.engine = engine
 
     def reset_measured(self, state: "_LoopState") -> None:
         """The warm-up boundary: zero measured stats, keep all warm state."""
@@ -378,16 +377,11 @@ class Simulator:
                 while vaddr < end:
                     combined = walker.install_shadow_mapping(vaddr)
                     vaddr = (combined.vpn + 1) << combined.page_size.offset_bits
-        backend = getattr(self.system, "backend", None)
-        if backend is not None:
-            # Backends that accumulate translations over a process lifetime
-            # (the POM-TLB, the hashed page table) start warm: over the
-            # billions of instructions preceding the region of interest they
-            # hold (essentially) the whole working set.
-            backend.warm_start(self.system.page_table)
-        elif self.system.pom_tlb is not None:
-            for pte in self.system.page_table.all_entries():
-                self.system.pom_tlb.insert(pte, pte.asid)
+        # Backends that accumulate translations over a process lifetime (the
+        # POM-TLB, the hashed page table) start warm: over the billions of
+        # instructions preceding the region of interest they hold
+        # (essentially) the whole working set.
+        self.system.backend.warm_start(self.system.page_table)
         return mapped
 
     def run(self) -> SimulationResult:
@@ -423,15 +417,6 @@ class Simulator:
                 result = _translate(vaddr, is_instruction=False)
                 return result.paddr, result.latency
 
-        engine = None
-        if getattr(mmu, "translate_data", None) is not None:
-            try:
-                from repro.sim.soa import try_build_engine
-            except ImportError:  # pragma: no cover - numpy is a dependency
-                engine = None
-            else:
-                engine = try_build_engine(system)
-
         ctx = _RunContext(
             simulator=self,
             base_cpi=system.config.base_cpi,
@@ -441,7 +426,6 @@ class Simulator:
             record_instructions=system.pressure.record_instructions,
             record_l2_cache_miss=system.pressure.record_l2_cache_miss,
             victima=system.victima,
-            engine=engine,
         )
         total_refs = self.workload.config.max_refs
         warmup_refs = int(total_refs * self.warmup_fraction)
@@ -457,17 +441,9 @@ class Simulator:
         This is *the* per-reference hot loop: it mirrors
         :meth:`_run_reference` statement for statement (same float
         accumulation order, same reset point) with the callees bound to
-        locals, exactly as the pre-refactor ``_run_fast`` body did.  When the
-        vectorized SoA engine (:mod:`repro.sim.soa`) accepts the batch, it
-        applies the identical updates in bulk instead — its scalar fallback
-        replicates this body and parity is pinned by ``tests/test_hotpath.py``
-        across every native preset.
+        locals, exactly as the pre-refactor ``_run_fast`` body did.  Parity
+        is pinned by ``tests/test_hotpath.py`` across every native preset.
         """
-        engine = ctx.engine
-        if engine is not None and engine.wants_batch():
-            engine.process_batch(ctx, state, batch)
-            return
-
         instructions = state.instructions
         cycles = state.cycles
         translation_cycles = state.translation_cycles
@@ -555,8 +531,8 @@ class Simulator:
 
         References arrive as pre-built lists from
         :meth:`~repro.workloads.base.Workload.bounded_batches`; each batch
-        goes through :meth:`_process_batch` (scalar loop or the vectorized
-        SoA engine).  Bit-identical to :meth:`_run_reference` by test.
+        goes through :meth:`_process_batch`.  Bit-identical to
+        :meth:`_run_reference` by test.
         """
         ctx, state = self._setup_fast_run()
         process_batch = self._process_batch
@@ -710,30 +686,12 @@ class Simulator:
     def _reset_measured_stats(self) -> None:
         """Zero the statistics accumulated during warm-up, keeping all state.
 
-        Systems built by :func:`repro.sim.system.build_system` carry a
+        :func:`repro.sim.system.build_system` attaches a
         :class:`~repro.common.stats.StatsRegistry` holding every stat-bearing
         component registered at construction, so the boundary is one walk of
-        one list; hand-assembled systems fall back to the historical
-        field-by-field reset.
+        one list.
         """
-        system = self.system
-        registry = getattr(system, "stats_registry", None)
-        if registry is not None:
-            registry.reset_all()
-            return
-        system.mmu.stats.__init__()
-        system.walker.stats.__init__()
-        if system.nested_walker is not None:
-            system.nested_walker.stats.__init__()
-            system.nested_walker.host_walker.stats.__init__()
-        for cache in system.hierarchy.levels():
-            cache.stats.__init__()
-        system.dram.reset_stats()
-        system.pressure.reset_stats()
-        if system.victima is not None:
-            system.victima.stats.__init__()
-        if system.pom_tlb is not None:
-            system.pom_tlb.stats.__init__()
+        self.system.stats_registry.reset_all()
 
     # ------------------------------------------------------------------ #
     # Result assembly

@@ -191,8 +191,8 @@ def _build_native(config, physical, dram, hierarchy, pressure,
         pressure=pressure, walker=walker, memory_manager=memory_manager))
     backend.name = spec.name
 
-    mmu = MMU(l1_itlb, l1_dtlb_4k, l1_dtlb_2m, l2_tlb, walker, memory_manager,
-              pressure, asid=0, backend=backend)
+    mmu = MMU(l1_itlb, l1_dtlb_4k, l1_dtlb_2m, l2_tlb, memory_manager, pressure,
+              backend, asid=0)
     victima = backend.victima
     l3_tlb = backend.l3_tlb
 
@@ -255,8 +255,8 @@ def _build_virtualized(config, physical, dram, hierarchy, pressure,
         victima=victima, vmid=0)
     backend.bind(nested_walker)
 
-    mmu = VirtualizedMMU(l1_itlb, l1_dtlb_4k, l1_dtlb_2m, l2_tlb, nested_walker,
-                         shadow_walker, pressure, vmid=0, backend=backend)
+    mmu = VirtualizedMMU(l1_itlb, l1_dtlb_4k, l1_dtlb_2m, l2_tlb, pressure,
+                         backend, vmid=0)
 
     tlbs: List[TLB] = [l1_itlb, l1_dtlb_4k, l1_dtlb_2m, l2_tlb, nested_tlb]
     maintenance = TLBMaintenance(tlbs, host_pwcs, backend=backend)
@@ -305,10 +305,6 @@ class Core:
     def l2_tlb(self) -> TLB:
         return self.mmu.l2_tlb
 
-    def private_caches(self) -> List[Cache]:
-        """The caches owned by this core (excludes the shared LLC)."""
-        return [self.hierarchy.l1i, self.hierarchy.l1d, self.hierarchy.l2]
-
 
 @dataclass
 class MultiCoreSystem:
@@ -346,9 +342,6 @@ class MultiCoreSystem:
     @property
     def page_table(self):
         return self.memory_manager.page_table
-
-    def shared_caches(self) -> List[Cache]:
-        return [self.llc] if self.llc is not None else []
 
 
 def build_multicore_system(config: SystemConfig,
@@ -442,8 +435,8 @@ def build_multicore_system(config: SystemConfig,
             l1_dtlb_4k = _make_tlb(f"L1-DTLB-4K-c{core_id}", config.mmu.l1_dtlb_4k)
             l1_dtlb_2m = _make_tlb(f"L1-DTLB-2M-c{core_id}", config.mmu.l1_dtlb_2m)
             l2_tlb = _make_tlb(f"L2-TLB-c{core_id}", config.mmu.l2_tlb)
-            mmu = MMU(l1_itlb, l1_dtlb_4k, l1_dtlb_2m, l2_tlb, walker,
-                      memory_manager, pressure, asid=0, backend=backend)
+            mmu = MMU(l1_itlb, l1_dtlb_4k, l1_dtlb_2m, l2_tlb, memory_manager,
+                      pressure, backend, asid=0)
 
         l3_tlb = backend.l3_tlb
         tlbs: List[TLB] = [l1_itlb, l1_dtlb_4k, l1_dtlb_2m, l2_tlb]

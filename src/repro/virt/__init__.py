@@ -2,7 +2,7 @@
 
 from repro.virt.shadow import ShadowPageTableBuilder
 from repro.virt.nested import NestedPageTableWalker, NestedWalkResult, NestedWalkStats
-from repro.virt.virt_mmu import VirtualizedMMU, VirtualizedMMUStats, VirtMode
+from repro.virt.virt_mmu import VirtualizedMMU, VirtualizedMMUStats
 
 __all__ = [
     "ShadowPageTableBuilder",
@@ -11,5 +11,4 @@ __all__ = [
     "NestedWalkStats",
     "VirtualizedMMU",
     "VirtualizedMMUStats",
-    "VirtMode",
 ]

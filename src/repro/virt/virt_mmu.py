@@ -16,25 +16,15 @@ is resolved:
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.common.addresses import PageSize
 from repro.common.pressure import PressureMonitor
 from repro.common.stats import ResettableStats
 from repro.memory.page_table import PageTableEntry
 from repro.mmu.mmu import ServedBy, TranslationResult
-from repro.mmu.page_walker import PageTableWalker
 from repro.mmu.tlb import TLB
-from repro.virt.nested import NestedPageTableWalker
-
-
-class VirtMode(enum.Enum):
-    """How L2 TLB misses are resolved in virtualized execution."""
-
-    NESTED_PAGING = "nested_paging"
-    SHADOW_PAGING = "shadow_paging"
 
 
 @dataclass
@@ -62,11 +52,10 @@ class VirtualizedMMUStats:
 class VirtualizedMMU(ResettableStats):
     """Two-level TLB hierarchy over a virtualized translation back-end.
 
-    ``backend`` is any virtualized
-    :class:`~repro.backends.base.TranslationBackend`; when omitted, one is
-    synthesised from the legacy ``mode`` / ``pom_tlb`` / ``victima`` keyword
-    arguments (their historical priority order), so both construction styles
-    behave identically.
+    ``backend`` is the virtualized
+    :class:`~repro.backends.base.TranslationBackend` (bound to its nested
+    walker) that resolves every L2 TLB miss; the system factory builds it
+    through the backend registry.
     """
 
     def __init__(
@@ -75,63 +64,19 @@ class VirtualizedMMU(ResettableStats):
         l1_dtlb_4k: TLB,
         l1_dtlb_2m: TLB,
         l2_tlb: TLB,
-        nested_walker: NestedPageTableWalker,
-        shadow_walker: PageTableWalker,
         pressure: PressureMonitor,
-        mode: VirtMode = VirtMode.NESTED_PAGING,
-        pom_tlb=None,
-        victima=None,
+        backend,
         vmid: int = 0,
-        backend=None,
     ):
         self.l1_itlb = l1_itlb
         self.l1_dtlb_4k = l1_dtlb_4k
         self.l1_dtlb_2m = l1_dtlb_2m
         self.l2_tlb = l2_tlb
-        self.nested_walker = nested_walker
-        self.shadow_walker = shadow_walker
         self.pressure = pressure
-        if backend is None:
-            # Deferred import: repro.backends imports from this module.
-            from repro.backends.virt import default_virt_backend
-            backend = default_virt_backend(nested_walker, shadow_walker,
-                                           mode=mode, pom_tlb=pom_tlb,
-                                           victima=victima)
         self.backend = backend
-        # Legacy handles (result collection, tests) follow the backend.
-        self.pom_tlb = backend.pom_tlb
-        self.victima = backend.victima
         self.vmid = vmid
         self.stats = VirtualizedMMUStats()
         self._register_stats()
-
-    # Shared handles ------------------------------------------------------- #
-    @property
-    def mode(self) -> VirtMode:
-        """The active resolution style — mirrors the backend.
-
-        Assigning a different :class:`VirtMode` re-synthesises the backend
-        from the MMU's walkers and legacy handles (the historical behaviour
-        of the mutable ``mode`` attribute, which dispatch used to branch on).
-        """
-        return self.backend.mode
-
-    @mode.setter
-    def mode(self, value: VirtMode) -> None:
-        if value is self.backend.mode:
-            return
-        from repro.backends.virt import default_virt_backend
-        self.backend = default_virt_backend(
-            self.nested_walker, self.shadow_walker, mode=value,
-            pom_tlb=self.pom_tlb, victima=self.victima)
-
-    @property
-    def shadow_table(self):
-        return self.nested_walker.shadow_builder.table
-
-    @property
-    def guest_memory_manager(self):
-        return self.nested_walker.guest_vmm
 
     # ------------------------------------------------------------------ #
     # Translation flow

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.backends import L3TLBBackend, RadixBackend
 from repro.cache.cache import Cache
 from repro.cache.hierarchy import CacheHierarchy
 from repro.common.addresses import PageSize
@@ -27,23 +28,23 @@ def make_hierarchy():
     return CacheHierarchy(l1i, l1d, l2, l3, DramModel())
 
 
-def make_mmu(physical=None, pom_tlb=None, l3_tlb=None, victima=None,
-             huge_fraction=0.0):
+def make_mmu(physical=None, l3_tlb=None, huge_fraction=0.0):
     physical = physical or PhysicalMemory(4 << 30)
     hierarchy = make_hierarchy()
     vmm = VirtualMemoryManager(physical, asid=0, huge_page_fraction=huge_fraction)
     walker = PageTableWalker(hierarchy, PageWalkCaches())
+    if l3_tlb is not None:
+        backend = L3TLBBackend(l3_tlb, walker, vmm.page_table)
+    else:
+        backend = RadixBackend(walker, vmm.page_table)
     mmu = MMU(
         l1_itlb=TLB("L1I-TLB", 16, 4, 1, BOTH),
         l1_dtlb_4k=TLB("L1D-4K", 8, 4, 1, (PageSize.SIZE_4K,)),
         l1_dtlb_2m=TLB("L1D-2M", 8, 4, 1, (PageSize.SIZE_2M,)),
         l2_tlb=TLB("L2-TLB", 48, 12, 12, BOTH),
-        walker=walker,
         memory_manager=vmm,
         pressure=PressureMonitor(),
-        pom_tlb=pom_tlb,
-        l3_tlb=l3_tlb,
-        victima=victima,
+        backend=backend,
     )
     return mmu, hierarchy
 

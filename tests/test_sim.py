@@ -123,14 +123,14 @@ class TestSystemFactory:
     def test_victima_system_wiring(self):
         system = build_system(make_system_config("victima", hardware_scale=16))
         assert system.victima is not None
-        assert system.mmu.victima is system.victima
+        assert system.backend.victima is system.victima
         assert system.victima.l2_cache is system.hierarchy.l2
         assert system.l2_cache.policy.name == "tlb_aware_srrip"
 
     def test_pom_system(self):
         system = build_system(make_system_config("pom_tlb", hardware_scale=16))
         assert system.pom_tlb is not None
-        assert system.mmu.pom_tlb is system.pom_tlb
+        assert system.backend.pom_tlb is system.pom_tlb
 
     def test_l3_tlb_system(self):
         system = build_system(make_system_config("opt_l3tlb_64k", hardware_scale=16))

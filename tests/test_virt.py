@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.backends import NestedPagingBackend, ShadowPagingBackend, VirtVictimaBackend
 from repro.cache.cache import Cache
 from repro.cache.hierarchy import CacheHierarchy
 from repro.cache.replacement import TLBAwareSRRIPPolicy
@@ -18,12 +19,12 @@ from repro.mmu.pwc import PageWalkCaches
 from repro.mmu.tlb import TLB
 from repro.virt.nested import NestedPageTableWalker
 from repro.virt.shadow import ShadowPageTableBuilder
-from repro.virt.virt_mmu import VirtMode, VirtualizedMMU
+from repro.virt.virt_mmu import VirtualizedMMU
 
 BOTH = (PageSize.SIZE_4K, PageSize.SIZE_2M)
 
 
-def make_virt_stack(with_victima=False):
+def make_virt_stack(with_victima=False, shadow_paging=False):
     host_physical = PhysicalMemory(8 << 30)
     guest_physical = PhysicalMemory(8 << 30)
     l1i = Cache("L1I", 1024, 4, 4)
@@ -52,13 +53,18 @@ def make_virt_stack(with_victima=False):
         nested_tlb=nested_tlb, hierarchy=hierarchy, shadow_builder=shadow_builder,
         victima=victima, vmid=0)
 
+    if shadow_paging:
+        backend = ShadowPagingBackend(shadow_walker)
+    elif victima is not None:
+        backend = VirtVictimaBackend(victima)
+    else:
+        backend = NestedPagingBackend()
     mmu = VirtualizedMMU(
         l1_itlb=TLB("L1I-TLB", 16, 4, 1, BOTH),
         l1_dtlb_4k=TLB("L1D-4K", 8, 4, 1, (PageSize.SIZE_4K,)),
         l1_dtlb_2m=TLB("L1D-2M", 8, 4, 1, (PageSize.SIZE_2M,)),
         l2_tlb=TLB("L2-TLB", 48, 12, 12, BOTH),
-        nested_walker=nested_walker, shadow_walker=shadow_walker, pressure=pressure,
-        mode=VirtMode.NESTED_PAGING, victima=victima, vmid=0)
+        pressure=pressure, backend=backend.bind(nested_walker), vmid=0)
     return mmu, nested_walker, shadow_builder, victima
 
 
@@ -153,8 +159,7 @@ class TestVirtualizedMMU:
         assert result.served_by is ServedBy.L1_TLB
 
     def test_shadow_paging_mode_has_no_host_walks(self):
-        mmu, _, _, _ = make_virt_stack()
-        mmu.mode = VirtMode.SHADOW_PAGING
+        mmu, _, _, _ = make_virt_stack(shadow_paging=True)
         result = mmu.translate(0x1234_5678)
         assert result.page_walk
         assert mmu.stats.host_page_walks == 0

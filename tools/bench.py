@@ -17,13 +17,10 @@ divided by that wall time; with ``--repeats N`` the best of N runs is kept
 cell (GUPS on the radix baseline) is additionally run with the straight-line
 reference loop (``fast_path=False``) and reports the fast-path speedup.
 
-Two special cells ride along: ``gups_l1`` shrinks GUPS to an L1-resident
-working set, the regime where the vectorized SoA engine (repro.sim.soa)
-classifies whole batches in bulk, and ``gups_sampled`` runs the default
-preset under SMARTS sampling (one detailed window in every
-``SAMPLED_STRIDE``) over a 10× larger budget — its rate counts detailed and
-fast-forwarded references alike, and the cell records the per-window
-cycles-per-ref error bars.
+One special cell rides along: ``gups_sampled`` runs the default preset
+under SMARTS sampling (one detailed window in every ``SAMPLED_STRIDE``) over
+a 10× larger budget — its rate counts detailed and fast-forwarded references
+alike, and the cell records the per-window cycles-per-ref error bars.
 
 Usage
 -----
@@ -67,19 +64,14 @@ CALIBRATION_OPS = 200_000
 #: the heaviest per-miss machinery, and the hashed-page-table backend.
 SYSTEMS = ("radix", "victima", "pom_tlb", "hash_pt")
 
-#: Benchmark-matrix workloads: friendly name -> (registry name, params).
+#: Benchmark-matrix workloads: friendly name -> registry name.
 #: ``gups`` is the RND/GUPS random-access workload — the most
 #: translation-hostile stream and therefore the default preset the
-#: acceptance target is pinned to.  ``gups_l1`` shrinks the GUPS table until
-#: the working set is L1-resident: the regime where the vectorized SoA
-#: engine (repro.sim.soa) engages and classifies whole batches in bulk, so
-#: this cell tracks the vector path where the others track the scalar one.
+#: acceptance target is pinned to.
 WORKLOADS = (
-    ("gups", "rnd", None),
-    ("gups_l1", "rnd", {"table_bytes": 16384, "index_bytes": 8192,
-                        "index_fraction": 0.5}),
-    ("bfs", "bfs", None),
-    ("xsbench", "xs", None),
+    ("gups", "rnd"),
+    ("bfs", "bfs"),
+    ("xsbench", "xs"),
 )
 
 #: The default preset: GUPS on the radix baseline.
@@ -124,13 +116,12 @@ def calibration_score(repeats: int = 3) -> float:
 
 
 def _time_run(system: str, workload: str, refs: int, fast_path: bool,
-              params: Optional[Dict[str, object]] = None,
               sampling: Optional[SamplingConfig] = None,
               warmup_fraction: Optional[float] = None):
     """Build a fresh simulator, run it and return (wall seconds, result)."""
     sim = Simulator.from_configs(
         make_system_config(system),
-        make_workload_config(workload, max_refs=refs, **(params or {})))
+        make_workload_config(workload, max_refs=refs))
     sim.fast_path = fast_path
     sim.sampling = sampling
     if warmup_fraction is not None:
@@ -142,7 +133,6 @@ def _time_run(system: str, workload: str, refs: int, fast_path: bool,
 
 def _best_rate(system: str, workload: str, refs: int, repeats: int,
                fast_path: bool = True,
-               params: Optional[Dict[str, object]] = None,
                sampling: Optional[SamplingConfig] = None,
                warmup_fraction: Optional[float] = None):
     """Return (seconds, refs_per_sec, result) for the best of ``repeats``."""
@@ -150,7 +140,7 @@ def _best_rate(system: str, workload: str, refs: int, repeats: int,
     best_result = None
     for _ in range(repeats):
         seconds, result = _time_run(system, workload, refs, fast_path,
-                                    params=params, sampling=sampling,
+                                    sampling=sampling,
                                     warmup_fraction=warmup_fraction)
         if best is None or seconds < best:
             best, best_result = seconds, result
@@ -168,9 +158,8 @@ def run_matrix(refs: int, repeats: int,
     """
     cells: List[Dict[str, object]] = []
     for system in SYSTEMS:
-        for name, registry_name, params in WORKLOADS:
-            seconds, rate, _ = _best_rate(system, registry_name, refs, repeats,
-                                          params=params)
+        for name, registry_name in WORKLOADS:
+            seconds, rate, _ = _best_rate(system, registry_name, refs, repeats)
             cell: Dict[str, object] = {
                 "system": system,
                 "workload": name,
@@ -205,7 +194,7 @@ def run_sampled_cell(refs: int, repeats: int,
     CI perf-smoke job publishes as an artifact.
     """
     system, name = DEFAULT_PRESET
-    registry_name = dict((n, r) for n, r, _ in WORKLOADS)[name]
+    registry_name = dict(WORKLOADS)[name]
     sampling = SamplingConfig(stride=SAMPLED_STRIDE,
                               warmup_refs=SAMPLED_WINDOW_WARMUP)
     # SMARTS warm-up is fixed-length, not proportional: give the sampled run
