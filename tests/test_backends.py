@@ -29,6 +29,7 @@ from repro.backends import (
 from repro.cache.hierarchy import CacheHierarchy
 from repro.common.errors import ConfigurationError
 from repro.common.stats import ResettableStats, StatsRegistry
+from repro.sim.config import SystemKind
 from repro.sim.presets import make_system_config
 from repro.sim.simulator import Simulator
 from repro.sim.system import build_system
@@ -55,9 +56,52 @@ def _canonical(result_dict: dict) -> str:
 with open(GOLDEN_PATH, encoding="utf-8") as _handle:
     _GOLDEN = json.load(_handle)
 
+#: Count fields of a multi-core result that are sums of the per-core slices.
+_PER_CORE_SUMS = ("memory_refs", "instructions", "l1_tlb_misses",
+                  "l2_tlb_misses", "page_walks", "data_l2_misses")
+
+
+def _negative_numbers(value, path="result"):
+    if isinstance(value, dict):
+        return [bad for key, item in value.items()
+                for bad in _negative_numbers(item, f"{path}.{key}")]
+    if isinstance(value, (list, tuple)):
+        return [bad for index, item in enumerate(value)
+                for bad in _negative_numbers(item, f"{path}[{index}]")]
+    if isinstance(value, (int, float)) and not isinstance(value, bool) and value < 0:
+        return [path]
+    return []
+
+
+def _invariant_violations(result) -> list:
+    """Cross-counter relations every simulation result must satisfy."""
+    problems = []
+    refs = result.memory_refs
+    levels = sum(result.data_access_levels.values())
+    if levels != refs:
+        problems.append(f"data_access_levels sum to {levels}, memory_refs is {refs}")
+    # Virtualized MMUs do not attribute translations, so served_by is empty.
+    if not SystemKind(result.system_kind).is_virtualized:
+        served = sum(result.served_by.values())
+        if served != refs:
+            problems.append(f"served_by sums to {served}, memory_refs is {refs}")
+    if result.per_core is not None:
+        for name in _PER_CORE_SUMS:
+            total = sum(getattr(core, name) for core in result.per_core)
+            if total != getattr(result, name):
+                problems.append(f"per-core {name} sum to {total}, "
+                                f"aggregate is {getattr(result, name)}")
+        makespan = max(core.cycles for core in result.per_core)
+        if result.cycles != makespan:
+            problems.append(f"cycles {result.cycles} != per-core maximum {makespan}")
+    problems.extend(f"negative: {path}"
+                    for path in _negative_numbers(result.to_json_dict()))
+    return problems
+
 
 class TestGoldenParity:
-    """Every golden scenario reproduces its committed result bit-for-bit."""
+    """Every golden scenario reproduces its committed result bit-for-bit
+    and satisfies the cross-counter invariants."""
 
     def test_golden_file_covers_every_generator_key(self):
         assert sorted(_GOLDEN) == sorted(_GENERATOR.golden_keys())
@@ -68,6 +112,7 @@ class TestGoldenParity:
         assert _canonical(result.to_json_dict()) == _canonical(_GOLDEN[key]), (
             f"{key}: simulation result diverged from the committed golden "
             "(tools/gen_parity_golden.py documents regeneration)")
+        assert _invariant_violations(result) == []
 
 
 class TestRegistry:

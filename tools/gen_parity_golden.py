@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Regenerate the backend parity golden data (tests/data/backend_parity_golden.json).
 
-Runs every evaluated system preset (plus multi-core, SMARTS-sampled and
-L1-resident variants) on a small deterministic window and records the full
+Runs every evaluated system preset (plus multi-core, SMARTS-sampled,
+L1-resident, idle-core and no-warm-up variants) on a small deterministic
+window and records the full
 ``SimulationResult`` as canonical JSON.  ``tests/test_backends.py`` re-runs
 the same scenarios (built by :func:`scenario_for_key` below) and asserts
 bit-identical equality, which pins every simulated outcome across refactors
@@ -15,6 +16,12 @@ Golden keys read ``<preset>/<N>core`` or ``<preset>/<N>core/<variant>``:
 ``l1_resident``
     ``rnd`` shrunk to an L1-resident working set at ``hardware_scale=1``
     and 12,000 refs: the regime with L1 D-TLB and L1-D hit ratios above 0.7.
+``idle``
+    The two tenants pinned to the first and the last core, so every core in
+    between idles and reports an empty per-core slice.
+``no_warmup``
+    ``warmup_fraction = 0``: no warm-up boundary, so no statistics reset
+    fires and the Victima reach series covers the whole run.
 
 Usage (from the repo root)::
 
@@ -60,7 +67,8 @@ SINGLE_CORE_PRESETS = (
 
 MULTI_CORE_PRESETS = ("victima", "pom_tlb", "radix", "hash_pt")
 
-SAMPLED_KEYS = ("victima/1core/sampled", "victima/2core/sampled")
+SAMPLED_KEYS = ("victima/1core/sampled", "victima/2core/sampled",
+                "virt_victima/1core/sampled", "pom_tlb/2core/sampled")
 SAMPLING = {"stride": 4, "warmup_refs": 128, "window_refs": 256}
 
 L1_RESIDENT_KEYS = ("radix/1core/l1_resident", "victima/1core/l1_resident")
@@ -68,11 +76,14 @@ L1_RESIDENT_REFS = 12_000
 L1_RESIDENT_PARAMS = {"table_bytes": 16384, "index_bytes": 8192,
                       "index_fraction": 0.5}
 
+ENGINE_KEYS = ("radix/3core/idle", "victima/1core/no_warmup",
+               "victima/2core/no_warmup")
+
 
 def golden_keys() -> list:
     return ([f"{preset}/1core" for preset in SINGLE_CORE_PRESETS]
             + [f"{preset}/2core" for preset in MULTI_CORE_PRESETS]
-            + list(SAMPLED_KEYS) + list(L1_RESIDENT_KEYS))
+            + list(SAMPLED_KEYS) + list(L1_RESIDENT_KEYS) + list(ENGINE_KEYS))
 
 
 def scenario_for_key(key: str) -> dict:
@@ -99,6 +110,10 @@ def scenario_for_key(key: str) -> dict:
     elif variant == ["l1_resident"]:
         spec.update(hardware_scale=1, max_refs=L1_RESIDENT_REFS,
                     workload={"workload": "rnd", "params": L1_RESIDENT_PARAMS})
+    elif variant == ["idle"]:
+        spec["workload"]["tenants"][1]["core"] = num_cores - 1
+    elif variant == ["no_warmup"]:
+        spec["warmup_fraction"] = 0.0
     elif variant:
         raise ValueError(f"unknown golden variant in {key!r}")
     return spec
