@@ -1,4 +1,4 @@
-"""SMARTS-style sampled simulation configuration and error-bar summaries.
+"""SMARTS-style sampled simulation: configuration, the sampler, error bars.
 
 SMARTS (Wunderlich et al., ISCA 2003) observes that detailed simulation of a
 small systematic sample of a program's execution — one short *detailed window*
@@ -6,10 +6,12 @@ out of every N, fast-forwarding through the rest — estimates whole-run
 metrics with quantifiable error bars at a fraction of the cost.  This module
 holds the opt-in configuration (:class:`SamplingConfig`) threaded through
 :class:`~repro.scenario.ScenarioSpec`, ``Simulator`` and
-``MultiCoreSimulator``, plus the per-window statistics that become the
-``sampling`` block of a :class:`~repro.sim.simulator.SimulationResult`.
+``MultiCoreSimulator``; the one sampler both engines run per core
+(:func:`sampled_batches`); and the per-window statistics that become the
+``sampling`` block of a :class:`~repro.sim.simulator.SimulationResult`
+(:func:`sampling_block`).
 
-Semantics (shared by the single- and multi-core loops):
+Semantics (the same in both engines, because they share the sampler):
 
 * The global warm-up region (``warmup_fraction`` of the run) is always
   simulated in detail, so the sampled and full runs reset their measured
@@ -36,11 +38,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional
+from itertools import islice
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence
 
 from repro.common.errors import ConfigurationError
+from repro.workloads.base import MemoryRef, Workload
 
-__all__ = ["SamplingConfig", "window_series_summary", "sampling_metadata"]
+__all__ = ["SamplingConfig", "sampled_batches", "window_series_summary",
+           "sampling_metadata", "sampling_block"]
 
 
 @dataclass(frozen=True)
@@ -88,6 +93,69 @@ class SamplingConfig:
                 "window_refs": self.window_refs}
 
 
+def sampled_batches(run, sampling: SamplingConfig) -> Iterator[List[MemoryRef]]:
+    """Yield one run's detailed references as lists, skipping sampled-out windows.
+
+    ``run`` is the core's :class:`~repro.sim.simulator.CoreRun`.  The global
+    warm-up comes first, in lists of at most ``Workload.BATCH_SIZE``
+    references.  Then every detailed window yields its re-warm head and its
+    measured body as two lists, and every other window is skipped through
+    ``Workload.fast_forward`` on the workload's own ``generate()`` stream.
+
+    The consumer must simulate each list before pulling the next: the
+    generator resumes only then, so a window's cycles-per-ref (appended to
+    ``run.window_series``) and a skip's estimate read settled accumulators.
+    A skipped window advances ``run.ready_at`` by the run's measured mean
+    cycles per reference, which keeps the multi-core scheduler interleaving
+    cores in (estimated) cycle order; a single-core run never reads it.
+    """
+    workload = run.workload
+    stream = workload.generate()
+    total = workload.config.max_refs
+    produced = 0
+    while produced < run.warmup_refs:
+        want = min(Workload.BATCH_SIZE, run.warmup_refs - produced)
+        batch = list(islice(stream, want))
+        if batch:
+            produced += len(batch)
+            yield batch
+        if len(batch) < want:
+            return
+
+    window = 0
+    while produced < total:
+        want = min(sampling.window_refs, total - produced)
+        if window % sampling.stride:
+            got = workload.fast_forward(stream, want)
+            produced += got
+            run.skipped_refs += got
+            run.ready_at += got * (run.cycles / max(1, run.refs - run.warmup_refs))
+            if got < want:
+                return
+        else:
+            head = min(sampling.warmup_refs, want)
+            batch = list(islice(stream, head))
+            if batch:
+                produced += len(batch)
+                yield batch
+            if len(batch) < head:
+                return
+            start_refs = run.refs
+            # The warm-up reset fires inside window 0's first measured
+            # reference; its cycle baseline is 0.
+            start_cycles = run.cycles if run.measuring else 0.0
+            batch = list(islice(stream, want - head))
+            if batch:
+                produced += len(batch)
+                yield batch
+                measured = run.refs - start_refs
+                if measured:
+                    run.window_series.append((run.cycles - start_cycles) / measured)
+            if len(batch) < want - head:
+                return
+        window += 1
+
+
 def window_series_summary(window_cycles_per_ref: List[float]) -> Dict[str, object]:
     """Mean / sample std-dev / 95 % confidence half-width of a window series.
 
@@ -130,3 +198,32 @@ def sampling_metadata(config: SamplingConfig,
     if per_core is not None:
         meta["per_core"] = per_core
     return meta
+
+
+def sampling_block(config: SamplingConfig, runs: Sequence,
+                   per_core: bool) -> Dict[str, object]:
+    """The ``sampling`` block of a sampled result, built from its core runs.
+
+    The window series of all runs pool into the run-wide error bars; with
+    ``per_core`` (multi-core machines) each run also gets its own entry.
+    """
+    entries = None
+    if per_core:
+        entries = []
+        for run in runs:
+            summary = window_series_summary(run.window_series)
+            entries.append({
+                "core": run.core.core_id,
+                "workload": run.workload.name,
+                "windows": len(run.window_series),
+                "detailed_refs": run.refs,
+                "skipped_refs": run.skipped_refs,
+                "cycles_per_ref_mean": summary["mean"],
+                "cycles_per_ref_std": summary["std"],
+                "cycles_per_ref_ci95": summary["ci95"],
+            })
+    return sampling_metadata(
+        config, [cpr for run in runs for cpr in run.window_series],
+        detailed_refs=sum(run.refs for run in runs),
+        skipped_refs=sum(run.skipped_refs for run in runs),
+        per_core=entries)

@@ -17,79 +17,103 @@ of execution cycles to address translation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import islice
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.metrics import reuse_buckets
 from repro.cache.block import BlockKind
 from repro.cache.hierarchy import MemoryLevel
 from repro.common.errors import ConfigurationError
 from repro.sim.config import SimulationConfig, SystemConfig
-from repro.sim.sampling import SamplingConfig, sampling_metadata
+from repro.sim.sampling import SamplingConfig, sampled_batches, sampling_block
 from repro.sim.system import MultiCoreSystem, System, build_system
 from repro.workloads.base import MemoryRef, Workload, WorkloadConfig
 from repro.workloads.registry import make_workload
 
 
-class _LoopState:
-    """Mutable accumulator state shared by the fast-path loop variants.
+class CoreRun:
+    """One core's run through a simulation: its accumulators and sampling state.
 
-    One instance lives for a whole run; ``Simulator._process_batch`` reads
-    and writes it between batches.  ``refs`` counts *detailed* references
-    only and is never reset at the warm-up boundary — exactly like the
-    historical local variable it replaces.
+    Both engines keep one per simulated core.  A single-core run's ``core``
+    is the :class:`~repro.sim.system.System` itself, which exposes the same
+    ``mmu``, ``walker``, ``hierarchy``, ``pressure``, ``victima``,
+    ``l2_cache`` and ``stats_registry`` as a multi-core
+    :class:`~repro.sim.system.Core`.  ``refs`` counts *detailed* references
+    and is never reset at the warm-up boundary; ``ready_at`` is the core's
+    global-cycle position, which drives the multi-core scheduler and is
+    never reset either.
     """
 
-    __slots__ = ("instructions", "cycles", "translation_cycles", "refs",
-                 "data_l2_misses", "level_counts", "reach_samples",
-                 "reach_samples_4k", "next_epoch", "measuring", "warmup_refs")
+    __slots__ = ("core", "workload", "warmup_refs", "measuring", "refs",
+                 "instructions", "cycles", "translation_cycles",
+                 "data_l2_misses", "level_counts", "ready_at",
+                 "skipped_refs", "window_series")
 
-    def __init__(self, warmup_refs: int, next_epoch: int, measuring: bool):
+    def __init__(self, core, workload: Workload, warmup_refs: int):
+        self.core = core
+        self.workload = workload
+        self.warmup_refs = warmup_refs
+        self.measuring = warmup_refs == 0
+        self.refs = 0
+        self.ready_at = 0.0
+        # SMARTS sampling bookkeeping (see repro.sim.sampling.sampled_batches).
+        self.skipped_refs = 0
+        self.window_series: List[float] = []
+        self._zero_measured()
+
+    def _zero_measured(self) -> None:
         self.instructions = 0
         self.cycles = 0.0
         self.translation_cycles = 0.0
-        self.refs = 0
         self.data_l2_misses = 0
         self.level_counts: Dict[str, int] = {}
-        self.reach_samples: List[int] = []
-        self.reach_samples_4k: List[int] = []
-        self.next_epoch = next_epoch
-        self.measuring = measuring
-        self.warmup_refs = warmup_refs
+
+    def reset_measured(self) -> None:
+        """The core's warm-up boundary: zero measured stats, keep all warm state.
+
+        The system factory gives every core (and a single-core ``System``)
+        a :class:`~repro.common.stats.StatsRegistry` holding its stat-bearing
+        components, so the reset is one walk of one list.
+        """
+        self.core.stats_registry.reset_all()
+        self._zero_measured()
+        self.measuring = True
 
 
-class _RunContext:
-    """Per-run constants and callees for the fast-path loop variants."""
+class ReachSeries:
+    """Victima translation reach, sampled every epoch and once at the end.
 
-    __slots__ = ("simulator", "base_cpi", "epoch_instructions", "translate_data",
-                 "hierarchy_access", "record_instructions",
-                 "record_l2_cache_miss", "victima")
+    Each sample sums the reach of ``victimas``, the run's Victima controllers
+    (one per core; none on systems without Victima).  The engines count the
+    epoch's instructions themselves and call :meth:`advance` when the count
+    reaches :attr:`next_epoch`.
+    """
 
-    def __init__(self, simulator, base_cpi, epoch_instructions, translate_data,
-                 hierarchy_access, record_instructions, record_l2_cache_miss,
-                 victima):
-        self.simulator = simulator
-        self.base_cpi = base_cpi
+    __slots__ = ("victimas", "epoch_instructions", "next_epoch", "samples",
+                 "samples_4k")
+
+    def __init__(self, victimas, epoch_instructions: int):
+        self.victimas = [victima for victima in victimas if victima is not None]
         self.epoch_instructions = epoch_instructions
-        self.translate_data = translate_data
-        self.hierarchy_access = hierarchy_access
-        self.record_instructions = record_instructions
-        self.record_l2_cache_miss = record_l2_cache_miss
-        self.victima = victima
+        self.restart()
 
-    def reset_measured(self, state: "_LoopState") -> None:
-        """The warm-up boundary: zero measured stats, keep all warm state."""
-        self.simulator._reset_measured_stats()
-        state.instructions = 0
-        state.cycles = 0.0
-        state.translation_cycles = 0.0
-        state.data_l2_misses = 0
-        state.level_counts = {}
-        # Warm-up epochs must not leak into the measured reach series.
-        state.reach_samples = []
-        state.reach_samples_4k = []
-        state.next_epoch = self.epoch_instructions
-        state.measuring = True
+    def restart(self) -> None:
+        """Drop the series: warm-up epochs must not leak into the measured one."""
+        self.next_epoch = self.epoch_instructions
+        self.samples: List[int] = []
+        self.samples_4k: List[int] = []
+
+    def advance(self) -> int:
+        """Close the current epoch with a sample; return the next boundary."""
+        self.next_epoch += self.epoch_instructions
+        self.sample()
+        return self.next_epoch
+
+    def sample(self) -> None:
+        victimas = self.victimas
+        if victimas:
+            self.samples.append(sum(v.translation_reach_bytes() for v in victimas))
+            self.samples_4k.append(sum(
+                v.translation_reach_bytes(assume_4k=True) for v in victimas))
 
 
 @dataclass(frozen=True)
@@ -321,9 +345,8 @@ class Simulator:
 
         A spec with ``num_cores > 1`` returns a
         :class:`~repro.sim.multicore.MultiCoreSimulator` instead (the two
-        classes share the ``run() -> SimulationResult`` interface); the
-        ``num_cores == 1`` path below is untouched by the multi-core engine,
-        which keeps it bit-identical to the classic simulator.
+        classes share the ``run() -> SimulationResult`` interface, and the
+        run record, sampler and result assembly behind it).
         """
         from repro.scenario import load_scenario
 
@@ -388,28 +411,36 @@ class Simulator:
         """Simulate the workload and return the measured result.
 
         Dispatches to the batched fast-path loop (:meth:`_run_fast`, the
-        default), its SMARTS-sampled variant (:meth:`_run_sampled`, when a
+        default, which also runs SMARTS-sampled simulations when a
         :class:`SamplingConfig` is set) or the straight-line reference loop
         (:meth:`_run_reference`).  The fast and reference loops are
         bit-identical by construction and by test, as are the sampled loop at
-        ``stride=1`` and the fast loop.
+        ``stride=1`` and the full fast loop.
         """
-        if self.sampling is not None:
-            if not self.fast_path:
-                raise ConfigurationError(
-                    "sampled simulation requires the fast path "
-                    "(fast_path=True); the reference loop has no sampling mode")
-            return self._run_sampled()
-        if self.fast_path:
-            return self._run_fast()
-        return self._run_reference()
-
-    def _setup_fast_run(self) -> Tuple["_RunContext", "_LoopState"]:
-        """Prefault, then build the shared context/state for a fast-path run."""
-        system = self.system
-        mmu = system.mmu
+        if self.sampling is not None and not self.fast_path:
+            raise ConfigurationError(
+                "sampled simulation requires the fast path "
+                "(fast_path=True); the reference loop has no sampling mode")
         self.prefault()
+        run = CoreRun(self.system, self.workload,
+                      int(self.workload.config.max_refs * self.warmup_fraction))
+        reach = ReachSeries([self.system.victima], self.epoch_instructions)
+        if self.fast_path:
+            self._run_fast(run, reach)
+        else:
+            self._run_reference(run, reach)
+        return collect_result(self.system, [run], self.workload.name, reach,
+                              self.sampling)
 
+    def _run_fast(self, run: CoreRun, reach: ReachSeries) -> None:
+        """Batched hot-path loop: reference lists through :meth:`_process_batch`.
+
+        The lists come from
+        :meth:`~repro.workloads.base.Workload.bounded_batches` or, for a
+        sampled run, from :func:`~repro.sim.sampling.sampled_batches`, which
+        resumes only after the previous list has been simulated.
+        """
+        mmu = self.system.mmu
         translate_data = getattr(mmu, "translate_data", None)
         if translate_data is None:
             # Virtualized MMUs have no fast path; adapt the generic flow.
@@ -417,65 +448,54 @@ class Simulator:
                 result = _translate(vaddr, is_instruction=False)
                 return result.paddr, result.latency
 
-        ctx = _RunContext(
-            simulator=self,
-            base_cpi=system.config.base_cpi,
-            epoch_instructions=self.epoch_instructions,
-            translate_data=translate_data,
-            hierarchy_access=system.hierarchy.access,
-            record_instructions=system.pressure.record_instructions,
-            record_l2_cache_miss=system.pressure.record_l2_cache_miss,
-            victima=system.victima,
-        )
-        total_refs = self.workload.config.max_refs
-        warmup_refs = int(total_refs * self.warmup_fraction)
-        state = _LoopState(warmup_refs=warmup_refs,
-                           next_epoch=self.epoch_instructions,
-                           measuring=warmup_refs == 0)
-        return ctx, state
+        if self.sampling is None:
+            batches = self.workload.bounded_batches()
+        else:
+            batches = sampled_batches(run, self.sampling)
+        process_batch = self._process_batch
+        for batch in batches:
+            process_batch(run, reach, translate_data, batch)
 
-    def _process_batch(self, ctx: "_RunContext", state: "_LoopState",
+    def _process_batch(self, run: CoreRun, reach: ReachSeries, translate_data,
                        batch: List[MemoryRef]) -> None:
-        """Simulate one list of references, updating ``state`` in place.
+        """Simulate one list of references, updating ``run`` in place.
 
-        This is *the* per-reference hot loop: it mirrors
+        This is *the* single-core per-reference hot loop: it mirrors
         :meth:`_run_reference` statement for statement (same float
         accumulation order, same reset point) with the callees bound to
-        locals, exactly as the pre-refactor ``_run_fast`` body did.  Parity
-        is pinned by ``tests/test_hotpath.py`` across every native preset.
+        locals.  Parity is pinned by ``tests/test_hotpath.py`` across every
+        native preset.  The multi-core scheduler keeps its own body, because
+        it sums a reference's cycles before adding them to the core's clock,
+        and that order rounds differently.
         """
-        instructions = state.instructions
-        cycles = state.cycles
-        translation_cycles = state.translation_cycles
-        refs = state.refs
-        data_l2_misses = state.data_l2_misses
-        level_counts = state.level_counts
-        reach_samples = state.reach_samples
-        reach_samples_4k = state.reach_samples_4k
-        next_epoch = state.next_epoch
-        measuring = state.measuring
-        warmup_refs = state.warmup_refs
-        epoch_instructions = ctx.epoch_instructions
-        base_cpi = ctx.base_cpi
-        translate_data = ctx.translate_data
-        hierarchy_access = ctx.hierarchy_access
-        record_instructions = ctx.record_instructions
-        record_l2_cache_miss = ctx.record_l2_cache_miss
-        victima = ctx.victima
+        system = self.system
+        instructions = run.instructions
+        cycles = run.cycles
+        translation_cycles = run.translation_cycles
+        refs = run.refs
+        data_l2_misses = run.data_l2_misses
+        level_counts = run.level_counts
+        measuring = run.measuring
+        warmup_refs = run.warmup_refs
+        next_epoch = reach.next_epoch
+        advance_epoch = reach.advance
+        base_cpi = system.config.base_cpi
+        hierarchy_access = system.hierarchy.access
+        record_instructions = system.pressure.record_instructions
+        record_l2_cache_miss = system.pressure.record_l2_cache_miss
         level_l3 = MemoryLevel.L3
         level_dram = MemoryLevel.DRAM
 
         for ref in batch:
             if not measuring and refs >= warmup_refs:
-                ctx.reset_measured(state)
+                run.reset_measured()
+                reach.restart()
                 instructions = 0
                 cycles = 0.0
                 translation_cycles = 0.0
                 data_l2_misses = 0
-                level_counts = state.level_counts
-                reach_samples = state.reach_samples
-                reach_samples_4k = state.reach_samples_4k
-                next_epoch = state.next_epoch
+                level_counts = run.level_counts
+                next_epoch = reach.next_epoch
                 measuring = True
 
             gap = ref.instruction_gap
@@ -498,156 +518,41 @@ class Simulator:
                 record_l2_cache_miss()
 
             if instructions >= next_epoch:
-                next_epoch += epoch_instructions
-                if victima is not None:
-                    reach_samples.append(victima.translation_reach_bytes())
-                    reach_samples_4k.append(
-                        victima.translation_reach_bytes(assume_4k=True))
+                next_epoch = advance_epoch()
 
-        state.instructions = instructions
-        state.cycles = cycles
-        state.translation_cycles = translation_cycles
-        state.refs = refs
-        state.data_l2_misses = data_l2_misses
-        state.next_epoch = next_epoch
-        state.measuring = measuring
+        run.instructions = instructions
+        run.cycles = cycles
+        run.translation_cycles = translation_cycles
+        run.refs = refs
+        run.data_l2_misses = data_l2_misses
 
-    def _finish_fast_run(self, ctx: "_RunContext",
-                         state: "_LoopState") -> SimulationResult:
-        # Always take a final sample so short runs still report reach.
-        if ctx.victima is not None:
-            state.reach_samples.append(ctx.victima.translation_reach_bytes())
-            state.reach_samples_4k.append(
-                ctx.victima.translation_reach_bytes(assume_4k=True))
-        warmup_refs = state.warmup_refs
-        measured_refs = state.refs - warmup_refs if warmup_refs else state.refs
-        return self._collect(state.instructions, state.cycles,
-                             state.translation_cycles, measured_refs,
-                             state.data_l2_misses, state.level_counts,
-                             state.reach_samples, state.reach_samples_4k)
-
-    def _run_fast(self) -> SimulationResult:
-        """Batched hot-path loop: chunked reference lists + ``translate_data``.
-
-        References arrive as pre-built lists from
-        :meth:`~repro.workloads.base.Workload.bounded_batches`; each batch
-        goes through :meth:`_process_batch`.  Bit-identical to
-        :meth:`_run_reference` by test.
-        """
-        ctx, state = self._setup_fast_run()
-        process_batch = self._process_batch
-        for batch in self.workload.bounded_batches():
-            process_batch(ctx, state, batch)
-        return self._finish_fast_run(ctx, state)
-
-    def _run_sampled(self) -> SimulationResult:
-        """SMARTS-sampled fast-path loop (see :mod:`repro.sim.sampling`).
-
-        The global warm-up region is fully detailed and cut at the boundary
-        so the measured-stats reset fires at the first reference of window 0;
-        after it, one window in every ``stride`` is simulated in detail
-        (optionally re-warmed by ``warmup_refs`` unmeasured references) and
-        the rest are skipped through ``Workload.fast_forward``.  With
-        ``stride=1`` nothing is ever skipped and the run is bit-identical to
-        :meth:`_run_fast` (pinned by ``tests/test_sampling.py``).
-        """
-        sampling = self.sampling
-        ctx, state = self._setup_fast_run()
-        workload = self.workload
-        stream = workload.generate()
-        total_refs = workload.config.max_refs
-        warmup_refs = state.warmup_refs
-        batch_size = Workload.BATCH_SIZE
-
-        produced = 0
-        dry = False
-        while produced < warmup_refs and not dry:
-            want = min(batch_size, warmup_refs - produced)
-            batch = list(islice(stream, want))
-            produced += len(batch)
-            if batch:
-                self._process_batch(ctx, state, batch)
-            dry = len(batch) < want
-
-        window_series: List[float] = []
-        skipped_refs = 0
-        stride = sampling.stride
-        window_refs = sampling.window_refs
-        window_warmup = sampling.warmup_refs
-        window = 0
-        while not dry and produced < total_refs:
-            want = min(window_refs, total_refs - produced)
-            if window % stride == 0:
-                head = min(window_warmup, want)
-                if head:
-                    batch = list(islice(stream, head))
-                    produced += len(batch)
-                    if batch:
-                        self._process_batch(ctx, state, batch)
-                    dry = len(batch) < head
-                body = want - head
-                if body and not dry:
-                    batch = list(islice(stream, body))
-                    produced += len(batch)
-                    if batch:
-                        start_refs = state.refs
-                        # The warm-up reset fires inside window 0's first
-                        # measured reference; its cycle baseline is 0.
-                        start_cycles = state.cycles if state.measuring else 0.0
-                        self._process_batch(ctx, state, batch)
-                        measured = state.refs - start_refs
-                        if measured:
-                            window_series.append(
-                                (state.cycles - start_cycles) / measured)
-                    dry = len(batch) < body
-            else:
-                got = workload.fast_forward(stream, want)
-                produced += got
-                skipped_refs += got
-                dry = got < want
-            window += 1
-
-        result = self._finish_fast_run(ctx, state)
-        result.sampling = sampling_metadata(sampling, window_series,
-                                            detailed_refs=state.refs,
-                                            skipped_refs=skipped_refs)
-        return result
-
-    def _run_reference(self) -> SimulationResult:
+    def _run_reference(self, run: CoreRun, reach: ReachSeries) -> None:
         """The straight-line per-reference loop (the pre-fast-path engine)."""
         system = self.system
         mmu = system.mmu
         hierarchy = system.hierarchy
         pressure = system.pressure
         base_cpi = system.config.base_cpi
-        self.prefault()
-
-        total_refs = self.workload.config.max_refs
-        warmup_refs = int(total_refs * self.warmup_fraction)
 
         instructions = 0
         cycles = 0.0
         translation_cycles = 0.0
         refs = 0
         data_l2_misses = 0
-        level_counts: Dict[str, int] = {}
-        reach_samples: List[int] = []
-        reach_samples_4k: List[int] = []
-        next_epoch = self.epoch_instructions
-        measuring = warmup_refs == 0
+        level_counts = run.level_counts
+        next_epoch = reach.next_epoch
+        measuring = run.measuring
 
         for ref in self.workload.bounded():
-            if not measuring and refs >= warmup_refs:
-                self._reset_measured_stats()
+            if not measuring and refs >= run.warmup_refs:
+                run.reset_measured()
+                reach.restart()
                 instructions = 0
                 cycles = 0.0
                 translation_cycles = 0.0
                 data_l2_misses = 0
-                level_counts = {}
-                # Warm-up epochs must not leak into the measured reach series.
-                reach_samples = []
-                reach_samples_4k = []
-                next_epoch = self.epoch_instructions
+                level_counts = run.level_counts
+                next_epoch = reach.next_epoch
                 measuring = True
 
             instructions += ref.instruction_gap + 1
@@ -667,121 +572,155 @@ class Simulator:
                 pressure.record_l2_cache_miss()
 
             if instructions >= next_epoch:
-                next_epoch += self.epoch_instructions
-                if system.victima is not None:
-                    reach_samples.append(system.victima.translation_reach_bytes())
-                    reach_samples_4k.append(
-                        system.victima.translation_reach_bytes(assume_4k=True))
+                next_epoch = reach.advance()
 
-        # Always take a final sample so short runs still report reach.
-        if system.victima is not None:
-            reach_samples.append(system.victima.translation_reach_bytes())
-            reach_samples_4k.append(system.victima.translation_reach_bytes(assume_4k=True))
+        run.instructions = instructions
+        run.cycles = cycles
+        run.translation_cycles = translation_cycles
+        run.refs = refs
+        run.data_l2_misses = data_l2_misses
 
-        measured_refs = refs - warmup_refs if warmup_refs else refs
-        return self._collect(instructions, cycles, translation_cycles, measured_refs,
-                             data_l2_misses, level_counts, reach_samples,
-                             reach_samples_4k)
 
-    def _reset_measured_stats(self) -> None:
-        """Zero the statistics accumulated during warm-up, keeping all state.
+# --------------------------------------------------------------------------- #
+# Result assembly
+# --------------------------------------------------------------------------- #
+#: Per-core count fields whose machine-wide value is their sum over the cores.
+_SUMMED_FIELDS = ("instructions", "memory_refs", "translation_cycles",
+                  "l1_tlb_misses", "l2_tlb_misses", "page_walks",
+                  "data_l2_misses")
 
-        :func:`repro.sim.system.build_system` attaches a
-        :class:`~repro.common.stats.StatsRegistry` holding every stat-bearing
-        component registered at construction, so the boundary is one walk of
-        one list.
-        """
-        self.system.stats_registry.reset_all()
+#: Victima controller counters, summed over the cores' controllers.
+_VICTIMA_COUNTS = ("probes", "block_hits", "insertions_on_miss",
+                   "insertions_on_eviction", "predictor_rejections",
+                   "predictor_bypasses", "background_walks",
+                   "data_blocks_transformed", "nested_probes",
+                   "nested_block_hits", "nested_insertions")
 
-    # ------------------------------------------------------------------ #
-    # Result assembly
-    # ------------------------------------------------------------------ #
-    def _collect(self, instructions, cycles, translation_cycles, refs,
-                 data_l2_misses, level_counts, reach_samples,
-                 reach_samples_4k) -> SimulationResult:
-        system = self.system
-        result = SimulationResult(
-            workload=self.workload.name,
-            system_label=system.config.label,
-            system_kind=system.config.kind.value,
-            instructions=instructions,
-            cycles=cycles,
-            memory_refs=refs,
-            translation_cycles=translation_cycles,
-            data_l2_misses=data_l2_misses,
-            data_access_levels=level_counts,
-        )
 
-        mmu_stats = system.mmu.stats
-        walker_stats = system.walker.stats
-        result.l2_tlb_misses = mmu_stats.l2_tlb_misses
-        result.l1_tlb_misses = (mmu_stats.translations - mmu_stats.l1_tlb_hits
-                                if hasattr(mmu_stats, "translations") else 0)
-        result.miss_latency_breakdown = dict(mmu_stats.miss_latency_breakdown)
-        result.l2_tlb_miss_latency_mean = mmu_stats.mean_miss_latency
-        result.served_by = dict(getattr(mmu_stats, "served_by", {}))
+def collect_result(system, runs: Sequence[CoreRun], name: str,
+                   reach: ReachSeries,
+                   sampling: Optional[SamplingConfig] = None) -> SimulationResult:
+    """Assemble a finished run's result: one :class:`CoreResult` per core, summed.
 
-        if system.is_virtualized:
-            result.page_walks = mmu_stats.guest_page_walks
-            result.host_page_walks = mmu_stats.host_page_walks
-            if system.nested_walker is not None:
-                nested = system.nested_walker.stats
-                result.nested_stats = {
-                    "nested_tlb_hits": nested.nested_tlb_hits,
-                    "nested_tlb_misses": nested.nested_tlb_misses,
-                    "nested_block_hits": nested.nested_block_hits,
-                    "mean_nested_walk_latency": nested.mean_latency,
-                    "total_guest_latency": nested.total_guest_latency,
-                    "total_host_latency": nested.total_host_latency,
-                }
-            result.ptw_mean_latency = (system.nested_walker.stats.mean_latency
-                                       if system.nested_walker is not None else 0.0)
-        else:
-            result.page_walks = mmu_stats.page_walks
-            result.ptw_mean_latency = walker_stats.mean_latency
-            result.ptw_latency_histogram = dict(walker_stats.latency_histogram)
-        result.background_walks = walker_stats.background_walks
+    Serves both engines; a single-core machine's only core is the ``System``
+    itself.  Idle cores (no run) contribute empty slices.  Counts sum over
+    the cores, ``cycles`` is the per-core maximum (the makespan), and
+    ``per_core`` is kept only when ``num_cores > 1``.  The final reach sample
+    is taken here, so short runs still report reach.
+    """
+    reach.sample()
+    config = system.config
+    virtualized = system.is_virtualized
+    cores = system.cores if config.num_cores > 1 else [system]
+    per_core: List[CoreResult] = []
+    level_counts: Dict[str, int] = {}
+    breakdown: Dict[str, int] = {}
+    served_by: Dict[str, int] = {}
+    ptw_histogram: Dict[int, int] = {}
+    reuse_histogram: Dict[int, int] = {}
+    miss_latency = walk_latency = walks = background_walks = 0
+    for core_id, core in enumerate(cores):
+        run = next((run for run in runs if run.core is core), None)
+        if run is None:
+            per_core.append(CoreResult(core=core_id, workload="idle"))
+            continue
+        stats = core.mmu.stats
+        walker = core.walker.stats
+        per_core.append(CoreResult(
+            core=core_id,
+            workload=run.workload.name,
+            instructions=run.instructions,
+            cycles=run.cycles,
+            memory_refs=run.refs - run.warmup_refs,
+            translation_cycles=run.translation_cycles,
+            l1_tlb_misses=stats.translations - stats.l1_tlb_hits,
+            l2_tlb_misses=stats.l2_tlb_misses,
+            page_walks=stats.guest_page_walks if virtualized else stats.page_walks,
+            data_l2_misses=run.data_l2_misses,
+        ))
+        _merge(level_counts, run.level_counts)
+        _merge(breakdown, stats.miss_latency_breakdown)
+        # Virtualized MMUs do not attribute translations to a source.
+        _merge(served_by, getattr(stats, "served_by", {}))
+        _merge(ptw_histogram, walker.latency_histogram)
+        _merge(reuse_histogram, core.l2_cache.stats.reuse_distribution(BlockKind.DATA))
+        miss_latency += stats.total_miss_latency
+        walk_latency += walker.total_latency
+        walks += walker.walks
+        background_walks += walker.background_walks
 
-        l2_stats = system.l2_cache.stats
-        result.l2_data_reuse_histogram = l2_stats.reuse_distribution(BlockKind.DATA)
+    result = SimulationResult(
+        workload=name,
+        system_label=config.label,
+        system_kind=config.kind.value,
+        cycles=max(core.cycles for core in per_core),
+        background_walks=background_walks,
+        ptw_mean_latency=walk_latency / walks if walks else 0.0,
+        ptw_latency_histogram=ptw_histogram,
+        miss_latency_breakdown=breakdown,
+        served_by=served_by,
+        data_access_levels=level_counts,
+        l2_data_reuse_histogram=reuse_histogram,
+        translation_reach_samples=reach.samples,
+        translation_reach_samples_4k=reach.samples_4k,
+        num_cores=config.num_cores,
+        per_core=tuple(per_core) if config.num_cores > 1 else None,
+        **{field: sum(getattr(core, field) for core in per_core)
+           for field in _SUMMED_FIELDS},
+    )
+    result.l2_tlb_miss_latency_mean = (
+        miss_latency / result.l2_tlb_misses if result.l2_tlb_misses else 0.0)
 
-        if system.victima is not None:
-            victima = system.victima
-            result.victima_stats = {
-                "probes": victima.stats.probes,
-                "block_hits": victima.stats.block_hits,
-                "probe_hit_rate": victima.stats.probe_hit_rate,
-                "insertions_on_miss": victima.stats.insertions_on_miss,
-                "insertions_on_eviction": victima.stats.insertions_on_eviction,
-                "predictor_rejections": victima.stats.predictor_rejections,
-                "predictor_bypasses": victima.stats.predictor_bypasses,
-                "background_walks": victima.stats.background_walks,
-                "data_blocks_transformed": victima.stats.data_blocks_transformed,
-                "nested_probes": victima.stats.nested_probes,
-                "nested_block_hits": victima.stats.nested_block_hits,
-                "nested_insertions": victima.stats.nested_insertions,
-            }
+    if reach.victimas:
+        totals: Dict[str, float] = dict.fromkeys(_VICTIMA_COUNTS, 0)
+        block_reuse: Dict[int, int] = {}
+        for victima in reach.victimas:
+            for key in totals:
+                totals[key] += getattr(victima.stats, key)
             # Combine the reuse of evicted TLB blocks with a final snapshot of
             # the still-resident ones: in short windows with the TLB-aware
             # policy most TLB blocks are never evicted at all.
-            histogram = victima.tlb_block_reuse_distribution()
+            _merge(block_reuse, victima.tlb_block_reuse_distribution())
             for block in victima.resident_tlb_blocks():
-                histogram[block.reuse_count] = histogram.get(block.reuse_count, 0) + 1
-            result.tlb_block_reuse_histogram = histogram
-            result.translation_reach_samples = reach_samples
-            result.translation_reach_samples_4k = reach_samples_4k
+                block_reuse[block.reuse_count] = block_reuse.get(block.reuse_count, 0) + 1
+        totals["probe_hit_rate"] = (
+            totals["block_hits"] / totals["probes"] if totals["probes"] else 0.0)
+        result.victima_stats = totals
+        result.tlb_block_reuse_histogram = block_reuse
 
-        if system.pom_tlb is not None:
-            pom = system.pom_tlb.stats
-            result.pom_tlb_stats = {
-                "lookups": pom.lookups,
-                "hits": pom.hits,
-                "hit_rate": pom.hit_rate,
-                "mean_lookup_latency": pom.mean_lookup_latency,
-            }
+    if system.pom_tlb is not None:
+        pom = system.pom_tlb.stats
+        result.pom_tlb_stats = {
+            "lookups": pom.lookups,
+            "hits": pom.hits,
+            "hit_rate": pom.hit_rate,
+            "mean_lookup_latency": pom.mean_lookup_latency,
+        }
 
-        vm_stats = system.memory_manager.stats
-        result.footprint_bytes = vm_stats.footprint_bytes
-        result.pages_4k = vm_stats.pages_4k
-        result.pages_2m = vm_stats.pages_2m
-        return result
+    if virtualized:
+        nested = system.nested_walker.stats
+        result.host_page_walks = system.mmu.stats.host_page_walks
+        result.nested_stats = {
+            "nested_tlb_hits": nested.nested_tlb_hits,
+            "nested_tlb_misses": nested.nested_tlb_misses,
+            "nested_block_hits": nested.nested_block_hits,
+            "mean_nested_walk_latency": nested.mean_latency,
+            "total_guest_latency": nested.total_guest_latency,
+            "total_host_latency": nested.total_host_latency,
+        }
+        result.ptw_mean_latency = nested.mean_latency
+        result.ptw_latency_histogram = {}
+
+    vm_stats = system.memory_manager.stats
+    result.footprint_bytes = vm_stats.footprint_bytes
+    result.pages_4k = vm_stats.pages_4k
+    result.pages_2m = vm_stats.pages_2m
+    if sampling is not None:
+        result.sampling = sampling_block(sampling, runs,
+                                         per_core=config.num_cores > 1)
+    return result
+
+
+def _merge(target: Dict, source: Dict) -> None:
+    for key, value in source.items():
+        target[key] = target.get(key, 0) + value

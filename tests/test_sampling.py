@@ -10,9 +10,10 @@ from repro import api
 from repro.common.errors import ConfigurationError
 from repro.scenario import ScenarioSpec
 from repro.sim.presets import make_system_config, make_workload_config
-from repro.sim.sampling import (SamplingConfig, sampling_metadata,
-                                window_series_summary)
-from repro.sim.simulator import Simulator
+from repro.sim.sampling import (SamplingConfig, sampled_batches,
+                                sampling_metadata, window_series_summary)
+from repro.sim.simulator import CoreRun, Simulator
+from repro.traces.combinators import mix
 from repro.workloads import make_workload
 
 
@@ -59,6 +60,48 @@ class TestFastForward:
         stream = itertools.islice(workload.generate(), 100)
         assert workload.fast_forward(stream, 250) == 100
         assert next(stream, None) is None
+
+
+# --------------------------------------------------------------------------- #
+# The shared sampler's reference stream
+# --------------------------------------------------------------------------- #
+SAMPLER_REFS = 6000
+SAMPLER_WARMUP_REFS = 1500
+
+
+def _sampler_workloads():
+    """Fresh instances: the analytic GUPS fast_forward, the base-class drain
+    and a two-tenant combinator."""
+    return {
+        "rnd": make_workload("rnd", max_refs=SAMPLER_REFS),
+        "bfs": make_workload("bfs", max_refs=SAMPLER_REFS),
+        "mix": mix([make_workload("bfs", max_refs=SAMPLER_REFS // 2),
+                    make_workload("rnd", max_refs=SAMPLER_REFS // 2)], seed=3),
+    }
+
+
+class TestSampledBatches:
+    def test_yielded_lists_are_slices_of_the_bounded_stream(self):
+        # A bare run record: nothing is simulated, so only the stream moves.
+        references = {name: list(workload.bounded())
+                      for name, workload in _sampler_workloads().items()}
+        for stride, rewarm in ((1, 0), (4, 128)):
+            sampling = SamplingConfig(stride=stride, warmup_refs=rewarm,
+                                      window_refs=512)
+            for name, workload in _sampler_workloads().items():
+                reference = references[name]
+                run = CoreRun(None, workload, SAMPLER_WARMUP_REFS)
+                yielded = []
+                for batch in sampled_batches(run, sampling):
+                    start = len(yielded) + run.skipped_refs
+                    assert batch == reference[start:start + len(batch)], (
+                        name, stride, start)
+                    yielded.extend(batch)
+                assert len(yielded) + run.skipped_refs == SAMPLER_REFS
+                if stride == 1:
+                    assert yielded == reference
+                else:
+                    assert run.skipped_refs > 0, name
 
 
 # --------------------------------------------------------------------------- #
