@@ -93,7 +93,7 @@ class CacheBlock:
         self.tag = key[1]
         self.kind = kind
         #: Cached ``kind.is_translation`` (the kind never changes).
-        self.is_tlb_block = kind.is_translation
+        self.is_tlb_block = kind is not BlockKind.DATA
         self.dirty = dirty
         #: Address-space identifier for TLB / nested TLB blocks (None for data).
         self.asid = asid

@@ -173,8 +173,10 @@ class Cache(ResettableStats):
         If a block with the same tag is already resident it is overwritten in
         place (refreshing its payload) and nothing is evicted.
         """
-        cache_set = self._set_for(block.key)
-        existing_way = cache_set.tags.get(block.tag)
+        tag = block.tag
+        cache_set = self._sets[block.key[0] & (self.num_sets - 1)]
+        tags = cache_set.tags
+        existing_way = tags.get(tag)
         block.prefetched = prefetched
         if existing_way is not None:
             old = cache_set.ways[existing_way]
@@ -187,23 +189,25 @@ class Cache(ResettableStats):
 
         # A full set (every tag resident) cannot have an invalid way; skip
         # the associativity-wide scan in that common steady-state case.
-        if len(cache_set.tags) == self.associativity:
+        if len(tags) == self.associativity:
             way = None
         else:
             way = cache_set.first_invalid()
         evicted: Optional[CacheBlock] = None
+        policy = self.policy
         if way is None:
-            way = self.policy.select_victim(cache_set)
+            way = policy.select_victim(cache_set)
             evicted = cache_set.ways[way]
-            del cache_set.tags[evicted.tag]
+            del tags[evicted.tag]
         cache_set.ways[way] = block
-        cache_set.tags[block.tag] = way
-        self.policy.on_insert(cache_set, block)
-        self.stats.fills += 1
+        tags[tag] = way
+        policy.on_insert(cache_set, block)
+        stats = self.stats
+        stats.fills += 1
         if prefetched:
-            self.stats.prefetch_fills += 1
+            stats.prefetch_fills += 1
         if block.is_tlb_block:
-            self.stats.tlb_block_fills += 1
+            stats.tlb_block_fills += 1
         if evicted is not None:
             self._record_eviction(evicted)
         return evicted

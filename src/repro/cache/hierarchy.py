@@ -24,6 +24,9 @@ from repro.cache.prefetcher import Prefetcher
 from repro.memory.dram import DramModel
 
 
+_DATA = BlockKind.DATA
+
+
 class MemoryLevel(enum.Enum):
     """Where an access was served from."""
 
@@ -121,8 +124,7 @@ class CacheHierarchy:
 
     def _fill(self, cache: Cache, key: CacheKey, dirty: bool = False,
               prefetched: bool = False) -> Optional[CacheBlock]:
-        block = CacheBlock(key=key, kind=BlockKind.DATA, dirty=dirty)
-        return cache.insert(block, prefetched=prefetched)
+        return cache.insert(CacheBlock(key, _DATA, dirty), prefetched)
 
     def _train_prefetchers(self, ip: int, paddr: int, is_instruction: bool) -> None:
         # Train both prefetchers before filling either: fills never feed back

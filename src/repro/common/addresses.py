@@ -42,10 +42,14 @@ class PageSize(enum.IntEnum):
     SIZE_4K = PAGE_SIZE_4K
     SIZE_2M = PAGE_SIZE_2M
 
-    @property
-    def offset_bits(self) -> int:
-        """Number of page-offset bits for this page size (12 or 21)."""
-        return (int(self)).bit_length() - 1
+    def __new__(cls, size: int) -> "PageSize":
+        member = int.__new__(cls, size)
+        member._value_ = size
+        #: Number of page-offset bits for this page size (12 or 21).  A plain
+        #: member attribute rather than a property: it is read on every
+        #: mapping and translation.
+        member.offset_bits = size.bit_length() - 1
+        return member
 
     @property
     def label(self) -> str:

@@ -20,8 +20,8 @@ class SaturatingCounter:
         self.bits = bits
         # Stored (not a property): increments happen several times per
         # simulated memory reference, so the ceiling must not be recomputed.
-        self.max_value = (1 << bits) - 1
-        self.value = min(value, self.max_value)
+        max_value = self.max_value = (1 << bits) - 1
+        self.value = value if value < max_value else max_value
 
     def increment(self, amount: int = 1) -> int:
         """Increment, saturating at the maximum value.  Returns the new value."""

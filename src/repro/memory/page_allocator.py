@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.common.addresses import PAGE_SIZE_2M, PageSize, page_number
+from repro.common.addresses import PAGE_SIZE_2M, PageSize
 from repro.memory.page_table import PageTableEntry, RadixPageTable
 from repro.memory.physical import PhysicalMemory
 
@@ -77,7 +77,7 @@ class VirtualMemoryManager:
             return False
         if self.huge_page_fraction >= 1.0:
             return True
-        region = page_number(vaddr, PageSize.SIZE_2M)
+        region = vaddr >> PageSize.SIZE_2M.offset_bits
         mixed = (region * _HASH_MULTIPLIER + self.asid * 0x9E3779B9) % _HASH_MODULUS
         return (mixed / _HASH_MODULUS) < self.huge_page_fraction
 
@@ -96,10 +96,9 @@ class VirtualMemoryManager:
         else:
             page_size = PageSize.SIZE_4K
             self.stats.pages_4k += 1
-        vpn = page_number(vaddr, page_size)
+        offset_bits = page_size.offset_bits
         frame = self.physical.allocate_frame(page_size)
-        pfn = frame >> page_size.offset_bits
-        return self.page_table.map_page(vpn, pfn, page_size)
+        return self.page_table.map_page(vaddr >> offset_bits, frame >> offset_bits, page_size)
 
     def translate(self, vaddr: int) -> int:
         """Functional virtual-to-physical translation with demand paging."""

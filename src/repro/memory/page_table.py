@@ -14,7 +14,7 @@ level 3 is the leaf PT.  2 MB pages terminate the walk at level 2 (the PD).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.common.addresses import (
@@ -32,9 +32,12 @@ from repro.memory.physical import PhysicalMemory
 LEAF_LEVEL_4K = 3
 #: Leaf level for 2 MB pages (the PD level).
 LEAF_LEVEL_2M = 2
+#: Right shift that brings each level's 9-bit index to the bottom of a
+#: virtual address (PML4, PDPT, PD, PT), see :func:`radix_indices`.
+_LEVEL_SHIFTS = (39, 30, 21, 12)
+_INDEX_MASK = ENTRIES_PER_NODE - 1
 
 
-@dataclass
 class PTEFeatures:
     """Per-page feature counters from Table 1 of the paper.
 
@@ -44,16 +47,21 @@ class PTEFeatures:
     ones are gathered for the offline feature-selection study (Table 2).
     """
 
-    page_size_is_2m: bool = False
-    ptw_frequency: SaturatingCounter = field(default_factory=lambda: SaturatingCounter(3))
-    ptw_cost: SaturatingCounter = field(default_factory=lambda: SaturatingCounter(4))
-    pwc_hits: SaturatingCounter = field(default_factory=lambda: SaturatingCounter(5))
-    l1_tlb_misses: SaturatingCounter = field(default_factory=lambda: SaturatingCounter(5))
-    l2_tlb_misses: SaturatingCounter = field(default_factory=lambda: SaturatingCounter(5))
-    l2_cache_hits: SaturatingCounter = field(default_factory=lambda: SaturatingCounter(5))
-    l1_tlb_evictions: SaturatingCounter = field(default_factory=lambda: SaturatingCounter(5))
-    l2_tlb_evictions: SaturatingCounter = field(default_factory=lambda: SaturatingCounter(6))
-    accesses: SaturatingCounter = field(default_factory=lambda: SaturatingCounter(6))
+    __slots__ = ("page_size_is_2m", "ptw_frequency", "ptw_cost", "pwc_hits",
+                 "l1_tlb_misses", "l2_tlb_misses", "l2_cache_hits",
+                 "l1_tlb_evictions", "l2_tlb_evictions", "accesses")
+
+    def __init__(self, page_size_is_2m: bool = False):
+        self.page_size_is_2m = page_size_is_2m
+        self.ptw_frequency = SaturatingCounter(3)
+        self.ptw_cost = SaturatingCounter(4)
+        self.pwc_hits = SaturatingCounter(5)
+        self.l1_tlb_misses = SaturatingCounter(5)
+        self.l2_tlb_misses = SaturatingCounter(5)
+        self.l2_cache_hits = SaturatingCounter(5)
+        self.l1_tlb_evictions = SaturatingCounter(5)
+        self.l2_tlb_evictions = SaturatingCounter(6)
+        self.accesses = SaturatingCounter(6)
 
     def as_vector(self) -> List[int]:
         """Return the ten features as a plain list (for the predictor study)."""
@@ -104,10 +112,21 @@ class PageTableEntry:
         self.asid = asid
         #: Physical address of this 8-byte entry inside its page-table node.
         self.entry_paddr = entry_paddr
-        self.features = PTEFeatures(page_size_is_2m=(page_size is PageSize.SIZE_2M))
+        # ``features`` is built on first access (see ``__getattr__``): a
+        # pre-faulted table holds tens of thousands of entries, most of which
+        # the measured window never touches.
         #: Total cycles spent walking to this entry (label source for Table 2).
         self.total_ptw_cycles = 0
         self.valid = True
+
+    def __getattr__(self, name: str):
+        # Reached only for a slot that is still unset, i.e. ``features``
+        # before its first use; afterwards the slot serves it directly.
+        if name != "features":
+            raise AttributeError(name)
+        features = PTEFeatures(page_size_is_2m=(self.page_size is PageSize.SIZE_2M))
+        self.features = features
+        return features
 
     # Convenience accessors used by the predictor and the MMU ----------------
     @property
@@ -223,13 +242,14 @@ class RadixPageTable:
         entry is invalidated), which is what happens on a remap in a real OS.
         """
         vaddr = vpn << page_size.offset_bits
-        pml4_i, pdpt_i, pd_i, pt_i = radix_indices(vaddr)
-        leaf_level = LEAF_LEVEL_2M if page_size is PageSize.SIZE_2M else LEAF_LEVEL_4K
-        indices = (pml4_i, pdpt_i, pd_i, pt_i)
+        if page_size is PageSize.SIZE_2M:
+            leaf_level, leaf_shift = LEAF_LEVEL_2M, 21
+        else:
+            leaf_level, leaf_shift = LEAF_LEVEL_4K, 12
 
         node = self._root
         for level in range(leaf_level):
-            index = indices[level]
+            index = (vaddr >> _LEVEL_SHIFTS[level]) & _INDEX_MASK
             child = node.children.get(index)
             if child is None:
                 child = self._new_node(level + 1)
@@ -237,7 +257,7 @@ class RadixPageTable:
                 self.num_nodes += 1
             node = child
 
-        leaf_index = indices[leaf_level]
+        leaf_index = (vaddr >> leaf_shift) & _INDEX_MASK
         old = node.leaves.get(leaf_index)
         if old is not None:
             old.valid = False
@@ -245,13 +265,8 @@ class RadixPageTable:
             self.num_leaf_entries += 1
         self._leaf_memo.clear()
         self._walk_memo.clear()
-        pte = PageTableEntry(
-            vpn=vpn,
-            pfn=pfn,
-            page_size=page_size,
-            asid=self.asid,
-            entry_paddr=node.entry_paddr(leaf_index),
-        )
+        pte = PageTableEntry(vpn, pfn, page_size, self.asid,
+                             node.frame_paddr + leaf_index * PTE_SIZE)
         node.leaves[leaf_index] = pte
         return pte
 
@@ -272,17 +287,15 @@ class RadixPageTable:
     # Lookup
     # ------------------------------------------------------------------ #
     def _find(self, vaddr: int) -> Optional[Tuple[_PageTableNode, int, PageTableEntry]]:
-        indices = radix_indices(vaddr)
         node = self._root
-        for level in range(LEAF_LEVEL_4K + 1):
-            index = indices[level]
+        for shift in _LEVEL_SHIFTS:
+            index = (vaddr >> shift) & _INDEX_MASK
             leaf = node.leaves.get(index)
             if leaf is not None:
                 return node, index, leaf
-            child = node.children.get(index)
-            if child is None:
+            node = node.children.get(index)
+            if node is None:
                 return None
-            node = child
         return None
 
     def lookup(self, vaddr: int) -> Optional[PageTableEntry]:

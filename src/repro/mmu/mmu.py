@@ -84,7 +84,8 @@ class MMUStats:
     def record(self, result: TranslationResult) -> None:
         self.translations += 1
         self.total_translation_latency += result.latency
-        self.served_by[result.served_by.value] = self.served_by.get(result.served_by.value, 0) + 1
+        served = result.served_by.value
+        self.served_by[served] = self.served_by.get(served, 0) + 1
         if not result.l1_tlb_miss:
             self.l1_tlb_hits += 1
         if result.l2_tlb_miss:

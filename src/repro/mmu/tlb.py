@@ -103,8 +103,8 @@ class TLB(ResettableStats):
         # set index -> list of entries (at most `associativity` long)
         self._sets: List[List[TLBEntry]] = [[] for _ in range(self.num_sets)]
         # Hot-path precomputation: (page size, offset-bit shift, stat label)
-        # per supported size, so lookups avoid the PageSize.offset_bits
-        # property (which recomputes a bit_length per call).
+        # per supported size, so lookups read no PageSize attribute or
+        # property per probe.
         self._probe_plan: Tuple[Tuple[PageSize, int, str], ...] = tuple(
             (ps, ps.offset_bits, ps.label) for ps in self.page_sizes)
         self._register_stats()
@@ -163,21 +163,22 @@ class TLB(ResettableStats):
     # ------------------------------------------------------------------ #
     def insert(self, pte: PageTableEntry, asid: Optional[int] = None) -> Optional[TLBEntry]:
         """Insert a translation; returns the evicted entry, if any."""
-        if not self.supports(pte.page_size):
+        page_size = pte.page_size
+        if page_size not in self.page_sizes:
             raise ConfigurationError(
-                f"{self.name} does not support {pte.page_size.label} pages"
+                f"{self.name} does not support {page_size.label} pages"
             )
         asid = pte.asid if asid is None else asid
         vpn = pte.vpn
-        existing = self._find(vpn, asid, pte.page_size)
-        self._access_counter += 1
-        if existing is not None:
-            existing.pte = pte
-            existing.last_touch = self._access_counter
-            return None
-        entry = TLBEntry(vpn=vpn, asid=asid, page_size=pte.page_size, pte=pte,
-                         last_touch=self._access_counter)
-        tlb_set = self._sets[self._set_index(vpn)]
+        tlb_set = self._sets[vpn & (self.num_sets - 1)]
+        counter = self._access_counter = self._access_counter + 1
+        for existing in tlb_set:
+            if (existing.vpn == vpn and existing.asid == asid
+                    and existing.page_size is page_size):
+                existing.pte = pte
+                existing.last_touch = counter
+                return None
+        entry = TLBEntry(vpn, asid, page_size, pte, counter)
         evicted: Optional[TLBEntry] = None
         if len(tlb_set) >= self.associativity:
             # Manual LRU scan (no min()+lambda): inserts are hot-path work.

@@ -15,7 +15,6 @@ Two users:
 
 from __future__ import annotations
 
-from repro.common.addresses import PageSize, page_number
 from repro.memory.page_table import PageTableEntry, RadixPageTable
 from repro.memory.physical import PhysicalMemory
 
@@ -39,10 +38,10 @@ class ShadowPageTableBuilder:
         affects which cache sets the data lands in, not translation behaviour.
         """
         page_size = guest_pte.page_size
-        vpn = page_number(gva, page_size)
-        vaddr = vpn << page_size.offset_bits
-        if self.table.is_mapped(vaddr):
-            return self.table.translate(vaddr)
+        vpn = gva >> page_size.offset_bits
+        existing = self.table.lookup(vpn << page_size.offset_bits)
+        if existing is not None:
+            return existing
         guest_page_base = guest_pte.pfn << page_size.offset_bits
         host_base = host_pte.translate(guest_page_base)
         pfn = host_base >> page_size.offset_bits
@@ -52,9 +51,7 @@ class ShadowPageTableBuilder:
 
     def lookup(self, gva: int) -> PageTableEntry | None:
         """Return the combined entry for ``gva`` if one has been installed."""
-        if self.table.is_mapped(gva):
-            return self.table.translate(gva)
-        return None
+        return self.table.lookup(gva)
 
     @property
     def size_bytes(self) -> int:
