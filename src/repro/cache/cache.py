@@ -49,7 +49,10 @@ class CacheStats:
         return self.misses / self.accesses if self.accesses else 0.0
 
     def record_reuse(self, kind: BlockKind, reuse: int) -> None:
-        per_kind = self.reuse_histogram.setdefault(kind.value, {})
+        name = kind.value
+        per_kind = self.reuse_histogram.get(name)
+        if per_kind is None:
+            per_kind = self.reuse_histogram[name] = {}
         per_kind[reuse] = per_kind.get(reuse, 0) + 1
 
     def reuse_distribution(self, kind: BlockKind) -> Dict[int, int]:
@@ -242,12 +245,13 @@ class Cache(ResettableStats):
         return removed
 
     def _record_eviction(self, block: CacheBlock, invalidation: bool = False) -> None:
-        self.stats.evictions += 1
+        stats = self.stats
+        stats.evictions += 1
         if block.dirty:
-            self.stats.writebacks += 1
+            stats.writebacks += 1
         if block.is_tlb_block:
-            self.stats.tlb_block_evictions += 1
-        self.stats.record_reuse(block.kind, block.reuse_count)
+            stats.tlb_block_evictions += 1
+        stats.record_reuse(block.kind, block.reuse_count)
         if self.on_eviction is not None and not invalidation:
             self.on_eviction(block)
 

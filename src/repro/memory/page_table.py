@@ -215,8 +215,9 @@ class RadixPageTable:
         self.num_leaf_entries = 0
         # Functional-lookup memo: 4K page number -> leaf PTE.  Purely an
         # accelerator for :meth:`lookup` (the radix structure stays the source
-        # of truth); cleared on any map/unmap so it can never serve a stale
-        # entry.  A 2 MB page appears under each of its 4K-page keys lazily.
+        # of truth); cleared on every unmap and on any map that could change a
+        # lookup (see :meth:`map_page`), so it can never serve a stale entry.
+        # A 2 MB page appears under each of its 4K-page keys lazily.
         self._leaf_memo: Dict[int, PageTableEntry] = {}
         # Same idea for :meth:`walk`: the step sequence of a walk depends only
         # on the radix structure, so it is immutable between table changes.
@@ -263,8 +264,12 @@ class RadixPageTable:
             old.valid = False
         else:
             self.num_leaf_entries += 1
-        self._leaf_memo.clear()
-        self._walk_memo.clear()
+        if old is not None or leaf_level == LEAF_LEVEL_2M:
+            # Only a remap, or a 2 MB leaf that may shadow 4K leaves below its
+            # slot, can change what an earlier lookup or walk found.  A new 4K
+            # leaf in an empty slot cannot, so pre-faulting keeps the memos.
+            self._leaf_memo.clear()
+            self._walk_memo.clear()
         pte = PageTableEntry(vpn, pfn, page_size, self.asid,
                              node.frame_paddr + leaf_index * PTE_SIZE)
         node.leaves[leaf_index] = pte
@@ -369,12 +374,11 @@ class RadixPageTable:
         base_vpn = pte.cluster_base_vpn
         cluster: List[Optional[PageTableEntry]] = []
         for i in range(PTES_PER_CACHE_BLOCK):
-            vaddr = (base_vpn + i) << pte.page_size.offset_bits
-            found = self._find(vaddr)
-            if found is None or found[2].page_size is not pte.page_size:
+            entry = self.lookup((base_vpn + i) << pte.page_size.offset_bits)
+            if entry is None or entry.page_size is not pte.page_size:
                 cluster.append(None)
             else:
-                cluster.append(found[2])
+                cluster.append(entry)
         return cluster
 
     # ------------------------------------------------------------------ #
