@@ -163,22 +163,21 @@ class TLB(ResettableStats):
     # ------------------------------------------------------------------ #
     def insert(self, pte: PageTableEntry, asid: Optional[int] = None) -> Optional[TLBEntry]:
         """Insert a translation; returns the evicted entry, if any."""
-        page_size = pte.page_size
-        if page_size not in self.page_sizes:
+        if not self.supports(pte.page_size):
             raise ConfigurationError(
-                f"{self.name} does not support {page_size.label} pages"
+                f"{self.name} does not support {pte.page_size.label} pages"
             )
         asid = pte.asid if asid is None else asid
         vpn = pte.vpn
-        tlb_set = self._sets[vpn & (self.num_sets - 1)]
-        counter = self._access_counter = self._access_counter + 1
-        for existing in tlb_set:
-            if (existing.vpn == vpn and existing.asid == asid
-                    and existing.page_size is page_size):
-                existing.pte = pte
-                existing.last_touch = counter
-                return None
-        entry = TLBEntry(vpn, asid, page_size, pte, counter)
+        existing = self._find(vpn, asid, pte.page_size)
+        self._access_counter += 1
+        if existing is not None:
+            existing.pte = pte
+            existing.last_touch = self._access_counter
+            return None
+        entry = TLBEntry(vpn=vpn, asid=asid, page_size=pte.page_size, pte=pte,
+                         last_touch=self._access_counter)
+        tlb_set = self._sets[self._set_index(vpn)]
         evicted: Optional[TLBEntry] = None
         if len(tlb_set) >= self.associativity:
             # Manual LRU scan (no min()+lambda): inserts are hot-path work.
