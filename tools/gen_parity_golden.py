@@ -2,9 +2,9 @@
 """Regenerate the backend parity golden data (tests/data/backend_parity_golden.json).
 
 Runs every evaluated system preset (plus multi-core, SMARTS-sampled,
-L1-resident, idle-core and no-warm-up variants) on a small deterministic
-window and records the full
-``SimulationResult`` as canonical JSON.  ``tests/test_backends.py`` re-runs
+L1-resident, idle-core, no-warm-up and virtualized ``bfs`` variants) on a
+small deterministic window and records the full ``SimulationResult`` as
+canonical JSON.  ``tests/test_backends.py`` re-runs
 the same scenarios (built by :func:`scenario_for_key` below) and asserts
 bit-identical equality, which pins every simulated outcome across refactors
 of the engines, the structures and the backend registry.
@@ -22,6 +22,11 @@ Golden keys read ``<preset>/<N>core`` or ``<preset>/<N>core/<variant>``:
 ``no_warmup``
     ``warmup_fraction = 0``: no warm-up boundary, so no statistics reset
     fires and the Victima reach series covers the whole run.
+``bfs``
+    The ``bfs`` workload instead of ``rnd``.  Its data regions end mid-page
+    and mid-2 MB region (the vertex array is 24,000,000 B), which ``rnd``'s
+    whole-2 MB regions never do; on virtualized presets this covers the
+    unaligned ends of the guest, host and shadow prefault.
 
 Usage (from the repo root)::
 
@@ -79,11 +84,15 @@ L1_RESIDENT_PARAMS = {"table_bytes": 16384, "index_bytes": 8192,
 ENGINE_KEYS = ("radix/3core/idle", "victima/1core/no_warmup",
                "victima/2core/no_warmup")
 
+VIRT_BFS_KEYS = ("nested_paging/1core/bfs", "ideal_shadow/1core/bfs",
+                 "virt_victima/1core/bfs")
+
 
 def golden_keys() -> list:
     return ([f"{preset}/1core" for preset in SINGLE_CORE_PRESETS]
             + [f"{preset}/2core" for preset in MULTI_CORE_PRESETS]
-            + list(SAMPLED_KEYS) + list(L1_RESIDENT_KEYS) + list(ENGINE_KEYS))
+            + list(SAMPLED_KEYS) + list(L1_RESIDENT_KEYS) + list(ENGINE_KEYS)
+            + list(VIRT_BFS_KEYS))
 
 
 def scenario_for_key(key: str) -> dict:
@@ -114,6 +123,8 @@ def scenario_for_key(key: str) -> dict:
         spec["workload"]["tenants"][1]["core"] = num_cores - 1
     elif variant == ["no_warmup"]:
         spec["warmup_fraction"] = 0.0
+    elif variant == ["bfs"]:
+        spec["workload"] = "bfs"
     elif variant:
         raise ValueError(f"unknown golden variant in {key!r}")
     return spec
