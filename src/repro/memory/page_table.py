@@ -275,6 +275,90 @@ class RadixPageTable:
         node.leaves[leaf_index] = pte
         return pte
 
+    # ------------------------------------------------------------------ #
+    # Runs of 4 KB pages inside one PT node (bulk prefault)
+    # ------------------------------------------------------------------ #
+    def _pt_node(self, vpn: int) -> Optional[_PageTableNode]:
+        """The PT node holding 4K page ``vpn``'s slot, if it exists and no
+        larger page's leaf above it covers that page."""
+        vaddr = vpn << 12
+        node = self._root
+        for shift in _LEVEL_SHIFTS[:LEAF_LEVEL_4K]:
+            index = (vaddr >> shift) & _INDEX_MASK
+            if index in node.leaves:
+                return None
+            node = node.children.get(index)
+            if node is None:
+                return None
+        return node
+
+    def unmapped_run(self, vpn: int, limit: int) -> int:
+        """Count the unmapped 4K pages ``vpn``, ``vpn + 1``, … of one PT node.
+
+        The count stops at the first mapped page, at VPN ``limit``
+        (exclusive) and at the end of ``vpn``'s PT node.  It is 0 when that
+        node does not exist or a 2 MB leaf covers ``vpn``: only an existing
+        node can take a run (see :meth:`map_4k_run`).
+        """
+        index = start = vpn & _INDEX_MASK
+        stop = min(start + limit - vpn, ENTRIES_PER_NODE)
+        node = self._pt_node(vpn) if start < stop else None
+        if node is None:
+            return 0
+        leaves = node.leaves
+        while index < stop and index not in leaves:
+            index += 1
+        return index - start
+
+    def leaf_run(self, vpn: int, limit: int) -> List[PageTableEntry]:
+        """The 4K leaves of pages ``vpn``, ``vpn + 1``, … of one PT node.
+
+        The run stops at the first unmapped page, at VPN ``limit``
+        (exclusive) and at the end of ``vpn``'s PT node; it is empty when
+        that node does not exist or a 2 MB leaf covers ``vpn``.  Each entry
+        is what :meth:`lookup` returns for its page.
+        """
+        index = vpn & _INDEX_MASK
+        stop = min(index + limit - vpn, ENTRIES_PER_NODE)
+        node = self._pt_node(vpn) if index < stop else None
+        run: List[PageTableEntry] = []
+        if node is None:
+            return run
+        leaves = node.leaves
+        while index < stop:
+            pte = leaves.get(index)
+            if pte is None:
+                break
+            run.append(pte)
+            index += 1
+        return run
+
+    def map_4k_run(self, vpn: int, pfns: List[int]) -> None:
+        """Map 4K pages ``vpn``, ``vpn + 1``, … to frames ``pfns`` in one step.
+
+        The pages must be an :meth:`unmapped_run` of an existing PT node.
+        The table then ends up exactly as after one :meth:`map_page` call per
+        page, in order, without the per-page descents: no node is created,
+        and since fresh 4K leaves in empty slots cannot change an earlier
+        lookup or walk, the memos are kept.
+        """
+        if not pfns:
+            return
+        node = self._pt_node(vpn)
+        index = vpn & _INDEX_MASK
+        if node is None or index + len(pfns) > ENTRIES_PER_NODE:
+            raise ValueError(f"pages 0x{vpn:x}+{len(pfns)} are not in one existing PT node")
+        leaves = node.leaves
+        entry_paddr = node.frame_paddr + index * PTE_SIZE
+        asid = self.asid
+        size = PageSize.SIZE_4K
+        for pfn in pfns:
+            leaves[index] = PageTableEntry(vpn, pfn, size, asid, entry_paddr)
+            vpn += 1
+            index += 1
+            entry_paddr += PTE_SIZE
+        self.num_leaf_entries += len(pfns)
+
     def unmap_page(self, vaddr: int) -> Optional[PageTableEntry]:
         """Remove the mapping covering ``vaddr``; returns the removed entry."""
         found = self._find(vaddr)

@@ -53,6 +53,25 @@ class PhysicalMemory:
         self.allocated_4k_frames += 1
         return addr
 
+    def allocate_4k_frames(self, count: int) -> List[int]:
+        """Allocate ``count`` 4 KB frames; returns their base addresses in order.
+
+        Equivalent to ``count`` successive ``allocate_frame(SIZE_4K)`` calls:
+        freed frames are reused first, last freed first, and the rest are
+        bumped.  Raises :class:`OutOfPhysicalMemory` before changing any
+        state when the frames do not all fit.
+        """
+        free = self._free_4k
+        reused = min(count, len(free))
+        fresh = count - reused
+        first_fresh = self._bump(fresh * PAGE_SIZE_4K, alignment=PAGE_SIZE_4K) if fresh else 0
+        frames = free[len(free) - reused:]
+        del free[len(free) - reused:]
+        frames.reverse()
+        frames.extend(range(first_fresh, first_fresh + fresh * PAGE_SIZE_4K, PAGE_SIZE_4K))
+        self.allocated_4k_frames += count
+        return frames
+
     def _allocate_2m(self) -> int:
         if self._free_2m:
             addr = self._free_2m.pop()

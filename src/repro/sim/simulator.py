@@ -383,7 +383,8 @@ class Simulator:
         The paper's workloads allocate and initialise their datasets before
         the measured region of interest, so the measured window starts with a
         fully populated page table (and hence with dense 8-entry PTE clusters
-        for Victima to transform).  Returns the number of pages mapped.
+        for Victima to transform).  Returns the number of pages covered by
+        the workload's regions, whether mapped here or already present.
         """
         mapped = 0
         for base, size in self.workload.memory_regions():
@@ -395,11 +396,7 @@ class Simulator:
             walker = self.system.nested_walker
             walker.host_vmm.prefault_range(0, walker.guest_vmm.physical.allocated_bytes)
             for base, size in self.workload.memory_regions():
-                vaddr = base
-                end = base + size
-                while vaddr < end:
-                    combined = walker.install_shadow_mapping(vaddr)
-                    vaddr = (combined.vpn + 1) << combined.page_size.offset_bits
+                walker.install_shadow_range(base, size)
         # Backends that accumulate translations over a process lifetime (the
         # POM-TLB, the hashed page table) start warm: over the billions of
         # instructions preceding the region of interest they hold

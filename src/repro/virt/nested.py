@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.cache.hierarchy import CacheHierarchy
+from repro.common.addresses import PAGE_SIZE_4K
 from repro.common.stats import ResettableStats
 from repro.memory.page_allocator import VirtualMemoryManager
 from repro.memory.page_table import PageTableEntry
@@ -195,3 +196,33 @@ class NestedPageTableWalker(ResettableStats):
         guest_page_base = guest_pte.pfn << guest_pte.page_size.offset_bits
         host_pte = self.host_vmm.ensure_mapped(guest_page_base)
         return self.shadow_builder.install(gva, guest_pte, host_pte)
+
+    def install_shadow_range(self, start_gva: int, size_bytes: int) -> int:
+        """Install the combined mapping of every guest page overlapping a range.
+
+        Equivalent to one :meth:`install_shadow_mapping` per page, in order;
+        returns the number of pages covered.  A run of pages whose guest
+        leaves are present 4 KB leaves and whose shadow slots are free in an
+        existing shadow PT node is installed in one step
+        (:meth:`ShadowPageTableBuilder.install_run`).  Every other page, such
+        as the first of a region (which creates the shadow node), a 2 MB one
+        or one whose guest leaf is missing, takes the per-page path.
+        """
+        guest_table = self.guest_vmm.page_table
+        shadow = self.shadow_builder
+        end = start_gva + size_bytes
+        end_vpn = (end + PAGE_SIZE_4K - 1) >> 12  # one past the page holding end - 1
+        covered = 0
+        gva = start_gva
+        while gva < end:
+            vpn = gva >> 12
+            guest_ptes = guest_table.leaf_run(vpn, vpn + shadow.table.unmapped_run(vpn, end_vpn))
+            if guest_ptes:
+                shadow.install_run(vpn, guest_ptes, self.host_vmm)
+                covered += len(guest_ptes)
+                gva = (vpn + len(guest_ptes)) << 12
+            else:
+                combined = self.install_shadow_mapping(gva)
+                covered += 1
+                gva = (combined.vpn + 1) << combined.page_size.offset_bits
+        return covered

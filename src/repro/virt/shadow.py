@@ -15,6 +15,9 @@ Two users:
 
 from __future__ import annotations
 
+from typing import List
+
+from repro.memory.page_allocator import VirtualMemoryManager
 from repro.memory.page_table import PageTableEntry, RadixPageTable
 from repro.memory.physical import PhysicalMemory
 
@@ -48,6 +51,29 @@ class ShadowPageTableBuilder:
         combined = self.table.map_page(vpn, pfn, page_size)
         self.installed_pages += 1
         return combined
+
+    def install_run(self, vpn: int, guest_ptes: List[PageTableEntry],
+                    host_vmm: VirtualMemoryManager) -> None:
+        """Install the combined mappings of 4 KB guest pages ``vpn``, ``vpn + 1``, ….
+
+        ``guest_ptes`` are the pages' guest leaves, and the pages must be an
+        :meth:`~repro.memory.page_table.RadixPageTable.unmapped_run` of the
+        shadow table.  Each guest frame is backed through
+        ``host_vmm.ensure_mapped`` in page order, so host faults allocate as
+        one :meth:`install` per page would; the shadow PT node is then filled
+        in one step.
+        """
+        ensure_mapped = host_vmm.ensure_mapped
+        pfns: List[int] = []
+        try:
+            for guest_pte in guest_ptes:
+                guest_base = guest_pte.pfn << 12
+                pfns.append(ensure_mapped(guest_base).translate(guest_base) >> 12)
+        finally:
+            # Should a host fault raise, the pages before it stay installed,
+            # as they would with one install per page.
+            self.table.map_4k_run(vpn, pfns)
+            self.installed_pages += len(pfns)
 
     def lookup(self, gva: int) -> PageTableEntry | None:
         """Return the combined entry for ``gva`` if one has been installed."""

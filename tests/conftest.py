@@ -66,6 +66,30 @@ def low_pressure() -> PressureMonitor:
     return monitor
 
 
+def page_table_state(table: RadixPageTable) -> tuple:
+    """Everything a page table holds, in its dictionaries' order.
+
+    Every node's level, frame and child slots, and every leaf's slot, VPN,
+    PFN, page size, entry address and valid bit, plus the node and leaf
+    counts.  Two tables built by equivalent operation sequences compare equal.
+    """
+    nodes = []
+    stack = [table._root]
+    while stack:
+        node = stack.pop()
+        leaves = [(index, pte.vpn, pte.pfn, pte.page_size, pte.entry_paddr, pte.valid)
+                  for index, pte in node.leaves.items()]
+        nodes.append((node.level, node.frame_paddr, list(node.children), leaves))
+        stack.extend(node.children.values())
+    return nodes, table.num_nodes, table.num_leaf_entries
+
+
+def allocator_state(physical: PhysicalMemory) -> tuple:
+    """The frame allocator's whole state: bump pointer, free lists and counts."""
+    return (physical._next_free, list(physical._free_4k), list(physical._free_2m),
+            physical.allocated_4k_frames, physical.allocated_2m_frames)
+
+
 def build_tiny_simulator(system_name: str = "radix", workload: str = "rnd",
                          max_refs: int = 600, hardware_scale: int = 16,
                          warmup_fraction: float = 0.0) -> Simulator:

@@ -8,6 +8,7 @@ from repro.memory.dram import DramConfig, DramModel
 from repro.memory.page_table import LEAF_LEVEL_2M, LEAF_LEVEL_4K, RadixPageTable
 from repro.memory.page_allocator import VirtualMemoryManager
 from repro.memory.physical import PhysicalMemory
+from tests.conftest import allocator_state, page_table_state
 
 
 class TestPhysicalMemory:
@@ -50,6 +51,50 @@ class TestPhysicalMemory:
         assert physical.utilisation == 0.0
         physical.allocate_frame(PageSize.SIZE_2M)
         assert physical.utilisation > 0.0
+
+
+def _fragmented_physical(size_bytes: int = 4 * PAGE_SIZE_2M) -> PhysicalMemory:
+    """An allocator with a 2 MB-aligned bump pointer gap and two freed frames."""
+    physical = PhysicalMemory(size_bytes)
+    first = physical.allocate_frame()
+    physical.allocate_frame(PageSize.SIZE_2M)
+    second = physical.allocate_frame()
+    physical.allocate_frame()
+    physical.free_frame(first)
+    physical.free_frame(second)
+    return physical
+
+
+class TestAllocate4KFrames:
+    """``allocate_4k_frames(n)`` is ``n`` successive ``allocate_frame()`` calls."""
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 3, 40])
+    def test_matches_successive_calls(self, count):
+        bulk, single = _fragmented_physical(), _fragmented_physical()
+        frames = bulk.allocate_4k_frames(count)
+        assert frames == [single.allocate_frame() for _ in range(count)]
+        assert allocator_state(bulk) == allocator_state(single)
+
+    def test_reuses_free_list_last_freed_first(self):
+        physical = _fragmented_physical()
+        freed = list(physical._free_4k)
+        assert physical.allocate_4k_frames(2) == freed[::-1]
+        assert physical._free_4k == []
+
+    def test_out_of_memory_at_capacity_changes_nothing(self):
+        physical = _fragmented_physical(size_bytes=PAGE_SIZE_2M * 3)
+        # Two freed frames plus the frames the bump pointer has left.
+        fits = 2 + (physical.size_bytes - physical._next_free) // PAGE_SIZE_4K
+        before = allocator_state(physical)
+        with pytest.raises(OutOfPhysicalMemory):
+            physical.allocate_4k_frames(fits + 1)
+        assert allocator_state(physical) == before
+        single = _fragmented_physical(size_bytes=PAGE_SIZE_2M * 3)
+        with pytest.raises(OutOfPhysicalMemory):
+            for _ in range(fits + 1):
+                single.allocate_frame()
+        assert len(physical.allocate_4k_frames(fits)) == fits
+        assert physical._next_free == physical.size_bytes and not physical._free_4k
 
 
 class TestDramModel:
@@ -169,6 +214,39 @@ class TestRadixPageTable:
         assert pte.ptw_cost == 2
         assert pte.total_ptw_cycles == 100
 
+    def test_unmapped_run_stops_at_mapped_page_limit_and_node_end(self, page_table):
+        assert page_table.unmapped_run(0x400, 0x600) == 0  # no PT node yet
+        page_table.map_page(vpn=0x405, pfn=0x1)
+        assert page_table.unmapped_run(0x400, 0x600) == 5
+        assert page_table.unmapped_run(0x406, 0x600) == 0x600 - 0x406
+        assert page_table.unmapped_run(0x406, 0x410) == 0x410 - 0x406
+        assert page_table.unmapped_run(0x406, 0x406) == 0
+        assert page_table.unmapped_run(0x600, 0x700) == 0  # the next node
+
+    def test_map_4k_run_equals_map_page_per_page(self):
+        runs, single = (RadixPageTable(PhysicalMemory(1 << 30)) for _ in range(2))
+        for table in (runs, single):
+            table.map_page(vpn=0x405, pfn=0x1)
+        pfns = [0x70 + i for i in range(0x600 - 0x406)]
+        runs.map_4k_run(0x406, pfns)
+        for i, pfn in enumerate(pfns):
+            single.map_page(vpn=0x406 + i, pfn=pfn)
+        assert page_table_state(runs) == page_table_state(single)
+        assert runs.leaf_run(0x405, 0x409) == [runs.lookup(vpn << 12)
+                                               for vpn in range(0x405, 0x409)]
+        assert len(runs.leaf_run(0x400, 0x600)) == 0
+        assert len(runs.leaf_run(0x405, 0x700)) == 0x600 - 0x405
+
+    def test_runs_need_an_uncovered_pt_node(self, page_table):
+        with pytest.raises(ValueError):
+            page_table.map_4k_run(0x400, [0x1])
+        page_table.map_page(vpn=0x400, pfn=0x1)
+        with pytest.raises(ValueError):
+            page_table.map_4k_run(0x5FF, [0x2, 0x3])  # would cross into the next node
+        page_table.map_page(vpn=0x400 >> 9, pfn=0x2, page_size=PageSize.SIZE_2M)
+        assert page_table.unmapped_run(0x401, 0x600) == 0
+        assert page_table.leaf_run(0x400, 0x600) == []
+
 
 class TestVirtualMemoryManager:
     def test_demand_mapping_is_stable(self, vmm):
@@ -221,3 +299,95 @@ class TestVirtualMemoryManager:
     def test_invalid_fraction_rejected(self, physical):
         with pytest.raises(ValueError):
             VirtualMemoryManager(physical, huge_page_fraction=1.5)
+
+
+def _prefault_per_page(vmm: VirtualMemoryManager, start_vaddr: int, size_bytes: int) -> int:
+    """The reference prefault: one ``ensure_mapped`` per page, in order."""
+    covered = 0
+    vaddr = start_vaddr
+    end = start_vaddr + size_bytes
+    while vaddr < end:
+        pte = vmm.ensure_mapped(vaddr)
+        vaddr = (pte.vpn + 1) << pte.page_size.offset_bits
+        covered += 1
+    return covered
+
+
+#: Regions are 2 MB regions from ``_BASE``.  At huge fraction 0.3 (asid 0)
+#: regions 3 and 6 are decided huge, the others in 2..10 are not.
+_BASE = 0x4000_0000
+_START = _BASE + 2 * PAGE_SIZE_2M + 3 * PAGE_SIZE_4K + 0x123
+_SIZE = 6 * PAGE_SIZE_2M + 4 * PAGE_SIZE_4K + 0x567 - 3 * PAGE_SIZE_4K - 0x123
+
+
+def _region(k: int, page: int = 0) -> int:
+    return _BASE + k * PAGE_SIZE_2M + page * PAGE_SIZE_4K
+
+
+def _prepared_vmm(fraction: float) -> VirtualMemoryManager:
+    """A VMM whose range already holds mappings and whose allocator has freed frames."""
+    physical = PhysicalMemory(1 << 32)
+    vmm = VirtualMemoryManager(physical, asid=0, huge_page_fraction=fraction)
+    table = vmm.page_table
+    # A demand-mapped page mid-region (4K where the region is not huge).
+    vmm.ensure_mapped(_region(4, 77))
+    # 4K pages mapped whatever the THP decision: the first page of a region,
+    # a page in region 3 (huge at fractions 0.3 and 1.0), and the last page
+    # before region 3.
+    for vaddr in (_region(5, 0), _region(3, 5), _region(2, 511)):
+        table.map_page(vaddr >> 12, physical.allocate_frame() >> 12)
+    # A 2 MB page in region 7, which fraction 0.3 leaves small.
+    table.map_page(_region(7) >> 21, physical.allocate_frame(PageSize.SIZE_2M) >> 21,
+                   PageSize.SIZE_2M)
+    # Two frames on a free list, left by unmaps outside the range.
+    for far in (_region(9, 1), _region(10, 2)):
+        vmm.ensure_mapped(far)
+    for far in (_region(9, 1), _region(10, 2)):
+        vmm.unmap(far)
+    return vmm
+
+
+def _vmm_state(vmm: VirtualMemoryManager) -> tuple:
+    return (page_table_state(vmm.page_table), allocator_state(vmm.physical), vmm.stats)
+
+
+class TestPrefaultRuns:
+    """``prefault_range`` maps a PT node at a time, exactly like the per-page loop."""
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.3, 1.0])
+    def test_matches_per_page_loop(self, fraction):
+        runs, single = _prepared_vmm(fraction), _prepared_vmm(fraction)
+        assert _vmm_state(runs) == _vmm_state(single)
+        covered = runs.prefault_range(_START, _SIZE)
+        assert covered == _prefault_per_page(single, _START, _SIZE)
+        assert _vmm_state(runs) == _vmm_state(single)
+        # The page holding the range's last byte is mapped, the next is not.
+        assert runs.page_table.lookup(_START + _SIZE - 1) is not None
+        if fraction == 0.0:
+            assert runs.physical._free_4k == []
+            assert runs.page_table.lookup(_START + _SIZE - 1 + PAGE_SIZE_4K) is None
+
+    def test_layout_mixes_page_sizes_at_fraction_0_3(self):
+        vmm = _prepared_vmm(0.3)
+        vmm.prefault_range(_START, _SIZE)
+        sizes = {vmm.page_table.lookup(_region(k, 3)).page_size for k in range(2, 9)}
+        assert sizes == {PageSize.SIZE_4K, PageSize.SIZE_2M}
+
+    def test_second_pass_covers_the_same_pages_without_faults(self, vmm):
+        covered = vmm.prefault_range(_START, _SIZE)
+        faults = vmm.stats.demand_faults
+        assert vmm.prefault_range(_START, _SIZE) == covered
+        assert vmm.stats.demand_faults == faults
+
+    def test_out_of_memory_raises_before_mapping_the_run(self):
+        physical = PhysicalMemory(PAGE_SIZE_2M * 2)
+        vmm = VirtualMemoryManager(physical, huge_page_fraction=0.0)
+        with pytest.raises(OutOfPhysicalMemory):
+            vmm.prefault_range(0, PAGE_SIZE_2M * 2)
+        # Region 0 took its 512 pages and four nodes, region 1 its first page
+        # and PT node; the 511 frames of region 1's run did not fit in the
+        # 506 left, so none of them was taken.
+        assert vmm.page_table.num_leaf_entries == 513
+        assert physical.allocated_4k_frames == 518
+        assert vmm.stats.demand_faults == 513
+        assert vmm.page_table.lookup(PAGE_SIZE_2M + PAGE_SIZE_4K) is None

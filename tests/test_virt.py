@@ -6,7 +6,7 @@ from repro.backends import NestedPagingBackend, ShadowPagingBackend, VirtVictima
 from repro.cache.cache import Cache
 from repro.cache.hierarchy import CacheHierarchy
 from repro.cache.replacement import TLBAwareSRRIPPolicy
-from repro.common.addresses import PageSize
+from repro.common.addresses import PAGE_SIZE_2M, PAGE_SIZE_4K, PageSize
 from repro.common.pressure import PressureMonitor
 from repro.core.ptw_cp import ComparatorPTWCostPredictor
 from repro.core.victima import VictimaController
@@ -20,11 +20,12 @@ from repro.mmu.tlb import TLB
 from repro.virt.nested import NestedPageTableWalker
 from repro.virt.shadow import ShadowPageTableBuilder
 from repro.virt.virt_mmu import VirtualizedMMU
+from tests.conftest import allocator_state, page_table_state
 
 BOTH = (PageSize.SIZE_4K, PageSize.SIZE_2M)
 
 
-def make_virt_stack(with_victima=False, shadow_paging=False):
+def make_virt_stack(with_victima=False, shadow_paging=False, guest_huge_fraction=0.0):
     host_physical = PhysicalMemory(8 << 30)
     guest_physical = PhysicalMemory(8 << 30)
     l1i = Cache("L1I", 1024, 4, 4)
@@ -33,7 +34,8 @@ def make_virt_stack(with_victima=False, shadow_paging=False):
     l2 = Cache("L2", 64 * 1024, 16, 16, replacement_policy=TLBAwareSRRIPPolicy(pressure))
     hierarchy = CacheHierarchy(l1i, l1d, l2, None, DramModel())
 
-    guest_vmm = VirtualMemoryManager(guest_physical, asid=0, huge_page_fraction=0.0)
+    guest_vmm = VirtualMemoryManager(guest_physical, asid=0,
+                                     huge_page_fraction=guest_huge_fraction)
     host_vmm = VirtualMemoryManager(host_physical, asid=0, huge_page_fraction=0.0)
     host_walker = PageTableWalker(hierarchy, PageWalkCaches())
     shadow_walker = PageTableWalker(hierarchy, PageWalkCaches())
@@ -141,6 +143,72 @@ class TestNestedWalker:
         walker.nested_tlb.invalidate_all()
         second = walker.walk(0x5000_0000)
         assert second.host_walks < first.host_walks or victima.stats.nested_block_hits > 0
+
+
+#: A guest range over 2 MB regions 2-8 from ``_BASE``; at huge fraction 0.3
+#: regions 3 and 6 are huge.  Both ends fall mid-page and mid-region.
+_BASE = 0x4000_0000
+_START = _BASE + 2 * PAGE_SIZE_2M + 3 * PAGE_SIZE_4K + 0x123
+_END = _BASE + 8 * PAGE_SIZE_2M + 4 * PAGE_SIZE_4K + 0x567
+
+
+def _page(region: int, page: int) -> int:
+    return _BASE + region * PAGE_SIZE_2M + page * PAGE_SIZE_4K
+
+
+def _prepared_walker() -> NestedPageTableWalker:
+    """A nested walker whose guest range is prefaulted with mixed page sizes.
+
+    The guest maps a few pages past the range's end.  One guest page of the
+    range is unmapped again, one page's shadow mapping is already installed,
+    and the host backs only the first half of guest memory, so the shadow
+    install has to fault in host pages as it goes.
+    """
+    _, walker, _, _ = make_virt_stack(guest_huge_fraction=0.3)
+    guest = walker.guest_vmm
+    guest.prefault_range(_START, _END - _START + 3 * PAGE_SIZE_4K)
+    guest.unmap(_page(4, 100))
+    walker.host_vmm.prefault_range(0, guest.physical.allocated_bytes // 2)
+    walker.install_shadow_mapping(_page(5, 200))
+    return walker
+
+
+def _walker_state(walker: NestedPageTableWalker) -> tuple:
+    vmms = [(page_table_state(vmm.page_table), allocator_state(vmm.physical), vmm.stats)
+            for vmm in (walker.guest_vmm, walker.host_vmm)]
+    shadow = walker.shadow_builder
+    return vmms, page_table_state(shadow.table), shadow.installed_pages
+
+
+class TestShadowRangeInstall:
+    """``install_shadow_range`` is one ``install_shadow_mapping`` per page."""
+
+    def test_matches_per_page_install(self):
+        runs, single = _prepared_walker(), _prepared_walker()
+        assert _walker_state(runs) == _walker_state(single)
+        host_faults = runs.host_vmm.stats.demand_faults
+        covered = runs.install_shadow_range(_START, _END - _START)
+        pages = 0
+        gva = _START
+        while gva < _END:
+            combined = single.install_shadow_mapping(gva)
+            gva = (combined.vpn + 1) << combined.page_size.offset_bits
+            pages += 1
+        assert covered == pages
+        assert _walker_state(runs) == _walker_state(single)
+        # The range really mixed page sizes and made the host fault.
+        sizes = {pte.page_size for pte in runs.shadow_builder.table.all_entries()}
+        assert sizes == set(BOTH)
+        assert runs.host_vmm.stats.demand_faults > host_faults
+        assert runs.shadow_builder.lookup(_END - 1) is not None
+        assert runs.shadow_builder.lookup(_END - 1 + PAGE_SIZE_4K) is None
+
+    def test_second_install_covers_the_same_pages_and_adds_none(self):
+        walker = _prepared_walker()
+        covered = walker.install_shadow_range(_START, _END - _START)
+        installed = walker.shadow_builder.installed_pages
+        assert walker.install_shadow_range(_START, _END - _START) == covered
+        assert walker.shadow_builder.installed_pages == installed
 
 
 class TestVirtualizedMMU:
