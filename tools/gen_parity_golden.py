@@ -13,6 +13,12 @@ Golden keys read ``<preset>/<N>core`` or ``<preset>/<N>core/<variant>``:
 
 ``sampled``
     SMARTS sampling, one 256-ref window in every 4 with a 128-ref re-warm.
+``sampled_bfs``, ``sampled_tc``
+    The ``sampled`` settings on ``bfs`` and ``tc`` instead of ``rnd``, so the
+    skipped windows go through a graph kernel's ``fast_forward``.  ``bfs``
+    picks frontier vertices with RNG draws; ``tc`` adds the second-hop
+    neighbour reads and the shuffled traversal, which draws no RNG to pick a
+    vertex.
 ``l1_resident``
     ``rnd`` shrunk to an L1-resident working set at ``hardware_scale=1``
     and 12,000 refs: the regime with L1 D-TLB and L1-D hit ratios above 0.7.
@@ -73,7 +79,8 @@ SINGLE_CORE_PRESETS = (
 MULTI_CORE_PRESETS = ("victima", "pom_tlb", "radix", "hash_pt")
 
 SAMPLED_KEYS = ("victima/1core/sampled", "victima/2core/sampled",
-                "virt_victima/1core/sampled", "pom_tlb/2core/sampled")
+                "virt_victima/1core/sampled", "pom_tlb/2core/sampled",
+                "victima/1core/sampled_bfs", "victima/1core/sampled_tc")
 SAMPLING = {"stride": 4, "warmup_refs": 128, "window_refs": 256}
 
 L1_RESIDENT_KEYS = ("radix/1core/l1_resident", "victima/1core/l1_resident")
@@ -116,6 +123,8 @@ def scenario_for_key(key: str) -> dict:
         ]}
     if variant == ["sampled"]:
         spec["sampling"] = dict(SAMPLING)
+    elif variant in (["sampled_bfs"], ["sampled_tc"]):
+        spec.update(sampling=dict(SAMPLING), workload=variant[0][len("sampled_"):])
     elif variant == ["l1_resident"]:
         spec.update(hardware_scale=1, max_refs=L1_RESIDENT_REFS,
                     workload={"workload": "rnd", "params": L1_RESIDENT_PARAMS})
