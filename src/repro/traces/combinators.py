@@ -108,11 +108,25 @@ class RemappedWorkload(ComposedWorkload):
         return self.inner.huge_page_fraction
 
     def generate(self) -> Iterator[MemoryRef]:
+        """The inner stream shifted into this slot.
+
+        The inner's live stream is kept on the object, so
+        :meth:`fast_forward` can hand a skip to the inner workload.
+        """
         vshift, ipshift = self.vaddr_offset, self.ip_offset
-        for ref in self.inner.generate():
-            yield MemoryRef(ip=ref.ip + ipshift, vaddr=ref.vaddr + vshift,
-                            is_write=ref.is_write,
-                            instruction_gap=ref.instruction_gap)
+        self._inner_stream = inner = self.inner.generate()
+        return (MemoryRef(ref.ip + ipshift, ref.vaddr + vshift,
+                          ref.is_write, ref.instruction_gap)
+                for ref in inner)
+
+    def fast_forward(self, stream: Iterator[MemoryRef], count: int) -> int:
+        """Skip ``count`` references of the inner workload's live stream.
+
+        The shifted stream holds no reference between pulls, so skipping the
+        inner stream skips this one by the same count.  That is exact
+        whether the inner workload replays its draws or drains.
+        """
+        return self.inner.fast_forward(self._inner_stream, count)
 
     def bounded_batches(self, batch_size: Optional[int] = None) -> Iterator[List[MemoryRef]]:
         """Batched remapping: shift whole inner chunks via list comprehension.

@@ -188,13 +188,26 @@ class Workload:
         is smaller than ``count`` only when the stream ends early.
 
         The base implementation drains the iterator, which is already faster
-        than detailed simulation but still pays per-ref generation cost.
-        Workloads whose generator state is cheap to advance analytically
-        override this to consume the same RNG draws without materialising
-        :class:`MemoryRef` objects (see ``RandomAccess.fast_forward``) — the
-        lever that makes SMARTS-style sampled simulation fast.  Overrides
-        must be *exactly* equivalent to draining: the sampled-mode parity
-        tests pin resumed streams bit-identical to drained ones.
+        than detailed simulation but still pays per-ref generation cost.  It
+        stays the path for every workload without an override: XSBench,
+        DLRM, genomics, trace replay and the mix, phased, dilate and shard
+        combinators.  The overrides are the lever that makes SMARTS-style
+        sampled simulation fast:
+
+        * ``RandomAccess.fast_forward`` (GUPS) replays the RNG draws of the
+          skipped references without building them;
+        * ``GraphWorkload.fast_forward`` (the seven GraphBIG kernels) does
+          the same a whole vertex at a time and builds only the vertex the
+          skip ends inside;
+        * ``RemappedWorkload.fast_forward`` (each tenant of a multi-core run)
+          forwards the skip to its inner workload's own live stream.
+
+        Their rule: generator state lives on the object, never in generator
+        locals, so an override can move the position of a suspended stream
+        without reading ``stream``.  Overrides must be *exactly* equivalent
+        to draining: the same ``random.Random`` methods run in the same
+        order, and ``tests/test_sampling.py`` pins resumed streams
+        bit-identical to drained ones.
         """
         return sum(1 for _ in islice(stream, count))
 

@@ -24,9 +24,10 @@ neighbourhood (real reuse) without storing gigabytes.
 
 from __future__ import annotations
 
-from typing import Iterator
+from itertools import chain, islice
+from typing import Iterator, List
 
-from repro.workloads.base import MemoryRef, Workload, WorkloadConfig, mix_hash, power_law_degree
+from repro.workloads.base import MemoryRef, Workload, WorkloadConfig, mix_hash
 
 #: Bytes per vertex property entry (e.g. a rank plus a scratch field).
 VERTEX_BYTES = 16
@@ -104,23 +105,108 @@ class GraphWorkload(Workload):
     # Reference stream
     # ------------------------------------------------------------------ #
     def generate(self) -> Iterator[MemoryRef]:
-        step = 0
+        """The endless reference stream, built one processed vertex at a time.
+
+        The stream's position lives on the object, not in generator locals:
+        ``_step`` counts the vertices picked so far and ``_rest`` iterates
+        over the current vertex's references not yet emitted.  That is what
+        lets :meth:`fast_forward` move a live stream.
+        """
+        self._step = 0
+        self._rest: Iterator[MemoryRef] = iter(())
+        return chain.from_iterable(self._vertex_runs())
+
+    def _vertex_runs(self) -> Iterator[Iterator[MemoryRef]]:
         while True:
-            vertex = self._next_vertex(step)
-            step += 1
-            yield self.ref(IP_VERTEX, self.vertex_base + vertex * VERTEX_BYTES)
-            yield self.ref(IP_OFFSET, self.offset_base + vertex * OFFSET_BYTES)
-            degree = min(self.degree(vertex), self.max_neighbors)
-            edge_start = self.edge_base + self.edge_offset(vertex)
-            for i in range(degree):
-                yield self.ref(IP_EDGE, edge_start + i * EDGE_BYTES)
-                neighbor = self.neighbor(vertex, i)
-                yield self.ref(IP_NEIGHBOR, self.vertex_base + neighbor * VERTEX_BYTES,
-                               write=self.writes_neighbors)
-                if self.second_hop:
-                    second = self.neighbor(neighbor, i % 4)
-                    yield self.ref(IP_NEIGHBOR2, self.vertex_base + second * VERTEX_BYTES)
-            yield self.ref(IP_UPDATE, self.vertex_base + vertex * VERTEX_BYTES, write=True)
+            rest = self._rest
+            yield rest
+            # A skip that ended inside a vertex replaced the drained iterator
+            # with the rest of that vertex, which must be emitted first.
+            if self._rest is rest:
+                self._rest = iter(self._vertex_refs(self._pick_vertex()))
+
+    def _pick_vertex(self) -> int:
+        vertex = self._next_vertex(self._step)
+        self._step += 1
+        return vertex
+
+    def _visited_degree(self, vertex: int) -> int:
+        return min(self.degree(vertex), self.max_neighbors)
+
+    def _refs_per_vertex(self, degree: int) -> int:
+        # Vertex and offset reads, the per-neighbour reads, the vertex write.
+        return 3 + degree * (3 if self.second_hop else 2)
+
+    def _vertex_refs(self, vertex: int) -> List[MemoryRef]:
+        """One processed vertex's references, in emission order.
+
+        Reads the vertex and its offset, then per neighbour the edge entry and
+        the neighbour's property (plus, for TC, a second-hop property), and
+        finally writes the vertex.  Their gaps are drawn up front, one per
+        reference in that order, which is the order :meth:`Workload.gap`
+        would draw them in; the hashes in between draw nothing.
+        """
+        degree = self._visited_degree(vertex)
+        gap = iter(self._gaps(self._refs_per_vertex(degree))).__next__
+        vertex_base, neighbor = self.vertex_base, self.neighbor
+        vertex_addr = vertex_base + vertex * VERTEX_BYTES
+        offset_addr = self.offset_base + vertex * OFFSET_BYTES
+        refs = [MemoryRef(IP_VERTEX, vertex_addr, False, gap()),
+                MemoryRef(IP_OFFSET, offset_addr, False, gap())]
+        append = refs.append
+        edge_start = self.edge_base + self.edge_offset(vertex)
+        writes, second_hop = self.writes_neighbors, self.second_hop
+        for i in range(degree):
+            append(MemoryRef(IP_EDGE, edge_start + i * EDGE_BYTES, False, gap()))
+            hop = neighbor(vertex, i)
+            append(MemoryRef(IP_NEIGHBOR, vertex_base + hop * VERTEX_BYTES, writes, gap()))
+            if second_hop:
+                second = neighbor(hop, i % 4)
+                append(MemoryRef(IP_NEIGHBOR2, vertex_base + second * VERTEX_BYTES,
+                                 False, gap()))
+        append(MemoryRef(IP_UPDATE, vertex_addr, True, gap()))
+        return refs
+
+    def _gaps(self, count: int) -> List[int]:
+        """``count`` successive :meth:`Workload.gap` values.
+
+        An exponential draw is never negative, so ``gap()``'s ``max(1, ...)``
+        never binds and is left out here.
+        """
+        mean = self.config.mean_instruction_gap
+        if mean > 0:
+            expovariate, lambd = self.rng.expovariate, 1.0 / mean
+            return [int(expovariate(lambd)) + 1 for _ in range(count)]
+        return [1] * count
+
+    def fast_forward(self, stream: Iterator[MemoryRef], count: int) -> int:
+        """Advance the live stream ``count`` references without building them.
+
+        Replays the RNG draws of the skipped references in their order: for
+        each whole vertex, the traversal's vertex pick, then one
+        ``expovariate`` per reference (the draw :meth:`Workload.gap` makes).
+        The neighbour and edge hashes draw nothing and are not computed, and
+        no :class:`MemoryRef` is built.  Only the vertex the skip ends inside
+        is materialised; the rest of it becomes ``_rest``.  ``stream`` is not
+        read, because the position lives on the object (see
+        :meth:`generate`); the stream never ends, so all ``count`` are
+        skipped.
+        """
+        left = count - len(list(islice(self._rest, count)))
+        expovariate = self.rng.expovariate
+        mean = self.config.mean_instruction_gap
+        lambd = 1.0 / mean if mean > 0 else None
+        while left:
+            vertex = self._pick_vertex()
+            refs = self._refs_per_vertex(self._visited_degree(vertex))
+            if refs > left:
+                self._rest = iter(self._vertex_refs(vertex)[left:])
+                break
+            left -= refs
+            if lambd is not None:
+                for _ in range(refs):
+                    expovariate(lambd)  # the draw gap() would have made
+        return count
 
 
 class BetweennessCentrality(GraphWorkload):

@@ -13,13 +13,77 @@ from repro.sim.presets import make_system_config, make_workload_config
 from repro.sim.sampling import (SamplingConfig, sampled_batches,
                                 sampling_metadata, window_series_summary)
 from repro.sim.simulator import CoreRun, Simulator
-from repro.traces.combinators import mix
-from repro.workloads import make_workload
+from repro.traces.combinators import IP_STRIDE, mix, remap
+from repro.workloads import Workload, WorkloadConfig, make_workload
+from repro.workloads.graph import IP_VERTEX
 
 
 # --------------------------------------------------------------------------- #
 # Workload.fast_forward exactness
 # --------------------------------------------------------------------------- #
+#: The seven GraphBIG kernels, which share GraphWorkload.fast_forward.
+GRAPH_KERNELS = ("bc", "bfs", "cc", "gc", "pr", "sssp", "tc")
+#: Remapped tenants over analytic inners (rnd, bfs) and a draining one (xs).
+REMAPPED = ("remap:rnd", "remap:bfs", "remap:xs")
+
+
+def _fresh(name, gap=2.0):
+    """A new instance of ``name``; ``remap:<inner>`` puts ``inner`` in slot 1."""
+    if name.startswith("remap:"):
+        return remap(_fresh(name[len("remap:"):], gap), slot=1)
+    return make_workload(WorkloadConfig(name=name, max_refs=4000,
+                                        mean_instruction_gap=gap))
+
+
+def _override(workload, stream, count):
+    return workload.fast_forward(stream, count)
+
+
+def _drain(workload, stream, count):
+    """The oracle: skip by generating the references and discarding them."""
+    return sum(1 for _ in itertools.islice(stream, count))
+
+
+def _skip_plans(reference):
+    """Pull/skip sequences placed on the vertex boundaries of ``reference``.
+
+    A graph kernel's vertex starts with its IP_VERTEX read and holds at
+    least five references; a stream without vertex reads is cut into
+    16-reference pieces instead.
+    """
+    starts = [index for index, ref in enumerate(reference)
+              if ref.ip % IP_STRIDE == IP_VERTEX]
+    starts = starts or list(range(0, len(reference), 16))
+    first = next(index for index in starts if index >= 700)
+    end = next(index for index in starts if index > first)
+    later = next(index for index in starts if index >= first + 600)
+    return {
+        "from a vertex boundary": [("pull", first), ("skip", 500)],
+        "from mid-vertex": [("pull", first + 2), ("skip", 500)],
+        "ending inside the current vertex": [("pull", first + 1), ("skip", 2)],
+        "ending at the current vertex's end": [("pull", first + 2),
+                                               ("skip", end - first - 2)],
+        "ending on a later vertex boundary": [("pull", first + 2),
+                                              ("skip", later - first - 2)],
+        "of zero references": [("pull", first + 2), ("skip", 0)],
+        "back to back": [("pull", first + 2), ("skip", 333), ("skip", 457)],
+        "before the first pull": [("skip", 800)],
+    }
+
+
+def _run_plan(workload, plan, skip):
+    """Every list pulled while following ``plan``, plus a 1500-ref tail."""
+    stream = workload.generate()
+    pulled = []
+    for op, count in plan:
+        if op == "skip":
+            assert skip(workload, stream, count) == count
+        else:
+            pulled.append(list(itertools.islice(stream, count)))
+    pulled.append(list(itertools.islice(stream, 1500)))
+    return pulled
+
+
 class TestFastForward:
     """Skipping N refs must leave the stream exactly N refs later."""
 
@@ -39,6 +103,19 @@ class TestFastForward:
         assert head == reference[:700]
         assert tail == reference[1500:3000]
 
+    @pytest.mark.parametrize("gap", [2.0, 0.0])
+    @pytest.mark.parametrize("name", GRAPH_KERNELS + REMAPPED)
+    def test_override_matches_the_drain(self, name, gap):
+        # gap 0 turns off the per-reference expovariate draws, so only the
+        # traversal's vertex picks move the RNG.
+        workload = _fresh(name, gap)
+        assert type(workload).fast_forward is not Workload.fast_forward
+        reference = list(itertools.islice(workload.generate(), 2000))
+        for label, plan in _skip_plans(reference).items():
+            fast = _run_plan(_fresh(name, gap), plan, _override)
+            drained = _run_plan(_fresh(name, gap), plan, _drain)
+            assert fast == drained, f"{name}: skip {label} diverged from the drain"
+
     def test_gups_override_matches_base_class_drain(self):
         # RandomAccess overrides fast_forward analytically; the override must
         # be indistinguishable from the base class's drain-the-iterator path.
@@ -53,10 +130,10 @@ class TestFastForward:
 
     def test_base_class_drain_reports_actual_skip(self):
         # The base-class fast_forward drains the iterator, so a stream that
-        # ends early reports the references actually skipped.  (Analytic
-        # overrides like RandomAccess's are exempt: their contract requires
-        # the workload's own live generate() stream.)
-        workload = make_workload("bfs", max_refs=100)
+        # ends early reports the references actually skipped.  xs keeps that
+        # drain; overrides are exempt, because their contract requires the
+        # workload's own live generate() stream.
+        workload = make_workload("xs", max_refs=100)
         stream = itertools.islice(workload.generate(), 100)
         assert workload.fast_forward(stream, 250) == 100
         assert next(stream, None) is None
@@ -70,8 +147,8 @@ SAMPLER_WARMUP_REFS = 1500
 
 
 def _sampler_workloads():
-    """Fresh instances: the analytic GUPS fast_forward, the base-class drain
-    and a two-tenant combinator."""
+    """Fresh instances: GUPS and bfs, whose fast_forward replays their
+    draws, and a two-tenant mix, which keeps the base-class drain."""
     return {
         "rnd": make_workload("rnd", max_refs=SAMPLER_REFS),
         "bfs": make_workload("bfs", max_refs=SAMPLER_REFS),
