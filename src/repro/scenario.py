@@ -336,6 +336,9 @@ class ScenarioSpec:
     sampling: Optional[SamplingConfig] = None
 
     def __post_init__(self) -> None:
+        if self.max_refs < 1:
+            raise ConfigurationError(
+                f"max_refs must be >= 1, got {self.max_refs}")
         if self.num_cores < 1:
             raise ConfigurationError(
                 f"num_cores must be >= 1, got {self.num_cores}")

@@ -288,23 +288,16 @@ class MixWorkload(ComposedWorkload):
         if batch_size is None:
             batch_size = self.BATCH_SIZE
         max_refs = self.config.max_refs
-        # bounded() emits the first reference before its count check, so a
-        # non-positive budget still yields exactly one reference.
-        target = max_refs if max_refs > 0 else 1
         streams = [itertools.chain.from_iterable(component.bounded_batches(batch_size))
                    for component in self.components]
         weights = list(self.weights)
         rng = self.rng
         batch: List[MemoryRef] = []
         emitted = 0
-        while streams:
+        while streams and emitted < max_refs:
             if len(streams) == 1:
-                for ref in streams[0]:
+                for ref in itertools.islice(streams[0], max_refs - emitted):
                     batch.append(ref)
-                    emitted += 1
-                    if emitted >= target:
-                        yield batch
-                        return
                     if len(batch) >= batch_size:
                         yield batch
                         batch = []
@@ -318,9 +311,6 @@ class MixWorkload(ComposedWorkload):
                 continue
             batch.append(ref)
             emitted += 1
-            if emitted >= target:
-                yield batch
-                return
             if len(batch) >= batch_size:
                 yield batch
                 batch = []
@@ -348,16 +338,15 @@ class PhasedWorkload(ComposedWorkload):
         """
         if batch_size is None:
             batch_size = self.BATCH_SIZE
-        max_refs = self.config.max_refs
-        # Match bounded(): the first reference lands before the count check.
-        target = max_refs if max_refs > 0 else 1
-        emitted = 0
+        left = self.config.max_refs
+        if left <= 0:
+            return
         for component in self.components:
             for batch in component.bounded_batches(batch_size):
-                if emitted + len(batch) >= target:
-                    yield batch[:target - emitted]
+                if len(batch) >= left:
+                    yield batch[:left]
                     return
-                emitted += len(batch)
+                left -= len(batch)
                 yield batch
 
 

@@ -136,13 +136,11 @@ class Workload:
         return self.default_huge_page_fraction
 
     def bounded(self) -> Iterator[MemoryRef]:
-        """``generate()`` truncated to the configured number of references."""
-        count = 0
-        for ref in self.generate():
-            yield ref
-            count += 1
-            if count >= self.config.max_refs:
-                return
+        """``generate()`` truncated to the configured number of references.
+
+        A budget of zero or less yields nothing.
+        """
+        yield from islice(self.generate(), max(0, self.config.max_refs))
 
     #: Chunk size used by :meth:`bounded_batches`; large enough to amortise
     #: the per-chunk generator resumption, small enough to keep batches cheap.
@@ -153,29 +151,21 @@ class Workload:
 
         This is the hot-path form the simulator consumes: pulling a list of
         ~:attr:`BATCH_SIZE` references per generator resumption replaces one
-        Python-level generator hop per reference with a C-level list append,
+        Python-level generator hop per reference with a C-level list fill,
         without changing the references or their order in any way —
         ``concat(bounded_batches()) == list(bounded())`` exactly (pinned by
-        tests).  Combinators override this to batch their transformations.
+        tests).  Every list but the last holds ``batch_size`` references.
+        Combinators override this to batch their transformations.
         """
         if batch_size is None:
             batch_size = self.BATCH_SIZE
-        max_refs = self.config.max_refs
-        count = 0
-        batch: List[MemoryRef] = []
-        append = batch.append
-        for ref in self.generate():
-            append(ref)
-            count += 1
-            if count >= max_refs:
+        stream = islice(self.generate(), max(0, self.config.max_refs))
+        while True:
+            batch = list(islice(stream, batch_size))
+            if batch:
                 yield batch
+            if len(batch) < batch_size:
                 return
-            if len(batch) >= batch_size:
-                yield batch
-                batch = []
-                append = batch.append
-        if batch:
-            yield batch
 
     def fast_forward(self, stream: Iterator[MemoryRef], count: int) -> int:
         """Skip up to ``count`` references from the *active* ``stream``.

@@ -129,6 +129,28 @@ class TestDilateAndShard:
             shard(_rnd(), 0, 0)
 
 
+class TestZeroBudget:
+    """A budget of zero references yields none, in both stream forms."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: _rnd(max_refs=0),
+        lambda: _bfs(max_refs=0),
+        lambda: remap(_bfs(max_refs=0), 1),
+        lambda: dilate(_rnd(max_refs=0), 2.0),
+        lambda: mix([_bfs(), _rnd()], max_refs=0),
+        lambda: phased([_bfs(), _rnd()], max_refs=0),
+    ], ids=["rnd", "bfs", "remap", "dilate", "mix", "phased"])
+    def test_yields_nothing(self, build):
+        assert list(build().bounded()) == []
+        assert list(build().bounded_batches()) == []
+
+    def test_replay_yields_nothing(self, tmp_path):
+        path = str(tmp_path / "rnd.trace")
+        record(_rnd(max_refs=100), path)
+        assert list(replay(path, max_refs=0).bounded()) == []
+        assert list(replay(path, max_refs=0).bounded_batches()) == []
+
+
 class TestRecordReplay:
     def test_round_trip_is_exact(self, tmp_path):
         path = str(tmp_path / "rnd.trace")

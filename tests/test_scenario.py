@@ -204,6 +204,11 @@ class TestScenarioSpec:
         with pytest.raises(ConfigurationError, match="unknown scenario key"):
             ScenarioSpec.from_dict({"sytem": "radix"})
 
+    @pytest.mark.parametrize("max_refs", [0, -5])
+    def test_reference_budget_below_one_rejected(self, max_refs):
+        with pytest.raises(ConfigurationError, match="max_refs must be >= 1"):
+            ScenarioSpec.from_dict({"system": "radix", "max_refs": max_refs})
+
     def test_from_toml_text(self):
         spec = ScenarioSpec.from_dict(loads_toml(MIX_TOML))
         assert spec.system == "victima"
