@@ -130,7 +130,10 @@ class TestDilateAndShard:
 
 
 class TestZeroBudget:
-    """A budget of zero references yields none, in both stream forms."""
+    """A budget of zero references yields none, in both stream forms.
+
+    ``TestRecordReplay.test_replay_truncation`` checks the same for replay.
+    """
 
     @pytest.mark.parametrize("build", [
         lambda: _rnd(max_refs=0),
@@ -143,12 +146,6 @@ class TestZeroBudget:
     def test_yields_nothing(self, build):
         assert list(build().bounded()) == []
         assert list(build().bounded_batches()) == []
-
-    def test_replay_yields_nothing(self, tmp_path):
-        path = str(tmp_path / "rnd.trace")
-        record(_rnd(max_refs=100), path)
-        assert list(replay(path, max_refs=0).bounded()) == []
-        assert list(replay(path, max_refs=0).bounded_batches()) == []
 
 
 class TestRecordReplay:
@@ -169,6 +166,8 @@ class TestRecordReplay:
         record(_rnd(max_refs=100), path)
         assert len(list(replay(path, max_refs=40).bounded())) == 40
         assert replay(path, max_refs=0).config.max_refs == 0
+        assert list(replay(path, max_refs=0).bounded()) == []
+        assert list(replay(path, max_refs=0).bounded_batches()) == []
 
     def test_mix_rejects_nested_mix(self):
         inner = mix([_bfs(max_refs=60), _rnd(max_refs=40)], seed=5)
