@@ -30,7 +30,8 @@ from repro.cache.hierarchy import CacheHierarchy
 from repro.common.errors import ConfigurationError
 from repro.common.stats import ResettableStats, StatsRegistry
 from repro.sim.config import SystemKind
-from repro.sim.presets import make_system_config
+from repro.sim.presets import (EVALUATED_NATIVE_SYSTEMS,
+                               EVALUATED_VIRTUAL_SYSTEMS, make_system_config)
 from repro.sim.simulator import Simulator
 from repro.sim.system import build_system
 
@@ -105,6 +106,16 @@ class TestGoldenParity:
 
     def test_golden_file_covers_every_generator_key(self):
         assert sorted(_GOLDEN) == sorted(_GENERATOR.golden_keys())
+
+    def test_every_evaluated_preset_has_a_golden(self):
+        # Every native preset (and hash_pt) on one and two cores, every
+        # virtualized preset on one core: the goldens are the only oracle
+        # for "same behaviour", so no evaluated system may go unpinned.
+        native = EVALUATED_NATIVE_SYSTEMS + ("hash_pt",)
+        expected = ([f"{preset}/{cores}core"
+                     for preset in native for cores in (1, 2)]
+                    + [f"{preset}/1core" for preset in EVALUATED_VIRTUAL_SYSTEMS])
+        assert [key for key in expected if key not in _GOLDEN] == []
 
     @pytest.mark.parametrize("key", sorted(_GOLDEN), ids=lambda k: k)
     def test_preset_is_bit_identical_to_pre_registry_golden(self, key):

@@ -61,6 +61,7 @@ HARDWARE_SCALE = 16
 SINGLE_CORE_PRESETS = (
     "radix",
     "opt_l2tlb_64k",
+    "opt_l2tlb_128k",
     "real_l2tlb_64k",
     "opt_l3tlb_64k",
     "pom_tlb",
@@ -76,7 +77,8 @@ SINGLE_CORE_PRESETS = (
     "virt_victima",
 )
 
-MULTI_CORE_PRESETS = ("victima", "pom_tlb", "radix", "hash_pt")
+MULTI_CORE_PRESETS = ("victima", "pom_tlb", "radix", "hash_pt",
+                      "opt_l2tlb_64k", "opt_l2tlb_128k", "opt_l3tlb_64k")
 
 SAMPLED_KEYS = ("victima/1core/sampled", "victima/2core/sampled",
                 "virt_victima/1core/sampled", "pom_tlb/2core/sampled",
