@@ -1,7 +1,9 @@
 """Three-level cache hierarchy with a DRAM backend.
 
-The hierarchy matches the baseline of Table 3: 32 KB L1 I/D caches (4-cycle),
-a 2 MB 16-way L2 (16-cycle), a 2 MB-per-core L3 (35-cycle) and DRAM behind it.
+The hierarchy matches the data side of Table 3's baseline: a 32 KB L1-D
+(4-cycle), a 2 MB 16-way L2 (16-cycle), a 2 MB-per-core L3 (35-cycle) and
+DRAM behind it.  The model has no instruction stream: every reference a
+workload emits is a data reference, so Table 3's L1-I is not modelled.
 Latencies are *absolute* load-to-use values — a hit at level ``i`` costs the
 configured latency of level ``i`` — which matches how the paper quotes them
 ("≈16 cycles" for an L2 hit, "≈35 cycles" for the LLC).
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 from repro.cache.block import BlockKind, CacheBlock, CacheKey, data_key
 from repro.cache.cache import Cache
@@ -50,11 +52,10 @@ class AccessResult:
 
 
 class CacheHierarchy:
-    """L1 I/D + L2 + L3 caches in front of DRAM (inclusive fill policy)."""
+    """L1-D + L2 + L3 caches in front of DRAM (inclusive fill policy)."""
 
     def __init__(
         self,
-        l1i: Cache,
         l1d: Cache,
         l2: Cache,
         l3: Optional[Cache],
@@ -62,7 +63,6 @@ class CacheHierarchy:
         l1d_prefetcher: Optional[Prefetcher] = None,
         l2_prefetcher: Optional[Prefetcher] = None,
     ):
-        self.l1i = l1i
         self.l1d = l1d
         self.l2 = l2
         self.l3 = l3
@@ -73,21 +73,20 @@ class CacheHierarchy:
     # ------------------------------------------------------------------ #
     # Demand accesses
     # ------------------------------------------------------------------ #
-    def access(self, paddr: int, write: bool = False, is_instruction: bool = False,
-               ip: int = 0) -> AccessResult:
-        """Perform a demand data/instruction access at physical address ``paddr``."""
+    def access(self, paddr: int, write: bool = False, ip: int = 0) -> AccessResult:
+        """Perform a demand data access at physical address ``paddr``."""
         key = data_key(paddr)
-        l1 = self.l1i if is_instruction else self.l1d
-        block = l1.lookup(key)
+        l1d = self.l1d
+        block = l1d.lookup(key)
         if block is not None:
             if write:
                 block.dirty = True
-            self._train_prefetchers(ip, paddr, is_instruction)
-            return AccessResult(latency=l1.latency, level=MemoryLevel.L1)
+            self._train_prefetchers(ip, paddr)
+            return AccessResult(latency=l1d.latency, level=MemoryLevel.L1)
 
         result = self._access_from_l2(paddr, write, key)
-        self._fill(l1, key, dirty=write)
-        self._train_prefetchers(ip, paddr, is_instruction)
+        self._fill(l1d, key, dirty=write)
+        self._train_prefetchers(ip, paddr)
         return result
 
     def access_for_ptw(self, paddr: int) -> AccessResult:
@@ -126,11 +125,9 @@ class CacheHierarchy:
               prefetched: bool = False) -> Optional[CacheBlock]:
         return cache.insert(CacheBlock(key, _DATA, dirty), prefetched)
 
-    def _train_prefetchers(self, ip: int, paddr: int, is_instruction: bool) -> None:
+    def _train_prefetchers(self, ip: int, paddr: int) -> None:
         # Train both prefetchers before filling either: fills never feed back
         # into ``observe``, so this matches the historical interleaved order.
-        if is_instruction:
-            return
         l1_targets = (self.l1d_prefetcher.observe(ip, paddr)
                       if self.l1d_prefetcher is not None else ())
         l2_targets = (self.l2_prefetcher.observe(ip, paddr)
@@ -143,17 +140,3 @@ class CacheHierarchy:
             key = data_key(target)
             if not self.l2.contains(key):
                 self._fill(self.l2, key, prefetched=True)
-
-    # ------------------------------------------------------------------ #
-    # Introspection helpers used by experiments and tests
-    # ------------------------------------------------------------------ #
-    def levels(self) -> List[Cache]:
-        levels = [self.l1i, self.l1d, self.l2]
-        if self.l3 is not None:
-            levels.append(self.l3)
-        return levels
-
-    def reset_stats(self) -> None:
-        for cache in self.levels():
-            cache.stats.__init__()
-        self.dram.reset_stats()

@@ -3,7 +3,7 @@
 from repro.mmu.tlb import TLB, TLBEntry, TLBStats
 from repro.mmu.pwc import PageWalkCaches
 from repro.mmu.page_walker import PageTableWalker, PTWResult, PTWStats
-from repro.mmu.mmu import MMU, MMUStats, TranslationResult
+from repro.mmu.mmu import MMU, MMUStats
 from repro.mmu.maintenance import TLBMaintenance
 
 __all__ = [
@@ -16,6 +16,5 @@ __all__ = [
     "PTWStats",
     "MMU",
     "MMUStats",
-    "TranslationResult",
     "TLBMaintenance",
 ]

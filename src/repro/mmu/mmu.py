@@ -23,14 +23,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.common.addresses import PageSize
 from repro.common.pressure import PressureMonitor
 from repro.common.stats import ResettableStats
 from repro.memory.page_allocator import VirtualMemoryManager
 from repro.memory.page_table import PageTableEntry
-from repro.mmu.tlb import TLB, TLBEntry
+from repro.mmu.tlb import TLB
 
 
 class ServedBy(enum.Enum):
@@ -42,24 +42,6 @@ class ServedBy(enum.Enum):
     POM_TLB = "pom_tlb"
     VICTIMA_BLOCK = "victima_block"
     PAGE_WALK = "page_walk"
-
-
-@dataclass
-class TranslationResult:
-    """Outcome of translating one virtual address."""
-
-    vaddr: int
-    paddr: int
-    pte: PageTableEntry
-    latency: int
-    served_by: ServedBy
-    l1_tlb_miss: bool
-    l2_tlb_miss: bool
-    page_walk: bool
-    #: Latency accumulated after the L2 TLB miss (the paper's "L2 TLB miss latency").
-    miss_latency: int = 0
-    #: Breakdown of ``miss_latency`` by component ("walk", "stlb", "l2_cache", "l3_tlb").
-    miss_breakdown: Dict[str, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -81,30 +63,6 @@ class MMUStats:
     miss_latency_breakdown: Dict[str, int] = field(default_factory=dict)
     served_by: Dict[str, int] = field(default_factory=dict)
 
-    def record(self, result: TranslationResult) -> None:
-        self.translations += 1
-        self.total_translation_latency += result.latency
-        served = result.served_by.value
-        self.served_by[served] = self.served_by.get(served, 0) + 1
-        if not result.l1_tlb_miss:
-            self.l1_tlb_hits += 1
-        if result.l2_tlb_miss:
-            self.l2_tlb_misses += 1
-            self.total_miss_latency += result.miss_latency
-            for component, cycles in result.miss_breakdown.items():
-                self.miss_latency_breakdown[component] = (
-                    self.miss_latency_breakdown.get(component, 0) + cycles)
-        elif result.l1_tlb_miss:
-            self.l2_tlb_hits += 1
-        if result.page_walk:
-            self.page_walks += 1
-        if result.served_by is ServedBy.VICTIMA_BLOCK:
-            self.victima_hits += 1
-        elif result.served_by is ServedBy.POM_TLB:
-            self.pom_tlb_hits += 1
-        elif result.served_by is ServedBy.L3_TLB:
-            self.l3_tlb_hits += 1
-
     @property
     def mean_miss_latency(self) -> float:
         return self.total_miss_latency / self.l2_tlb_misses if self.l2_tlb_misses else 0.0
@@ -124,7 +82,6 @@ class MMU(ResettableStats):
 
     def __init__(
         self,
-        l1_itlb: TLB,
         l1_dtlb_4k: TLB,
         l1_dtlb_2m: TLB,
         l2_tlb: TLB,
@@ -133,7 +90,6 @@ class MMU(ResettableStats):
         backend,
         asid: int = 0,
     ):
-        self.l1_itlb = l1_itlb
         self.l1_dtlb_4k = l1_dtlb_4k
         self.l1_dtlb_2m = l1_dtlb_2m
         self.l2_tlb = l2_tlb
@@ -147,76 +103,43 @@ class MMU(ResettableStats):
     # ------------------------------------------------------------------ #
     # Translation flow
     # ------------------------------------------------------------------ #
-    def translate(self, vaddr: int, is_instruction: bool = False,
-                  asid: Optional[int] = None) -> TranslationResult:
-        """Translate ``vaddr``, modelling the full latency of the lookup path."""
-        asid = self.asid if asid is None else asid
+    def translate_data(self, vaddr: int) -> Tuple[int, int]:
+        """Translate one data reference; returns ``(paddr, latency)``.
+
+        Models the full latency of the lookup path: the L1 D-TLBs, the L2
+        TLB, then the backend.  Each path bumps its counters inline.
+        """
+        asid = self.asid
         # Demand paging happens outside the timed path (a real OS would have
         # populated the mapping on first touch before the measured region).
         pte = self.memory_manager.ensure_mapped(vaddr)
         pte.features.accesses.increment()
+        stats = self.stats
+        served = stats.served_by
 
-        # -- L1 TLBs (1 cycle) ------------------------------------------- #
-        l1_hit_entry = self._l1_lookup(vaddr, asid, is_instruction)
-        latency = self._l1_latency(is_instruction)
-        if l1_hit_entry is not None:
-            result = TranslationResult(
-                vaddr=vaddr, paddr=l1_hit_entry.translate(vaddr), pte=l1_hit_entry.pte,
-                latency=latency, served_by=ServedBy.L1_TLB,
-                l1_tlb_miss=False, l2_tlb_miss=False, page_walk=False)
-            self.stats.record(result)
-            return result
-        return self._translate_l1_miss(vaddr, asid, pte, latency, is_instruction)
-
-    def translate_data(self, vaddr: int, asid: Optional[int] = None) -> Tuple[int, int]:
-        """Hot-path data translation: returns only ``(paddr, latency)``.
-
-        Behaviourally identical to ``translate(vaddr, is_instruction=False)``
-        — every statistic, TLB LRU update, pressure signal and fill decision
-        is the same (pinned by the parity tests in ``tests/test_hotpath.py``)
-        — but the deterministic L1-D-TLB-hit case is short-circuited: its
-        counters are bumped inline and no :class:`TranslationResult` (whose
-        construction dominates the hit path) is built.  Misses fall through
-        to the shared miss continuation and pay the full modelled cost.
-        """
-        asid = self.asid if asid is None else asid
-        pte = self.memory_manager.ensure_mapped(vaddr)
-        pte.features.accesses.increment()
-
+        # -- L1 D-TLBs (1 cycle) ----------------------------------------- #
         entry = self.l1_dtlb_4k.lookup(vaddr, asid)
         if entry is None:
             entry = self.l1_dtlb_2m.lookup(vaddr, asid)
         latency = self.l1_dtlb_4k.latency
         if entry is not None:
-            # Inline equivalent of MMUStats.record for a ServedBy.L1_TLB hit.
-            stats = self.stats
             stats.translations += 1
             stats.total_translation_latency += latency
-            served = stats.served_by
             served["l1_tlb"] = served.get("l1_tlb", 0) + 1
             stats.l1_tlb_hits += 1
             return entry.pte.translate(vaddr), latency
-
-        result = self._translate_l1_miss(vaddr, asid, pte, latency,
-                                         is_instruction=False)
-        return result.paddr, result.latency
-
-    def _translate_l1_miss(self, vaddr: int, asid: int, pte,
-                           latency: int, is_instruction: bool) -> TranslationResult:
-        """Continuation of :meth:`translate` after an L1 TLB miss."""
         pte.features.l1_tlb_misses.increment()
 
         # -- L2 TLB (12 cycles) ------------------------------------------- #
         latency += self.l2_tlb.latency
-        l2_entry = self.l2_tlb.lookup(vaddr, asid)
-        if l2_entry is not None:
-            self._fill_l1(l2_entry.pte, asid, is_instruction)
-            result = TranslationResult(
-                vaddr=vaddr, paddr=l2_entry.translate(vaddr), pte=l2_entry.pte,
-                latency=latency, served_by=ServedBy.L2_TLB,
-                l1_tlb_miss=True, l2_tlb_miss=False, page_walk=False)
-            self.stats.record(result)
-            return result
+        entry = self.l2_tlb.lookup(vaddr, asid)
+        if entry is not None:
+            self._fill_l1(entry.pte, asid)
+            stats.translations += 1
+            stats.total_translation_latency += latency
+            served["l2_tlb"] = served.get("l2_tlb", 0) + 1
+            stats.l2_tlb_hits += 1
+            return entry.pte.translate(vaddr), latency
 
         # -- L2 TLB miss: dispatch to the translation backend -------------- #
         self.pressure.record_l2_tlb_miss()
@@ -226,39 +149,36 @@ class MMU(ResettableStats):
         latency += miss.latency
 
         self._fill_l2(resolved_pte, asid)
-        self._fill_l1(resolved_pte, asid, is_instruction)
+        self._fill_l1(resolved_pte, asid)
 
-        result = TranslationResult(
-            vaddr=vaddr, paddr=resolved_pte.translate(vaddr), pte=resolved_pte,
-            latency=latency, served_by=miss.served_by,
-            l1_tlb_miss=True, l2_tlb_miss=True, page_walk=miss.walked,
-            miss_latency=miss.latency, miss_breakdown=miss.breakdown)
-        self.stats.record(result)
-        return result
+        stats.translations += 1
+        stats.total_translation_latency += latency
+        served_by = miss.served_by
+        source = served_by.value
+        served[source] = served.get(source, 0) + 1
+        stats.l2_tlb_misses += 1
+        stats.total_miss_latency += miss.latency
+        breakdown = stats.miss_latency_breakdown
+        for component, cycles in miss.breakdown.items():
+            breakdown[component] = breakdown.get(component, 0) + cycles
+        if miss.walked:
+            stats.page_walks += 1
+        if served_by is ServedBy.VICTIMA_BLOCK:
+            stats.victima_hits += 1
+        elif served_by is ServedBy.POM_TLB:
+            stats.pom_tlb_hits += 1
+        elif served_by is ServedBy.L3_TLB:
+            stats.l3_tlb_hits += 1
+        return resolved_pte.translate(vaddr), latency
 
     # ------------------------------------------------------------------ #
     # TLB fills
     # ------------------------------------------------------------------ #
-    def _l1_latency(self, is_instruction: bool) -> int:
-        return self.l1_itlb.latency if is_instruction else self.l1_dtlb_4k.latency
-
-    def _l1_lookup(self, vaddr: int, asid: int, is_instruction: bool) -> Optional[TLBEntry]:
-        if is_instruction:
-            return self.l1_itlb.lookup(vaddr, asid)
-        entry = self.l1_dtlb_4k.lookup(vaddr, asid)
-        if entry is not None:
-            return entry
-        return self.l1_dtlb_2m.lookup(vaddr, asid)
-
-    def _l1_for(self, pte: PageTableEntry, is_instruction: bool) -> TLB:
-        if is_instruction:
-            return self.l1_itlb
+    def _fill_l1(self, pte: PageTableEntry, asid: int) -> None:
         if pte.page_size is PageSize.SIZE_2M:
-            return self.l1_dtlb_2m
-        return self.l1_dtlb_4k
-
-    def _fill_l1(self, pte: PageTableEntry, asid: int, is_instruction: bool) -> None:
-        target = self._l1_for(pte, is_instruction)
+            target = self.l1_dtlb_2m
+        else:
+            target = self.l1_dtlb_4k
         if not target.supports(pte.page_size):  # pragma: no cover - defensive
             return
         evicted = target.insert(pte, asid)

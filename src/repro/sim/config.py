@@ -66,7 +66,6 @@ BOTH_PAGE_SIZES = (PageSize.SIZE_4K, PageSize.SIZE_2M)
 class MMUConfig:
     """The TLB hierarchy and page-walk caches (Table 3 defaults)."""
 
-    l1_itlb: TLBConfig = field(default_factory=lambda: TLBConfig(128, 8, 1, BOTH_PAGE_SIZES))
     l1_dtlb_4k: TLBConfig = field(default_factory=lambda: TLBConfig(64, 4, 1, (PageSize.SIZE_4K,)))
     l1_dtlb_2m: TLBConfig = field(default_factory=lambda: TLBConfig(32, 4, 1, (PageSize.SIZE_2M,)))
     l2_tlb: TLBConfig = field(default_factory=lambda: TLBConfig(1536, 12, 12, BOTH_PAGE_SIZES))
@@ -79,8 +78,7 @@ class MMUConfig:
     pwc_latency: int = 2
 
     def validate(self) -> None:
-        for tlb in (self.l1_itlb, self.l1_dtlb_4k, self.l1_dtlb_2m, self.l2_tlb,
-                    self.nested_tlb):
+        for tlb in (self.l1_dtlb_4k, self.l1_dtlb_2m, self.l2_tlb, self.nested_tlb):
             tlb.validate()
         if self.l3_tlb is not None:
             self.l3_tlb.validate()
@@ -194,7 +192,6 @@ class SystemConfig:
     kind: SystemKind = SystemKind.RADIX
     label: str = "Radix"
     mmu: MMUConfig = field(default_factory=MMUConfig)
-    l1i_cache: CacheConfig = field(default_factory=lambda: CacheConfig(32 * 1024, 8, 4, "lru"))
     l1d_cache: CacheConfig = field(default_factory=lambda: CacheConfig(
         32 * 1024, 8, 4, "lru", prefetcher="ip_stride"))
     l2_cache: CacheConfig = field(default_factory=lambda: CacheConfig(
@@ -226,7 +223,7 @@ class SystemConfig:
                 "multi-core simulation currently supports native systems only; "
                 f"{self.kind.value!r} requires num_cores=1")
         self.mmu.validate()
-        for cache in (self.l1i_cache, self.l1d_cache, self.l2_cache):
+        for cache in (self.l1d_cache, self.l2_cache):
             cache.validate()
         if self.l3_cache is not None:
             self.l3_cache.validate()

@@ -23,8 +23,9 @@ per-reference step with this engine: one
 :class:`~repro.sim.simulator.CoreRun` record per core, the SMARTS sampler
 (:func:`~repro.sim.sampling.sampled_batches`), the Victima reach series and
 the per-core-then-sum result assembly
-(:func:`~repro.sim.simulator.collect_result`).  Only the per-reference
-bodies differ: this scheduler sums a reference's cycles before adding them
+(:func:`~repro.sim.simulator.collect_result`), and the prefault
+(:func:`~repro.sim.simulator.prefault`).  Only the per-reference bodies
+differ: this scheduler sums a reference's cycles before adding them
 to the core's clock, and that order rounds differently from the single-core
 loop's, so merging the two would move results.
 """
@@ -38,7 +39,7 @@ from repro.cache.hierarchy import MemoryLevel
 from repro.common.errors import ConfigurationError
 from repro.sim.sampling import SamplingConfig, sampled_batches
 from repro.sim.simulator import (CoreRun, ReachSeries, SimulationResult,
-                                 collect_result)
+                                 collect_result, prefault)
 from repro.sim.system import MultiCoreSystem, build_system
 from repro.workloads.base import MemoryRef, Workload
 
@@ -59,7 +60,6 @@ class MultiCoreSimulator:
                  epoch_instructions: int = 10_000,
                  warmup_fraction: float = 0.25,
                  name: Optional[str] = None,
-                 fast_path: bool = True,
                  sampling: Optional[SamplingConfig] = None):
         if not isinstance(system, MultiCoreSystem):
             raise ConfigurationError(
@@ -79,12 +79,6 @@ class MultiCoreSimulator:
         self.warmup_fraction = warmup_fraction
         self.name = name or "cores(" + "|".join(
             (w.name if w is not None else "idle") for w in core_workloads) + ")"
-        #: When True (the default) cores pull chunked reference batches and
-        #: translate through the L1-hit fast path; when False each core runs
-        #: the straight-line reference flow.  Results are bit-identical
-        #: either way (pinned by ``tests/test_hotpath.py``) — only the
-        #: scheduler decides execution order, and it is unchanged.
-        self.fast_path = fast_path
         #: Opt-in SMARTS sampling (see :mod:`repro.sim.sampling`), applied
         #: per core: each core samples its own post-warm-up windows, and a
         #: skipped window advances the core's global-cycle clock by its
@@ -118,37 +112,21 @@ class MultiCoreSimulator:
                    epoch_instructions=spec.epoch_instructions,
                    warmup_fraction=spec.warmup_fraction,
                    name=root.name,
-                   sampling=getattr(spec, "sampling", None))
+                   sampling=spec.sampling)
 
     # ------------------------------------------------------------------ #
     # Main loop
     # ------------------------------------------------------------------ #
     def prefault(self) -> int:
-        """Populate the shared page table for every core's data regions."""
-        mapped = 0
-        for workload in self.core_workloads:
-            if workload is None:
-                continue
-            for base, size in workload.memory_regions():
-                mapped += self.system.memory_manager.prefault_range(base, size)
-        shared = self.system.shared_backend
-        if shared is not None:
-            # As in the single-core engine, the shared backend structure (the
-            # POM-TLB or the hashed page table) starts warm: it has
-            # accumulated every translation walked before the region of
-            # interest.  Warm it exactly once through the shared structure —
-            # per-core ports only route lookups.
-            for pte in self.system.page_table.all_entries():
-                shared.insert(pte, pte.asid)
-        return mapped
+        """Prefault every core's regions in the shared address space (see
+        :func:`~repro.sim.simulator.prefault`); :meth:`run` calls it through
+        ``self``."""
+        return prefault(self.system, [workload for workload in self.core_workloads
+                                      if workload is not None])
 
     def run(self) -> SimulationResult:
         system = self.system
         base_cpi = system.config.base_cpi
-        if self.sampling is not None and not self.fast_path:
-            raise ConfigurationError(
-                "sampled simulation requires the fast path (fast_path=True); "
-                "the reference loop has no sampling mode")
         self.prefault()
 
         runs = [CoreRun(core, workload,
@@ -167,9 +145,6 @@ class MultiCoreSimulator:
                             self.epoch_instructions)
         total_instructions = 0
         next_epoch = reach.next_epoch
-        # Multi-core machines are native-only (SystemConfig.validate), so
-        # every core MMU has the translate_data fast path.
-        fast_translate = self.fast_path
 
         # min() returns the first of equal keys and ``pending`` stays in
         # core order, so ready-time ties go to the lowest core id.
@@ -202,12 +177,7 @@ class MultiCoreSimulator:
             system.shared_pressure.record_instructions(gap + 1)
             delta = gap * base_cpi
 
-            if fast_translate:
-                paddr, translation_latency = core.mmu.translate_data(ref.vaddr)
-            else:
-                translation = core.mmu.translate(ref.vaddr, is_instruction=False)
-                paddr = translation.paddr
-                translation_latency = translation.latency
+            paddr, translation_latency = core.mmu.translate_data(ref.vaddr)
             delta += translation_latency
             run.translation_cycles += translation_latency
 
@@ -232,13 +202,11 @@ class MultiCoreSimulator:
         return collect_result(system, runs, self.name, reach, self.sampling)
 
     def _stream(self, run: CoreRun) -> Iterator[MemoryRef]:
-        """One core's reference stream: sampled, batched, or straight-line.
+        """One core's reference stream, sampled or full.
 
         Batches are flattened at C level; the same references arrive in the
         same order as :meth:`~repro.workloads.base.Workload.bounded`.
         """
         if self.sampling is not None:
             return chain.from_iterable(sampled_batches(run, self.sampling))
-        if self.fast_path:
-            return chain.from_iterable(run.workload.bounded_batches())
-        return iter(run.workload.bounded())
+        return chain.from_iterable(run.workload.bounded_batches())

@@ -179,14 +179,12 @@ def _scale_cache(cache: CacheConfig, scale: int) -> CacheConfig:
 
 def _apply_hardware_scale(config: SystemConfig, scale: int) -> None:
     mmu = config.mmu
-    mmu.l1_itlb = _scale_tlb(mmu.l1_itlb, scale)
     mmu.l1_dtlb_4k = _scale_tlb(mmu.l1_dtlb_4k, scale)
     mmu.l1_dtlb_2m = _scale_tlb(mmu.l1_dtlb_2m, scale)
     mmu.l2_tlb = _scale_tlb(mmu.l2_tlb, scale)
     if mmu.l3_tlb is not None:
         mmu.l3_tlb = _scale_tlb(mmu.l3_tlb, scale)
     mmu.nested_tlb = _scale_tlb(mmu.nested_tlb, scale)
-    config.l1i_cache = _scale_cache(config.l1i_cache, scale)
     config.l1d_cache = _scale_cache(config.l1d_cache, scale)
     config.l2_cache = _scale_cache(config.l2_cache, scale)
     if config.l3_cache is not None:

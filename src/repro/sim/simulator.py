@@ -295,7 +295,6 @@ class Simulator:
 
     def __init__(self, system: System, workload: Workload,
                  epoch_instructions: int = 10_000, warmup_fraction: float = 0.25,
-                 fast_path: bool = True,
                  sampling: Optional[SamplingConfig] = None):
         if isinstance(system, MultiCoreSystem):
             raise ConfigurationError(
@@ -307,14 +306,8 @@ class Simulator:
         self.workload = workload
         self.epoch_instructions = epoch_instructions
         self.warmup_fraction = warmup_fraction
-        #: When True (the default) ``run()`` uses the batched-stream loop with
-        #: the L1-TLB-hit translation fast path; when False it runs the
-        #: straight-line reference loop.  Both produce bit-identical
-        #: :class:`SimulationResult`\ s (pinned by ``tests/test_hotpath.py``);
-        #: the reference loop exists exactly so that parity stays testable.
-        self.fast_path = fast_path
-        #: Opt-in SMARTS sampling (see :mod:`repro.sim.sampling`); requires
-        #: the fast path.  ``None`` (the default) simulates every reference.
+        #: Opt-in SMARTS sampling (see :mod:`repro.sim.sampling`).  ``None``
+        #: (the default) simulates every reference.
         self.sampling = sampling
 
     @classmethod
@@ -360,7 +353,7 @@ class Simulator:
                               huge_page_fraction=workload.huge_page_fraction)
         return cls(system, workload, epoch_instructions=spec.epoch_instructions,
                    warmup_fraction=spec.warmup_fraction,
-                   sampling=getattr(spec, "sampling", None))
+                   sampling=spec.sampling)
 
     @classmethod
     def from_simulation_config(cls, config: SimulationConfig,
@@ -378,91 +371,44 @@ class Simulator:
     # Main loop
     # ------------------------------------------------------------------ #
     def prefault(self) -> int:
-        """Populate the page table(s) for every workload data region.
+        """Prefault the workload's regions (see :func:`prefault`).
 
-        The paper's workloads allocate and initialise their datasets before
-        the measured region of interest, so the measured window starts with a
-        fully populated page table (and hence with dense 8-entry PTE clusters
-        for Victima to transform).  Returns the number of pages covered by
-        the workload's regions, whether mapped here or already present.
+        :meth:`run` calls it through ``self``, so a caller can time set-up by
+        replacing it on the instance.
         """
-        mapped = 0
-        for base, size in self.workload.memory_regions():
-            mapped += self.system.memory_manager.prefault_range(base, size)
-        if self.system.is_virtualized and self.system.nested_walker is not None:
-            # Back every guest-physical page with a host frame and install the
-            # combined (shadow) mapping, mirroring a VM whose guest memory is
-            # resident before the region of interest.
-            walker = self.system.nested_walker
-            walker.host_vmm.prefault_range(0, walker.guest_vmm.physical.allocated_bytes)
-            for base, size in self.workload.memory_regions():
-                walker.install_shadow_range(base, size)
-        # Backends that accumulate translations over a process lifetime (the
-        # POM-TLB, the hashed page table) start warm: over the billions of
-        # instructions preceding the region of interest they hold
-        # (essentially) the whole working set.
-        self.system.backend.warm_start(self.system.page_table)
-        return mapped
+        return prefault(self.system, [self.workload])
 
     def run(self) -> SimulationResult:
         """Simulate the workload and return the measured result.
 
-        Dispatches to the batched fast-path loop (:meth:`_run_fast`, the
-        default, which also runs SMARTS-sampled simulations when a
-        :class:`SamplingConfig` is set) or the straight-line reference loop
-        (:meth:`_run_reference`).  The fast and reference loops are
-        bit-identical by construction and by test, as are the sampled loop at
-        ``stride=1`` and the full fast loop.
+        Reference lists come from
+        :meth:`~repro.workloads.base.Workload.bounded_batches` or, for a
+        sampled run, from :func:`~repro.sim.sampling.sampled_batches`, which
+        resumes only after the previous list has been simulated.  A sampled
+        run at ``stride=1`` is bit-identical to the full run.
         """
-        if self.sampling is not None and not self.fast_path:
-            raise ConfigurationError(
-                "sampled simulation requires the fast path "
-                "(fast_path=True); the reference loop has no sampling mode")
         self.prefault()
         run = CoreRun(self.system, self.workload,
                       int(self.workload.config.max_refs * self.warmup_fraction))
         reach = ReachSeries([self.system.victima], self.epoch_instructions)
-        if self.fast_path:
-            self._run_fast(run, reach)
-        else:
-            self._run_reference(run, reach)
-        return collect_result(self.system, [run], self.workload.name, reach,
-                              self.sampling)
-
-    def _run_fast(self, run: CoreRun, reach: ReachSeries) -> None:
-        """Batched hot-path loop: reference lists through :meth:`_process_batch`.
-
-        The lists come from
-        :meth:`~repro.workloads.base.Workload.bounded_batches` or, for a
-        sampled run, from :func:`~repro.sim.sampling.sampled_batches`, which
-        resumes only after the previous list has been simulated.
-        """
-        mmu = self.system.mmu
-        translate_data = getattr(mmu, "translate_data", None)
-        if translate_data is None:
-            # Virtualized MMUs have no fast path; adapt the generic flow.
-            def translate_data(vaddr, _translate=mmu.translate):
-                result = _translate(vaddr, is_instruction=False)
-                return result.paddr, result.latency
-
         if self.sampling is None:
             batches = self.workload.bounded_batches()
         else:
             batches = sampled_batches(run, self.sampling)
+        translate_data = self.system.mmu.translate_data
         process_batch = self._process_batch
         for batch in batches:
             process_batch(run, reach, translate_data, batch)
+        return collect_result(self.system, [run], self.workload.name, reach,
+                              self.sampling)
 
     def _process_batch(self, run: CoreRun, reach: ReachSeries, translate_data,
                        batch: List[MemoryRef]) -> None:
         """Simulate one list of references, updating ``run`` in place.
 
-        This is *the* single-core per-reference hot loop: it mirrors
-        :meth:`_run_reference` statement for statement (same float
-        accumulation order, same reset point) with the callees bound to
-        locals.  Parity is pinned by ``tests/test_hotpath.py`` across every
-        native preset.  The multi-core scheduler keeps its own body, because
-        it sums a reference's cycles before adding them to the core's clock,
+        This is *the* single-core per-reference loop, with the callees bound
+        to locals.  The multi-core scheduler keeps its own body, because it
+        sums a reference's cycles before adding them to the core's clock,
         and that order rounds differently.
         """
         system = self.system
@@ -523,59 +469,38 @@ class Simulator:
         run.refs = refs
         run.data_l2_misses = data_l2_misses
 
-    def _run_reference(self, run: CoreRun, reach: ReachSeries) -> None:
-        """The straight-line per-reference loop (the pre-fast-path engine)."""
-        system = self.system
-        mmu = system.mmu
-        hierarchy = system.hierarchy
-        pressure = system.pressure
-        base_cpi = system.config.base_cpi
 
-        instructions = 0
-        cycles = 0.0
-        translation_cycles = 0.0
-        refs = 0
-        data_l2_misses = 0
-        level_counts = run.level_counts
-        next_epoch = reach.next_epoch
-        measuring = run.measuring
+def prefault(system, workloads: Sequence[Workload]) -> int:
+    """Populate the page table(s) for every data region of ``workloads``.
 
-        for ref in self.workload.bounded():
-            if not measuring and refs >= run.warmup_refs:
-                run.reset_measured()
-                reach.restart()
-                instructions = 0
-                cycles = 0.0
-                translation_cycles = 0.0
-                data_l2_misses = 0
-                level_counts = run.level_counts
-                next_epoch = reach.next_epoch
-                measuring = True
-
-            instructions += ref.instruction_gap + 1
-            pressure.record_instructions(ref.instruction_gap + 1)
-            cycles += ref.instruction_gap * base_cpi
-
-            translation = mmu.translate(ref.vaddr, is_instruction=False)
-            cycles += translation.latency
-            translation_cycles += translation.latency
-
-            access = hierarchy.access(translation.paddr, write=ref.is_write, ip=ref.ip)
-            cycles += access.latency
-            refs += 1
-            level_counts[access.level.value] = level_counts.get(access.level.value, 0) + 1
-            if access.level in (MemoryLevel.L3, MemoryLevel.DRAM):
-                data_l2_misses += 1
-                pressure.record_l2_cache_miss()
-
-            if instructions >= next_epoch:
-                next_epoch = reach.advance()
-
-        run.instructions = instructions
-        run.cycles = cycles
-        run.translation_cycles = translation_cycles
-        run.refs = refs
-        run.data_l2_misses = data_l2_misses
+    The paper's workloads allocate and initialise their datasets before the
+    measured region of interest, so the measured window starts with a fully
+    populated page table (and hence with dense 8-entry PTE clusters for
+    Victima to transform).  Serves both engines; the cores of a multi-core
+    machine share one address space.  Returns the number of pages covered
+    by the regions, whether mapped here or already present.
+    """
+    regions = [region for workload in workloads
+               for region in workload.memory_regions()]
+    mapped = 0
+    for base, size in regions:
+        mapped += system.memory_manager.prefault_range(base, size)
+    if system.is_virtualized:
+        # Back every guest-physical page with a host frame and install the
+        # combined (shadow) mapping, mirroring a VM whose guest memory is
+        # resident before the region of interest.
+        walker = system.nested_walker
+        walker.host_vmm.prefault_range(0, walker.guest_vmm.physical.allocated_bytes)
+        for base, size in regions:
+            walker.install_shadow_range(base, size)
+    # Backends that accumulate translations over a process lifetime (the
+    # POM-TLB, the hashed page table) start warm: over the billions of
+    # instructions preceding the region of interest they hold (essentially)
+    # the whole working set.  A multi-core machine warms its shared structure
+    # once, through the first core's port.
+    first = system.cores[0] if system.config.num_cores > 1 else system
+    first.backend.warm_start(system.page_table)
+    return mapped
 
 
 # --------------------------------------------------------------------------- #

@@ -5,7 +5,7 @@ A :class:`System` bundles the physical memory, DRAM, cache hierarchy, MMU
 wired together exactly as the corresponding row of Table 3 describes.
 
 With ``SystemConfig.num_cores > 1`` the factory instead assembles a
-:class:`MultiCoreSystem`: per-core private structures (L1 I/D + L2 caches,
+:class:`MultiCoreSystem`: per-core private structures (L1-D + L2 caches,
 the full TLB hierarchy, page-walk caches, a hardware walker, and a Victima
 controller over the private L2) around the shared LLC, DRAM, physical memory,
 page table and — for POM-TLB systems — one shared in-memory POM-TLB that
@@ -141,30 +141,28 @@ def build_system(config: SystemConfig,
             cache_pressure_threshold=config.victima.cache_pressure_threshold,
         )
 
-        l1i = _make_cache("L1-I", config.l1i_cache, pressure)
         l1d = _make_cache("L1-D", config.l1d_cache, pressure)
         l2 = _make_cache("L2", config.l2_cache, pressure)
         l3 = (_make_cache("L3", config.l3_cache, pressure)
               if config.l3_cache is not None else None)
         hierarchy = CacheHierarchy(
-            l1i, l1d, l2, l3, dram,
+            l1d, l2, l3, dram,
             l1d_prefetcher=_make_prefetcher(config.l1d_cache.prefetcher),
             l2_prefetcher=_make_prefetcher(config.l2_cache.prefetcher),
         )
 
-        l1_itlb = _make_tlb("L1-ITLB", config.mmu.l1_itlb)
         l1_dtlb_4k = _make_tlb("L1-DTLB-4K", config.mmu.l1_dtlb_4k)
         l1_dtlb_2m = _make_tlb("L1-DTLB-2M", config.mmu.l1_dtlb_2m)
         l2_tlb = _make_tlb("L2-TLB", config.mmu.l2_tlb)
 
         if not kind.is_virtualized:
             system = _build_native(config, physical, dram, hierarchy, pressure,
-                                   l1_itlb, l1_dtlb_4k, l1_dtlb_2m, l2_tlb,
+                                   l1_dtlb_4k, l1_dtlb_2m, l2_tlb,
                                    huge_page_fraction)
         else:
             system = _build_virtualized(config, physical, dram, hierarchy,
-                                        pressure, l1_itlb, l1_dtlb_4k,
-                                        l1_dtlb_2m, l2_tlb, huge_page_fraction)
+                                        pressure, l1_dtlb_4k, l1_dtlb_2m,
+                                        l2_tlb, huge_page_fraction)
     system.stats_registry = registry
     return system
 
@@ -173,7 +171,7 @@ def build_system(config: SystemConfig,
 # Native systems
 # --------------------------------------------------------------------------- #
 def _build_native(config, physical, dram, hierarchy, pressure,
-                  l1_itlb, l1_dtlb_4k, l1_dtlb_2m, l2_tlb,
+                  l1_dtlb_4k, l1_dtlb_2m, l2_tlb,
                   huge_page_fraction) -> System:
     kind = config.kind
     memory_manager = VirtualMemoryManager(physical, asid=0,
@@ -191,12 +189,12 @@ def _build_native(config, physical, dram, hierarchy, pressure,
         pressure=pressure, walker=walker, memory_manager=memory_manager))
     backend.name = spec.name
 
-    mmu = MMU(l1_itlb, l1_dtlb_4k, l1_dtlb_2m, l2_tlb, memory_manager, pressure,
+    mmu = MMU(l1_dtlb_4k, l1_dtlb_2m, l2_tlb, memory_manager, pressure,
               backend, asid=0)
     victima = backend.victima
     l3_tlb = backend.l3_tlb
 
-    tlbs: List[TLB] = [l1_itlb, l1_dtlb_4k, l1_dtlb_2m, l2_tlb]
+    tlbs: List[TLB] = [l1_dtlb_4k, l1_dtlb_2m, l2_tlb]
     if l3_tlb is not None:
         tlbs.append(l3_tlb)
     maintenance = TLBMaintenance(tlbs, pwcs, backend=backend)
@@ -211,7 +209,7 @@ def _build_native(config, physical, dram, hierarchy, pressure,
 # Virtualized systems
 # --------------------------------------------------------------------------- #
 def _build_virtualized(config, physical, dram, hierarchy, pressure,
-                       l1_itlb, l1_dtlb_4k, l1_dtlb_2m, l2_tlb,
+                       l1_dtlb_4k, l1_dtlb_2m, l2_tlb,
                        huge_page_fraction) -> System:
     kind = config.kind
     # The guest sees its own (pseudo-)physical address space; the host backs it
@@ -255,10 +253,10 @@ def _build_virtualized(config, physical, dram, hierarchy, pressure,
         victima=victima, vmid=0)
     backend.bind(nested_walker)
 
-    mmu = VirtualizedMMU(l1_itlb, l1_dtlb_4k, l1_dtlb_2m, l2_tlb, pressure,
+    mmu = VirtualizedMMU(l1_dtlb_4k, l1_dtlb_2m, l2_tlb, pressure,
                          backend, vmid=0)
 
-    tlbs: List[TLB] = [l1_itlb, l1_dtlb_4k, l1_dtlb_2m, l2_tlb, nested_tlb]
+    tlbs: List[TLB] = [l1_dtlb_4k, l1_dtlb_2m, l2_tlb, nested_tlb]
     maintenance = TLBMaintenance(tlbs, host_pwcs, backend=backend)
 
     return System(config=config, physical=physical, dram=dram, hierarchy=hierarchy,
@@ -393,7 +391,6 @@ def build_multicore_system(config: SystemConfig,
                 cache_pressure_threshold=config.victima.cache_pressure_threshold,
             )
             hierarchy = CacheHierarchy(
-                _make_cache("L1-I", config.l1i_cache, pressure),
                 _make_cache("L1-D", config.l1d_cache, pressure),
                 _make_cache("L2", config.l2_cache, pressure),
                 llc, dram,
@@ -431,15 +428,14 @@ def build_multicore_system(config: SystemConfig,
                 core_id=core_id, shared=shared))
             backend.name = spec.name
 
-            l1_itlb = _make_tlb(f"L1-ITLB-c{core_id}", config.mmu.l1_itlb)
             l1_dtlb_4k = _make_tlb(f"L1-DTLB-4K-c{core_id}", config.mmu.l1_dtlb_4k)
             l1_dtlb_2m = _make_tlb(f"L1-DTLB-2M-c{core_id}", config.mmu.l1_dtlb_2m)
             l2_tlb = _make_tlb(f"L2-TLB-c{core_id}", config.mmu.l2_tlb)
-            mmu = MMU(l1_itlb, l1_dtlb_4k, l1_dtlb_2m, l2_tlb, memory_manager,
+            mmu = MMU(l1_dtlb_4k, l1_dtlb_2m, l2_tlb, memory_manager,
                       pressure, backend, asid=0)
 
         l3_tlb = backend.l3_tlb
-        tlbs: List[TLB] = [l1_itlb, l1_dtlb_4k, l1_dtlb_2m, l2_tlb]
+        tlbs: List[TLB] = [l1_dtlb_4k, l1_dtlb_2m, l2_tlb]
         if l3_tlb is not None:
             tlbs.append(l3_tlb)
         maintenance = TLBMaintenance(tlbs, pwcs, backend=backend)

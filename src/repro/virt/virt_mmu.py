@@ -17,13 +17,13 @@ is resolved:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Tuple
 
 from repro.common.addresses import PageSize
 from repro.common.pressure import PressureMonitor
 from repro.common.stats import ResettableStats
 from repro.memory.page_table import PageTableEntry
-from repro.mmu.mmu import ServedBy, TranslationResult
+from repro.mmu.mmu import ServedBy
 from repro.mmu.tlb import TLB
 
 
@@ -60,7 +60,6 @@ class VirtualizedMMU(ResettableStats):
 
     def __init__(
         self,
-        l1_itlb: TLB,
         l1_dtlb_4k: TLB,
         l1_dtlb_2m: TLB,
         l2_tlb: TLB,
@@ -68,7 +67,6 @@ class VirtualizedMMU(ResettableStats):
         backend,
         vmid: int = 0,
     ):
-        self.l1_itlb = l1_itlb
         self.l1_dtlb_4k = l1_dtlb_4k
         self.l1_dtlb_2m = l1_dtlb_2m
         self.l2_tlb = l2_tlb
@@ -81,69 +79,37 @@ class VirtualizedMMU(ResettableStats):
     # ------------------------------------------------------------------ #
     # Translation flow
     # ------------------------------------------------------------------ #
-    def translate(self, gva: int, is_instruction: bool = False) -> TranslationResult:
-        self.stats.translations += 1
+    def translate_data(self, gva: int) -> Tuple[int, int]:
+        """Translate one guest-virtual data reference; returns
+        ``(host paddr, latency)``.  Each path bumps its counters inline."""
+        vmid = self.vmid
+        stats = self.stats
+        stats.translations += 1
 
-        # -- L1 TLBs -------------------------------------------------------- #
-        latency = self.l1_itlb.latency if is_instruction else self.l1_dtlb_4k.latency
-        entry = self._l1_lookup(gva, is_instruction)
+        # -- L1 D-TLBs ------------------------------------------------------ #
+        latency = self.l1_dtlb_4k.latency
+        entry = self.l1_dtlb_4k.lookup(gva, vmid)
+        if entry is None:
+            entry = self.l1_dtlb_2m.lookup(gva, vmid)
         if entry is not None:
-            self.stats.l1_tlb_hits += 1
-            result = TranslationResult(
-                vaddr=gva, paddr=entry.translate(gva), pte=entry.pte, latency=latency,
-                served_by=ServedBy.L1_TLB, l1_tlb_miss=False, l2_tlb_miss=False,
-                page_walk=False)
-            self.stats.total_translation_latency += latency
-            return result
+            stats.l1_tlb_hits += 1
+            stats.total_translation_latency += latency
+            return entry.pte.translate(gva), latency
 
         # -- L2 TLB --------------------------------------------------------- #
         latency += self.l2_tlb.latency
-        l2_entry = self.l2_tlb.lookup(gva, self.vmid)
-        if l2_entry is not None:
-            self.stats.l2_tlb_hits += 1
-            self._fill_l1(l2_entry.pte, is_instruction)
-            result = TranslationResult(
-                vaddr=gva, paddr=l2_entry.translate(gva), pte=l2_entry.pte, latency=latency,
-                served_by=ServedBy.L2_TLB, l1_tlb_miss=True, l2_tlb_miss=False,
-                page_walk=False)
-            self.stats.total_translation_latency += latency
-            return result
+        entry = self.l2_tlb.lookup(gva, vmid)
+        if entry is not None:
+            stats.l2_tlb_hits += 1
+            self._fill_l1(entry.pte)
+            stats.total_translation_latency += latency
+            return entry.pte.translate(gva), latency
 
         # -- L2 TLB miss: dispatch to the translation backend ----------------- #
-        self.stats.l2_tlb_misses += 1
+        # Backends report walk composition; the MMU keeps all the accounting.
+        stats.l2_tlb_misses += 1
         self.pressure.record_l2_tlb_miss()
-        miss = self.backend.translate(gva, self.vmid)
-        self._apply_miss_stats(miss)
-        served_by, pte, miss_latency, breakdown, walked = (
-            miss.served_by, miss.pte, miss.latency, miss.breakdown, miss.walked)
-        latency += miss_latency
-
-        pte.features.l1_tlb_misses.increment()
-        pte.features.l2_tlb_misses.increment()
-        pte.features.accesses.increment()
-        self._fill_l2(pte)
-        self._fill_l1(pte, is_instruction)
-
-        self.stats.total_miss_latency += miss_latency
-        self.stats.total_translation_latency += latency
-        for component, cycles in breakdown.items():
-            self.stats.miss_latency_breakdown[component] = (
-                self.stats.miss_latency_breakdown.get(component, 0) + cycles)
-
-        result = TranslationResult(
-            vaddr=gva, paddr=pte.translate(gva), pte=pte, latency=latency,
-            served_by=served_by, l1_tlb_miss=True, l2_tlb_miss=True, page_walk=walked,
-            miss_latency=miss_latency, miss_breakdown=breakdown)
-        return result
-
-    # ------------------------------------------------------------------ #
-    # Miss resolution
-    # ------------------------------------------------------------------ #
-    def _apply_miss_stats(self, miss) -> None:
-        """Fold one :class:`~repro.backends.base.MissResolution` into the
-        MMU's statistics — backends report walk composition, the MMU keeps
-        all the accounting in one place."""
-        stats = self.stats
+        miss = self.backend.translate(gva, vmid)
         stats.guest_page_walks += miss.guest_walks
         stats.host_page_walks += miss.host_walks
         stats.shadow_walks += miss.shadow_walks
@@ -151,22 +117,28 @@ class VirtualizedMMU(ResettableStats):
             stats.victima_hits += 1
         elif miss.served_by is ServedBy.POM_TLB:
             stats.pom_tlb_hits += 1
+        pte = miss.pte
+        latency += miss.latency
+
+        features = pte.features
+        features.l1_tlb_misses.increment()
+        features.l2_tlb_misses.increment()
+        features.accesses.increment()
+        self._fill_l2(pte)
+        self._fill_l1(pte)
+
+        stats.total_miss_latency += miss.latency
+        stats.total_translation_latency += latency
+        breakdown = stats.miss_latency_breakdown
+        for component, cycles in miss.breakdown.items():
+            breakdown[component] = breakdown.get(component, 0) + cycles
+        return pte.translate(gva), latency
 
     # ------------------------------------------------------------------ #
     # TLB fills
     # ------------------------------------------------------------------ #
-    def _l1_lookup(self, gva: int, is_instruction: bool):
-        if is_instruction:
-            return self.l1_itlb.lookup(gva, self.vmid)
-        entry = self.l1_dtlb_4k.lookup(gva, self.vmid)
-        if entry is not None:
-            return entry
-        return self.l1_dtlb_2m.lookup(gva, self.vmid)
-
-    def _fill_l1(self, pte: PageTableEntry, is_instruction: bool) -> None:
-        if is_instruction:
-            target = self.l1_itlb
-        elif pte.page_size is PageSize.SIZE_2M:
+    def _fill_l1(self, pte: PageTableEntry) -> None:
+        if pte.page_size is PageSize.SIZE_2M:
             target = self.l1_dtlb_2m
         else:
             target = self.l1_dtlb_4k

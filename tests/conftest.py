@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+
 import pytest
 
 from repro.cache.cache import Cache
@@ -88,6 +91,26 @@ def allocator_state(physical: PhysicalMemory) -> tuple:
     """The frame allocator's whole state: bump pointer, free lists and counts."""
     return (physical._next_free, list(physical._free_4k), list(physical._free_2m),
             physical.allocated_4k_frames, physical.allocated_2m_frames)
+
+
+def translate_counted(mmu, vaddr: int) -> tuple:
+    """``mmu.translate_data(vaddr)`` plus the change it made to ``mmu.stats``.
+
+    Returns ``(paddr, latency, delta)``: ``delta`` maps every stats field to
+    its increase, and every dict field to the keys that grew and by how much.
+    """
+    before = copy.deepcopy(mmu.stats)
+    paddr, latency = mmu.translate_data(vaddr)
+    delta = {}
+    for stat in dataclasses.fields(mmu.stats):
+        old, new = getattr(before, stat.name), getattr(mmu.stats, stat.name)
+        if isinstance(new, dict):
+            delta[stat.name] = {key: value - old.get(key, 0)
+                                for key, value in new.items()
+                                if value != old.get(key, 0)}
+        else:
+            delta[stat.name] = new - old
+    return paddr, latency, delta
 
 
 def build_tiny_simulator(system_name: str = "radix", workload: str = "rnd",

@@ -313,7 +313,6 @@ def _tiny_hierarchy() -> CacheHierarchy:
     from repro.cache.cache import Cache
     from repro.memory.dram import DramModel
 
-    l1i = Cache("L1-I", 4096, 4, 1)
     l1d = Cache("L1-D", 4096, 4, 1)
     l2 = Cache("L2", 16384, 8, 10)
-    return CacheHierarchy(l1i, l1d, l2, None, DramModel())
+    return CacheHierarchy(l1d, l2, None, DramModel())

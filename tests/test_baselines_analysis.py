@@ -31,10 +31,9 @@ from repro.memory.physical import PhysicalMemory
 
 
 def make_hierarchy():
-    l1i = Cache("L1I", 1024, 4, 4)
     l1d = Cache("L1D", 1024, 4, 4)
     l2 = Cache("L2", 8192, 8, 16)
-    return CacheHierarchy(l1i, l1d, l2, None, DramModel())
+    return CacheHierarchy(l1d, l2, None, DramModel())
 
 
 class TestPOMTLB:

@@ -229,13 +229,12 @@ class TestPrefetchers:
 
 class TestHierarchy:
     def _make(self, with_prefetchers=False):
-        l1i = Cache("L1I", 1024, 4, 4)
         l1d = Cache("L1D", 1024, 4, 4)
         l2 = Cache("L2", 8192, 8, 16)
         l3 = Cache("L3", 16384, 8, 35)
         dram = DramModel()
         return CacheHierarchy(
-            l1i, l1d, l2, l3, dram,
+            l1d, l2, l3, dram,
             l1d_prefetcher=IPStridePrefetcher() if with_prefetchers else None,
             l2_prefetcher=StreamPrefetcher() if with_prefetchers else None)
 
@@ -252,12 +251,6 @@ class TestHierarchy:
         result = hierarchy.access(0x1000)
         assert result.level is MemoryLevel.L1
         assert result.latency == 4
-
-    def test_instruction_accesses_use_l1i(self):
-        hierarchy = self._make()
-        hierarchy.access(0x1000, is_instruction=True)
-        assert hierarchy.l1i.stats.accesses == 1
-        assert hierarchy.l1d.stats.accesses == 0
 
     def test_ptw_access_starts_at_l2(self):
         hierarchy = self._make()
@@ -285,14 +278,3 @@ class TestHierarchy:
         # The next sequential block should have been prefetched into L1D or L2.
         next_key = data_key(0x10000 + 8 * 64)
         assert hierarchy.l1d.contains(next_key) or hierarchy.l2.contains(next_key)
-
-    def test_reset_stats(self):
-        hierarchy = self._make()
-        hierarchy.access(0x1000)
-        hierarchy.reset_stats()
-        assert hierarchy.l1d.stats.accesses == 0
-        assert hierarchy.dram.stats.accesses == 0
-
-    def test_levels_list(self):
-        hierarchy = self._make()
-        assert len(hierarchy.levels()) == 4

@@ -167,11 +167,10 @@ class TestTrainingPipeline:
 # --------------------------------------------------------------------------- #
 def make_victima(use_predictor=False, insert_on_eviction=True):
     physical = PhysicalMemory(4 << 30)
-    l1i = Cache("L1I", 1024, 4, 4)
     l1d = Cache("L1D", 1024, 4, 4)
     pressure = PressureMonitor()
     l2 = Cache("L2", 64 * 1024, 16, 16, replacement_policy=TLBAwareSRRIPPolicy(pressure))
-    hierarchy = CacheHierarchy(l1i, l1d, l2, None, DramModel())
+    hierarchy = CacheHierarchy(l1d, l2, None, DramModel())
     vmm = VirtualMemoryManager(physical, asid=0, huge_page_fraction=0.0)
     walker = PageTableWalker(hierarchy, PageWalkCaches())
     victima = VictimaController(

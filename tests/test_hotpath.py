@@ -1,4 +1,8 @@
-"""Hot-path engine: batched streams, fast-path parity, warm-up bugfixes."""
+"""Hot-path engine: batched streams and warm-up bugfixes.
+
+Whole-run behaviour is pinned by the parity goldens in
+``tests/test_backends.py``.
+"""
 
 from __future__ import annotations
 
@@ -9,9 +13,7 @@ import pytest
 from repro.common.counters import EventRateMonitor
 from repro.common.pressure import PressureMonitor
 from repro.sim.config import SimulationConfig
-from repro.sim.multicore import MultiCoreSimulator
-from repro.sim.presets import (EVALUATED_NATIVE_SYSTEMS, make_system_config,
-                               make_workload_config)
+from repro.sim.presets import make_system_config, make_workload_config
 from repro.sim.simulator import Simulator
 from repro.traces.combinators import dilate, mix, phased, remap, shard
 from repro.workloads import make_workload
@@ -83,75 +85,6 @@ class TestBoundedBatches:
         assert ref == same and hash(ref) == hash(same)
         assert ref != other
         assert "vaddr=2" in repr(ref)
-
-
-# --------------------------------------------------------------------------- #
-# Fast-path parity
-# --------------------------------------------------------------------------- #
-#: Every native preset the paper evaluates, plus the hashed-page-table
-#: backend: the parity pins below must hold on all of them.
-ALL_NATIVE_PRESETS = EVALUATED_NATIVE_SYSTEMS + ("hash_pt",)
-
-
-class TestFastPathParity:
-    """The batched/fast-path loop is bit-identical to the reference loop."""
-
-    @pytest.mark.parametrize("preset,workload", [
-        ("victima", "rnd"),
-        ("radix", "bfs"),
-    ])
-    def test_single_core_full_result_equality(self, preset, workload):
-        def run(fast_path):
-            sim = Simulator.from_configs(
-                make_system_config(preset),
-                make_workload_config(workload, max_refs=6000))
-            sim.fast_path = fast_path
-            return sim.run()
-
-        assert run(True) == run(False)
-
-    @pytest.mark.parametrize("preset", ALL_NATIVE_PRESETS)
-    def test_every_native_preset_single_core(self, preset):
-        def run(fast_path):
-            sim = Simulator.from_configs(
-                make_system_config(preset, hardware_scale=16),
-                make_workload_config("rnd", max_refs=4000, seed=7))
-            sim.fast_path = fast_path
-            return sim.run()
-
-        assert run(True) == run(False)
-
-    def test_two_core_full_result_equality(self):
-        def run(fast_path):
-            sim = Simulator.from_scenario(dict(TWO_CORE_SCENARIO))
-            assert isinstance(sim, MultiCoreSimulator)
-            sim.fast_path = fast_path
-            return sim.run()
-
-        assert run(True) == run(False)
-
-    @pytest.mark.parametrize("preset", ALL_NATIVE_PRESETS)
-    def test_every_native_preset_two_core(self, preset):
-        def run(fast_path):
-            scenario = dict(TWO_CORE_SCENARIO, system=preset)
-            sim = Simulator.from_scenario(scenario)
-            assert isinstance(sim, MultiCoreSimulator)
-            sim.fast_path = fast_path
-            return sim.run()
-
-        assert run(True) == run(False)
-
-    def test_virtualized_system_falls_back(self):
-        # Virtualized MMUs have no translate_data; the fast loop must adapt
-        # and still match the reference loop bit for bit.
-        def run(fast_path):
-            sim = Simulator.from_configs(
-                make_system_config("nested_paging"),
-                make_workload_config("rnd", max_refs=3000))
-            sim.fast_path = fast_path
-            return sim.run()
-
-        assert run(True) == run(False)
 
 
 # --------------------------------------------------------------------------- #

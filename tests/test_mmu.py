@@ -16,16 +16,16 @@ from repro.mmu.mmu import MMU, ServedBy
 from repro.mmu.page_walker import PageTableWalker
 from repro.mmu.pwc import PageWalkCaches
 from repro.mmu.tlb import TLB
+from tests.conftest import translate_counted
 
 BOTH = (PageSize.SIZE_4K, PageSize.SIZE_2M)
 
 
 def make_hierarchy():
-    l1i = Cache("L1I", 1024, 4, 4)
     l1d = Cache("L1D", 1024, 4, 4)
     l2 = Cache("L2", 8192, 8, 16)
     l3 = Cache("L3", 16384, 8, 35)
-    return CacheHierarchy(l1i, l1d, l2, l3, DramModel())
+    return CacheHierarchy(l1d, l2, l3, DramModel())
 
 
 def make_mmu(physical=None, l3_tlb=None, huge_fraction=0.0):
@@ -38,7 +38,6 @@ def make_mmu(physical=None, l3_tlb=None, huge_fraction=0.0):
     else:
         backend = RadixBackend(walker, vmm.page_table)
     mmu = MMU(
-        l1_itlb=TLB("L1I-TLB", 16, 4, 1, BOTH),
         l1_dtlb_4k=TLB("L1D-4K", 8, 4, 1, (PageSize.SIZE_4K,)),
         l1_dtlb_2m=TLB("L1D-2M", 8, 4, 1, (PageSize.SIZE_2M,)),
         l2_tlb=TLB("L2-TLB", 48, 12, 12, BOTH),
@@ -214,48 +213,44 @@ class TestPageTableWalker:
 class TestMMU:
     def test_first_translation_walks(self):
         mmu, _ = make_mmu()
-        result = mmu.translate(0x1234_5678)
-        assert result.served_by is ServedBy.PAGE_WALK
-        assert result.l2_tlb_miss and result.page_walk
-        assert result.miss_latency > 0
+        _, _, delta = translate_counted(mmu, 0x1234_5678)
+        assert delta["served_by"] == {ServedBy.PAGE_WALK.value: 1}
+        assert delta["l2_tlb_misses"] == 1 and delta["page_walks"] == 1
+        assert delta["total_miss_latency"] > 0
 
     def test_second_translation_hits_l1(self):
         mmu, _ = make_mmu()
-        mmu.translate(0x1234_5678)
-        result = mmu.translate(0x1234_5000)
-        assert result.served_by is ServedBy.L1_TLB
-        assert result.latency == 1
+        mmu.translate_data(0x1234_5678)
+        _, latency, delta = translate_counted(mmu, 0x1234_5000)
+        assert delta["served_by"] == {ServedBy.L1_TLB.value: 1}
+        assert latency == 1
 
     def test_l2_tlb_hit_path(self):
         mmu, _ = make_mmu()
-        mmu.translate(0x1234_5678)
+        mmu.translate_data(0x1234_5678)
         # Evict from the tiny L1 D-TLB by touching many other pages.
         for i in range(1, 20):
-            mmu.translate(0x2000_0000 + i * 4096)
-        result = mmu.translate(0x1234_5678)
-        assert result.served_by in (ServedBy.L2_TLB, ServedBy.L1_TLB)
+            mmu.translate_data(0x2000_0000 + i * 4096)
+        _, _, delta = translate_counted(mmu, 0x1234_5678)
+        assert list(delta["served_by"]) in ([ServedBy.L2_TLB.value],
+                                            [ServedBy.L1_TLB.value])
 
     def test_translation_is_correct(self):
         mmu, _ = make_mmu()
-        result = mmu.translate(0x1234_5678)
+        paddr, _ = mmu.translate_data(0x1234_5678)
         expected = mmu.memory_manager.page_table.translate(0x1234_5678).translate(0x1234_5678)
-        assert result.paddr == expected
+        assert paddr == expected
 
     def test_huge_pages_use_2m_dtlb(self):
         mmu, _ = make_mmu(huge_fraction=1.0)
-        mmu.translate(0x4000_0000)
+        mmu.translate_data(0x4000_0000)
         assert mmu.l1_dtlb_2m.occupancy() == 1
         assert mmu.l1_dtlb_4k.occupancy() == 0
-
-    def test_instruction_translations_use_itlb(self):
-        mmu, _ = make_mmu()
-        mmu.translate(0x40_0000, is_instruction=True)
-        assert mmu.l1_itlb.occupancy() == 1
 
     def test_stats_accumulate(self):
         mmu, _ = make_mmu()
         for i in range(10):
-            mmu.translate(0x1000_0000 + i * 4096)
+            mmu.translate_data(0x1000_0000 + i * 4096)
         assert mmu.stats.translations == 10
         assert mmu.stats.l2_tlb_misses == 10
         assert mmu.stats.page_walks == 10
@@ -264,20 +259,22 @@ class TestMMU:
     def test_l3_tlb_path(self):
         l3_tlb = TLB("L3-TLB", 64, 4, 15, BOTH)
         mmu, _ = make_mmu(l3_tlb=l3_tlb)
-        mmu.translate(0x1234_5000)
+        mmu.translate_data(0x1234_5000)
         # Force the entry out of the small L2 TLB but keep it in the L3 TLB.
         for i in range(1, 60):
-            mmu.translate(0x3000_0000 + i * 4096)
-        result = mmu.translate(0x1234_5000)
-        if result.l2_tlb_miss:
-            assert result.served_by in (ServedBy.L3_TLB, ServedBy.PAGE_WALK)
+            mmu.translate_data(0x3000_0000 + i * 4096)
+        _, _, delta = translate_counted(mmu, 0x1234_5000)
+        if delta["l2_tlb_misses"]:
+            assert list(delta["served_by"]) in ([ServedBy.L3_TLB.value],
+                                                [ServedBy.PAGE_WALK.value])
         assert mmu.stats.l3_tlb_hits >= 0
 
     def test_eviction_features_updated(self):
         mmu, _ = make_mmu()
-        first = mmu.translate(0x1234_5000).pte
+        mmu.translate_data(0x1234_5000)
+        first = mmu.memory_manager.page_table.translate(0x1234_5000)
         for i in range(1, 80):
-            mmu.translate(0x5000_0000 + i * 4096)
+            mmu.translate_data(0x5000_0000 + i * 4096)
         assert int(first.features.l2_tlb_evictions) >= 1
 
 

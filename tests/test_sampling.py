@@ -241,15 +241,6 @@ class TestScenarioThreading:
         rebuilt = ScenarioSpec.from_dict(sampled.to_dict())
         assert rebuilt.content_hash() == sampled.content_hash()
 
-    def test_reference_loop_has_no_sampling_mode(self):
-        sim = Simulator.from_configs(
-            make_system_config("radix"),
-            make_workload_config("rnd", max_refs=2000))
-        sim.sampling = SamplingConfig(stride=2)
-        sim.fast_path = False
-        with pytest.raises(ConfigurationError):
-            sim.run()
-
 
 # --------------------------------------------------------------------------- #
 # Parity and accuracy

@@ -13,14 +13,13 @@ from repro.core.victima import VictimaController
 from repro.memory.dram import DramModel
 from repro.memory.page_allocator import VirtualMemoryManager
 from repro.memory.physical import PhysicalMemory
-from repro.mmu.mmu import ServedBy
 from repro.mmu.page_walker import PageTableWalker
 from repro.mmu.pwc import PageWalkCaches
 from repro.mmu.tlb import TLB
 from repro.virt.nested import NestedPageTableWalker
 from repro.virt.shadow import ShadowPageTableBuilder
 from repro.virt.virt_mmu import VirtualizedMMU
-from tests.conftest import allocator_state, page_table_state
+from tests.conftest import allocator_state, page_table_state, translate_counted
 
 BOTH = (PageSize.SIZE_4K, PageSize.SIZE_2M)
 
@@ -28,11 +27,10 @@ BOTH = (PageSize.SIZE_4K, PageSize.SIZE_2M)
 def make_virt_stack(with_victima=False, shadow_paging=False, guest_huge_fraction=0.0):
     host_physical = PhysicalMemory(8 << 30)
     guest_physical = PhysicalMemory(8 << 30)
-    l1i = Cache("L1I", 1024, 4, 4)
     l1d = Cache("L1D", 1024, 4, 4)
     pressure = PressureMonitor()
     l2 = Cache("L2", 64 * 1024, 16, 16, replacement_policy=TLBAwareSRRIPPolicy(pressure))
-    hierarchy = CacheHierarchy(l1i, l1d, l2, None, DramModel())
+    hierarchy = CacheHierarchy(l1d, l2, None, DramModel())
 
     guest_vmm = VirtualMemoryManager(guest_physical, asid=0,
                                      huge_page_fraction=guest_huge_fraction)
@@ -62,7 +60,6 @@ def make_virt_stack(with_victima=False, shadow_paging=False, guest_huge_fraction
     else:
         backend = NestedPagingBackend()
     mmu = VirtualizedMMU(
-        l1_itlb=TLB("L1I-TLB", 16, 4, 1, BOTH),
         l1_dtlb_4k=TLB("L1D-4K", 8, 4, 1, (PageSize.SIZE_4K,)),
         l1_dtlb_2m=TLB("L1D-2M", 8, 4, 1, (PageSize.SIZE_2M,)),
         l2_tlb=TLB("L2-TLB", 48, 12, 12, BOTH),
@@ -214,47 +211,49 @@ class TestShadowRangeInstall:
 class TestVirtualizedMMU:
     def test_nested_paging_translation(self):
         mmu, _, _, _ = make_virt_stack()
-        result = mmu.translate(0x1234_5678)
-        assert result.l2_tlb_miss and result.page_walk
-        assert "host" in result.miss_breakdown and "guest" in result.miss_breakdown
+        _, _, delta = translate_counted(mmu, 0x1234_5678)
+        assert delta["l2_tlb_misses"] == 1 and delta["guest_page_walks"] == 1
+        breakdown = delta["miss_latency_breakdown"]
+        assert "host" in breakdown and "guest" in breakdown
         assert mmu.stats.guest_page_walks == 1
         assert mmu.stats.host_page_walks >= 1
 
     def test_l1_hit_on_repeat(self):
         mmu, _, _, _ = make_virt_stack()
-        mmu.translate(0x1234_5678)
-        result = mmu.translate(0x1234_5000)
-        assert result.served_by is ServedBy.L1_TLB
+        mmu.translate_data(0x1234_5678)
+        _, _, delta = translate_counted(mmu, 0x1234_5000)
+        assert delta["l1_tlb_hits"] == 1
 
     def test_shadow_paging_mode_has_no_host_walks(self):
         mmu, _, _, _ = make_virt_stack(shadow_paging=True)
-        result = mmu.translate(0x1234_5678)
-        assert result.page_walk
+        _, _, delta = translate_counted(mmu, 0x1234_5678)
+        assert delta["shadow_walks"] == 1
         assert mmu.stats.host_page_walks == 0
         assert mmu.stats.shadow_walks == 1
-        assert "guest" in result.miss_breakdown and "host" not in result.miss_breakdown
+        breakdown = delta["miss_latency_breakdown"]
+        assert "guest" in breakdown and "host" not in breakdown
 
     def test_victima_block_hit_skips_walk(self):
         mmu, _, _, victima = make_virt_stack(with_victima=True)
-        mmu.translate(0x1234_5678)
+        mmu.translate_data(0x1234_5678)
         # Flush the TLB hierarchy so the next translation must consult the L2 cache.
         mmu.l1_dtlb_4k.invalidate_all()
         mmu.l1_dtlb_2m.invalidate_all()
         mmu.l2_tlb.invalidate_all()
-        result = mmu.translate(0x1234_5678)
-        assert result.served_by is ServedBy.VICTIMA_BLOCK
+        _, _, delta = translate_counted(mmu, 0x1234_5678)
+        assert delta["victima_hits"] == 1
         assert mmu.stats.victima_hits == 1
 
     def test_miss_latency_higher_than_native_single_walk(self):
         mmu, _, _, _ = make_virt_stack()
-        result = mmu.translate(0x1234_5678)
+        _, _, delta = translate_counted(mmu, 0x1234_5678)
         # A 2-D walk must cost more than the guest dimension alone.
-        assert result.miss_latency > result.miss_breakdown["guest"]
+        assert delta["total_miss_latency"] > delta["miss_latency_breakdown"]["guest"]
 
     def test_stats_latency_accumulation(self):
         mmu, _, _, _ = make_virt_stack()
         for i in range(5):
-            mmu.translate(0x4000_0000 + i * 4096)
+            mmu.translate_data(0x4000_0000 + i * 4096)
         assert mmu.stats.translations == 5
         assert mmu.stats.total_miss_latency > 0
         assert mmu.stats.mean_miss_latency > 0

@@ -13,9 +13,7 @@ timing) and times ``Simulator.run()`` end to end — prefault, warm-up and the
 measured window all count, because that is the wall-clock cost an experiment
 pays per run.  ``refs_per_sec`` is the workload's total reference budget
 divided by that wall time; with ``--repeats N`` the best of N runs is kept
-(the minimum-noise estimate of the achievable rate).  The *default preset*
-cell (GUPS on the radix baseline) is additionally run with the straight-line
-reference loop (``fast_path=False``) and reports the fast-path speedup.
+(the minimum-noise estimate of the achievable rate).
 
 One special cell rides along: ``gups_sampled`` runs the default preset
 under SMARTS sampling (one detailed window in every ``SAMPLED_STRIDE``) over
@@ -115,14 +113,13 @@ def calibration_score(repeats: int = 3) -> float:
     return CALIBRATION_OPS / min(one_pass() for _ in range(repeats))
 
 
-def _time_run(system: str, workload: str, refs: int, fast_path: bool,
+def _time_run(system: str, workload: str, refs: int,
               sampling: Optional[SamplingConfig] = None,
               warmup_fraction: Optional[float] = None):
     """Build a fresh simulator, run it and return (wall seconds, result)."""
     sim = Simulator.from_configs(
         make_system_config(system),
         make_workload_config(workload, max_refs=refs))
-    sim.fast_path = fast_path
     sim.sampling = sampling
     if warmup_fraction is not None:
         sim.warmup_fraction = warmup_fraction
@@ -132,14 +129,13 @@ def _time_run(system: str, workload: str, refs: int, fast_path: bool,
 
 
 def _best_rate(system: str, workload: str, refs: int, repeats: int,
-               fast_path: bool = True,
                sampling: Optional[SamplingConfig] = None,
                warmup_fraction: Optional[float] = None):
     """Return (seconds, refs_per_sec, result) for the best of ``repeats``."""
     best = None
     best_result = None
     for _ in range(repeats):
-        seconds, result = _time_run(system, workload, refs, fast_path,
+        seconds, result = _time_run(system, workload, refs,
                                     sampling=sampling,
                                     warmup_fraction=warmup_fraction)
         if best is None or seconds < best:
@@ -169,17 +165,9 @@ def run_matrix(refs: int, repeats: int,
                 "refs_per_sec": round(rate, 1),
                 "calibration_ops_per_sec": round(calibration, 1),
             }
-            if (system, name) == DEFAULT_PRESET:
-                ref_seconds, ref_rate, _ = _best_rate(
-                    system, registry_name, refs, repeats, fast_path=False)
-                cell["reference_seconds"] = round(ref_seconds, 4)
-                cell["reference_refs_per_sec"] = round(ref_rate, 1)
-                cell["speedup_vs_reference"] = round(rate / ref_rate, 3)
             cells.append(cell)
             print(f"  {system:>8} × {name:<12} {refs:>6} refs: "
-                  f"{rate:>10.0f} refs/sec"
-                  + (f"  ({cell['speedup_vs_reference']}x vs reference loop)"
-                     if "speedup_vs_reference" in cell else ""))
+                  f"{rate:>10.0f} refs/sec")
     return cells
 
 

@@ -33,9 +33,6 @@ class TestBenchHarness:
         assert len(payload["cells"]) == 13
         assert all(cell["calibration_ops_per_sec"] > 0
                    for cell in payload["cells"])
-        default = [c for c in payload["cells"]
-                   if (c["system"], c["workload"]) == ("radix", "gups")]
-        assert "speedup_vs_reference" in default[0]
         sampled = [c for c in payload["cells"]
                    if c["workload"] == "gups_sampled"]
         assert len(sampled) == 1
