@@ -452,7 +452,8 @@ def mix(workloads: Sequence[Workload], weights: Optional[Sequence[float]] = None
     *i* → slot *i*), then the streams are interleaved by weighted random
     scheduling driven by ``seed``.  ``max_refs`` bounds the total mixed
     stream; it defaults to the sum of the component budgets, so every
-    component is fully drained.
+    component is fully drained, and is clamped to that sum, since the
+    stream ends there.
 
     ``cores`` optionally pins tenant *i* to a core (one entry per tenant;
     ``None`` entries go to the least-loaded core).  Placement is metadata for the
@@ -492,7 +493,7 @@ def mix(workloads: Sequence[Workload], weights: Optional[Sequence[float]] = None
     total = sum(workload.config.max_refs for workload in workloads)
     config = WorkloadConfig(
         name="mix(" + "+".join(t.name for t in tenants) + ")",
-        max_refs=max_refs if max_refs is not None else total,
+        max_refs=min(max_refs, total) if max_refs is not None else total,
         seed=seed,
         huge_page_fraction=huge_page_fraction,
     )
@@ -502,6 +503,9 @@ def mix(workloads: Sequence[Workload], weights: Optional[Sequence[float]] = None
 def phased(workloads: Sequence[Workload], max_refs: Optional[int] = None,
            huge_page_fraction: Optional[float] = None) -> PhasedWorkload:
     """Concatenate workloads as sequential phases of one process.
+
+    ``max_refs`` bounds the concatenated stream; it defaults to, and is
+    clamped to, the sum of the phase budgets.
 
     >>> from repro.workloads import make_workload
     >>> p = phased([make_workload("pr", max_refs=20),
@@ -516,7 +520,7 @@ def phased(workloads: Sequence[Workload], max_refs: Optional[int] = None,
     total = sum(workload.config.max_refs for workload in workloads)
     config = WorkloadConfig(
         name="phased(" + "->".join(w.name for w in workloads) + ")",
-        max_refs=max_refs if max_refs is not None else total,
+        max_refs=min(max_refs, total) if max_refs is not None else total,
         seed=workloads[0].config.seed,
         huge_page_fraction=huge_page_fraction,
     )

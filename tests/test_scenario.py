@@ -17,6 +17,7 @@ from repro.scenario import (
     list_scenarios,
     load_scenario,
 )
+from repro.sim.simulator import Simulator
 from repro.traces.combinators import MixWorkload, PhasedWorkload
 
 MIX_TOML = """
@@ -135,6 +136,22 @@ class TestBuild:
         ph = spec.build_workload()
         assert isinstance(ph, PhasedWorkload)
         assert [phase.config.max_refs for phase in ph.components] == [500, 500]
+
+    @pytest.mark.parametrize("alias", ["tenants", "phases"])
+    def test_under_filled_composition_measures_its_own_stream(self, alias):
+        # The components' budgets sum to 600 of the declared 4000, so the
+        # stream ends after 600 references.  The budget, and the 25 % warm-up
+        # taken from it, must follow the stream, or the run never crosses
+        # its warm-up boundary and reports a negative memory_refs.
+        spec = load_scenario({
+            "system": "victima", "max_refs": 4000, "hardware_scale": 16,
+            "workload": {alias: [{"workload": "rnd", "max_refs": 300},
+                                 {"workload": "bfs", "max_refs": 300}]},
+        })
+        workload = spec.build_workload()
+        assert workload.config.max_refs == len(list(workload.bounded())) == 600
+        result = Simulator.from_scenario(spec).run()
+        assert result.memory_refs == 450 == sum(result.data_access_levels.values())
 
     def test_shard_scales_inner_budget(self):
         spec = load_scenario({
