@@ -30,8 +30,8 @@ Semantics (the same in both engines, because they share the sampler):
   breakdowns) remain unbiased estimates of the full run's.  The error bars
   quantify how well the sampled windows represent the whole.
 
-``stride=1`` skips nothing and is pinned bit-identical to the full fast path
-by ``tests/test_sampling.py``.
+``stride=1`` skips nothing and is pinned bit-identical to the full run by
+``tests/test_sampling.py``.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ __all__ = ["SamplingConfig", "sampled_batches", "window_series_summary",
 
 @dataclass(frozen=True)
 class SamplingConfig:
-    """Opt-in SMARTS sampling parameters for the fast-path simulators.
+    """Opt-in SMARTS sampling parameters for both simulation engines.
 
     ``stride``
         Simulate one detailed window out of every ``stride`` post-warm-up

@@ -198,7 +198,7 @@ class SimulationResult:
     # SMARTS-sampled runs: stride/window parameters, coverage and the
     # per-window cycles-per-ref error bars (see repro.sim.sampling).  Excluded
     # from equality so a stride-1 sampled run compares bit-identical to the
-    # full fast path it reproduces (pinned by tests/test_sampling.py).
+    # full run it reproduces (pinned by tests/test_sampling.py).
     sampling: Optional[Dict[str, object]] = field(default=None, compare=False)
 
     # ------------------------------------------------------------------ #
