@@ -14,6 +14,7 @@ from repro.cache.replacement import (
 )
 from repro.common.addresses import PageSize
 from repro.common.errors import ConfigurationError
+from repro.common.stats import StatsRegistry
 from repro.memory.dram import DramModel
 
 
@@ -278,3 +279,25 @@ class TestHierarchy:
         # The next sequential block should have been prefetched into L1D or L2.
         next_key = data_key(0x10000 + 8 * 64)
         assert hierarchy.l1d.contains(next_key) or hierarchy.l2.contains(next_key)
+
+    def test_reset_stats(self):
+        # The hierarchy keeps no reset of its own: each level registers with
+        # the active stats registry, whose reset_all() zeroes every level.
+        registry = StatsRegistry()
+        with registry.activate():
+            hierarchy = self._make()
+        hierarchy.access(0x1000)
+        registry.reset_all()
+        assert hierarchy.l1d.stats.accesses == 0
+        assert hierarchy.l2.stats.accesses == 0
+        assert hierarchy.l3.stats.accesses == 0
+        assert hierarchy.dram.stats.accesses == 0
+
+    def test_levels_list(self):
+        # Every level, DRAM included, is in the registry, so a warm-up reset
+        # reaches each of them.
+        registry = StatsRegistry()
+        with registry.activate():
+            hierarchy = self._make()
+        assert registry.components() == [hierarchy.l1d, hierarchy.l2,
+                                          hierarchy.l3, hierarchy.dram]

@@ -1,37 +1,43 @@
-"""Hot-path engine: batched streams and warm-up bugfixes.
+"""Hot-path engine: batched streams, fast-path parity, warm-up bugfixes.
 
-Whole-run behaviour is pinned by the parity goldens in
-``tests/test_backends.py``.
+Whole-run behaviour is pinned by goldens: the parity goldens in
+``tests/test_backends.py`` and, here, the results the straight-line
+reference loop recorded before it was deleted
+(``tests/data/hotpath_golden.json``).
 """
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
+import json
+import os
 
 import pytest
 
 from repro.common.counters import EventRateMonitor
 from repro.common.pressure import PressureMonitor
 from repro.sim.config import SimulationConfig
+from repro.sim.multicore import MultiCoreSimulator
 from repro.sim.presets import make_system_config, make_workload_config
 from repro.sim.simulator import Simulator
 from repro.traces.combinators import dilate, mix, phased, remap, shard
 from repro.workloads import make_workload
 from repro.workloads.base import MemoryRef, WorkloadConfig
 
-TWO_CORE_SCENARIO = {
-    "name": "hotpath-two-core",
-    "system": "victima",
-    "max_refs": 4000,
-    "seed": 11,
-    "hardware_scale": 16,
-    "warmup_fraction": 0.25,
-    "num_cores": 2,
-    "workload": {"kind": "mix", "tenants": [
-        {"workload": "bfs", "core": 0},
-        {"workload": "rnd", "core": 1},
-    ]},
-}
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+HOTPATH_GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data",
+                                   "hotpath_golden.json")
+
+_GENERATOR_SPEC = importlib.util.spec_from_file_location(
+    "gen_parity_golden", os.path.join(REPO_ROOT, "tools", "gen_parity_golden.py"))
+_GENERATOR = importlib.util.module_from_spec(_GENERATOR_SPEC)
+_GENERATOR_SPEC.loader.exec_module(_GENERATOR)
+
+with open(HOTPATH_GOLDEN_PATH, encoding="utf-8") as _handle:
+    _HOTPATH_GOLDEN = json.load(_handle)
+
+TWO_CORE_SCENARIO = _GENERATOR.HOTPATH_TWO_CORE
 
 
 # --------------------------------------------------------------------------- #
@@ -85,6 +91,64 @@ class TestBoundedBatches:
         assert ref == same and hash(ref) == hash(same)
         assert ref != other
         assert "vaddr=2" in repr(ref)
+
+
+# --------------------------------------------------------------------------- #
+# Fast-path parity
+# --------------------------------------------------------------------------- #
+#: Every native preset the paper evaluates, plus the hashed-page-table
+#: backend: the parity pins below must hold on all of them.
+ALL_NATIVE_PRESETS = _GENERATOR.HOTPATH_NATIVE_PRESETS
+
+
+def _canonical(result_dict: dict) -> str:
+    # Round-trip through JSON so int dict keys (histograms) compare equal to
+    # the string keys the golden file necessarily stores.
+    return json.dumps(json.loads(json.dumps(result_dict)), sort_keys=True)
+
+
+class TestFastPathParity:
+    """The batched loop is bit-identical to the straight-line reference loop.
+
+    That loop is deleted; ``tests/data/hotpath_golden.json`` holds the full
+    results it produced on these runs, which ``tools/gen_parity_golden.py``
+    builds.
+    """
+
+    def _assert_matches_reference(self, key, multi_core=False):
+        sim = _GENERATOR.hotpath_simulator(key)
+        assert isinstance(sim, MultiCoreSimulator) == multi_core
+        result = sim.run()
+        assert _canonical(result.to_json_dict()) == _canonical(_HOTPATH_GOLDEN[key]), (
+            f"{key}: the batched loop diverged from the reference loop's result")
+
+    def test_golden_file_covers_every_generator_key(self):
+        assert sorted(_HOTPATH_GOLDEN) == sorted(_GENERATOR.hotpath_keys())
+
+    @pytest.mark.parametrize("preset,workload", [
+        ("victima", "rnd"),
+        ("radix", "bfs"),
+    ])
+    def test_single_core_full_result_equality(self, preset, workload):
+        self._assert_matches_reference(f"{preset}/1core/{workload}")
+
+    @pytest.mark.parametrize("preset", ALL_NATIVE_PRESETS)
+    def test_every_native_preset_single_core(self, preset):
+        self._assert_matches_reference(f"{preset}/1core/seed7")
+
+    def test_two_core_full_result_equality(self):
+        self._assert_matches_reference(
+            f"{TWO_CORE_SCENARIO['system']}/2core", multi_core=True)
+
+    @pytest.mark.parametrize("preset", ALL_NATIVE_PRESETS)
+    def test_every_native_preset_two_core(self, preset):
+        self._assert_matches_reference(f"{preset}/2core", multi_core=True)
+
+    def test_virtualized_system_falls_back(self):
+        # Virtualized MMUs once had no translate_data and the batched loop
+        # fell back to an adapter; it now binds VirtualizedMMU.translate_data
+        # and must still match the reference loop bit for bit.
+        self._assert_matches_reference("nested_paging/1core/rnd")
 
 
 # --------------------------------------------------------------------------- #

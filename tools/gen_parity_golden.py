@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Regenerate the backend parity golden data (tests/data/backend_parity_golden.json).
+"""Regenerate the golden data in tests/data (backend parity and hot path).
 
 Runs every evaluated system preset (plus multi-core, SMARTS-sampled,
 L1-resident, idle-core, no-warm-up and virtualized ``bfs`` variants) on a
@@ -34,6 +34,13 @@ Golden keys read ``<preset>/<N>core`` or ``<preset>/<N>core/<variant>``:
     whole-2 MB regions never do; on virtualized presets this covers the
     unaligned ends of the guest, host and shadow prefault.
 
+The same run also rewrites ``tests/data/hotpath_golden.json``, which
+``tests/test_hotpath.py`` pins: the runs (built by :func:`hotpath_simulator`)
+on which the batched loop was checked against the straight-line reference
+loop while that loop existed.  The committed file holds the reference loop's
+own results, recorded just before it was deleted; the batched loop matched
+every one of them bit for bit.
+
 Usage (from the repo root)::
 
     PYTHONPATH=src python tools/gen_parity_golden.py
@@ -51,6 +58,8 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src"))
 
+from repro.sim.presets import (EVALUATED_NATIVE_SYSTEMS,  # noqa: E402
+                               make_system_config, make_workload_config)
 from repro.sim.simulator import Simulator  # noqa: E402
 
 #: Small but non-trivial windows: large enough that every back-end path
@@ -97,6 +106,36 @@ VIRT_BFS_KEYS = ("nested_paging/1core/bfs", "ideal_shadow/1core/bfs",
                  "virt_victima/1core/bfs")
 
 
+#: Every native preset the paper evaluates, plus the hashed page table.
+HOTPATH_NATIVE_PRESETS = EVALUATED_NATIVE_SYSTEMS + ("hash_pt",)
+
+#: Single-core hot-path runs: key -> (preset, workload, max_refs,
+#: hardware_scale, seed), built with ``Simulator.from_configs``.
+HOTPATH_SINGLE_CORE = {
+    "victima/1core/rnd": ("victima", "rnd", 6000, 1, 42),
+    "radix/1core/bfs": ("radix", "bfs", 6000, 1, 42),
+    "nested_paging/1core/rnd": ("nested_paging", "rnd", 3000, 1, 42),
+    **{f"{preset}/1core/seed7": (preset, "rnd", 4000, HARDWARE_SCALE, 7)
+       for preset in HOTPATH_NATIVE_PRESETS},
+}
+
+#: The two-core hot-path scenario; its key ``<preset>/2core`` swaps in
+#: ``system``.
+HOTPATH_TWO_CORE = {
+    "name": "hotpath-two-core",
+    "system": "victima",
+    "max_refs": 4000,
+    "seed": 11,
+    "hardware_scale": HARDWARE_SCALE,
+    "warmup_fraction": 0.25,
+    "num_cores": 2,
+    "workload": {"kind": "mix", "tenants": [
+        {"workload": "bfs", "core": 0},
+        {"workload": "rnd", "core": 1},
+    ]},
+}
+
+
 def golden_keys() -> list:
     return ([f"{preset}/1core" for preset in SINGLE_CORE_PRESETS]
             + [f"{preset}/2core" for preset in MULTI_CORE_PRESETS]
@@ -141,6 +180,24 @@ def scenario_for_key(key: str) -> dict:
     return spec
 
 
+def hotpath_keys() -> list:
+    return (list(HOTPATH_SINGLE_CORE)
+            + [f"{preset}/2core" for preset in HOTPATH_NATIVE_PRESETS])
+
+
+def hotpath_simulator(key: str) -> Simulator:
+    """The simulator whose result ``hotpath_golden.json`` stores under ``key``."""
+    if key in HOTPATH_SINGLE_CORE:
+        preset, workload, max_refs, hardware_scale, seed = HOTPATH_SINGLE_CORE[key]
+        return Simulator.from_configs(
+            make_system_config(preset, hardware_scale=hardware_scale),
+            make_workload_config(workload, max_refs=max_refs, seed=seed))
+    preset, cores = key.split("/")
+    if cores != "2core":
+        raise ValueError(f"unknown hot-path key {key!r}")
+    return Simulator.from_scenario(dict(HOTPATH_TWO_CORE, system=preset))
+
+
 def run_all() -> dict:
     golden = {}
     for key in golden_keys():
@@ -150,15 +207,27 @@ def run_all() -> dict:
     return golden
 
 
-def main() -> int:
+def run_hotpath() -> dict:
+    golden = {}
+    for key in hotpath_keys():
+        print(f"  {key} ...", flush=True)
+        golden[key] = hotpath_simulator(key).run().to_json_dict()
+    return golden
+
+
+def _write(name: str, golden: dict) -> None:
     out = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                       "tests", "data", "backend_parity_golden.json")
+                       "tests", "data", name)
     os.makedirs(os.path.dirname(out), exist_ok=True)
-    golden = run_all()
     with open(out, "w", encoding="utf-8") as handle:
         json.dump(golden, handle, sort_keys=True, indent=1)
         handle.write("\n")
     print(f"wrote {out} ({len(golden)} runs)")
+
+
+def main() -> int:
+    _write("backend_parity_golden.json", run_all())
+    _write("hotpath_golden.json", run_hotpath())
     return 0
 
 
