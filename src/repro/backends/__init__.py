@@ -21,11 +21,7 @@ from repro.backends import native as _native  # noqa: F401  (registration)
 from repro.backends import virt as _virt  # noqa: F401  (registration)
 from repro.backends import hash_pt as _hash_pt  # noqa: F401  (registration)
 
-from repro.backends.hash_pt import (
-    HashedPageTable,
-    HashedPageTableBackend,
-    HashedPageTablePort,
-)
+from repro.backends.hash_pt import HashedPageTable, HashedPageTableBackend
 from repro.backends.native import (
     L3TLBBackend,
     NativeBuildContext,
@@ -61,6 +57,5 @@ __all__ = [
     "VirtVictimaBackend",
     "VirtBuildContext",
     "HashedPageTable",
-    "HashedPageTablePort",
     "HashedPageTableBackend",
 ]

@@ -7,7 +7,9 @@ hashed bucket probe — a handful of dependent cache-block fetches — instead o
 a four-level pointer chase.  The simulator models it as a translation backend:
 an L2 TLB miss probes the hashed table through the memory hierarchy; if the
 translation has never been walked (demand-mapped page) the radix walker
-resolves it once and the result is installed.
+resolves it once and the result is installed.  The table holds no hierarchy:
+each core's backend passes its own to every probe, so the cores of a
+multi-core machine share one table.
 
 This is the registry's worked example of a *new* backend: one module defines
 the structure, the backend and the spec, and registration alone makes
@@ -57,7 +59,7 @@ class HashedPageTable(ResettableStats):
     the slower one is charged (same convention as the POM-TLB).
     """
 
-    def __init__(self, physical_memory, hierarchy, entries: int = 64 * 1024,
+    def __init__(self, physical_memory, entries: int = 64 * 1024,
                  bucket_slots: int = 8, entry_size_bytes: int = 16,
                  block_size: int = 64):
         if entries % bucket_slots != 0:
@@ -70,7 +72,6 @@ class HashedPageTable(ResettableStats):
         self.num_buckets = entries // bucket_slots
         if self.num_buckets & (self.num_buckets - 1):
             raise ConfigurationError("hashed-PT bucket count must be a power of two")
-        self.hierarchy = hierarchy
         self.size_bytes = entries * entry_size_bytes
         # Like the POM-TLB, the defining constraint is one large contiguous
         # physical allocation (the whole table is physically indexed).
@@ -103,14 +104,9 @@ class HashedPageTable(ResettableStats):
     # Lookup / insertion
     # ------------------------------------------------------------------ #
     def lookup(self, vaddr: int, asid: int,
-               hierarchy=None) -> Tuple[Optional[PageTableEntry], int]:
-        """Probe the table; returns ``(pte or None, latency)``.
-
-        ``hierarchy`` overrides the default access path: on a multi-core
-        machine the shared table is probed through the *requesting core's*
-        private caches (see :class:`HashedPageTablePort`).
-        """
-        hierarchy = hierarchy if hierarchy is not None else self.hierarchy
+               hierarchy) -> Tuple[Optional[PageTableEntry], int]:
+        """Probe the table through ``hierarchy``, the probing core's caches;
+        returns ``(pte or None, latency)``."""
         self.stats.lookups += 1
         self._clock += 1
         latency = 0
@@ -203,53 +199,20 @@ class HashedPageTable(ResettableStats):
         return dropped
 
 
-class HashedPageTablePort:
-    """One core's access port to a *shared* hashed page table.
-
-    Mirrors :class:`~repro.baselines.pom_tlb.POMTLBPort`: probes travel
-    through the requesting core's private caches while all state (buckets,
-    clock, statistics) lives in the shared :class:`HashedPageTable`.
-    """
-
-    def __init__(self, table: HashedPageTable, hierarchy):
-        self.table = table
-        self.hierarchy = hierarchy
-
-    def lookup(self, vaddr: int, asid: int):
-        return self.table.lookup(vaddr, asid, hierarchy=self.hierarchy)
-
-    def insert(self, pte: PageTableEntry, asid: int):
-        return self.table.insert(pte, asid)
-
-    def contains(self, vaddr: int, asid: int) -> bool:
-        return self.table.contains(vaddr, asid)
-
-    def invalidate_page(self, vaddr: int, asid: int) -> int:
-        return self.table.invalidate_page(vaddr, asid)
-
-    def invalidate_asid(self, asid: int) -> int:
-        return self.table.invalidate_asid(asid)
-
-    def invalidate_all(self) -> int:
-        return self.table.invalidate_all()
-
-    @property
-    def stats(self) -> HashedPageTableStats:
-        return self.table.stats
-
-
 class HashedPageTableBackend(TranslationBackend):
     """Hashed page table probed on every L2 TLB miss; radix walk as fallback."""
 
-    def __init__(self, hash_pt, walker, page_table):
-        #: A :class:`HashedPageTable` or per-core :class:`HashedPageTablePort`.
+    def __init__(self, hash_pt: HashedPageTable, hierarchy, walker, page_table):
+        #: The table, shared by every core of a multi-core machine.
         self.hash_pt = hash_pt
+        #: This core's caches, which every probe of the table goes through.
+        self.hierarchy = hierarchy
         self.walker = walker
         self.page_table = page_table
 
     def translate(self, vaddr: int, asid: int) -> MissResolution:
         breakdown: Dict[str, int] = {}
-        pte, probe_latency = self.hash_pt.lookup(vaddr, asid)
+        pte, probe_latency = self.hash_pt.lookup(vaddr, asid, self.hierarchy)
         breakdown["hash_pt"] = probe_latency
         if pte is not None:
             # The hashed probe *is* the page walk for this baseline, so it
@@ -282,18 +245,15 @@ class HashedPageTableBackend(TranslationBackend):
 # Registration
 # --------------------------------------------------------------------------- #
 def _make_table(ctx) -> HashedPageTable:
-    return HashedPageTable(ctx.physical, ctx.hierarchy,
+    return HashedPageTable(ctx.physical,
                            entries=ctx.config.hash_pt.entries,
                            bucket_slots=ctx.config.hash_pt.bucket_slots,
                            entry_size_bytes=ctx.config.hash_pt.entry_size_bytes)
 
 
 def _build_hash_pt(ctx) -> HashedPageTableBackend:
-    if ctx.shared is not None:
-        table = HashedPageTablePort(ctx.shared, ctx.hierarchy)
-    else:
-        table = _make_table(ctx)
-    return HashedPageTableBackend(table, ctx.walker, ctx.page_table)
+    table = ctx.shared if ctx.shared is not None else _make_table(ctx)
+    return HashedPageTableBackend(table, ctx.hierarchy, ctx.walker, ctx.page_table)
 
 
 register_backend(BackendSpec(

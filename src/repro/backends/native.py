@@ -15,7 +15,7 @@ from typing import Dict, Optional
 
 from repro.backends.base import MissResolution, TranslationBackend
 from repro.backends.registry import BackendSpec, register_backend
-from repro.baselines.pom_tlb import POMTLB, POMTLBPort
+from repro.baselines.pom_tlb import POMTLB
 from repro.core.ptw_cp import BoundingBox, ComparatorPTWCostPredictor
 from repro.core.victima import VictimaController
 from repro.mmu.mmu import ServedBy
@@ -30,6 +30,9 @@ class NativeBuildContext:
     One context per machine — or per *core* on a multi-core machine, where
     ``core_id`` names the core and ``shared`` carries the structure built
     once by the spec's ``build_shared`` hook (e.g. the in-memory POM-TLB).
+    That hook runs before any core exists, so its context has no
+    ``hierarchy``, ``pressure`` or ``walker``; each core's backend passes
+    its own hierarchy to the shared structure on every probe.
     """
 
     config: object            # SystemConfig
@@ -99,16 +102,17 @@ class L3TLBBackend(TranslationBackend):
 class POMTLBBackend(TranslationBackend):
     """A part-of-memory software TLB probed before the walk (Ryoo et al.)."""
 
-    def __init__(self, pom_tlb, walker, page_table):
-        #: A :class:`POMTLB` — or, on multi-core machines, a
-        #: :class:`POMTLBPort` routing probes through this core's caches.
+    def __init__(self, pom_tlb: POMTLB, hierarchy, walker, page_table):
+        #: The POM-TLB, shared by every core of a multi-core machine.
         self.pom_tlb = pom_tlb
+        #: This core's caches, which every probe of the POM-TLB goes through.
+        self.hierarchy = hierarchy
         self.walker = walker
         self.page_table = page_table
 
     def translate(self, vaddr: int, asid: int) -> MissResolution:
         breakdown: Dict[str, int] = {}
-        pom_pte, pom_latency = self.pom_tlb.lookup(vaddr, asid)
+        pom_pte, pom_latency = self.pom_tlb.lookup(vaddr, asid, self.hierarchy)
         breakdown["stlb"] = pom_latency
         if pom_pte is not None:
             return MissResolution(ServedBy.POM_TLB, pom_pte, pom_latency,
@@ -179,18 +183,14 @@ def _build_l3_tlb(ctx: NativeBuildContext) -> L3TLBBackend:
 
 
 def _make_pom_tlb(ctx) -> POMTLB:
-    return POMTLB(ctx.physical, ctx.hierarchy, entries=ctx.config.pom_tlb.entries,
+    return POMTLB(ctx.physical, entries=ctx.config.pom_tlb.entries,
                   associativity=ctx.config.pom_tlb.associativity,
                   entry_size_bytes=ctx.config.pom_tlb.entry_size_bytes)
 
 
 def _build_pom_tlb(ctx: NativeBuildContext) -> POMTLBBackend:
-    if ctx.shared is not None:
-        # Multi-core: one shared POM-TLB, probed through this core's caches.
-        pom = POMTLBPort(ctx.shared, ctx.hierarchy)
-    else:
-        pom = _make_pom_tlb(ctx)
-    return POMTLBBackend(pom, ctx.walker, ctx.page_table)
+    pom = ctx.shared if ctx.shared is not None else _make_pom_tlb(ctx)
+    return POMTLBBackend(pom, ctx.hierarchy, ctx.walker, ctx.page_table)
 
 
 def _build_victima(ctx: NativeBuildContext) -> VictimaBackend:

@@ -130,13 +130,15 @@ class VirtVictimaBackend(VirtTranslationBackend):
 class VirtPOMTLBBackend(VirtTranslationBackend):
     """Nested paging plus an in-memory POM-TLB of combined translations."""
 
-    def __init__(self, pom_tlb):
+    def __init__(self, pom_tlb: POMTLB, hierarchy):
         super().__init__()
         self.pom_tlb = pom_tlb
+        #: The caches every probe of the POM-TLB goes through.
+        self.hierarchy = hierarchy
 
     def translate(self, gva: int, asid: int) -> MissResolution:
         breakdown: Dict[str, int] = {}
-        pom_pte, pom_latency = self.pom_tlb.lookup(gva, asid)
+        pom_pte, pom_latency = self.pom_tlb.lookup(gva, asid, self.hierarchy)
         breakdown["stlb"] = pom_latency
         if pom_pte is not None:
             return MissResolution(ServedBy.POM_TLB, pom_pte, pom_latency,
@@ -185,10 +187,10 @@ def _build_virt_victima(ctx: VirtBuildContext) -> VirtVictimaBackend:
 
 
 def _build_virt_pom(ctx: VirtBuildContext) -> VirtPOMTLBBackend:
-    pom = POMTLB(ctx.physical, ctx.hierarchy, entries=ctx.config.pom_tlb.entries,
+    pom = POMTLB(ctx.physical, entries=ctx.config.pom_tlb.entries,
                  associativity=ctx.config.pom_tlb.associativity,
                  entry_size_bytes=ctx.config.pom_tlb.entry_size_bytes)
-    return VirtPOMTLBBackend(pom)
+    return VirtPOMTLBBackend(pom, ctx.hierarchy)
 
 
 register_backend(BackendSpec(

@@ -7,6 +7,10 @@ hierarchy (it is cached in L2/L3 like ordinary data), which is why its hit
 latency is comparable to a page-table walk in native execution but attractive
 in virtualized execution where nested walks are far more expensive (Section
 3.2, Figure 9).
+
+The structure holds no cache hierarchy of its own: every lookup names the
+probing core's hierarchy, so on a multi-core machine all cores share one
+POM-TLB, each fetching its set blocks through its own private caches.
 """
 
 from __future__ import annotations
@@ -46,7 +50,6 @@ class POMTLB(ResettableStats):
     def __init__(
         self,
         physical_memory: PhysicalMemory,
-        hierarchy: CacheHierarchy,
         entries: int = 64 * 1024,
         associativity: int = 16,
         entry_size_bytes: int = 16,
@@ -59,7 +62,6 @@ class POMTLB(ResettableStats):
         self.num_sets = entries // associativity
         if not is_power_of_two(self.num_sets):
             raise ConfigurationError("POM-TLB set count must be a power of two")
-        self.hierarchy = hierarchy
         self.size_bytes = entries * entry_size_bytes
         # The defining constraint of a software-managed TLB: it needs a large
         # *contiguous* physical allocation (Section 3.2, drawback 2).
@@ -85,17 +87,15 @@ class POMTLB(ResettableStats):
     # Lookup / insertion
     # ------------------------------------------------------------------ #
     def lookup(self, vaddr: int, asid: int,
-               hierarchy: Optional[CacheHierarchy] = None) -> Tuple[Optional[PageTableEntry], int]:
+               hierarchy: CacheHierarchy) -> Tuple[Optional[PageTableEntry], int]:
         """Probe the POM-TLB; returns ``(pte or None, latency)``.
 
-        The latency is the cost of fetching the (4 KB and 2 MB) set blocks from
-        the memory hierarchy — POM-TLB entries are ordinary cacheable data.
-        The two probes proceed in parallel, so the slower one is charged.
-        ``hierarchy`` overrides the default lookup path: in a multi-core
-        system the shared POM-TLB is probed through the *requesting core's*
-        private caches (see :class:`POMTLBPort`).
+        The latency is the cost of fetching the (4 KB and 2 MB) set blocks
+        through ``hierarchy``, the probing core's caches — POM-TLB entries
+        are ordinary cacheable data, and on a multi-core machine every core
+        probes the one shared POM-TLB through its own private caches.  The
+        two probes proceed in parallel, so the slower one is charged.
         """
-        hierarchy = hierarchy if hierarchy is not None else self.hierarchy
         self.stats.lookups += 1
         self._clock += 1
         latency = 0
@@ -144,32 +144,3 @@ class POMTLB(ResettableStats):
     def occupancy(self) -> int:
         return sum(len(s) for s in self._sets)
 
-
-class POMTLBPort:
-    """One core's access port to a *shared* POM-TLB.
-
-    The POM-TLB is a single software structure in DRAM; on a multi-core
-    machine every core probes the same entry array, but the probe's memory
-    accesses travel through the requesting core's private L1/L2 caches before
-    reaching the shared LLC.  A port carries that per-core hierarchy while
-    delegating all state (sets, clock, statistics) to the shared
-    :class:`POMTLB`, so the MMU can hold a port exactly where it would hold
-    the POM-TLB itself.
-    """
-
-    def __init__(self, pom_tlb: POMTLB, hierarchy: CacheHierarchy):
-        self.pom_tlb = pom_tlb
-        self.hierarchy = hierarchy
-
-    def lookup(self, vaddr: int, asid: int) -> Tuple[Optional[PageTableEntry], int]:
-        return self.pom_tlb.lookup(vaddr, asid, hierarchy=self.hierarchy)
-
-    def insert(self, pte: PageTableEntry, asid: int) -> Optional[PageTableEntry]:
-        return self.pom_tlb.insert(pte, asid)
-
-    def contains(self, vaddr: int, asid: int) -> bool:
-        return self.pom_tlb.contains(vaddr, asid)
-
-    @property
-    def stats(self) -> POMTLBStats:
-        return self.pom_tlb.stats

@@ -174,7 +174,6 @@ class MultiCoreSimulator:
             gap = ref.instruction_gap
             run.instructions += gap + 1
             core.pressure.record_instructions(gap + 1)
-            system.shared_pressure.record_instructions(gap + 1)
             delta = gap * base_cpi
 
             paddr, translation_latency = core.mmu.translate_data(ref.vaddr)
@@ -190,7 +189,6 @@ class MultiCoreSimulator:
             if access.level in (MemoryLevel.L3, MemoryLevel.DRAM):
                 run.data_l2_misses += 1
                 core.pressure.record_l2_cache_miss()
-                system.shared_pressure.record_l2_cache_miss()
 
             run.cycles += delta
             run.ready_at += delta

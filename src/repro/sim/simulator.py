@@ -497,7 +497,7 @@ def prefault(system, workloads: Sequence[Workload]) -> int:
     # POM-TLB, the hashed page table) start warm: over the billions of
     # instructions preceding the region of interest they hold (essentially)
     # the whole working set.  A multi-core machine warms its shared structure
-    # once, through the first core's port.
+    # once, through the first core's backend, which holds it.
     first = system.cores[0] if system.config.num_cores > 1 else system
     first.backend.warm_start(system.page_table)
     return mapped

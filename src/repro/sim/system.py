@@ -8,17 +8,19 @@ With ``SystemConfig.num_cores > 1`` the factory instead assembles a
 :class:`MultiCoreSystem`: per-core private structures (L1-D + L2 caches,
 the full TLB hierarchy, page-walk caches, a hardware walker, and a Victima
 controller over the private L2) around the shared LLC, DRAM, physical memory,
-page table and — for POM-TLB systems — one shared in-memory POM-TLB that
-every core probes through its own :class:`~repro.baselines.pom_tlb.POMTLBPort`.
+page table and — for POM-TLB and hashed-PT systems — one shared in-memory
+structure.  Each core's backend passes that core's cache hierarchy to the
+shared structure on every probe.  One function builds a native core, for
+both factories.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Union
+from typing import Callable, Dict, List, Optional, Union
 
 from repro.backends import NativeBuildContext, VirtBuildContext, backend_for_kind
-from repro.baselines.pom_tlb import POMTLB, POMTLBPort
+from repro.baselines.pom_tlb import POMTLB
 from repro.cache.cache import Cache
 from repro.cache.hierarchy import CacheHierarchy
 from repro.cache.prefetcher import IPStridePrefetcher, Prefetcher, StreamPrefetcher
@@ -94,6 +96,32 @@ def _make_tlb(name: str, config: TLBConfig) -> TLB:
                latency=config.latency, page_sizes=config.page_sizes)
 
 
+def _make_tlbs(config: SystemConfig,
+               tlb_name: Callable[[str], str] = lambda base: base) -> List[TLB]:
+    """The 4 KB and 2 MB L1-D TLBs and the L2 TLB, in the MMUs' argument order."""
+    mmu = config.mmu
+    return [_make_tlb(tlb_name("L1-DTLB-4K"), mmu.l1_dtlb_4k),
+            _make_tlb(tlb_name("L1-DTLB-2M"), mmu.l1_dtlb_2m),
+            _make_tlb(tlb_name("L2-TLB"), mmu.l2_tlb)]
+
+
+def _make_pwcs(config: SystemConfig) -> PageWalkCaches:
+    return PageWalkCaches(config.mmu.pwc_entries, config.mmu.pwc_associativity,
+                          config.mmu.pwc_latency)
+
+
+def _make_dram(config: SystemConfig) -> DramModel:
+    return DramModel(DramConfig(row_hit_latency=config.dram.row_hit_latency,
+                                row_miss_latency=config.dram.row_miss_latency,
+                                num_banks=config.dram.num_banks))
+
+
+def _make_pressure(config: SystemConfig) -> PressureMonitor:
+    return PressureMonitor(
+        tlb_pressure_threshold=config.victima.tlb_pressure_threshold,
+        cache_pressure_threshold=config.victima.cache_pressure_threshold)
+
+
 def _make_prefetcher(name: Optional[str]) -> Optional[Prefetcher]:
     if name is None:
         return None
@@ -104,11 +132,24 @@ def _make_prefetcher(name: Optional[str]) -> Optional[Prefetcher]:
     raise ConfigurationError(f"unknown prefetcher: {name!r}")
 
 
-def _make_cache(name: str, config: CacheConfig, pressure: PressureMonitor) -> Cache:
+def _make_cache(name: str, config: CacheConfig,
+                pressure: Optional[PressureMonitor]) -> Cache:
     policy = make_policy(config.replacement_policy, pressure)
     return Cache(name, size_bytes=config.size_bytes, associativity=config.associativity,
                  latency=config.latency, block_size=config.block_size,
                  replacement_policy=policy)
+
+
+def _make_hierarchy(config: SystemConfig, pressure: PressureMonitor,
+                    llc: Optional[Cache], dram: DramModel) -> CacheHierarchy:
+    """A core's private L1-D and L2 caches in front of ``llc`` and ``dram``."""
+    return CacheHierarchy(
+        _make_cache("L1-D", config.l1d_cache, pressure),
+        _make_cache("L2", config.l2_cache, pressure),
+        llc, dram,
+        l1d_prefetcher=_make_prefetcher(config.l1d_cache.prefetcher),
+        l2_prefetcher=_make_prefetcher(config.l2_cache.prefetcher),
+    )
 
 
 def build_system(config: SystemConfig,
@@ -117,101 +158,80 @@ def build_system(config: SystemConfig,
 
     ``huge_page_fraction`` is workload-dependent (the THP mix the paper
     extracted per workload), so it is supplied by the caller rather than being
-    part of the system configuration.  The single-core path is byte-for-byte
-    the pre-multi-core factory, so every existing figure and cache entry built
-    through it is unaffected.
+    part of the system configuration.
     """
     config.validate()
     if config.num_cores > 1:
         return build_multicore_system(config, huge_page_fraction)
-    kind = config.kind
 
     # Every stat-bearing component constructed inside this block registers
     # itself; the simulator's warm-up boundary resets them with one call.
     registry = StatsRegistry()
     with registry.activate():
         physical = PhysicalMemory(config.physical_memory_bytes)
-        dram = DramModel(DramConfig(
-            row_hit_latency=config.dram.row_hit_latency,
-            row_miss_latency=config.dram.row_miss_latency,
-            num_banks=config.dram.num_banks,
-        ))
-        pressure = PressureMonitor(
-            tlb_pressure_threshold=config.victima.tlb_pressure_threshold,
-            cache_pressure_threshold=config.victima.cache_pressure_threshold,
-        )
-
-        l1d = _make_cache("L1-D", config.l1d_cache, pressure)
-        l2 = _make_cache("L2", config.l2_cache, pressure)
+        dram = _make_dram(config)
+        pressure = _make_pressure(config)
         l3 = (_make_cache("L3", config.l3_cache, pressure)
               if config.l3_cache is not None else None)
-        hierarchy = CacheHierarchy(
-            l1d, l2, l3, dram,
-            l1d_prefetcher=_make_prefetcher(config.l1d_cache.prefetcher),
-            l2_prefetcher=_make_prefetcher(config.l2_cache.prefetcher),
-        )
-
-        l1_dtlb_4k = _make_tlb("L1-DTLB-4K", config.mmu.l1_dtlb_4k)
-        l1_dtlb_2m = _make_tlb("L1-DTLB-2M", config.mmu.l1_dtlb_2m)
-        l2_tlb = _make_tlb("L2-TLB", config.mmu.l2_tlb)
-
-        if not kind.is_virtualized:
-            system = _build_native(config, physical, dram, hierarchy, pressure,
-                                   l1_dtlb_4k, l1_dtlb_2m, l2_tlb,
-                                   huge_page_fraction)
-        else:
+        hierarchy = _make_hierarchy(config, pressure, l3, dram)
+        if config.kind.is_virtualized:
             system = _build_virtualized(config, physical, dram, hierarchy,
-                                        pressure, l1_dtlb_4k, l1_dtlb_2m,
-                                        l2_tlb, huge_page_fraction)
+                                        pressure, huge_page_fraction)
+        else:
+            memory_manager = VirtualMemoryManager(
+                physical, asid=0, huge_page_fraction=huge_page_fraction)
+            system = System(config=config, physical=physical, dram=dram,
+                            memory_manager=memory_manager,
+                            **_build_native_core(config, physical, memory_manager,
+                                                 hierarchy, pressure))
     system.stats_registry = registry
     return system
 
 
 # --------------------------------------------------------------------------- #
-# Native systems
+# Native cores
 # --------------------------------------------------------------------------- #
-def _build_native(config, physical, dram, hierarchy, pressure,
-                  l1_dtlb_4k, l1_dtlb_2m, l2_tlb,
-                  huge_page_fraction) -> System:
-    kind = config.kind
-    memory_manager = VirtualMemoryManager(physical, asid=0,
-                                          huge_page_fraction=huge_page_fraction)
-    pwcs = PageWalkCaches(config.mmu.pwc_entries, config.mmu.pwc_associativity,
-                          config.mmu.pwc_latency)
+def _build_native_core(config: SystemConfig, physical: PhysicalMemory,
+                       memory_manager: VirtualMemoryManager,
+                       hierarchy: CacheHierarchy, pressure: PressureMonitor,
+                       core_id: Optional[int] = None,
+                       shared: Optional[object] = None) -> Dict[str, object]:
+    """Build one native core's TLBs, PWCs, walker, backend, MMU and TLB maintenance.
+
+    :func:`build_system` calls this once, :func:`build_multicore_system` once
+    per core (``core_id`` names it, ``shared`` is the structure its
+    backend spec built once for the machine).  Returns the fields a
+    :class:`System` and a :class:`Core` share.
+    """
+    pwcs = _make_pwcs(config)
     walker = PageTableWalker(hierarchy, pwcs)
 
     # The registry supplies the translation backend for the configured kind;
     # its build hook constructs whatever structures the mechanism needs
     # (Victima controller, POM-TLB reservation, L3 TLB, hashed table, ...).
-    spec = backend_for_kind(kind)
-    backend = spec.build(NativeBuildContext(
+    spec = backend_for_kind(config.kind)
+    ctx = NativeBuildContext(
         config=config, physical=physical, hierarchy=hierarchy,
-        pressure=pressure, walker=walker, memory_manager=memory_manager))
+        pressure=pressure, walker=walker, memory_manager=memory_manager,
+        core_id=core_id, shared=shared)
+    backend = spec.build(ctx)
     backend.name = spec.name
 
-    mmu = MMU(l1_dtlb_4k, l1_dtlb_2m, l2_tlb, memory_manager, pressure,
-              backend, asid=0)
-    victima = backend.victima
-    l3_tlb = backend.l3_tlb
-
-    tlbs: List[TLB] = [l1_dtlb_4k, l1_dtlb_2m, l2_tlb]
-    if l3_tlb is not None:
-        tlbs.append(l3_tlb)
+    tlbs = _make_tlbs(config, ctx.tlb_name)
+    mmu = MMU(*tlbs, memory_manager, pressure, backend, asid=0)
+    if backend.l3_tlb is not None:
+        tlbs.append(backend.l3_tlb)
     maintenance = TLBMaintenance(tlbs, pwcs, backend=backend)
-
-    return System(config=config, physical=physical, dram=dram, hierarchy=hierarchy,
-                  pressure=pressure, memory_manager=memory_manager, walker=walker,
-                  mmu=mmu, maintenance=maintenance, victima=victima,
-                  pom_tlb=backend.pom_tlb, l3_tlb=l3_tlb, backend=backend)
+    return dict(hierarchy=hierarchy, pressure=pressure, walker=walker, mmu=mmu,
+                maintenance=maintenance, victima=backend.victima,
+                pom_tlb=backend.pom_tlb, l3_tlb=backend.l3_tlb, backend=backend)
 
 
 # --------------------------------------------------------------------------- #
 # Virtualized systems
 # --------------------------------------------------------------------------- #
 def _build_virtualized(config, physical, dram, hierarchy, pressure,
-                       l1_dtlb_4k, l1_dtlb_2m, l2_tlb,
                        huge_page_fraction) -> System:
-    kind = config.kind
     # The guest sees its own (pseudo-)physical address space; the host backs it
     # with real frames.  Guest page-table nodes live in guest-physical memory
     # and every guest-physical access is translated through the host dimension.
@@ -224,12 +244,9 @@ def _build_virtualized(config, physical, dram, hierarchy, pressure,
     host_vmm = VirtualMemoryManager(physical, asid=0,
                                     huge_page_fraction=huge_page_fraction)
 
-    host_pwcs = PageWalkCaches(config.mmu.pwc_entries, config.mmu.pwc_associativity,
-                               config.mmu.pwc_latency)
+    host_pwcs = _make_pwcs(config)
     host_walker = PageTableWalker(hierarchy, host_pwcs)
-    shadow_pwcs = PageWalkCaches(config.mmu.pwc_entries, config.mmu.pwc_associativity,
-                                 config.mmu.pwc_latency)
-    shadow_walker = PageTableWalker(hierarchy, shadow_pwcs)
+    shadow_walker = PageTableWalker(hierarchy, _make_pwcs(config))
     shadow_builder = ShadowPageTableBuilder(physical, vmid=0)
     nested_tlb = _make_tlb("Nested-TLB", config.mmu.nested_tlb)
 
@@ -237,7 +254,7 @@ def _build_virtualized(config, physical, dram, hierarchy, pressure,
     # POM-TLB used to be constructed (physical-memory reservation order
     # matters); the nested walker is built afterwards because it takes the
     # backend's Victima controller, then bound to the backend.
-    spec = backend_for_kind(kind)
+    spec = backend_for_kind(config.kind)
     backend = spec.build(VirtBuildContext(
         config=config, physical=physical, hierarchy=hierarchy, pressure=pressure,
         shadow_builder=shadow_builder, shadow_walker=shadow_walker,
@@ -248,16 +265,12 @@ def _build_virtualized(config, physical, dram, hierarchy, pressure,
     nested_walker = NestedPageTableWalker(
         guest_vmm=guest_vmm, host_vmm=host_vmm, host_walker=host_walker,
         nested_tlb=nested_tlb, hierarchy=hierarchy, shadow_builder=shadow_builder,
-        guest_pwcs=PageWalkCaches(config.mmu.pwc_entries, config.mmu.pwc_associativity,
-                                  config.mmu.pwc_latency),
-        victima=victima, vmid=0)
+        guest_pwcs=_make_pwcs(config), victima=victima, vmid=0)
     backend.bind(nested_walker)
 
-    mmu = VirtualizedMMU(l1_dtlb_4k, l1_dtlb_2m, l2_tlb, pressure,
-                         backend, vmid=0)
-
-    tlbs: List[TLB] = [l1_dtlb_4k, l1_dtlb_2m, l2_tlb, nested_tlb]
-    maintenance = TLBMaintenance(tlbs, host_pwcs, backend=backend)
+    tlbs = _make_tlbs(config)
+    mmu = VirtualizedMMU(*tlbs, pressure, backend, vmid=0)
+    maintenance = TLBMaintenance(tlbs + [nested_tlb], host_pwcs, backend=backend)
 
     return System(config=config, physical=physical, dram=dram, hierarchy=hierarchy,
                   pressure=pressure, memory_manager=guest_vmm, walker=host_walker,
@@ -278,7 +291,8 @@ class Core:
     page-walk caches and walker, the pressure monitor feeding the core's
     TLB-aware L2 replacement policy, and — on Victima systems — the Victima
     controller that stores TLB blocks in this core's private L2.  ``pom_tlb``
-    is a :class:`~repro.baselines.pom_tlb.POMTLBPort` onto the shared POM-TLB.
+    is the machine's shared POM-TLB, which this core's backend probes
+    through this core's caches.
     """
 
     core_id: int
@@ -288,7 +302,7 @@ class Core:
     mmu: MMU
     maintenance: TLBMaintenance
     victima: Optional[VictimaController] = None
-    pom_tlb: Optional[POMTLBPort] = None
+    pom_tlb: Optional[POMTLB] = None
     l3_tlb: Optional[TLB] = None
     #: This core's translation backend (also ``mmu.backend``).
     backend: Optional[object] = None
@@ -311,15 +325,14 @@ class MultiCoreSystem:
     Shared: physical memory, DRAM, the LLC, one address space (the tenants a
     multi-core scenario pins to cores are isolated by disjoint virtual-address
     slots, exactly like single-core mixes), its radix page table, and — on
-    POM-TLB systems — the in-memory POM-TLB.  ``shared_pressure`` aggregates
-    instruction/miss events machine-wide for the LLC replacement policy.
+    POM-TLB systems — the in-memory POM-TLB.  Translation pressure is
+    tracked per core only, so the LLC has no TLB-aware replacement.
     """
 
     config: SystemConfig
     physical: PhysicalMemory
     dram: DramModel
     llc: Optional[Cache]
-    shared_pressure: PressureMonitor
     memory_manager: VirtualMemoryManager
     cores: List[Core] = field(default_factory=list)
     pom_tlb: Optional[POMTLB] = None
@@ -351,99 +364,39 @@ def build_multicore_system(config: SystemConfig,
     ``config.l3_cache`` is instantiated once and shared.
     """
     config.validate()
-    kind = config.kind
-    if kind.is_virtualized:  # pragma: no cover - validate() already rejects
-        raise ConfigurationError("multi-core simulation supports native systems only")
-
-    spec = backend_for_kind(kind)
+    spec = backend_for_kind(config.kind)
 
     # Shared structures register with the machine-wide registry; everything a
     # core owns registers with that core's registry (per-core warm-up resets).
     shared_registry = StatsRegistry()
     with shared_registry.activate():
         physical = PhysicalMemory(config.physical_memory_bytes)
-        dram = DramModel(DramConfig(
-            row_hit_latency=config.dram.row_hit_latency,
-            row_miss_latency=config.dram.row_miss_latency,
-            num_banks=config.dram.num_banks,
-        ))
-        shared_pressure = PressureMonitor(
-            tlb_pressure_threshold=config.victima.tlb_pressure_threshold,
-            cache_pressure_threshold=config.victima.cache_pressure_threshold,
-        )
-        llc = (_make_cache("LLC", config.l3_cache, shared_pressure)
+        dram = _make_dram(config)
+        llc = (_make_cache("LLC", config.l3_cache, None)
                if config.l3_cache is not None else None)
         memory_manager = VirtualMemoryManager(physical, asid=0,
                                               huge_page_fraction=huge_page_fraction)
-
-    system = MultiCoreSystem(config=config, physical=physical, dram=dram, llc=llc,
-                             shared_pressure=shared_pressure,
-                             memory_manager=memory_manager,
-                             stats_registry=shared_registry)
-
-    core_registries = [StatsRegistry() for _ in range(config.num_cores)]
-    hierarchies: List[CacheHierarchy] = []
-    pressures: List[PressureMonitor] = []
-    for core_id in range(config.num_cores):
-        with core_registries[core_id].activate():
-            pressure = PressureMonitor(
-                tlb_pressure_threshold=config.victima.tlb_pressure_threshold,
-                cache_pressure_threshold=config.victima.cache_pressure_threshold,
-            )
-            hierarchy = CacheHierarchy(
-                _make_cache("L1-D", config.l1d_cache, pressure),
-                _make_cache("L2", config.l2_cache, pressure),
-                llc, dram,
-                l1d_prefetcher=_make_prefetcher(config.l1d_cache.prefetcher),
-                l2_prefetcher=_make_prefetcher(config.l2_cache.prefetcher),
-            )
-        pressures.append(pressure)
-        hierarchies.append(hierarchy)
-
-    # The once-per-machine backend structure (e.g. the shared POM-TLB, which
-    # reserves its contiguous physical region once; its default hierarchy is
-    # replaced per lookup by each core's port).
-    shared = None
-    if spec.build_shared is not None:
-        with shared_registry.activate():
+        # The once-per-machine backend structure (e.g. the shared POM-TLB,
+        # which reserves its contiguous physical region once, after the
+        # page-table root).
+        shared = None
+        if spec.build_shared is not None:
             shared = spec.build_shared(NativeBuildContext(
-                config=config, physical=physical, hierarchy=hierarchies[0],
-                pressure=shared_pressure, walker=None,
-                memory_manager=memory_manager))
-    system.shared_backend = shared
-    system.pom_tlb = shared if kind is SystemKind.POM_TLB else None
+                config=config, physical=physical, hierarchy=None, pressure=None,
+                walker=None, memory_manager=memory_manager))
 
+    system = MultiCoreSystem(
+        config=config, physical=physical, dram=dram, llc=llc,
+        memory_manager=memory_manager,
+        pom_tlb=shared if config.kind is SystemKind.POM_TLB else None,
+        shared_backend=shared, stats_registry=shared_registry)
     for core_id in range(config.num_cores):
-        pressure = pressures[core_id]
-        hierarchy = hierarchies[core_id]
-        with core_registries[core_id].activate():
-            pwcs = PageWalkCaches(config.mmu.pwc_entries,
-                                  config.mmu.pwc_associativity,
-                                  config.mmu.pwc_latency)
-            walker = PageTableWalker(hierarchy, pwcs)
-
-            backend = spec.build(NativeBuildContext(
-                config=config, physical=physical, hierarchy=hierarchy,
-                pressure=pressure, walker=walker, memory_manager=memory_manager,
-                core_id=core_id, shared=shared))
-            backend.name = spec.name
-
-            l1_dtlb_4k = _make_tlb(f"L1-DTLB-4K-c{core_id}", config.mmu.l1_dtlb_4k)
-            l1_dtlb_2m = _make_tlb(f"L1-DTLB-2M-c{core_id}", config.mmu.l1_dtlb_2m)
-            l2_tlb = _make_tlb(f"L2-TLB-c{core_id}", config.mmu.l2_tlb)
-            mmu = MMU(l1_dtlb_4k, l1_dtlb_2m, l2_tlb, memory_manager,
-                      pressure, backend, asid=0)
-
-        l3_tlb = backend.l3_tlb
-        tlbs: List[TLB] = [l1_dtlb_4k, l1_dtlb_2m, l2_tlb]
-        if l3_tlb is not None:
-            tlbs.append(l3_tlb)
-        maintenance = TLBMaintenance(tlbs, pwcs, backend=backend)
-
-        system.cores.append(Core(core_id=core_id, hierarchy=hierarchy,
-                                 pressure=pressure, walker=walker, mmu=mmu,
-                                 maintenance=maintenance, victima=backend.victima,
-                                 pom_tlb=backend.pom_tlb, l3_tlb=l3_tlb,
-                                 backend=backend,
-                                 stats_registry=core_registries[core_id]))
+        registry = StatsRegistry()
+        with registry.activate():
+            pressure = _make_pressure(config)
+            hierarchy = _make_hierarchy(config, pressure, llc, dram)
+            core = Core(core_id=core_id, stats_registry=registry,
+                        **_build_native_core(config, physical, memory_manager,
+                                             hierarchy, pressure, core_id, shared))
+        system.cores.append(core)
     return system

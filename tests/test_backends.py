@@ -26,7 +26,6 @@ from repro.backends import (
     available_backends,
     get_backend,
 )
-from repro.cache.hierarchy import CacheHierarchy
 from repro.common.errors import ConfigurationError
 from repro.common.stats import ResettableStats, StatsRegistry
 from repro.sim.config import SystemKind
@@ -248,8 +247,7 @@ class TestHashedPageTableBackend:
     def test_table_evicts_lru_within_bucket(self):
         from repro.memory.page_table import RadixPageTable
 
-        table = HashedPageTable(_tiny_physical(), _tiny_hierarchy(),
-                                entries=64, bucket_slots=4)
+        table = HashedPageTable(_tiny_physical(), entries=64, bucket_slots=4)
         # Fill well beyond capacity to force per-bucket LRU evictions.
         page_table = RadixPageTable(_tiny_physical())
         for vpn in range(256):
@@ -260,8 +258,7 @@ class TestHashedPageTableBackend:
     def test_invalidation_drops_entries(self):
         from repro.memory.page_table import RadixPageTable
 
-        table = HashedPageTable(_tiny_physical(), _tiny_hierarchy(),
-                                entries=64, bucket_slots=4)
+        table = HashedPageTable(_tiny_physical(), entries=64, bucket_slots=4)
         page_table = RadixPageTable(_tiny_physical(), asid=3)
         table.insert(page_table.map_page(1, pfn=1), 3)
         assert table.contains(0x1000, 3)
@@ -308,11 +305,3 @@ def _tiny_physical():
 
     return PhysicalMemory(64 * 1024 * 1024)
 
-
-def _tiny_hierarchy() -> CacheHierarchy:
-    from repro.cache.cache import Cache
-    from repro.memory.dram import DramModel
-
-    l1d = Cache("L1-D", 4096, 4, 1)
-    l2 = Cache("L2", 16384, 8, 10)
-    return CacheHierarchy(l1d, l2, None, DramModel())

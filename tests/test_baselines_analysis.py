@@ -39,32 +39,33 @@ def make_hierarchy():
 class TestPOMTLB:
     def test_requires_contiguous_reservation(self):
         physical = PhysicalMemory(4 << 30)
-        pom = POMTLB(physical, make_hierarchy(), entries=1024, associativity=16)
+        pom = POMTLB(physical, entries=1024, associativity=16)
         assert physical.reserved_regions[0][2] == "pom-tlb"
         assert pom.size_bytes == 1024 * 16
 
     def test_miss_then_hit(self, page_table):
         physical = PhysicalMemory(4 << 30)
-        pom = POMTLB(physical, make_hierarchy(), entries=1024, associativity=16)
+        pom = POMTLB(physical, entries=1024, associativity=16)
+        hierarchy = make_hierarchy()
         pte = page_table.map_page(vpn=0x123, pfn=0x5)
-        found, latency = pom.lookup(0x123 << 12, asid=0)
+        found, latency = pom.lookup(0x123 << 12, asid=0, hierarchy=hierarchy)
         assert found is None and latency > 0
         pom.insert(pte, asid=0)
-        found, latency = pom.lookup(0x123 << 12, asid=0)
+        found, latency = pom.lookup(0x123 << 12, asid=0, hierarchy=hierarchy)
         assert found is pte
         assert pom.stats.hits == 1
 
     def test_lookup_latency_uses_memory_hierarchy(self, page_table):
         physical = PhysicalMemory(4 << 30)
         hierarchy = make_hierarchy()
-        pom = POMTLB(physical, hierarchy, entries=1024, associativity=16)
-        _, first_latency = pom.lookup(0x1000, asid=0)
-        _, second_latency = pom.lookup(0x1000, asid=0)
+        pom = POMTLB(physical, entries=1024, associativity=16)
+        _, first_latency = pom.lookup(0x1000, asid=0, hierarchy=hierarchy)
+        _, second_latency = pom.lookup(0x1000, asid=0, hierarchy=hierarchy)
         assert second_latency <= first_latency  # the set block is now cached
 
     def test_eviction_within_set(self, page_table):
         physical = PhysicalMemory(4 << 30)
-        pom = POMTLB(physical, make_hierarchy(), entries=32, associativity=2)
+        pom = POMTLB(physical, entries=32, associativity=2)
         sets = pom.num_sets
         vpns = [i * sets for i in range(3)]
         for vpn in vpns:
@@ -74,7 +75,7 @@ class TestPOMTLB:
 
     def test_contains(self, page_table):
         physical = PhysicalMemory(4 << 30)
-        pom = POMTLB(physical, make_hierarchy(), entries=64, associativity=4)
+        pom = POMTLB(physical, entries=64, associativity=4)
         pte = page_table.map_page(vpn=0x1, pfn=0x1)
         assert not pom.contains(0x1 << 12, asid=0)
         pom.insert(pte, asid=0)
@@ -82,10 +83,10 @@ class TestPOMTLB:
 
     def test_2m_pages(self, page_table):
         physical = PhysicalMemory(4 << 30)
-        pom = POMTLB(physical, make_hierarchy(), entries=64, associativity=4)
+        pom = POMTLB(physical, entries=64, associativity=4)
         pte = page_table.map_page(vpn=0x3, pfn=0x9, page_size=PageSize.SIZE_2M)
         pom.insert(pte, asid=0)
-        found, _ = pom.lookup((0x3 << 21) + 999, asid=0)
+        found, _ = pom.lookup((0x3 << 21) + 999, asid=0, hierarchy=make_hierarchy())
         assert found is pte
 
 
