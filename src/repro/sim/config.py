@@ -222,6 +222,12 @@ class SystemConfig:
             raise ConfigurationError(
                 "multi-core simulation currently supports native systems only; "
                 f"{self.kind.value!r} requires num_cores=1")
+        if (self.num_cores > 1 and self.l3_cache is not None
+                and self.l3_cache.replacement_policy == "tlb_aware_srrip"):
+            raise ConfigurationError(
+                "a multi-core machine tracks translation pressure per core "
+                "only, so its shared LLC cannot use 'tlb_aware_srrip'; use "
+                "'srrip' or num_cores=1")
         self.mmu.validate()
         for cache in (self.l1d_cache, self.l2_cache):
             cache.validate()

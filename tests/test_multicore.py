@@ -199,6 +199,14 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="native"):
             config.validate()
 
+    def test_tlb_aware_llc_multicore_rejected(self):
+        # Translation pressure is tracked per core; no monitor feeds the
+        # shared LLC, so a TLB-aware LLC policy would silently act as SRRIP.
+        config = make_system_config("victima", hardware_scale=16, num_cores=2)
+        config.l3_cache.replacement_policy = "tlb_aware_srrip"
+        with pytest.raises(ConfigurationError, match="per core"):
+            build_system(config)
+
     def test_pin_requires_multicore_scenario(self):
         with pytest.raises(ConfigurationError, match="num_cores > 1"):
             load_scenario({"system": "radix",
