@@ -11,7 +11,6 @@ from repro.backends.registry import (
     BackendSpec,
     available_backends,
     backend_for_kind,
-    find_backend,
     get_backend,
     register_backend,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "TranslationBackend",
     "available_backends",
     "backend_for_kind",
-    "find_backend",
     "get_backend",
     "register_backend",
     "RadixBackend",

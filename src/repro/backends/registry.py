@@ -25,13 +25,12 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.common.errors import ConfigurationError
-from repro.sim.config import SystemConfig, SystemKind
+from repro.sim.config import SystemKind
 
 __all__ = [
     "BackendSpec",
     "register_backend",
     "get_backend",
-    "find_backend",
     "backend_for_kind",
     "available_backends",
 ]
@@ -45,10 +44,7 @@ class BackendSpec:
     one core of a multi-core machine); ``build_shared(context)`` — optional —
     builds the structure that multi-core machines instantiate *once* and
     share across cores (e.g. the in-memory POM-TLB), which ``build`` then
-    receives via ``context.shared``.  ``configure(config)`` — optional —
-    applies the backend's preset defaults when
-    :func:`repro.sim.presets.make_system_config` resolves the backend by
-    name (replacement policies, extra TLB levels, ...).
+    receives via ``context.shared``.
     """
 
     #: Registry key; also the preset/scenario name that selects the backend.
@@ -63,8 +59,6 @@ class BackendSpec:
     build: Callable[["object"], "object"]
     #: Build the once-per-machine shared structure (multi-core), if any.
     build_shared: Optional[Callable[["object"], "object"]] = None
-    #: Apply preset defaults to a :class:`SystemConfig` (name resolution).
-    configure: Optional[Callable[[SystemConfig], None]] = None
     #: Whether the backend runs under the virtualized MMU.
     virtualized: bool = False
 
@@ -102,11 +96,6 @@ def get_backend(name: str) -> BackendSpec:
         raise ConfigurationError(
             f"unknown translation backend {name!r}; registered backends: "
             + ", ".join(sorted(_REGISTRY))) from None
-
-
-def find_backend(name: str) -> Optional[BackendSpec]:
-    """Like :func:`get_backend` but returns ``None`` for unknown names."""
-    return _REGISTRY.get(name)
 
 
 def backend_for_kind(kind: SystemKind) -> BackendSpec:

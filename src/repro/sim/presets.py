@@ -147,8 +147,6 @@ def make_system_config(name: str, l3_latency: Optional[int] = None,
         spec = get_backend(name)
         config.kind = spec.kind
         config.label = spec.label
-        if spec.configure is not None:
-            spec.configure(config)
 
     if l2_cache_bytes is not None:
         config.l2_cache = CacheConfig(
