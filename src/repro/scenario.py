@@ -339,6 +339,15 @@ class ScenarioSpec:
         if self.max_refs < 1:
             raise ConfigurationError(
                 f"max_refs must be >= 1, got {self.max_refs}")
+        if self.epoch_instructions < 1:
+            raise ConfigurationError(
+                f"epoch_instructions must be >= 1, got {self.epoch_instructions}")
+        if not 0.0 <= self.warmup_fraction < 1.0:
+            raise ConfigurationError(
+                f"warmup_fraction must be in [0, 1), got {self.warmup_fraction}")
+        if self.hardware_scale < 1:
+            raise ConfigurationError(
+                f"hardware_scale must be >= 1, got {self.hardware_scale}")
         if self.num_cores < 1:
             raise ConfigurationError(
                 f"num_cores must be >= 1, got {self.num_cores}")

@@ -142,6 +142,13 @@ class TestCli:
         assert main(["run", "--scenario", "missing.toml"]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_run_scenario_with_invalid_knob_errors(self, tmp_path, capsys):
+        scenario = tmp_path / "bad.toml"
+        scenario.write_text('system = "radix"\nwarmup_fraction = 1.5\n'
+                            '[workload]\nworkload = "rnd"\n')
+        assert main(["run", "--scenario", str(scenario)]) == 2
+        assert "repro: error: warmup_fraction" in capsys.readouterr().err
+
     def test_scenario_rejects_experiment_flags(self, capsys):
         assert main(["run", "--scenario", "two_tenant_mix",
                      "--jobs", "4"]) == 2

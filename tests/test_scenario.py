@@ -226,6 +226,19 @@ class TestScenarioSpec:
         with pytest.raises(ConfigurationError, match="max_refs must be >= 1"):
             ScenarioSpec.from_dict({"system": "radix", "max_refs": max_refs})
 
+    @pytest.mark.parametrize("knob,value,message", [
+        ("warmup_fraction", 1.5, "warmup_fraction must be in"),
+        ("warmup_fraction", 1.0, "warmup_fraction must be in"),
+        ("warmup_fraction", -0.1, "warmup_fraction must be in"),
+        ("hardware_scale", 0, "hardware_scale must be >= 1"),
+        ("hardware_scale", -4, "hardware_scale must be >= 1"),
+        ("epoch_instructions", 0, "epoch_instructions must be >= 1"),
+        ("epoch_instructions", -10, "epoch_instructions must be >= 1"),
+    ])
+    def test_run_knob_out_of_range_rejected(self, knob, value, message):
+        with pytest.raises(ConfigurationError, match=message):
+            ScenarioSpec.from_dict({"system": "radix", knob: value})
+
     def test_from_toml_text(self):
         spec = ScenarioSpec.from_dict(loads_toml(MIX_TOML))
         assert spec.system == "victima"
