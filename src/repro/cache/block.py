@@ -64,11 +64,12 @@ def nested_tlb_key(host_vpn: int, vmid: int, page_size: PageSize) -> CacheKey:
 class CacheBlock:
     """One resident cache block and its metadata.
 
-    A hand-rolled ``__slots__`` class (not a dataclass): one block is built
-    per cache fill, and the ``tag`` / ``is_tlb_block`` accessors sit on the
-    hit path of every cache lookup, so both are precomputed at construction
-    instead of being re-derived through properties.  ``key`` and ``kind``
-    are set once and never reassigned afterwards.
+    A hand-rolled ``__slots__`` class (not a dataclass): the ``tag`` /
+    ``is_tlb_block`` accessors sit on the hit path of every cache lookup, so
+    both are precomputed at construction instead of being re-derived through
+    properties.  A data fill that evicts reuses the evicted object through
+    :meth:`reset_as_data` instead of building a new one; otherwise ``key``
+    and ``kind`` are never reassigned.
     """
 
     __slots__ = ("key", "tag", "kind", "is_tlb_block", "dirty", "asid",
@@ -108,6 +109,22 @@ class CacheBlock:
         self.last_touch = last_touch
         # Reuse tracking
         self.reuse_count = reuse_count
+
+    def reset_as_data(self, key: CacheKey, dirty: bool, prefetched: bool) -> None:
+        """Give every slot the value ``CacheBlock(key, BlockKind.DATA, dirty,
+        prefetched=prefetched)`` would set."""
+        self.key = key
+        self.tag = key[1]
+        self.kind = BlockKind.DATA
+        self.is_tlb_block = False
+        self.dirty = dirty
+        self.asid = None
+        self.page_size = None
+        self.payload = None
+        self.prefetched = prefetched
+        self.rrpv = 0
+        self.last_touch = 0
+        self.reuse_count = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"CacheBlock(key={self.key!r}, kind={self.kind!r}, "

@@ -21,6 +21,8 @@ from repro.common.stats import ResettableStats
 from repro.cache.block import BlockKind, CacheBlock, CacheKey
 from repro.cache.replacement import LRUPolicy, ReplacementPolicy
 
+_DATA = BlockKind.DATA
+
 
 @dataclass
 class CacheStats:
@@ -36,8 +38,8 @@ class CacheStats:
     tlb_block_fills: int = 0
     tlb_block_evictions: int = 0
     prefetch_fills: int = 0
-    # Reuse histograms keyed by block kind then by reuse count (recorded at
-    # eviction time); used for Figures 11 and 24.
+    # Reuse histograms keyed by block kind name (``BlockKind.value``) then by
+    # reuse count (recorded at eviction time); used for Figures 11 and 24.
     reuse_histogram: Dict[str, Dict[int, int]] = field(default_factory=dict)
 
     @property
@@ -47,13 +49,6 @@ class CacheStats:
     @property
     def miss_rate(self) -> float:
         return self.misses / self.accesses if self.accesses else 0.0
-
-    def record_reuse(self, kind: BlockKind, reuse: int) -> None:
-        name = kind.value
-        per_kind = self.reuse_histogram.get(name)
-        if per_kind is None:
-            per_kind = self.reuse_histogram[name] = {}
-        per_kind[reuse] = per_kind.get(reuse, 0) + 1
 
     def reuse_distribution(self, kind: BlockKind) -> Dict[int, int]:
         return dict(self.reuse_histogram.get(kind.value, {}))
@@ -85,10 +80,6 @@ class CacheSet:
                 return way
         return None
 
-    @property
-    def valid_blocks(self) -> List[CacheBlock]:
-        return [b for b in self.ways if b is not None]
-
 
 class Cache(ResettableStats):
     """A single level of set-associative cache."""
@@ -101,7 +92,6 @@ class Cache(ResettableStats):
         latency: int,
         block_size: int = 64,
         replacement_policy: Optional[ReplacementPolicy] = None,
-        on_eviction: Optional[Callable[[CacheBlock], None]] = None,
     ):
         if size_bytes % (associativity * block_size) != 0:
             raise ConfigurationError(
@@ -117,7 +107,6 @@ class Cache(ResettableStats):
         if not is_power_of_two(self.num_sets):
             raise ConfigurationError(f"{name}: number of sets ({self.num_sets}) must be a power of two")
         self.policy = replacement_policy or LRUPolicy()
-        self.on_eviction = on_eviction
         self.stats = CacheStats()
         self._sets: List[CacheSet] = [CacheSet(associativity) for _ in range(self.num_sets)]
         self._register_stats()
@@ -134,8 +123,7 @@ class Cache(ResettableStats):
     # ------------------------------------------------------------------ #
     # Lookup / insert / invalidate
     # ------------------------------------------------------------------ #
-    def lookup(self, key: CacheKey, update_replacement: bool = True,
-               count_access: bool = True) -> Optional[CacheBlock]:
+    def lookup(self, key: CacheKey, count_access: bool = True) -> Optional[CacheBlock]:
         """Look ``key`` up; on a hit update replacement state and reuse."""
         # Hot path: one dict probe (no _set_for/find calls) because this
         # runs several times per simulated memory reference.
@@ -153,11 +141,10 @@ class Cache(ResettableStats):
             stats.hits += 1
             if block.is_tlb_block:
                 stats.tlb_block_hits += 1
-        if update_replacement:
-            block.reuse_count += 1
-            if block.prefetched:
-                block.prefetched = False
-            self.policy.on_hit(cache_set, block)
+        block.reuse_count += 1
+        if block.prefetched:
+            block.prefetched = False
+        self.policy.on_hit(cache_set, block)
         return block
 
     def contains(self, key: CacheKey) -> bool:
@@ -171,16 +158,15 @@ class Cache(ResettableStats):
         return cache_set.ways[way] if way is not None else None
 
     def insert(self, block: CacheBlock, prefetched: bool = False) -> Optional[CacheBlock]:
-        """Insert ``block``; returns the evicted block, if any.
+        """Insert the prebuilt ``block``; returns the evicted block, if any.
 
-        If a block with the same tag is already resident it is overwritten in
-        place (refreshing its payload) and nothing is evicted.
+        Victima builds its TLB blocks itself; data fills go through
+        :meth:`fill`.  If a block with the same tag is already resident it is
+        overwritten in place (refreshing its payload) and nothing is evicted.
         """
-        tag = block.tag
         cache_set = self._sets[block.key[0] & (self.num_sets - 1)]
-        tags = cache_set.tags
-        existing_way = tags.get(tag)
         block.prefetched = prefetched
+        existing_way = cache_set.tags.get(block.tag)
         if existing_way is not None:
             old = cache_set.ways[existing_way]
             assert old is not None
@@ -189,31 +175,53 @@ class Cache(ResettableStats):
             block.last_touch = old.last_touch
             cache_set.ways[existing_way] = block
             return None
-
-        # A full set (every tag resident) cannot have an invalid way; skip
-        # the associativity-wide scan in that common steady-state case.
-        if len(tags) == self.associativity:
-            way = None
-        else:
-            way = cache_set.first_invalid()
-        evicted: Optional[CacheBlock] = None
-        policy = self.policy
-        if way is None:
-            way = policy.select_victim(cache_set)
-            evicted = cache_set.ways[way]
-            del tags[evicted.tag]
+        way = self._claim_way(cache_set)
+        evicted = cache_set.ways[way]
         cache_set.ways[way] = block
-        tags[tag] = way
-        policy.on_insert(cache_set, block)
+        cache_set.tags[block.tag] = way
+        self.policy.on_insert(cache_set, block)
         stats = self.stats
         stats.fills += 1
         if prefetched:
             stats.prefetch_fills += 1
         if block.is_tlb_block:
             stats.tlb_block_fills += 1
-        if evicted is not None:
-            self._record_eviction(evicted)
         return evicted
+
+    def fill(self, key: CacheKey, dirty: bool = False, prefetched: bool = False) -> None:
+        """Fill a data block for ``key``, which the caller just missed on.
+
+        A fill that evicts reuses the evicted block object, reset to a fresh
+        data block; only a fill into a free way allocates one.
+        """
+        cache_set = self._sets[key[0] & (self.num_sets - 1)]
+        way = self._claim_way(cache_set)
+        block = cache_set.ways[way]
+        if block is None:
+            block = cache_set.ways[way] = CacheBlock(key, _DATA, dirty,
+                                                     prefetched=prefetched)
+        else:
+            block.reset_as_data(key, dirty, prefetched)
+        cache_set.tags[key[1]] = way
+        self.policy.on_insert(cache_set, block)
+        stats = self.stats
+        stats.fills += 1
+        if prefetched:
+            stats.prefetch_fills += 1
+
+    def _claim_way(self, cache_set: CacheSet) -> int:
+        """The way a fill takes: a free one or, in a full set, the policy's
+        victim, whose eviction is booked here."""
+        tags = cache_set.tags
+        # A full set (every tag resident) cannot have an invalid way; skip
+        # the associativity-wide scan in that common steady-state case.
+        if len(tags) < self.associativity:
+            return cache_set.first_invalid()
+        way = self.policy.select_victim(cache_set)
+        victim = cache_set.ways[way]
+        del tags[victim.tag]
+        self._record_eviction(victim)
+        return way
 
     def invalidate(self, key: CacheKey) -> bool:
         """Remove the block for ``key`` if resident.  Returns True if removed."""
@@ -224,7 +232,7 @@ class Cache(ResettableStats):
         block = cache_set.ways[way]
         cache_set.ways[way] = None
         assert block is not None
-        self._record_eviction(block, invalidation=True)
+        self._record_eviction(block)
         return True
 
     def invalidate_matching(self, predicate: Callable[[CacheBlock], bool]) -> int:
@@ -240,31 +248,32 @@ class Cache(ResettableStats):
                 if block is not None and predicate(block):
                     cache_set.ways[way] = None
                     del cache_set.tags[block.tag]
-                    self._record_eviction(block, invalidation=True)
+                    self._record_eviction(block)
                     removed += 1
         return removed
 
-    def _record_eviction(self, block: CacheBlock, invalidation: bool = False) -> None:
+    def _record_eviction(self, block: CacheBlock) -> None:
         stats = self.stats
         stats.evictions += 1
         if block.dirty:
             stats.writebacks += 1
         if block.is_tlb_block:
             stats.tlb_block_evictions += 1
-        stats.record_reuse(block.kind, block.reuse_count)
-        if self.on_eviction is not None and not invalidation:
-            self.on_eviction(block)
+        # ``_value_`` is the member's value without the (Python-level)
+        # ``Enum.value`` descriptor call; evictions are per-access work.
+        name = block.kind._value_
+        per_kind = stats.reuse_histogram.get(name)
+        if per_kind is None:
+            per_kind = stats.reuse_histogram[name] = {}
+        reuse = block.reuse_count
+        per_kind[reuse] = per_kind.get(reuse, 0) + 1
 
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
     def resident_blocks(self, kind: Optional[BlockKind] = None) -> List[CacheBlock]:
-        blocks: List[CacheBlock] = []
-        for cache_set in self._sets:
-            for block in cache_set.valid_blocks:
-                if kind is None or block.kind is kind:
-                    blocks.append(block)
-        return blocks
+        return [block for cache_set in self._sets for block in cache_set.ways
+                if block is not None and (kind is None or block.kind is kind)]
 
     def occupancy(self, kind: Optional[BlockKind] = None) -> int:
         """Number of resident blocks, optionally restricted to one kind."""

@@ -18,15 +18,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Optional
 
-from repro.cache.block import BlockKind, CacheBlock, CacheKey, data_key
+from repro.cache.block import CacheKey, data_key
 from repro.cache.cache import Cache
 from repro.cache.prefetcher import Prefetcher
+from repro.common.addresses import BLOCK_OFFSET_BITS
 from repro.memory.dram import DramModel
-
-
-_DATA = BlockKind.DATA
 
 
 class MemoryLevel(enum.Enum):
@@ -38,9 +36,13 @@ class MemoryLevel(enum.Enum):
     DRAM = "DRAM"
 
 
-@dataclass
+@dataclass(frozen=True)
 class AccessResult:
-    """Outcome of one memory access through the hierarchy."""
+    """Outcome of one memory access through the hierarchy.
+
+    Frozen because the hierarchy hands out shared, preallocated instances:
+    one per hit level and one per DRAM latency.
+    """
 
     latency: int
     level: MemoryLevel
@@ -69,24 +71,47 @@ class CacheHierarchy:
         self.dram = dram
         self.l1d_prefetcher = l1d_prefetcher
         self.l2_prefetcher = l2_prefetcher
+        self._l1_hit = AccessResult(l1d.latency, MemoryLevel.L1)
+        self._l2_hit = AccessResult(l2.latency, MemoryLevel.L2)
+        self._l3_hit = AccessResult(l3.latency, MemoryLevel.L3) if l3 is not None else None
+        self._dram_base = (l3 or l2).latency
+        #: DRAM latency -> the result of an access that went to DRAM.
+        self._dram_results: Dict[int, AccessResult] = {}
 
     # ------------------------------------------------------------------ #
     # Demand accesses
     # ------------------------------------------------------------------ #
     def access(self, paddr: int, write: bool = False, ip: int = 0) -> AccessResult:
         """Perform a demand data access at physical address ``paddr``."""
-        key = data_key(paddr)
+        # Keys are data_key(...) inlined: this runs once per reference.
+        number = paddr >> BLOCK_OFFSET_BITS
+        key = (number, ("D", number))
         l1d = self.l1d
         block = l1d.lookup(key)
         if block is not None:
             if write:
                 block.dirty = True
-            self._train_prefetchers(ip, paddr)
-            return AccessResult(latency=l1d.latency, level=MemoryLevel.L1)
+            result = self._l1_hit
+        else:
+            result = self._access_from_l2(paddr, write, key)
+            l1d.fill(key, write)
 
-        result = self._access_from_l2(paddr, write, key)
-        self._fill(l1d, key, dirty=write)
-        self._train_prefetchers(ip, paddr)
+        # Both prefetchers observe before either fills: fills never feed
+        # back into ``observe``, so this matches the interleaved order.
+        l1_targets = (self.l1d_prefetcher.observe(ip, paddr)
+                      if self.l1d_prefetcher is not None else ())
+        l2_targets = (self.l2_prefetcher.observe(ip, paddr)
+                      if self.l2_prefetcher is not None else ())
+        for target in l1_targets:
+            number = target >> BLOCK_OFFSET_BITS
+            key = (number, ("D", number))
+            if not l1d.contains(key):
+                l1d.fill(key, prefetched=True)
+        for target in l2_targets:
+            number = target >> BLOCK_OFFSET_BITS
+            key = (number, ("D", number))
+            if not self.l2.contains(key):
+                self.l2.fill(key, prefetched=True)
         return result
 
     def access_for_ptw(self, paddr: int) -> AccessResult:
@@ -98,45 +123,30 @@ class CacheHierarchy:
     # ------------------------------------------------------------------ #
     def _access_from_l2(self, paddr: int, write: bool,
                         key: CacheKey) -> AccessResult:
-        # The key is derived from the address alone; callers build it once
-        # and pass it down instead of paying the construction again here.
-        block = self.l2.lookup(key)
+        # On a miss the levels fill outside-in (L3, then L2; the caller
+        # fills the L1 last), all from the caller's key.
+        l2 = self.l2
+        block = l2.lookup(key)
         if block is not None:
             if write:
                 block.dirty = True
-            return AccessResult(latency=self.l2.latency, level=MemoryLevel.L2)
+            return self._l2_hit
 
-        if self.l3 is not None:
-            block = self.l3.lookup(key)
+        l3 = self.l3
+        if l3 is not None:
+            block = l3.lookup(key)
             if block is not None:
                 if write:
                     block.dirty = True
-                self._fill(self.l2, key, dirty=write)
-                return AccessResult(latency=self.l3.latency, level=MemoryLevel.L3)
+                l2.fill(key, write)
+                return self._l3_hit
 
         dram_latency = self.dram.access(paddr, write=write)
-        base = self.l3.latency if self.l3 is not None else self.l2.latency
-        if self.l3 is not None:
-            self._fill(self.l3, key, dirty=write)
-        self._fill(self.l2, key, dirty=write)
-        return AccessResult(latency=base + dram_latency, level=MemoryLevel.DRAM, dram_accesses=1)
-
-    def _fill(self, cache: Cache, key: CacheKey, dirty: bool = False,
-              prefetched: bool = False) -> Optional[CacheBlock]:
-        return cache.insert(CacheBlock(key, _DATA, dirty), prefetched)
-
-    def _train_prefetchers(self, ip: int, paddr: int) -> None:
-        # Train both prefetchers before filling either: fills never feed back
-        # into ``observe``, so this matches the historical interleaved order.
-        l1_targets = (self.l1d_prefetcher.observe(ip, paddr)
-                      if self.l1d_prefetcher is not None else ())
-        l2_targets = (self.l2_prefetcher.observe(ip, paddr)
-                      if self.l2_prefetcher is not None else ())
-        for target in l1_targets:
-            key = data_key(target)
-            if not self.l1d.contains(key):
-                self._fill(self.l1d, key, prefetched=True)
-        for target in l2_targets:
-            key = data_key(target)
-            if not self.l2.contains(key):
-                self._fill(self.l2, key, prefetched=True)
+        if l3 is not None:
+            l3.fill(key, write)
+        l2.fill(key, write)
+        result = self._dram_results.get(dram_latency)
+        if result is None:
+            result = self._dram_results[dram_latency] = AccessResult(
+                self._dram_base + dram_latency, MemoryLevel.DRAM, dram_accesses=1)
+        return result

@@ -15,7 +15,7 @@ The TLB-aware policy is a direct implementation of Listing 1 in the paper:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from repro.common.errors import ConfigurationError
 from repro.common.pressure import PressureMonitor
@@ -81,64 +81,35 @@ class SRRIPPolicy(ReplacementPolicy):
         self.rrpv_max = (1 << rrpv_bits) - 1
         self.hit_promotion = hit_promotion
 
-    # -- helpers overridable by the TLB-aware subclass --------------------- #
-    def _insertion_rrpv(self, block: CacheBlock) -> int:
-        return self.rrpv_max
-
-    def _promotion_amount(self, block: CacheBlock) -> int:
-        return self.hit_promotion
-
-    def _skip_victim(self, block: CacheBlock) -> bool:
-        return False
-
-    # -- policy interface --------------------------------------------------- #
     def on_insert(self, cache_set: "CacheSet", block: CacheBlock) -> None:
-        block.rrpv = self._insertion_rrpv(block)
+        block.rrpv = self.rrpv_max
 
     def on_hit(self, cache_set: "CacheSet", block: CacheBlock) -> None:
-        block.rrpv = max(block.rrpv - self._promotion_amount(block), 0)
+        block.rrpv = max(block.rrpv - self.hit_promotion, 0)
 
     def select_victim(self, cache_set: "CacheSet") -> int:
-        skipped_once = False
-        while True:
-            candidate = self._find_max_rrpv_way(cache_set)
-            if candidate is not None:
-                way, block = candidate
-                if not skipped_once and self._skip_victim(block):
-                    # Listing 1: make exactly one more attempt to keep the TLB
-                    # block by searching for a non-TLB candidate.
-                    alternative = self._find_non_tlb_victim(cache_set)
-                    skipped_once = True
-                    if alternative is not None:
-                        return alternative
-                return way
-            self._age_all(cache_set)
-
-    # -- internals ---------------------------------------------------------- #
-    def _find_max_rrpv_way(self, cache_set: "CacheSet") -> Optional[tuple[int, CacheBlock]]:
-        for way, block in enumerate(cache_set.ways):
-            if block is None:
-                continue  # invalid ways are filled by the cache before a victim is needed
-            if block.rrpv >= self.rrpv_max:
-                return way, block
-        return None
-
-    def _find_non_tlb_victim(self, cache_set: "CacheSet") -> Optional[int]:
-        """Return the way of the non-TLB block with the highest RRPV, if any."""
-        best_way: Optional[int] = None
-        best_rrpv = -1
-        for way, block in enumerate(cache_set.ways):
-            if block is None or block.is_tlb_block:
-                continue
-            if block.rrpv > best_rrpv:
-                best_rrpv = block.rrpv
-                best_way = way
-        return best_way
-
-    def _age_all(self, cache_set: "CacheSet") -> None:
-        for block in cache_set.ways:
-            if block is not None:
-                block.rrpv = min(block.rrpv + 1, self.rrpv_max)
+        # Listing 1 ages every block by one and rescans until some block is
+        # distant.  One scan finds the first distant block or, failing that,
+        # the first block with the highest RRPV; aging the whole set by the
+        # missing amount at once then makes exactly that block the first
+        # distant one, with the same final RRPVs as the loop.
+        rrpv_max = self.rrpv_max
+        ways = cache_set.ways
+        victim = 0
+        highest = -1
+        for way, block in enumerate(ways):
+            rrpv = block.rrpv
+            if rrpv >= rrpv_max:
+                victim = way
+                break
+            if rrpv > highest:
+                highest = rrpv
+                victim = way
+        else:
+            age = rrpv_max - highest
+            for block in ways:
+                block.rrpv += age
+        return victim
 
 
 class TLBAwareSRRIPPolicy(SRRIPPolicy):
@@ -152,21 +123,30 @@ class TLBAwareSRRIPPolicy(SRRIPPolicy):
         self.pressure = pressure
         self.tlb_hit_promotion = tlb_hit_promotion
 
-    def _pressure_high(self) -> bool:
-        return self.pressure.translation_pressure_high
+    def on_insert(self, cache_set: "CacheSet", block: CacheBlock) -> None:
+        if block.is_tlb_block and self.pressure.translation_pressure_high:
+            block.rrpv = 0
+        else:
+            block.rrpv = self.rrpv_max
 
-    def _insertion_rrpv(self, block: CacheBlock) -> int:
-        if block.is_tlb_block and self._pressure_high():
-            return 0
-        return self.rrpv_max
+    def on_hit(self, cache_set: "CacheSet", block: CacheBlock) -> None:
+        if block.is_tlb_block and self.pressure.translation_pressure_high:
+            promotion = self.tlb_hit_promotion
+        else:
+            promotion = self.hit_promotion
+        block.rrpv = max(block.rrpv - promotion, 0)
 
-    def _promotion_amount(self, block: CacheBlock) -> int:
-        if block.is_tlb_block and self._pressure_high():
-            return self.tlb_hit_promotion
-        return self.hit_promotion
-
-    def _skip_victim(self, block: CacheBlock) -> bool:
-        return block.is_tlb_block and self._pressure_high()
+    def select_victim(self, cache_set: "CacheSet") -> int:
+        way = SRRIPPolicy.select_victim(self, cache_set)
+        if cache_set.ways[way].is_tlb_block and self.pressure.translation_pressure_high:
+            # Make exactly one more attempt to keep the TLB block: the
+            # non-TLB block with the highest RRPV, if there is one.
+            best_rrpv = -1
+            for candidate, block in enumerate(cache_set.ways):
+                if not block.is_tlb_block and block.rrpv > best_rrpv:
+                    best_rrpv = block.rrpv
+                    way = candidate
+        return way
 
 
 def make_policy(name: str, pressure: PressureMonitor | None = None) -> ReplacementPolicy:

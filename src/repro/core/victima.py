@@ -249,15 +249,14 @@ class VictimaController(ResettableStats):
         the simplification of Figure 23; otherwise the actual page size of each
         valid cluster entry is used.
         """
-        reach = 0
-        for block in self.resident_tlb_blocks():
-            if block.payload is None:
-                continue
-            for entry in block.payload:
-                if entry is None or not entry.valid:
-                    continue
-                reach += 4096 if assume_4k else int(entry.page_size)
-        return reach
+        return self.translation_reach()[1 if assume_4k else 0]
+
+    def translation_reach(self) -> Tuple[int, int]:
+        """Both reach figures, ``(actual, assume_4k)``, from one scan of the L2."""
+        sizes = [entry.page_size for block in self.l2_cache.resident_blocks()
+                 if block.is_tlb_block and block.payload is not None
+                 for entry in block.payload if entry is not None and entry.valid]
+        return sum(sizes), 4096 * len(sizes)
 
     def tlb_block_reuse_distribution(self) -> dict:
         """Reuse histogram of evicted TLB blocks (Figure 24)."""

@@ -154,7 +154,8 @@ class MMU(ResettableStats):
         stats.translations += 1
         stats.total_translation_latency += latency
         served_by = miss.served_by
-        source = served_by.value
+        # ``_value_`` skips the Python-level ``Enum.value`` descriptor call.
+        source = served_by._value_
         served[source] = served.get(source, 0) + 1
         stats.l2_tlb_misses += 1
         stats.total_miss_latency += miss.latency

@@ -9,10 +9,11 @@ The baseline MMU (Table 3 of the paper) has:
 * and, in virtualized execution, a 64-entry nested TLB (1 cycle).
 
 All of them are modelled by :class:`TLB`: a set-associative structure with LRU
-replacement whose entries are tagged by ``(ASID, VPN, page size)``.  A TLB
+replacement whose entries are tagged by ``(VPN, ASID, page size)``.  A TLB
 configured with multiple page sizes probes each size on lookup — the physical
 equivalent of the parallel probes a real unified L2 TLB performs because the
-page size of a request is not known a priori.
+page size of a request is not known a priori.  Each set is a dict keyed by
+that tag, in insertion order, so a probe is one dict lookup per page size.
 """
 
 from __future__ import annotations
@@ -29,9 +30,8 @@ from repro.memory.page_table import PageTableEntry
 class TLBEntry:
     """One cached virtual-to-physical translation.
 
-    A ``__slots__`` class: one entry is built per TLB fill and its fields are
-    scanned on every set probe, so construction and attribute access are on
-    the simulator's hot path.
+    A ``__slots__`` class: one entry is built per TLB fill, so construction
+    is on the simulator's hot path.
     """
 
     __slots__ = ("vpn", "asid", "page_size", "pte", "last_touch")
@@ -46,10 +46,6 @@ class TLBEntry:
 
     def translate(self, vaddr: int) -> int:
         return self.pte.translate(vaddr)
-
-    @property
-    def tag(self) -> Tuple[int, int, int]:
-        return (self.asid, int(self.page_size), self.vpn)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"TLBEntry(vpn={self.vpn}, asid={self.asid}, "
@@ -100,8 +96,9 @@ class TLB(ResettableStats):
             raise ConfigurationError(f"{name}: number of sets ({self.num_sets}) must be a power of two")
         self.stats = TLBStats()
         self._access_counter = 0
-        # set index -> list of entries (at most `associativity` long)
-        self._sets: List[List[TLBEntry]] = [[] for _ in range(self.num_sets)]
+        # set index -> {(vpn, asid, page size): entry}, at most
+        # `associativity` entries in insertion order
+        self._sets: List[Dict[tuple, TLBEntry]] = [{} for _ in range(self.num_sets)]
         # Hot-path precomputation: (page size, offset-bit shift, stat label)
         # per supported size, so lookups read no PageSize attribute or
         # property per probe.
@@ -121,7 +118,7 @@ class TLB(ResettableStats):
     # ------------------------------------------------------------------ #
     # Lookup
     # ------------------------------------------------------------------ #
-    def lookup(self, vaddr: int, asid: int, update_lru: bool = True) -> Optional[TLBEntry]:
+    def lookup(self, vaddr: int, asid: int) -> Optional[TLBEntry]:
         """Probe the TLB for ``vaddr``; probes every supported page size."""
         stats = self.stats
         stats.accesses += 1
@@ -130,31 +127,20 @@ class TLB(ResettableStats):
         sets = self._sets
         for page_size, shift, label in self._probe_plan:
             vpn = vaddr >> shift
-            for entry in sets[vpn & set_mask]:
-                # Field-by-field compare (vpn first: it discriminates most)
-                # instead of building an (asid, size, vpn) tag tuple per way.
-                if (entry.vpn == vpn and entry.asid == asid
-                        and entry.page_size is page_size):
-                    stats.hits += 1
-                    stats.hits_by_page_size[label] = stats.hits_by_page_size.get(label, 0) + 1
-                    if update_lru:
-                        entry.last_touch = self._access_counter
-                    return entry
-        stats.misses += 1
-        return None
-
-    def _find(self, vpn: int, asid: int, page_size: PageSize) -> Optional[TLBEntry]:
-        for entry in self._sets[vpn & (self.num_sets - 1)]:
-            if (entry.vpn == vpn and entry.asid == asid
-                    and entry.page_size is page_size):
+            entry = sets[vpn & set_mask].get((vpn, asid, page_size))
+            if entry is not None:
+                stats.hits += 1
+                stats.hits_by_page_size[label] = stats.hits_by_page_size.get(label, 0) + 1
+                entry.last_touch = self._access_counter
                 return entry
+        stats.misses += 1
         return None
 
     def contains(self, vaddr: int, asid: int) -> bool:
         """Residency check without disturbing statistics or LRU state."""
         for page_size in self.page_sizes:
             vpn = page_number(vaddr, page_size)
-            if self._find(vpn, asid, page_size) is not None:
+            if (vpn, asid, page_size) in self._sets[self._set_index(vpn)]:
                 return True
         return False
 
@@ -163,34 +149,30 @@ class TLB(ResettableStats):
     # ------------------------------------------------------------------ #
     def insert(self, pte: PageTableEntry, asid: Optional[int] = None) -> Optional[TLBEntry]:
         """Insert a translation; returns the evicted entry, if any."""
-        if not self.supports(pte.page_size):
+        page_size = pte.page_size
+        if page_size not in self.page_sizes:
             raise ConfigurationError(
-                f"{self.name} does not support {pte.page_size.label} pages"
+                f"{self.name} does not support {page_size.label} pages"
             )
         asid = pte.asid if asid is None else asid
         vpn = pte.vpn
-        existing = self._find(vpn, asid, pte.page_size)
+        key = (vpn, asid, page_size)
+        tlb_set = self._sets[vpn & (self.num_sets - 1)]
+        existing = tlb_set.get(key)
         self._access_counter += 1
         if existing is not None:
             existing.pte = pte
             existing.last_touch = self._access_counter
             return None
-        entry = TLBEntry(vpn=vpn, asid=asid, page_size=pte.page_size, pte=pte,
-                         last_touch=self._access_counter)
-        tlb_set = self._sets[self._set_index(vpn)]
         evicted: Optional[TLBEntry] = None
         if len(tlb_set) >= self.associativity:
-            # Manual LRU scan (no min()+lambda): inserts are hot-path work.
-            victim_index = 0
-            oldest = tlb_set[0].last_touch
-            for index in range(1, len(tlb_set)):
-                touch = tlb_set[index].last_touch
-                if touch < oldest:
-                    oldest = touch
-                    victim_index = index
-            evicted = tlb_set.pop(victim_index)
+            # LRU: the first entry with the lowest last_touch.
+            for entry in tlb_set.values():
+                if evicted is None or entry.last_touch < evicted.last_touch:
+                    evicted = entry
+            del tlb_set[(evicted.vpn, evicted.asid, evicted.page_size)]
             self.stats.evictions += 1
-        tlb_set.append(entry)
+        tlb_set[key] = TLBEntry(vpn, asid, page_size, pte, self._access_counter)
         self.stats.insertions += 1
         return evicted
 
@@ -199,16 +181,16 @@ class TLB(ResettableStats):
     # ------------------------------------------------------------------ #
     def invalidate_all(self) -> int:
         removed = sum(len(s) for s in self._sets)
-        self._sets = [[] for _ in range(self.num_sets)]
+        self._sets = [{} for _ in range(self.num_sets)]
         self.stats.invalidations += removed
         return removed
 
     def invalidate_asid(self, asid: int) -> int:
         removed = 0
         for tlb_set in self._sets:
-            keep = [e for e in tlb_set if e.asid != asid]
-            removed += len(tlb_set) - len(keep)
-            tlb_set[:] = keep
+            for key in [key for key in tlb_set if key[1] == asid]:
+                del tlb_set[key]
+                removed += 1
         self.stats.invalidations += removed
         return removed
 
@@ -216,11 +198,8 @@ class TLB(ResettableStats):
         removed = 0
         for page_size in self.page_sizes:
             vpn = page_number(vaddr, page_size)
-            tlb_set = self._sets[self._set_index(vpn)]
-            tag = (asid, int(page_size), vpn)
-            keep = [e for e in tlb_set if e.tag != tag]
-            removed += len(tlb_set) - len(keep)
-            tlb_set[:] = keep
+            if self._sets[self._set_index(vpn)].pop((vpn, asid, page_size), None) is not None:
+                removed += 1
         self.stats.invalidations += removed
         return removed
 
@@ -232,7 +211,7 @@ class TLB(ResettableStats):
 
     def resident_entries(self) -> Iterable[TLBEntry]:
         for tlb_set in self._sets:
-            yield from tlb_set
+            yield from tlb_set.values()
 
     def reach_bytes(self) -> int:
         """Amount of memory covered by the currently resident entries."""

@@ -32,6 +32,7 @@ loop's, so merging the two would move results.
 
 from __future__ import annotations
 
+import heapq
 from itertools import chain
 from typing import Iterator, Optional, Sequence
 
@@ -146,15 +147,21 @@ class MultiCoreSimulator:
         total_instructions = 0
         next_epoch = reach.next_epoch
 
-        # min() returns the first of equal keys and ``pending`` stays in
-        # core order, so ready-time ties go to the lowest core id.
-        pending = [(run, self._stream(run)) for run in runs]
-        while pending:
-            entry = min(pending, key=lambda entry: entry[0].ready_at)
-            run, stream = entry
-            ref = next(stream, None)
+        # Ready cores wait in a heap keyed by (ready_at, index into runs), so
+        # ready-time ties go to the lowest core id.  Only the running core's
+        # own sampler and this body move a core's ready_at, so every other
+        # core's key stays current while it waits.
+        streams = [self._stream(run) for run in runs]
+        ready = [(run.ready_at, index) for index, run in enumerate(runs)]
+        heapq.heapify(ready)
+        level_l3 = MemoryLevel.L3
+        level_dram = MemoryLevel.DRAM
+        while ready:
+            index = ready[0][1]
+            run = runs[index]
+            ref = next(streams[index], None)
             if ref is None:
-                pending.remove(entry)
+                heapq.heappop(ready)
                 continue
 
             if not run.measuring and run.refs >= run.warmup_refs:
@@ -184,14 +191,16 @@ class MultiCoreSimulator:
                                            ip=ref.ip)
             delta += access.latency
             run.refs += 1
-            run.level_counts[access.level.value] = (
-                run.level_counts.get(access.level.value, 0) + 1)
-            if access.level in (MemoryLevel.L3, MemoryLevel.DRAM):
+            level = access.level
+            name = level._value_  # the level's name, without Enum.value's call
+            run.level_counts[name] = run.level_counts.get(name, 0) + 1
+            if level is level_l3 or level is level_dram:
                 run.data_l2_misses += 1
                 core.pressure.record_l2_cache_miss()
 
             run.cycles += delta
             run.ready_at += delta
+            heapq.heapreplace(ready, (run.ready_at, index))
 
             total_instructions += gap + 1
             if total_instructions >= next_epoch:

@@ -109,11 +109,10 @@ class ReachSeries:
         return self.next_epoch
 
     def sample(self) -> None:
-        victimas = self.victimas
-        if victimas:
-            self.samples.append(sum(v.translation_reach_bytes() for v in victimas))
-            self.samples_4k.append(sum(
-                v.translation_reach_bytes(assume_4k=True) for v in victimas))
+        if self.victimas:
+            reach = [victima.translation_reach() for victima in self.victimas]
+            self.samples.append(sum(actual for actual, _ in reach))
+            self.samples_4k.append(sum(as_4k for _, as_4k in reach))
 
 
 @dataclass(frozen=True)
@@ -454,8 +453,8 @@ class Simulator:
             cycles += access.latency
             refs += 1
             level = access.level
-            value = level.value
-            level_counts[value] = level_counts.get(value, 0) + 1
+            name = level._value_  # the level's name, without Enum.value's call
+            level_counts[name] = level_counts.get(name, 0) + 1
             if level is level_l3 or level is level_dram:
                 data_l2_misses += 1
                 record_l2_cache_miss()

@@ -99,9 +99,40 @@ def _invariant_violations(result) -> list:
     return problems
 
 
+def _cache_stat_violations(system) -> list:
+    """Stat relations every cache of a finished machine must satisfy.
+
+    Checks each core's L1-D and L2 and the L3 (or shared LLC) once: hits and
+    misses sum to accesses, the reuse histograms sum to the evictions, and
+    the (nested) TLB histograms sum to the TLB-block evictions.
+    """
+    hierarchies = [core.hierarchy for core in getattr(system, "cores", [system])]
+    caches = [cache for hierarchy in hierarchies
+              for cache in (hierarchy.l1d, hierarchy.l2)]
+    if hierarchies[0].l3 is not None:
+        caches.append(hierarchies[0].l3)
+    problems = []
+    for cache in caches:
+        stats = cache.stats
+        histograms = stats.reuse_histogram
+        if stats.hits + stats.misses != stats.accesses:
+            problems.append(f"{cache.name}: {stats.hits} hits + {stats.misses} "
+                            f"misses != {stats.accesses} accesses")
+        booked = sum(sum(histogram.values()) for histogram in histograms.values())
+        if booked != stats.evictions:
+            problems.append(f"{cache.name}: reuse histograms hold {booked}, "
+                            f"{stats.evictions} evictions")
+        tlb_booked = sum(sum(histograms.get(kind, {}).values())
+                         for kind in ("tlb", "nested_tlb"))
+        if tlb_booked != stats.tlb_block_evictions:
+            problems.append(f"{cache.name}: TLB reuse histograms hold {tlb_booked}, "
+                            f"{stats.tlb_block_evictions} TLB-block evictions")
+    return problems
+
+
 class TestGoldenParity:
     """Every golden scenario reproduces its committed result bit-for-bit
-    and satisfies the cross-counter invariants."""
+    and satisfies the cross-counter and cache-stat invariants."""
 
     def test_golden_file_covers_every_generator_key(self):
         assert sorted(_GOLDEN) == sorted(_GENERATOR.golden_keys())
@@ -118,11 +149,13 @@ class TestGoldenParity:
 
     @pytest.mark.parametrize("key", sorted(_GOLDEN), ids=lambda k: k)
     def test_preset_is_bit_identical_to_pre_registry_golden(self, key):
-        result = Simulator.from_scenario(_GENERATOR.scenario_for_key(key)).run()
+        sim = Simulator.from_scenario(_GENERATOR.scenario_for_key(key))
+        result = sim.run()
         assert _canonical(result.to_json_dict()) == _canonical(_GOLDEN[key]), (
             f"{key}: simulation result diverged from the committed golden "
             "(tools/gen_parity_golden.py documents regeneration)")
         assert _invariant_violations(result) == []
+        assert _cache_stat_violations(sim.system) == []
 
 
 class TestRegistry:

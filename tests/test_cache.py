@@ -1,5 +1,7 @@
 """Unit tests for repro.cache: blocks, cache, replacement, prefetchers, hierarchy."""
 
+import dataclasses
+
 import pytest
 
 from repro.cache.block import BlockKind, CacheBlock, data_key, nested_tlb_key, tlb_key
@@ -121,6 +123,40 @@ class TestCacheBasics:
         assert small_cache.occupancy() == 2
         assert small_cache.stats.tlb_block_fills == 1
 
+    def test_data_fill_reuses_evicted_tlb_block_without_its_state(self):
+        # One way per set: the data fill evicts the TLB block in its set and
+        # turns that very object into the new data block.
+        cache = Cache("direct", size_bytes=4 * 64, associativity=1, latency=1)
+        tlb_block = _tlb_block(0, asid=3, payload=[f"pte{i}" for i in range(8)])
+        cache.insert(tlb_block)
+        cache.lookup(tlb_block.key)
+        cache.lookup(tlb_block.key)
+        cache.fill(data_key(0x1000), dirty=True, prefetched=True)
+
+        assert cache.peek(data_key(0x1000)) is tlb_block
+        assert tlb_block.key == data_key(0x1000)
+        assert tlb_block.kind is BlockKind.DATA
+        assert tlb_block.is_tlb_block is False
+        assert tlb_block.payload is None
+        assert tlb_block.asid is None
+        assert tlb_block.page_size is None
+        assert tlb_block.reuse_count == 0
+        assert tlb_block.dirty is True
+        assert tlb_block.prefetched is True
+        stats = cache.stats
+        assert stats.reuse_distribution(BlockKind.TLB) == {2: 1}
+        assert stats.reuse_distribution(BlockKind.DATA) == {}
+        assert (stats.evictions, stats.tlb_block_evictions) == (1, 1)
+        assert (stats.fills, stats.tlb_block_fills, stats.prefetch_fills) == (2, 1, 1)
+        assert cache.resident_blocks(BlockKind.TLB) == []
+        assert cache.resident_blocks(BlockKind.DATA) == [tlb_block]
+
+    def test_fill_into_a_free_way_builds_a_data_block(self, small_cache):
+        small_cache.fill(data_key(0x1000))
+        block = small_cache.peek(data_key(0x1000))
+        assert block.kind is BlockKind.DATA and not block.dirty and not block.prefetched
+        assert small_cache.stats.fills == 1 and small_cache.stats.evictions == 0
+
     def test_geometry_validation(self):
         with pytest.raises(ConfigurationError):
             Cache("bad", size_bytes=1000, associativity=4, latency=1)
@@ -188,6 +224,36 @@ class TestReplacementPolicies:
         assert not cache.contains(data_key(0))
         assert all(cache.contains(b.key) for b in tlb_blocks)
 
+    def test_srrip_ages_the_set_at_once_and_evicts_the_first_oldest(self, srrip_cache):
+        # Listing 1 ages [1, 2, 0, 2] by one until some block is distant:
+        # way 1 is then the first distant block.
+        stride = 64 * srrip_cache.num_sets
+        blocks = [_data_block(way * stride) for way in range(4)]
+        for block, rrpv in zip(blocks, (1, 2, 0, 2)):
+            srrip_cache.insert(block)
+            block.rrpv = rrpv
+        srrip_cache.fill(data_key(4 * stride))
+        # The fill reuses the evicted object, so residency is checked by key.
+        assert [srrip_cache.contains(data_key(way * stride)) for way in range(4)] == [
+            True, False, True, True]
+        assert [blocks[way].rrpv for way in (0, 2, 3)] == [2, 1, 3]
+
+    def test_tlb_aware_skips_a_distant_tlb_block_under_pressure(self, high_pressure):
+        cache = Cache("v", 4 * 4 * 64, 4, 10,
+                      replacement_policy=TLBAwareSRRIPPolicy(high_pressure))
+        stride = cache.num_sets
+        ways = [_tlb_block(0), _data_block(1 * 64 * stride),
+                _data_block(2 * 64 * stride), _tlb_block(8 * stride)]
+        keys = [block.key for block in ways]
+        for block, rrpv in zip(ways, (3, 1, 2, 0)):
+            cache.insert(block)
+            block.rrpv = rrpv
+        cache.fill(data_key(3 * 64 * stride))
+        # Way 0 is the first distant block but a TLB block: the one more
+        # attempt takes the non-TLB block with the highest RRPV.
+        assert [cache.contains(key) for key in keys] == [True, True, False, True]
+        assert cache.stats.reuse_distribution(BlockKind.DATA) == {0: 1}
+
     def test_tlb_aware_hit_promotion_is_stronger(self, high_pressure):
         cache = Cache("v", 4 * 4 * 64, 4, 10,
                       replacement_policy=TLBAwareSRRIPPolicy(high_pressure))
@@ -252,6 +318,14 @@ class TestHierarchy:
         result = hierarchy.access(0x1000)
         assert result.level is MemoryLevel.L1
         assert result.latency == 4
+
+    def test_results_are_shared_and_frozen(self):
+        hierarchy = self._make()
+        first = hierarchy.access(0x1000)
+        assert hierarchy.access(0x1000) is hierarchy.access(0x1000)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            first.latency = 0
+        assert hierarchy.access(0x1000).latency == 4
 
     def test_ptw_access_starts_at_l2(self):
         hierarchy = self._make()

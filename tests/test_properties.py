@@ -9,7 +9,7 @@ from repro.cache.replacement import SRRIPPolicy
 from repro.common.addresses import PageSize, page_number, radix_indices, vpn_to_vaddr
 from repro.common.counters import SaturatingCounter
 from repro.analysis.metrics import geometric_mean, reuse_buckets
-from repro.memory.page_table import RadixPageTable
+from repro.memory.page_table import PageTableEntry, RadixPageTable
 from repro.memory.physical import PhysicalMemory
 from repro.mmu.tlb import TLB
 
@@ -146,6 +146,115 @@ def test_tlb_occupancy_and_most_recent_entry(vpns):
         assert tlb.occupancy() <= tlb.entries
         assert tlb.lookup(vpn << 12, asid=0) is not None
     assert tlb.stats.insertions >= tlb.stats.evictions
+
+
+class _ListScanTLB:
+    """The oracle: a set-associative TLB whose sets are lists scanned in
+    insertion order, evicting the entry with the lowest ``last_touch``."""
+
+    def __init__(self, entries, associativity, page_sizes):
+        self.num_sets = entries // associativity
+        self.associativity = associativity
+        self.page_sizes = page_sizes
+        self.sets = [[] for _ in range(self.num_sets)]
+        self.clock = 0
+        self.stats = dict(accesses=0, hits=0, misses=0, insertions=0,
+                          evictions=0, invalidations=0)
+
+    def lookup(self, vaddr, asid):
+        self.stats["accesses"] += 1
+        self.clock += 1
+        for page_size in self.page_sizes:
+            vpn = page_number(vaddr, page_size)
+            for entry in self.sets[vpn % self.num_sets]:
+                if entry["tag"] == (vpn, asid, page_size):
+                    self.stats["hits"] += 1
+                    entry["touch"] = self.clock
+                    return entry["pte"]
+        self.stats["misses"] += 1
+        return None
+
+    def insert(self, pte, asid):
+        tag = (pte.vpn, asid, pte.page_size)
+        tlb_set = self.sets[pte.vpn % self.num_sets]
+        self.clock += 1
+        for entry in tlb_set:
+            if entry["tag"] == tag:
+                entry.update(pte=pte, touch=self.clock)
+                return None
+        evicted = None
+        if len(tlb_set) == self.associativity:
+            victim = 0
+            for index, entry in enumerate(tlb_set):
+                if entry["touch"] < tlb_set[victim]["touch"]:
+                    victim = index
+            evicted = tlb_set.pop(victim)["tag"]
+            self.stats["evictions"] += 1
+        tlb_set.append(dict(tag=tag, pte=pte, touch=self.clock))
+        self.stats["insertions"] += 1
+        return evicted
+
+    def invalidate(self, drop):
+        removed = 0
+        for tlb_set in self.sets:
+            keep = [entry for entry in tlb_set if not drop(entry["tag"])]
+            removed += len(tlb_set) - len(keep)
+            tlb_set[:] = keep
+        self.stats["invalidations"] += removed
+        return removed
+
+    def resident(self):
+        return [entry["tag"] for tlb_set in self.sets for entry in tlb_set]
+
+
+#: Virtual pages 0-7 of the first two 2 MB regions: 4 KB entries collide in
+#: the four sets, and both 2 MB pages cover them.
+_PAGES = st.builds(lambda page, region: page | (region << 9),
+                   st.integers(min_value=0, max_value=7),
+                   st.integers(min_value=0, max_value=1))
+_ASIDS = st.integers(min_value=0, max_value=1)
+_TLB_OPS = st.lists(st.one_of(
+    st.tuples(st.just("insert_4k"), _PAGES, _ASIDS),
+    st.tuples(st.just("insert_2m"), st.integers(min_value=0, max_value=1), _ASIDS),
+    st.tuples(st.just("lookup"), _PAGES, _ASIDS),
+    st.tuples(st.just("invalidate_page"), _PAGES, _ASIDS),
+    st.tuples(st.just("invalidate_asid"), st.none(), _ASIDS),
+), min_size=10, max_size=120)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(ops=_TLB_OPS)
+def test_tlb_matches_a_list_scan_lru_model(ops):
+    tlb = TLB("prop", entries=8, associativity=2, latency=1, page_sizes=BOTH)
+    model = _ListScanTLB(8, 2, BOTH)
+    for op, value, asid in ops:
+        if op.startswith("insert"):
+            size = PageSize.SIZE_4K if op == "insert_4k" else PageSize.SIZE_2M
+            pte = PageTableEntry(value, value + 7, size, asid, entry_paddr=0)
+            evicted = tlb.insert(pte, asid)
+            expected = model.insert(pte, asid)
+            if evicted is None:
+                assert expected is None
+            else:
+                assert (evicted.vpn, evicted.asid, evicted.page_size) == expected
+        elif op == "lookup":
+            vaddr = (value << 12) | 0x123
+            entry = tlb.lookup(vaddr, asid)
+            expected = model.lookup(vaddr, asid)
+            assert (entry.pte if entry is not None else None) is expected
+        elif op == "invalidate_page":
+            vaddr = value << 12
+            tags = {(page_number(vaddr, size), asid, size) for size in BOTH}
+            assert tlb.invalidate_page(vaddr, asid) == model.invalidate(
+                lambda tag: tag in tags)
+        else:
+            assert tlb.invalidate_asid(asid) == model.invalidate(
+                lambda tag: tag[1] == asid)
+        assert [(e.vpn, e.asid, e.page_size) for e in tlb.resident_entries()] == (
+            model.resident())
+    stats = tlb.stats
+    assert {name: getattr(stats, name) for name in model.stats} == model.stats
 
 
 # --------------------------------------------------------------------------- #
