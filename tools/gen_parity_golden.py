@@ -44,13 +44,18 @@ every one of them bit for bit.
 Usage (from the repo root)::
 
     PYTHONPATH=src python tools/gen_parity_golden.py
+    PYTHONPATH=src python tools/gen_parity_golden.py --check
 
 Only regenerate after an *intentional* behaviour change — and record why in
 the commit message; the whole point of the file is that it does not move.
+To check a refactor against the goldens, use ``--check``: it replays every
+backend and hot-path golden and writes nothing, prints each diverging key
+with its first differing top-level field, and exits 1 on any divergence.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import sys
@@ -215,9 +220,13 @@ def run_hotpath() -> dict:
     return golden
 
 
+def _golden_path(name: str) -> str:
+    return os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "tests", "data", name)
+
+
 def _write(name: str, golden: dict) -> None:
-    out = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                       "tests", "data", name)
+    out = _golden_path(name)
     os.makedirs(os.path.dirname(out), exist_ok=True)
     with open(out, "w", encoding="utf-8") as handle:
         json.dump(golden, handle, sort_keys=True, indent=1)
@@ -225,10 +234,46 @@ def _write(name: str, golden: dict) -> None:
     print(f"wrote {out} ({len(golden)} runs)")
 
 
-def main() -> int:
-    _write("backend_parity_golden.json", run_all())
-    _write("hotpath_golden.json", run_hotpath())
-    return 0
+def _divergences(name: str, fresh: dict) -> list:
+    """``(key, first differing top-level field)`` for each run of ``fresh``
+    that differs from the committed golden file ``name``."""
+    with open(_golden_path(name), encoding="utf-8") as handle:
+        golden = json.load(handle)
+    # Round-trip through JSON: histogram keys are strings in the file.
+    fresh = json.loads(json.dumps(fresh))
+    found = []
+    for key in sorted(set(golden) | set(fresh)):
+        if key not in golden or key not in fresh:
+            found.append((key, "missing from the golden file" if key not in golden
+                          else "no longer generated"))
+            continue
+        expected, actual = golden[key], fresh[key]
+        fields = sorted(set(expected) | set(actual))
+        field = next((f for f in fields if expected.get(f) != actual.get(f)), None)
+        if field is not None:
+            found.append((key, field))
+    return found
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help="replay every golden and report divergences; "
+                             "write nothing")
+    args = parser.parse_args(argv)
+    if not args.check:
+        _write("backend_parity_golden.json", run_all())
+        _write("hotpath_golden.json", run_hotpath())
+        return 0
+    diverged = 0
+    for name, runs in (("backend_parity_golden.json", run_all),
+                       ("hotpath_golden.json", run_hotpath)):
+        found = _divergences(name, runs())
+        for key, field in found:
+            print(f"DIVERGED {name} {key}: {field}")
+        diverged += len(found)
+    print(f"{diverged} diverging run(s)" if diverged else "every golden replays")
+    return 1 if diverged else 0
 
 
 if __name__ == "__main__":
