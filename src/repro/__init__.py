@@ -21,7 +21,8 @@ The public API is organised by subsystem:
 ``repro.virt``
     Nested paging, the nested TLB, ideal shadow paging and the virtualized MMU.
 ``repro.baselines``
-    POM-TLB (large software-managed TLB) and large hardware TLB baselines.
+    The POM-TLB (a large software-managed TLB in memory).  The large
+    hardware TLB baselines are presets (:mod:`repro.sim.presets`).
 ``repro.workloads``
     Synthetic data-intensive workload generators (GraphBIG-like, GUPS, XSBench,
     DLRM, GenomicsBench).
@@ -53,9 +54,7 @@ Quick start::
 from repro.sim.config import (
     CacheConfig,
     MMUConfig,
-    SimulationConfig,
     SystemConfig,
-    SystemKind,
     TLBConfig,
     VictimaConfig,
 )
@@ -76,9 +75,7 @@ __all__ = [
     "compare",
     "CacheConfig",
     "MMUConfig",
-    "SimulationConfig",
     "SystemConfig",
-    "SystemKind",
     "TLBConfig",
     "VictimaConfig",
     "SimulationResult",

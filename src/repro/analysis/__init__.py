@@ -2,12 +2,7 @@
 
 from repro.analysis.cacti import tlb_access_latency, tlb_area_mm2, tlb_power_mw
 from repro.analysis.mcpat import victima_overheads, OverheadReport
-from repro.analysis.metrics import (
-    geometric_mean,
-    normalize,
-    percent_reduction,
-    speedup,
-)
+from repro.analysis.metrics import geometric_mean, percent_reduction
 
 __all__ = [
     "tlb_access_latency",
@@ -16,7 +11,5 @@ __all__ = [
     "victima_overheads",
     "OverheadReport",
     "geometric_mean",
-    "normalize",
     "percent_reduction",
-    "speedup",
 ]

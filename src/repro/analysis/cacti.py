@@ -68,8 +68,3 @@ def tlb_power_mw(entries: int) -> float:
     if entries <= 0:
         raise ValueError("a TLB needs a positive number of entries")
     return BASELINE_POWER_MW * (entries / BASELINE_ENTRIES) ** 1.1
-
-
-def realistic_l2_tlb_sweep() -> Dict[int, int]:
-    """The (entries → latency) sweep used by Figure 7."""
-    return dict(PAPER_REALISTIC_LATENCIES)

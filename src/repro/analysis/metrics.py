@@ -3,14 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Mapping, Sequence
-
-
-def speedup(baseline_cycles: float, system_cycles: float) -> float:
-    """Execution-time speedup of a system over a baseline (>1 means faster)."""
-    if system_cycles <= 0:
-        raise ValueError("system cycles must be positive")
-    return baseline_cycles / system_cycles
+from typing import Dict, Iterable, Mapping
 
 
 def percent_reduction(baseline: float, value: float) -> float:
@@ -18,11 +11,6 @@ def percent_reduction(baseline: float, value: float) -> float:
     if baseline == 0:
         return 0.0
     return 100.0 * (baseline - value) / baseline
-
-
-def normalize(value: float, baseline: float) -> float:
-    """Return ``value / baseline`` (0 when the baseline is zero)."""
-    return value / baseline if baseline else 0.0
 
 
 def geometric_mean(values: Iterable[float]) -> float:
@@ -62,12 +50,3 @@ def reuse_buckets(histogram: Mapping[int, int]) -> Dict[str, float]:
         "10-20": histogram_fraction(histogram, 10, 20),
         ">20": histogram_fraction(histogram, 20, float("inf")),
     }
-
-
-def weighted_mean(values: Sequence[float], weights: Sequence[float]) -> float:
-    if len(values) != len(weights):
-        raise ValueError("values and weights must have the same length")
-    total_weight = sum(weights)
-    if total_weight == 0:
-        return 0.0
-    return sum(v * w for v, w in zip(values, weights)) / total_weight

@@ -8,7 +8,7 @@ can assemble EXPERIMENTS.md.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Mapping, Sequence
+from typing import Iterable, List, Sequence
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]],
@@ -27,12 +27,6 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]],
     for row in str_rows:
         lines.append(" | ".join(cell.ljust(w) for cell, w in zip(row, widths)))
     return "\n".join(lines)
-
-
-def format_series(name: str, mapping: Mapping[object, object]) -> str:
-    """Render a one-line ``name: key=value key=value ...`` series."""
-    parts = [f"{key}={_fmt(value)}" for key, value in mapping.items()]
-    return f"{name}: " + "  ".join(parts)
 
 
 def format_markdown_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:

@@ -26,7 +26,7 @@ and ``tests/test_docstrings.py``), so they double as executable documentation.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, Optional, Sequence
 
 from repro.scenario import ScenarioSpec, list_scenarios, load_scenario
 from repro.sim.simulator import SimulationResult, Simulator
@@ -38,7 +38,6 @@ __all__ = [
     "list_scenarios",
     "load_scenario",
     "simulate",
-    "simulate_many",
 ]
 
 
@@ -113,19 +112,6 @@ def simulate(scenario, *, use_cache: bool = True) -> SimulationResult:
 
     return runner.cached_simulation(spec.content_hash(),
                                     lambda: Simulator.from_scenario(spec).run())
-
-
-def simulate_many(scenarios: Sequence, *, use_cache: bool = True) -> List[SimulationResult]:
-    """Run several scenarios in order (each through the shared cache).
-
-    >>> from repro import api
-    >>> spec = {"system": "radix", "workload": "rnd", "max_refs": 400,
-    ...         "hardware_scale": 16, "warmup_fraction": 0.0}
-    >>> results = api.simulate_many([spec, spec])   # second run hits the cache
-    >>> results[0] is results[1]
-    True
-    """
-    return [simulate(scenario, use_cache=use_cache) for scenario in scenarios]
 
 
 def compare(systems: Sequence[str], workloads: Optional[Iterable[str]] = None,

@@ -10,7 +10,6 @@ from repro.backends.base import MissResolution, TranslationBackend
 from repro.backends.registry import (
     BackendSpec,
     available_backends,
-    backend_for_kind,
     get_backend,
     register_backend,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "MissResolution",
     "TranslationBackend",
     "available_backends",
-    "backend_for_kind",
     "get_backend",
     "register_backend",
     "RadixBackend",

@@ -29,7 +29,6 @@ from repro.common.errors import ConfigurationError
 from repro.common.stats import ResettableStats
 from repro.memory.page_table import PageTableEntry
 from repro.mmu.mmu import ServedBy
-from repro.sim.config import SystemKind
 
 
 @dataclass
@@ -257,7 +256,7 @@ def _build_hash_pt(ctx) -> HashedPageTableBackend:
 
 
 register_backend(BackendSpec(
-    name="hash_pt", kind=SystemKind.HASH_PT, label="Hashed PT",
+    name="hash_pt", label="Hashed PT",
     summary="Open-hash page table in memory: one hashed bucket probe per walk.",
     build=_build_hash_pt,
     build_shared=_make_table))

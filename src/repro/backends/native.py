@@ -20,7 +20,6 @@ from repro.core.ptw_cp import BoundingBox, ComparatorPTWCostPredictor
 from repro.core.victima import VictimaController
 from repro.mmu.mmu import ServedBy
 from repro.mmu.tlb import TLB
-from repro.sim.config import SystemKind
 
 
 @dataclass
@@ -213,27 +212,27 @@ def _build_victima(ctx: NativeBuildContext) -> VictimaBackend:
 
 
 register_backend(BackendSpec(
-    name="radix", kind=SystemKind.RADIX, label="Radix",
+    name="radix", label="Radix",
     summary="Baseline four-level radix page-table walk behind the L2 TLB.",
     build=_build_radix))
 
 register_backend(BackendSpec(
-    name="large_l2_tlb", kind=SystemKind.LARGE_L2_TLB, label="Large L2 TLB",
+    name="large_l2_tlb", label="Large L2 TLB",
     summary="Radix walk behind an enlarged L2 TLB (opt_l2tlb_*/real_l2tlb_* presets).",
     build=_build_radix))
 
 register_backend(BackendSpec(
-    name="l3_tlb", kind=SystemKind.L3_TLB, label="Opt. L3 TLB 64K",
+    name="l3_tlb", label="Opt. L3 TLB 64K",
     summary="Large hardware L3 TLB probed before the radix walk (Figure 8).",
     build=_build_l3_tlb))
 
 register_backend(BackendSpec(
-    name="pom_tlb", kind=SystemKind.POM_TLB, label="POM-TLB 64K",
+    name="pom_tlb", label="POM-TLB 64K",
     summary="In-memory software-managed TLB probed before the walk (Ryoo et al.).",
     build=_build_pom_tlb,
     build_shared=_make_pom_tlb))
 
 register_backend(BackendSpec(
-    name="victima", kind=SystemKind.VICTIMA, label="Victima",
+    name="victima", label="Victima",
     summary="TLB blocks stored in the L2 cache, probed in parallel with the walk.",
     build=_build_victima))

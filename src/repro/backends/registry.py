@@ -1,8 +1,8 @@
 """The translation-backend registry.
 
-Every evaluated translation mechanism registers a :class:`BackendSpec` here;
-the system factory (:mod:`repro.sim.system`) looks the spec up by the
-configured :class:`~repro.sim.config.SystemKind` and calls its build hook,
+Every evaluated translation mechanism registers a :class:`BackendSpec` here,
+and its name is the system's only identity: the system factory
+(:mod:`repro.sim.system`) builds the spec named by ``SystemConfig.kind``,
 and the preset layer (:mod:`repro.sim.presets`) falls back to the registry
 for system names it does not hard-code — so a new backend registered by a
 single module is immediately reachable from scenarios, the CLI and the
@@ -25,13 +25,11 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.common.errors import ConfigurationError
-from repro.sim.config import SystemKind
 
 __all__ = [
     "BackendSpec",
     "register_backend",
     "get_backend",
-    "backend_for_kind",
     "available_backends",
 ]
 
@@ -47,10 +45,9 @@ class BackendSpec:
     receives via ``context.shared``.
     """
 
-    #: Registry key; also the preset/scenario name that selects the backend.
+    #: Registry key: the preset/scenario name that selects the backend and
+    #: the ``SystemConfig.kind`` the system factory builds.
     name: str
-    #: The :class:`SystemKind` the system factory dispatches on.
-    kind: SystemKind
     #: Human-readable system label (results carry it).
     label: str
     #: One-line summary shown by ``repro backends list``.
@@ -64,11 +61,10 @@ class BackendSpec:
 
 
 _REGISTRY: Dict[str, BackendSpec] = {}
-_BY_KIND: Dict[SystemKind, BackendSpec] = {}
 
 
 def register_backend(spec: BackendSpec) -> BackendSpec:
-    """Register ``spec`` under its name (and kind); returns it unchanged.
+    """Register ``spec`` under its name; returns it unchanged.
 
     Re-registering a name is an error — backends are process-global and a
     silent overwrite would make results depend on import order.
@@ -77,9 +73,6 @@ def register_backend(spec: BackendSpec) -> BackendSpec:
         raise ConfigurationError(
             f"translation backend {spec.name!r} is already registered")
     _REGISTRY[spec.name] = spec
-    # First spec for a kind wins the kind-dispatch slot; later ones remain
-    # name-addressable (e.g. alias specs sharing a SystemKind).
-    _BY_KIND.setdefault(spec.kind, spec)
     return spec
 
 
@@ -96,16 +89,6 @@ def get_backend(name: str) -> BackendSpec:
         raise ConfigurationError(
             f"unknown translation backend {name!r}; registered backends: "
             + ", ".join(sorted(_REGISTRY))) from None
-
-
-def backend_for_kind(kind: SystemKind) -> BackendSpec:
-    """The spec the system factory dispatches to for ``kind``."""
-    try:
-        return _BY_KIND[kind]
-    except KeyError:
-        raise ConfigurationError(
-            f"no translation backend registered for system kind "
-            f"{kind.value!r}") from None
 
 
 def available_backends() -> List[BackendSpec]:

@@ -26,7 +26,6 @@ from repro.baselines.pom_tlb import POMTLB
 from repro.core.ptw_cp import BoundingBox, ComparatorPTWCostPredictor
 from repro.core.victima import VictimaController
 from repro.mmu.mmu import ServedBy
-from repro.sim.config import SystemKind
 
 
 @dataclass
@@ -194,22 +193,21 @@ def _build_virt_pom(ctx: VirtBuildContext) -> VirtPOMTLBBackend:
 
 
 register_backend(BackendSpec(
-    name="nested_paging", kind=SystemKind.NESTED_PAGING, label="Nested Paging",
+    name="nested_paging", label="Nested Paging",
     summary="Two-dimensional guest+host walk on every L2 TLB miss.",
     build=_build_nested, virtualized=True))
 
 register_backend(BackendSpec(
-    name="ideal_shadow_paging", kind=SystemKind.IDEAL_SHADOW_PAGING,
-    label="Ideal Shadow Paging",
+    name="ideal_shadow_paging", label="Ideal Shadow Paging",
     summary="One-dimensional shadow-table walk with free shadow maintenance.",
     build=_build_shadow, virtualized=True))
 
 register_backend(BackendSpec(
-    name="virt_pom_tlb", kind=SystemKind.VIRT_POM_TLB, label="NP + POM-TLB",
+    name="virt_pom_tlb", label="NP + POM-TLB",
     summary="In-memory POM-TLB of combined translations over nested paging.",
     build=_build_virt_pom, virtualized=True))
 
 register_backend(BackendSpec(
-    name="virt_victima", kind=SystemKind.VIRT_VICTIMA, label="NP + Victima",
+    name="virt_victima", label="NP + Victima",
     summary="Combined-translation TLB blocks in the L2 cache over nested paging.",
     build=_build_virt_victima, virtualized=True))

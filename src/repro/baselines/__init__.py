@@ -1,16 +1,8 @@
 """Baseline translation mechanisms the paper compares Victima against."""
 
 from repro.baselines.pom_tlb import POMTLB, POMTLBStats
-from repro.baselines.large_tlb import (
-    make_baseline_l2_tlb,
-    make_large_l2_tlb,
-    make_l3_tlb,
-)
 
 __all__ = [
     "POMTLB",
     "POMTLBStats",
-    "make_baseline_l2_tlb",
-    "make_large_l2_tlb",
-    "make_l3_tlb",
 ]

@@ -33,10 +33,6 @@ class BlockKind(enum.Enum):
     TLB = "tlb"
     NESTED_TLB = "nested_tlb"
 
-    @property
-    def is_translation(self) -> bool:
-        return self is not BlockKind.DATA
-
 
 def data_key(paddr: int) -> CacheKey:
     """Key for a conventional data block, indexed by physical block number."""
@@ -93,7 +89,7 @@ class CacheBlock:
         #: Full tag (``key[1]``), cached for the set-scan comparison loop.
         self.tag = key[1]
         self.kind = kind
-        #: Cached ``kind.is_translation`` (the kind never changes).
+        #: Whether this is a TLB or nested-TLB block (the kind never changes).
         self.is_tlb_block = kind is not BlockKind.DATA
         self.dirty = dirty
         #: Address-space identifier for TLB / nested TLB blocks (None for data).

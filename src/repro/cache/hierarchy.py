@@ -48,10 +48,6 @@ class AccessResult:
     level: MemoryLevel
     dram_accesses: int = 0
 
-    @property
-    def hit_in_cache(self) -> bool:
-        return self.level is not MemoryLevel.DRAM
-
 
 class CacheHierarchy:
     """L1-D + L2 + L3 caches in front of DRAM (inclusive fill policy)."""

@@ -12,7 +12,7 @@ and pollution, which is what matters for the translation study).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.common.addresses import CACHE_BLOCK_SIZE
@@ -21,12 +21,7 @@ from repro.common.addresses import CACHE_BLOCK_SIZE
 @dataclass
 class PrefetcherStats:
     issued: int = 0
-    useful: int = 0
     trainings: int = 0
-
-    @property
-    def accuracy(self) -> float:
-        return self.useful / self.issued if self.issued else 0.0
 
 
 class Prefetcher:
@@ -39,9 +34,6 @@ class Prefetcher:
 
     def observe(self, ip: int, paddr: int) -> List[int]:
         raise NotImplementedError
-
-    def record_useful(self) -> None:
-        self.stats.useful += 1
 
 
 class IPStridePrefetcher(Prefetcher):

@@ -12,12 +12,8 @@ from repro.common.addresses import (
     PHYSICAL_ADDRESS_BITS,
     VIRTUAL_ADDRESS_BITS,
     PageSize,
-    block_address,
-    block_offset,
     page_number,
-    page_offset,
     radix_indices,
-    vpn_to_vaddr,
 )
 from repro.common.counters import SaturatingCounter
 from repro.common.errors import (
@@ -34,12 +30,8 @@ __all__ = [
     "PHYSICAL_ADDRESS_BITS",
     "VIRTUAL_ADDRESS_BITS",
     "PageSize",
-    "block_address",
-    "block_offset",
     "page_number",
-    "page_offset",
     "radix_indices",
-    "vpn_to_vaddr",
     "SaturatingCounter",
     "ConfigurationError",
     "ReproError",

@@ -61,31 +61,6 @@ def page_number(vaddr: int, page_size: PageSize = PageSize.SIZE_4K) -> int:
     return vaddr >> page_size.offset_bits
 
 
-def page_offset(vaddr: int, page_size: PageSize = PageSize.SIZE_4K) -> int:
-    """Return the offset of ``vaddr`` within its page."""
-    return vaddr & (int(page_size) - 1)
-
-
-def vpn_to_vaddr(vpn: int, page_size: PageSize = PageSize.SIZE_4K) -> int:
-    """Return the base virtual address of page ``vpn``."""
-    return vpn << page_size.offset_bits
-
-
-def block_address(addr: int) -> int:
-    """Return the cache-block-aligned address containing ``addr``."""
-    return addr & ~(CACHE_BLOCK_SIZE - 1)
-
-
-def block_number(addr: int) -> int:
-    """Return the cache-block number (address divided by the block size)."""
-    return addr >> BLOCK_OFFSET_BITS
-
-
-def block_offset(addr: int) -> int:
-    """Return the offset of ``addr`` within its cache block."""
-    return addr & (CACHE_BLOCK_SIZE - 1)
-
-
 def radix_indices(vaddr: int) -> Tuple[int, int, int, int]:
     """Split a virtual address into its four radix page-table indices.
 
@@ -98,16 +73,6 @@ def radix_indices(vaddr: int) -> Tuple[int, int, int, int]:
     pdpt = (vaddr >> 30) & mask
     pml4 = (vaddr >> 39) & mask
     return pml4, pdpt, pd, pt
-
-
-def canonical(vaddr: int) -> int:
-    """Clamp a virtual address to the 48-bit canonical user range."""
-    return vaddr & ((1 << VIRTUAL_ADDRESS_BITS) - 1)
-
-
-def align_down(addr: int, alignment: int) -> int:
-    """Round ``addr`` down to a multiple of ``alignment`` (a power of two)."""
-    return addr & ~(alignment - 1)
 
 
 def align_up(addr: int, alignment: int) -> int:

@@ -31,20 +31,6 @@ class SaturatingCounter:
         self.value = value
         return value
 
-    def decrement(self, amount: int = 1) -> int:
-        """Decrement, saturating at zero.  Returns the new value."""
-        value = self.value - amount
-        if value < 0:
-            value = 0
-        self.value = value
-        return value
-
-    def reset(self) -> None:
-        self.value = 0
-
-    def is_saturated(self) -> bool:
-        return self.value == self.max_value
-
     def __int__(self) -> int:
         return self.value
 

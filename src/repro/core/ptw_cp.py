@@ -31,10 +31,6 @@ class PredictorStats:
     positives: int = 0
     negatives: int = 0
 
-    @property
-    def positive_rate(self) -> float:
-        return self.positives / self.predictions if self.predictions else 0.0
-
 
 class PTWCostPredictor:
     """Interface: decide whether a page is costly-to-translate."""

@@ -1,8 +1,8 @@
-"""Victima sensitivity studies (Section 9.2): Figures 25 and 26, plus extra ablations."""
+"""Victima sensitivity studies (Section 9.2): Figures 25 and 26."""
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.analysis.metrics import arithmetic_mean, geometric_mean, percent_reduction
 from repro.experiments.engine import RunSpec, run_many
@@ -79,77 +79,4 @@ def fig26_replacement_ablation(settings: Optional[ExperimentSettings] = None,
         measured={"GMEAN benefit of TLB-aware SRRIP (%)": round(100 * (gmean - 1), 1)},
         notes="Victima should work with both policies; the TLB-aware policy gives "
               "a small additional benefit.",
-    )
-
-
-def ablation_insertion_triggers(settings: Optional[ExperimentSettings] = None,
-                                jobs: Optional[int] = None) -> FigureResult:
-    """Extra ablation (DESIGN.md): miss-only / eviction-only / both insertion triggers."""
-    settings = settings or ExperimentSettings()
-    variants = ("victima", "victima_miss_only", "victima_eviction_only")
-    labels = {"victima": "miss + eviction", "victima_miss_only": "miss only",
-              "victima_eviction_only": "eviction only"}
-    matrix = run_matrix(("radix",) + variants, settings, jobs=jobs)
-    rows = []
-    gmeans = {}
-    speedups = {variant: [] for variant in variants}
-    for workload in settings.workloads:
-        baseline = matrix[workload]["radix"].cycles
-        row = [workload]
-        for variant in variants:
-            speedup = baseline / matrix[workload][variant].cycles
-            speedups[variant].append(speedup)
-            row.append(round(speedup, 3))
-        rows.append(row)
-    for variant in variants:
-        gmeans[variant] = geometric_mean(speedups[variant])
-    rows.append(["GMEAN"] + [round(gmeans[v], 3) for v in variants])
-    return FigureResult(
-        experiment_id="Ablation (insertion triggers)",
-        title="Victima insertion-trigger ablation: speedup over Radix",
-        headers=["workload"] + [labels[v] for v in variants],
-        rows=rows,
-        paper_expectation={"design choice": "both triggers used in the paper"},
-        measured={"best variant": max(gmeans, key=gmeans.get)},
-        notes="The combined policy should be at least as good as either trigger alone.",
-    )
-
-
-def ablation_predictor(settings: Optional[ExperimentSettings] = None,
-                       jobs: Optional[int] = None) -> FigureResult:
-    """Extra ablation (DESIGN.md): Victima with and without the PTW cost predictor."""
-    settings = settings or ExperimentSettings()
-    matrix = run_matrix(("radix", "victima", "victima_no_predictor"), settings, jobs=jobs)
-    rows = []
-    speedups = {"victima": [], "victima_no_predictor": []}
-    pollution = {"victima": [], "victima_no_predictor": []}
-    for workload in settings.workloads:
-        baseline = matrix[workload]["radix"].cycles
-        row = [workload]
-        for variant in ("victima", "victima_no_predictor"):
-            result = matrix[workload][variant]
-            speedup = baseline / result.cycles
-            speedups[variant].append(speedup)
-            inserted = 0
-            if result.victima_stats:
-                inserted = (result.victima_stats["insertions_on_miss"]
-                            + result.victima_stats["insertions_on_eviction"])
-            pollution[variant].append(inserted)
-            row.extend([round(speedup, 3), inserted])
-        rows.append(row)
-    gmeans = {v: geometric_mean(speedups[v]) for v in speedups}
-    rows.append(["GMEAN", round(gmeans["victima"], 3), "",
-                 round(gmeans["victima_no_predictor"], 3), ""])
-    return FigureResult(
-        experiment_id="Ablation (PTW-CP)",
-        title="Victima with vs. without the PTW cost predictor",
-        headers=["workload", "with PTW-CP (speedup)", "with PTW-CP (TLB blocks inserted)",
-                 "without PTW-CP (speedup)", "without PTW-CP (TLB blocks inserted)"],
-        rows=rows,
-        paper_expectation={"role of PTW-CP": "avoid wasting cache space on cheap pages"},
-        measured={"speedup delta (pp)": round(100 * (gmeans["victima"]
-                                                     - gmeans["victima_no_predictor"]), 2)},
-        notes="Without the predictor every walked page gets a TLB block; with high "
-              "L2-cache MPKI the predictor is bypassed anyway, so the gap is small "
-              "for the most irregular workloads.",
     )

@@ -59,16 +59,6 @@ class ExperimentSettings:
     seed: int = 42
     workloads: Tuple[str, ...] = field(default_factory=_env_workloads)
 
-    def scaled_down(self, factor: int) -> "ExperimentSettings":
-        """A cheaper copy (used by sweep experiments with many configurations)."""
-        return ExperimentSettings(
-            max_refs=min(self.max_refs, max(2_000, self.max_refs // factor)),
-            hardware_scale=self.hardware_scale,
-            warmup_fraction=self.warmup_fraction,
-            seed=self.seed,
-            workloads=self.workloads,
-        )
-
 
 @dataclass
 class FigureResult:

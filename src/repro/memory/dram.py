@@ -9,21 +9,15 @@ and a simple per-bank interleaving on block address spreads accesses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict
 
 from repro.common.stats import register_stats_component
 
-
-@dataclass
-class DramConfig:
-    """Timing and geometry parameters of the DRAM model."""
-
-    row_hit_latency: int = 110
-    row_miss_latency: int = 170
-    row_size_bytes: int = 8 * 1024
-    num_banks: int = 16
-    channel_interleave_bits: int = 6  # interleave consecutive blocks across banks
+#: Bytes per DRAM row (the open-row unit).
+ROW_SIZE_BYTES = 8 * 1024
+#: Consecutive 64-byte blocks interleave across banks.
+INTERLEAVE_BITS = 6
 
 
 @dataclass
@@ -34,28 +28,30 @@ class DramStats:
     reads: int = 0
     writes: int = 0
 
-    @property
-    def row_hit_rate(self) -> float:
-        return self.row_hits / self.accesses if self.accesses else 0.0
-
 
 class DramModel:
-    """Open-row DRAM latency model."""
+    """Open-row DRAM latency model.
+
+    The three timing values mirror :class:`~repro.sim.config.DramTimingConfig`,
+    which validates them.
+    """
 
     # reset_stats replaces the stats object (callers re-read it), so the
     # registry is used directly instead of the ResettableStats default.
 
-    def __init__(self, config: DramConfig | None = None):
-        self.config = config or DramConfig()
+    def __init__(self, row_hit_latency: int = 110, row_miss_latency: int = 170,
+                 num_banks: int = 16):
+        self.row_hit_latency = row_hit_latency
+        self.row_miss_latency = row_miss_latency
+        self.num_banks = num_banks
         self.stats = DramStats()
         self._open_rows: Dict[int, int] = {}
         register_stats_component(self)
 
     def access(self, paddr: int, write: bool = False) -> int:
         """Access ``paddr`` and return the access latency in cycles."""
-        cfg = self.config
-        bank = (paddr >> cfg.channel_interleave_bits) % cfg.num_banks
-        row = paddr // cfg.row_size_bytes
+        bank = (paddr >> INTERLEAVE_BITS) % self.num_banks
+        row = paddr // ROW_SIZE_BYTES
         self.stats.accesses += 1
         if write:
             self.stats.writes += 1
@@ -63,10 +59,10 @@ class DramModel:
             self.stats.reads += 1
         if self._open_rows.get(bank) == row:
             self.stats.row_hits += 1
-            return cfg.row_hit_latency
+            return self.row_hit_latency
         self.stats.row_misses += 1
         self._open_rows[bank] = row
-        return cfg.row_miss_latency
+        return self.row_miss_latency
 
     def reset_stats(self) -> None:
         self.stats = DramStats()

@@ -67,10 +67,6 @@ class MMUStats:
     def mean_miss_latency(self) -> float:
         return self.total_miss_latency / self.l2_tlb_misses if self.l2_tlb_misses else 0.0
 
-    @property
-    def mean_translation_latency(self) -> float:
-        return self.total_translation_latency / self.translations if self.translations else 0.0
-
 
 class MMU(ResettableStats):
     """Two-level TLB hierarchy + pluggable back-end.

@@ -4,9 +4,7 @@ from repro.sim.config import (
     CacheConfig,
     DramTimingConfig,
     MMUConfig,
-    SimulationConfig,
     SystemConfig,
-    SystemKind,
     TLBConfig,
     VictimaConfig,
 )
@@ -23,9 +21,7 @@ __all__ = [
     "CacheConfig",
     "DramTimingConfig",
     "MMUConfig",
-    "SimulationConfig",
     "SystemConfig",
-    "SystemKind",
     "TLBConfig",
     "VictimaConfig",
     "EVALUATED_NATIVE_SYSTEMS",

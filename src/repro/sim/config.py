@@ -1,46 +1,19 @@
 """Configuration dataclasses for the simulated systems.
 
 Defaults follow Table 3 of the paper (the baseline system).  Every evaluated
-system is expressed as a :class:`SystemConfig` whose :class:`SystemKind` picks
-the translation back-end; :mod:`repro.sim.presets` provides ready-made configs
-for each system the paper evaluates.
+system is expressed as a :class:`SystemConfig` whose ``kind`` names the
+translation backend in the registry (:mod:`repro.backends`);
+:mod:`repro.sim.presets` provides ready-made configs for each system the
+paper evaluates.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from repro.common.addresses import PageSize
 from repro.common.errors import ConfigurationError
-
-
-class SystemKind(enum.Enum):
-    """The translation mechanisms evaluated in the paper."""
-
-    # Native execution (Section 9.1)
-    RADIX = "radix"
-    LARGE_L2_TLB = "large_l2_tlb"
-    L3_TLB = "l3_tlb"
-    POM_TLB = "pom_tlb"
-    VICTIMA = "victima"
-    # Virtualized execution (Section 9.3)
-    NESTED_PAGING = "nested_paging"
-    VIRT_POM_TLB = "virt_pom_tlb"
-    IDEAL_SHADOW_PAGING = "ideal_shadow_paging"
-    VIRT_VICTIMA = "virt_victima"
-    # Additional baselines (registered via repro.backends)
-    HASH_PT = "hash_pt"
-
-    @property
-    def is_virtualized(self) -> bool:
-        return self in (SystemKind.NESTED_PAGING, SystemKind.VIRT_POM_TLB,
-                        SystemKind.IDEAL_SHADOW_PAGING, SystemKind.VIRT_VICTIMA)
-
-    @property
-    def uses_victima(self) -> bool:
-        return self in (SystemKind.VICTIMA, SystemKind.VIRT_VICTIMA)
 
 
 @dataclass
@@ -189,7 +162,8 @@ MAX_CORES = 15
 class SystemConfig:
     """A complete evaluated system."""
 
-    kind: SystemKind = SystemKind.RADIX
+    #: Registry name of the translation backend the system factory builds.
+    kind: str = "radix"
     label: str = "Radix"
     mmu: MMUConfig = field(default_factory=MMUConfig)
     l1d_cache: CacheConfig = field(default_factory=lambda: CacheConfig(
@@ -215,13 +189,18 @@ class SystemConfig:
     num_cores: int = 1
 
     def validate(self) -> None:
+        # Importing the package registers the built-in backends; an unknown
+        # name raises the registry's error, which lists every registered one.
+        from repro.backends import get_backend
+
+        backend = get_backend(self.kind)
         if not 1 <= self.num_cores <= MAX_CORES:
             raise ConfigurationError(
                 f"num_cores must be in [1, {MAX_CORES}], got {self.num_cores}")
-        if self.num_cores > 1 and self.kind.is_virtualized:
+        if self.num_cores > 1 and backend.virtualized:
             raise ConfigurationError(
                 "multi-core simulation currently supports native systems only; "
-                f"{self.kind.value!r} requires num_cores=1")
+                f"{self.kind!r} requires num_cores=1")
         if (self.num_cores > 1 and self.l3_cache is not None
                 and self.l3_cache.replacement_policy == "tlb_aware_srrip"):
             raise ConfigurationError(
@@ -236,24 +215,9 @@ class SystemConfig:
         self.dram.validate()
         self.pom_tlb.validate()
         self.hash_pt.validate()
-        if self.kind is SystemKind.L3_TLB and self.mmu.l3_tlb is None:
+        if self.kind == "l3_tlb" and self.mmu.l3_tlb is None:
             raise ConfigurationError("an L3-TLB system needs mmu.l3_tlb configured")
-        if self.kind.uses_victima and self.l2_cache.replacement_policy not in (
-                "srrip", "tlb_aware_srrip"):
+        if (self.kind in ("victima", "virt_victima")
+                and self.l2_cache.replacement_policy not in ("srrip", "tlb_aware_srrip")):
             raise ConfigurationError(
                 "Victima systems require an SRRIP-family L2 replacement policy")
-
-    def with_overrides(self, **kwargs) -> "SystemConfig":
-        """Return a copy with the given top-level fields replaced."""
-        return replace(self, **kwargs)
-
-
-@dataclass
-class SimulationConfig:
-    """Everything a single simulation run needs besides the workload object."""
-
-    system: SystemConfig = field(default_factory=SystemConfig)
-    #: Instructions per sampling epoch for time-varying statistics (reach).
-    epoch_instructions: int = 10_000
-    #: Maximum number of memory references to simulate (None = workload's own).
-    max_refs: Optional[int] = None

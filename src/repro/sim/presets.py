@@ -39,9 +39,7 @@ from repro.common.errors import ConfigurationError
 from repro.sim.config import (
     BOTH_PAGE_SIZES,
     CacheConfig,
-    MMUConfig,
     SystemConfig,
-    SystemKind,
     TLBConfig,
     VictimaConfig,
 )
@@ -92,22 +90,22 @@ def make_system_config(name: str, l3_latency: Optional[int] = None,
         flavour, size_token = match.groups()
         entries = _parse_entries(size_token)
         latency = 12 if flavour == "opt" else tlb_access_latency(entries)
-        config.kind = SystemKind.LARGE_L2_TLB
+        config.kind = "large_l2_tlb"
         config.label = f"{'Opt.' if flavour == 'opt' else 'Real.'} L2 TLB {size_token}K"
         config.mmu.l2_tlb = TLBConfig(entries, 16, latency, BOTH_PAGE_SIZES)
     elif name == "radix":
-        config.kind = SystemKind.RADIX
+        config.kind = "radix"
         config.label = "Radix"
     elif name in ("opt_l3tlb_64k", "l3_tlb"):
-        config.kind = SystemKind.L3_TLB
+        config.kind = "l3_tlb"
         config.label = "Opt. L3 TLB 64K"
         config.mmu.l3_tlb = TLBConfig(64 * 1024, 16, l3_latency or 15, BOTH_PAGE_SIZES)
     elif name == "pom_tlb":
-        config.kind = SystemKind.POM_TLB
+        config.kind = "pom_tlb"
         config.label = "POM-TLB 64K"
         config.l2_cache.replacement_policy = "tlb_aware_srrip"
     elif name.startswith("victima"):
-        config.kind = SystemKind.VICTIMA
+        config.kind = "victima"
         config.label = "Victima"
         config.l2_cache.replacement_policy = "tlb_aware_srrip"
         if name == "victima_srrip":
@@ -125,17 +123,17 @@ def make_system_config(name: str, l3_latency: Optional[int] = None,
         elif name != "victima":
             raise ConfigurationError(f"unknown Victima variant: {name!r}")
     elif name == "nested_paging":
-        config.kind = SystemKind.NESTED_PAGING
+        config.kind = "nested_paging"
         config.label = "Nested Paging"
     elif name == "virt_pom_tlb":
-        config.kind = SystemKind.VIRT_POM_TLB
+        config.kind = "virt_pom_tlb"
         config.label = "POM-TLB (virtualized)"
         config.l2_cache.replacement_policy = "tlb_aware_srrip"
     elif name in ("ideal_shadow", "ideal_shadow_paging"):
-        config.kind = SystemKind.IDEAL_SHADOW_PAGING
+        config.kind = "ideal_shadow_paging"
         config.label = "Ideal Shadow Paging"
     elif name == "virt_victima":
-        config.kind = SystemKind.VIRT_VICTIMA
+        config.kind = "virt_victima"
         config.label = "Victima (virtualized)"
         config.l2_cache.replacement_policy = "tlb_aware_srrip"
     else:
@@ -145,7 +143,7 @@ def make_system_config(name: str, l3_latency: Optional[int] = None,
         # registered name when the lookup fails.
         from repro.backends import get_backend
         spec = get_backend(name)
-        config.kind = spec.kind
+        config.kind = spec.name
         config.label = spec.label
 
     if l2_cache_bytes is not None:

@@ -16,14 +16,14 @@ of execution cycles to address translation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.metrics import reuse_buckets
 from repro.cache.block import BlockKind
 from repro.cache.hierarchy import MemoryLevel
 from repro.common.errors import ConfigurationError
-from repro.sim.config import SimulationConfig, SystemConfig
+from repro.sim.config import SystemConfig
 from repro.sim.sampling import SamplingConfig, sampled_batches, sampling_block
 from repro.sim.system import MultiCoreSystem, System, build_system
 from repro.workloads.base import MemoryRef, Workload, WorkloadConfig
@@ -354,18 +354,6 @@ class Simulator:
                    warmup_fraction=spec.warmup_fraction,
                    sampling=spec.sampling)
 
-    @classmethod
-    def from_simulation_config(cls, config: SimulationConfig,
-                               workload_config: WorkloadConfig) -> "Simulator":
-        if config.max_refs is not None:
-            # Never mutate the caller's config: the same WorkloadConfig may be
-            # shared across several runs (e.g. a sweep over SimulationConfigs).
-            workload_config = replace(workload_config,
-                                      max_refs=config.max_refs,
-                                      params=dict(workload_config.params))
-        return cls.from_configs(config.system, workload_config,
-                                epoch_instructions=config.epoch_instructions)
-
     # ------------------------------------------------------------------ #
     # Main loop
     # ------------------------------------------------------------------ #
@@ -573,7 +561,7 @@ def collect_result(system, runs: Sequence[CoreRun], name: str,
     result = SimulationResult(
         workload=name,
         system_label=config.label,
-        system_kind=config.kind.value,
+        system_kind=config.kind,
         cycles=max(core.cycles for core in per_core),
         background_walks=background_walks,
         ptw_mean_latency=walk_latency / walks if walks else 0.0,

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Union
 
-from repro.backends import NativeBuildContext, VirtBuildContext, backend_for_kind
+from repro.backends import NativeBuildContext, VirtBuildContext, get_backend
 from repro.baselines.pom_tlb import POMTLB
 from repro.cache.cache import Cache
 from repro.cache.hierarchy import CacheHierarchy
@@ -29,7 +29,7 @@ from repro.common.errors import ConfigurationError
 from repro.common.pressure import PressureMonitor
 from repro.common.stats import StatsRegistry
 from repro.core.victima import VictimaController
-from repro.memory.dram import DramConfig, DramModel
+from repro.memory.dram import DramModel
 from repro.memory.page_allocator import VirtualMemoryManager
 from repro.memory.physical import PhysicalMemory
 from repro.mmu.maintenance import TLBMaintenance
@@ -37,7 +37,7 @@ from repro.mmu.mmu import MMU
 from repro.mmu.page_walker import PageTableWalker
 from repro.mmu.pwc import PageWalkCaches
 from repro.mmu.tlb import TLB
-from repro.sim.config import CacheConfig, SystemConfig, SystemKind, TLBConfig
+from repro.sim.config import CacheConfig, SystemConfig, TLBConfig
 from repro.virt.nested import NestedPageTableWalker
 from repro.virt.shadow import ShadowPageTableBuilder
 from repro.virt.virt_mmu import VirtualizedMMU
@@ -69,7 +69,7 @@ class System:
 
     @property
     def is_virtualized(self) -> bool:
-        return self.config.kind.is_virtualized
+        return get_backend(self.config.kind).virtualized
 
     @property
     def l2_cache(self) -> Cache:
@@ -111,9 +111,8 @@ def _make_pwcs(config: SystemConfig) -> PageWalkCaches:
 
 
 def _make_dram(config: SystemConfig) -> DramModel:
-    return DramModel(DramConfig(row_hit_latency=config.dram.row_hit_latency,
-                                row_miss_latency=config.dram.row_miss_latency,
-                                num_banks=config.dram.num_banks))
+    return DramModel(config.dram.row_hit_latency, config.dram.row_miss_latency,
+                     config.dram.num_banks)
 
 
 def _make_pressure(config: SystemConfig) -> PressureMonitor:
@@ -174,7 +173,7 @@ def build_system(config: SystemConfig,
         l3 = (_make_cache("L3", config.l3_cache, pressure)
               if config.l3_cache is not None else None)
         hierarchy = _make_hierarchy(config, pressure, l3, dram)
-        if config.kind.is_virtualized:
+        if get_backend(config.kind).virtualized:
             system = _build_virtualized(config, physical, dram, hierarchy,
                                         pressure, huge_page_fraction)
         else:
@@ -206,10 +205,10 @@ def _build_native_core(config: SystemConfig, physical: PhysicalMemory,
     pwcs = _make_pwcs(config)
     walker = PageTableWalker(hierarchy, pwcs)
 
-    # The registry supplies the translation backend for the configured kind;
+    # The registry supplies the translation backend ``config.kind`` names;
     # its build hook constructs whatever structures the mechanism needs
     # (Victima controller, POM-TLB reservation, L3 TLB, hashed table, ...).
-    spec = backend_for_kind(config.kind)
+    spec = get_backend(config.kind)
     ctx = NativeBuildContext(
         config=config, physical=physical, hierarchy=hierarchy,
         pressure=pressure, walker=walker, memory_manager=memory_manager,
@@ -254,7 +253,7 @@ def _build_virtualized(config, physical, dram, hierarchy, pressure,
     # POM-TLB used to be constructed (physical-memory reservation order
     # matters); the nested walker is built afterwards because it takes the
     # backend's Victima controller, then bound to the backend.
-    spec = backend_for_kind(config.kind)
+    spec = get_backend(config.kind)
     backend = spec.build(VirtBuildContext(
         config=config, physical=physical, hierarchy=hierarchy, pressure=pressure,
         shadow_builder=shadow_builder, shadow_walker=shadow_walker,
@@ -364,7 +363,7 @@ def build_multicore_system(config: SystemConfig,
     ``config.l3_cache`` is instantiated once and shared.
     """
     config.validate()
-    spec = backend_for_kind(config.kind)
+    spec = get_backend(config.kind)
 
     # Shared structures register with the machine-wide registry; everything a
     # core owns registers with that core's registry (per-core warm-up resets).
@@ -388,7 +387,7 @@ def build_multicore_system(config: SystemConfig,
     system = MultiCoreSystem(
         config=config, physical=physical, dram=dram, llc=llc,
         memory_manager=memory_manager,
-        pom_tlb=shared if config.kind is SystemKind.POM_TLB else None,
+        pom_tlb=shared if isinstance(shared, POMTLB) else None,
         shared_backend=shared, stats_registry=shared_registry)
     for core_id in range(config.num_cores):
         registry = StatsRegistry()

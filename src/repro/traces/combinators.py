@@ -128,18 +128,6 @@ class RemappedWorkload(ComposedWorkload):
         """
         return self.inner.fast_forward(self._inner_stream, count)
 
-    def bounded_batches(self, batch_size: Optional[int] = None) -> Iterator[List[MemoryRef]]:
-        """Batched remapping: shift whole inner chunks via list comprehension.
-
-        Valid because this combinator's ``max_refs`` equals the inner
-        workload's, so the inner stream's own truncation is exactly ours.
-        """
-        vshift, ipshift = self.vaddr_offset, self.ip_offset
-        for batch in self.inner.bounded_batches(batch_size):
-            yield [MemoryRef(ref.ip + ipshift, ref.vaddr + vshift,
-                             ref.is_write, ref.instruction_gap)
-                   for ref in batch]
-
 
 class MixWorkload(ComposedWorkload):
     """Weighted deterministic interleaving of remapped tenant workloads.
@@ -275,48 +263,6 @@ class MixWorkload(ComposedWorkload):
                 del streams[index]
                 del weights[index]
 
-    def bounded_batches(self, batch_size: Optional[int] = None) -> Iterator[List[MemoryRef]]:
-        """Batched interleave: the same weighted RNG schedule, chunked output.
-
-        The per-reference scheduling draws are unavoidable (each draw decides
-        which tenant advances), but the tenants are consumed through their own
-        batched streams and the output is accumulated into lists, removing
-        the per-reference generator hand-off that ``bounded()`` pays twice
-        (once per tenant pull, once per mix yield).  Draw order, tenant
-        retirement and truncation are identical to ``bounded()``.
-        """
-        if batch_size is None:
-            batch_size = self.BATCH_SIZE
-        max_refs = self.config.max_refs
-        streams = [itertools.chain.from_iterable(component.bounded_batches(batch_size))
-                   for component in self.components]
-        weights = list(self.weights)
-        rng = self.rng
-        batch: List[MemoryRef] = []
-        emitted = 0
-        while streams and emitted < max_refs:
-            if len(streams) == 1:
-                for ref in itertools.islice(streams[0], max_refs - emitted):
-                    batch.append(ref)
-                    if len(batch) >= batch_size:
-                        yield batch
-                        batch = []
-                break
-            index = rng.choices(range(len(streams)), weights=weights)[0]
-            try:
-                ref = next(streams[index])
-            except StopIteration:
-                del streams[index]
-                del weights[index]
-                continue
-            batch.append(ref)
-            emitted += 1
-            if len(batch) >= batch_size:
-                yield batch
-                batch = []
-        if batch:
-            yield batch
-
 
 class PhasedWorkload(ComposedWorkload):
     """Sequential phases: each component runs to exhaustion, then the next.
@@ -329,25 +275,6 @@ class PhasedWorkload(ComposedWorkload):
     def generate(self) -> Iterator[MemoryRef]:
         for component in self.components:
             yield from component.bounded()
-
-    def bounded_batches(self, batch_size: Optional[int] = None) -> Iterator[List[MemoryRef]]:
-        """Batched phases: forward each phase's chunks, truncating at the end.
-
-        A phase boundary may split a chunk, but the concatenation of the
-        yielded chunks is exactly ``list(bounded())``.
-        """
-        if batch_size is None:
-            batch_size = self.BATCH_SIZE
-        left = self.config.max_refs
-        if left <= 0:
-            return
-        for component in self.components:
-            for batch in component.bounded_batches(batch_size):
-                if len(batch) >= left:
-                    yield batch[:left]
-                    return
-                left -= len(batch)
-                yield batch
 
 
 class DilatedWorkload(ComposedWorkload):
@@ -382,14 +309,6 @@ class DilatedWorkload(ComposedWorkload):
             gap = max(1, round(ref.instruction_gap * scale))
             yield MemoryRef(ip=ref.ip, vaddr=ref.vaddr, is_write=ref.is_write,
                             instruction_gap=gap)
-
-    def bounded_batches(self, batch_size: Optional[int] = None) -> Iterator[List[MemoryRef]]:
-        """Batched dilation (``max_refs`` equals the inner workload's)."""
-        scale = self.gap_scale
-        for batch in self.inner.bounded_batches(batch_size):
-            yield [MemoryRef(ref.ip, ref.vaddr, ref.is_write,
-                             max(1, round(ref.instruction_gap * scale)))
-                   for ref in batch]
 
 
 class ShardedWorkload(ComposedWorkload):

@@ -155,7 +155,6 @@ class Workload:
         without changing the references or their order in any way —
         ``concat(bounded_batches()) == list(bounded())`` exactly (pinned by
         tests).  Every list but the last holds ``batch_size`` references.
-        Combinators override this to batch their transformations.
         """
         if batch_size is None:
             batch_size = self.BATCH_SIZE
@@ -203,13 +202,6 @@ class Workload:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r}, max_refs={self.config.max_refs})"
-
-
-def power_law_degree(rng: random.Random, mean_degree: int, maximum: int) -> int:
-    """Sample a heavy-tailed vertex degree (Pareto-like, clipped)."""
-    u = rng.random()
-    degree = int(mean_degree * 0.5 / max(u, 1e-6) ** 0.7)
-    return max(1, min(degree, maximum))
 
 
 def mix_hash(*values: int) -> int:

@@ -53,7 +53,7 @@ class TestParity:
         for reference in (spec, MIX_SCENARIO):
             simulator = Simulator.from_scenario(reference)
             assert simulator.workload.name == "mix(bfs+rnd@1)"
-            assert simulator.system.config.kind.value == "victima"
+            assert simulator.system.config.kind == "victima"
 
     def test_run_one_and_scenario_share_cache_entries(self):
         settings = runner.ExperimentSettings(

@@ -22,13 +22,16 @@ import pytest
 
 import repro.backends as backends
 from repro.backends import (
+    BackendSpec,
     HashedPageTable,
     available_backends,
     get_backend,
+    register_backend,
 )
+from repro.backends import registry
 from repro.common.errors import ConfigurationError
 from repro.common.stats import ResettableStats, StatsRegistry
-from repro.sim.config import SystemKind
+from repro.sim.config import SystemConfig
 from repro.sim.presets import (EVALUATED_NATIVE_SYSTEMS,
                                EVALUATED_VIRTUAL_SYSTEMS, make_system_config)
 from repro.sim.simulator import Simulator
@@ -81,7 +84,7 @@ def _invariant_violations(result) -> list:
     if levels != refs:
         problems.append(f"data_access_levels sum to {levels}, memory_refs is {refs}")
     # Virtualized MMUs do not attribute translations, so served_by is empty.
-    if not SystemKind(result.system_kind).is_virtualized:
+    if not get_backend(result.system_kind).virtualized:
         served = sum(result.served_by.values())
         if served != refs:
             problems.append(f"served_by sums to {served}, memory_refs is {refs}")
@@ -180,6 +183,34 @@ class TestRegistry:
         with pytest.raises(ConfigurationError,
                            match="unknown translation backend"):
             make_system_config("warp_drive")
+
+    def test_factory_builds_the_spec_named_by_kind(self, monkeypatch):
+        # A second spec around radix's build hook: the factory must call this
+        # spec's hook and name the backend after it.  The registry copy keeps
+        # the spec out of every other test.
+        monkeypatch.setattr(registry, "_REGISTRY", dict(registry._REGISTRY))
+        radix = get_backend("radix")
+        calls = []
+
+        def build(ctx):
+            calls.append(ctx.core_id)
+            return radix.build(ctx)
+
+        register_backend(BackendSpec(
+            name="alias_radix", label="Alias Radix",
+            summary="Radix under a second name (test only).", build=build))
+        system = build_system(make_system_config("alias_radix", hardware_scale=16))
+        assert calls == [None]
+        assert system.backend.name == "alias_radix"
+        assert system.config.label == "Alias Radix"
+
+    def test_unknown_kind_fails_validation_naming_every_backend(self):
+        with pytest.raises(ConfigurationError) as excinfo:
+            SystemConfig(kind="no_such_backend").validate()
+        message = str(excinfo.value)
+        assert "no_such_backend" in message
+        for spec in available_backends():
+            assert spec.name in message
 
     def test_backends_describe_one_line(self):
         for spec in available_backends():

@@ -1,10 +1,9 @@
-"""Unit tests for repro.baselines (POM-TLB, large TLBs) and repro.analysis."""
+"""Unit tests for repro.baselines (the POM-TLB) and repro.analysis."""
 
 import pytest
 
 from repro.analysis.cacti import (
     PAPER_REALISTIC_LATENCIES,
-    realistic_l2_tlb_sweep,
     tlb_access_latency,
     tlb_area_mm2,
     tlb_power_mw,
@@ -14,14 +13,10 @@ from repro.analysis.metrics import (
     arithmetic_mean,
     geometric_mean,
     histogram_fraction,
-    normalize,
     percent_reduction,
     reuse_buckets,
-    speedup,
-    weighted_mean,
 )
-from repro.analysis.report import format_markdown_table, format_series, format_table
-from repro.baselines.large_tlb import make_baseline_l2_tlb, make_l3_tlb, make_large_l2_tlb
+from repro.analysis.report import format_markdown_table, format_table
 from repro.baselines.pom_tlb import POMTLB
 from repro.cache.cache import Cache
 from repro.cache.hierarchy import CacheHierarchy
@@ -90,25 +85,6 @@ class TestPOMTLB:
         assert found is pte
 
 
-class TestLargeTLBs:
-    def test_baseline_l2_tlb(self):
-        tlb = make_baseline_l2_tlb()
-        assert tlb.entries == 1536 and tlb.latency == 12
-
-    def test_optimistic_keeps_baseline_latency(self):
-        tlb = make_large_l2_tlb(64 * 1024, optimistic=True)
-        assert tlb.latency == 12
-        assert tlb.entries == 64 * 1024
-
-    def test_realistic_uses_cacti_latency(self):
-        tlb = make_large_l2_tlb(64 * 1024, optimistic=False)
-        assert tlb.latency == 39
-
-    def test_l3_tlb(self):
-        tlb = make_l3_tlb(latency=25)
-        assert tlb.latency == 25 and tlb.entries == 64 * 1024
-
-
 class TestCacti:
     def test_paper_quoted_points(self):
         for entries, latency in PAPER_REALISTIC_LATENCIES.items():
@@ -133,11 +109,6 @@ class TestCacti:
         with pytest.raises(ValueError):
             tlb_area_mm2(-1)
 
-    def test_sweep_returns_copy(self):
-        sweep = realistic_l2_tlb_sweep()
-        sweep[999] = 1
-        assert 999 not in PAPER_REALISTIC_LATENCIES
-
 
 class TestMcpat:
     def test_overheads_match_paper_order_of_magnitude(self):
@@ -158,18 +129,9 @@ class TestMcpat:
 
 
 class TestMetrics:
-    def test_speedup(self):
-        assert speedup(200, 100) == 2.0
-        with pytest.raises(ValueError):
-            speedup(100, 0)
-
     def test_percent_reduction(self):
         assert percent_reduction(100, 50) == 50.0
         assert percent_reduction(0, 50) == 0.0
-
-    def test_normalize(self):
-        assert normalize(50, 100) == 0.5
-        assert normalize(50, 0) == 0.0
 
     def test_geometric_mean(self):
         assert geometric_mean([2, 8]) == pytest.approx(4.0)
@@ -192,12 +154,6 @@ class TestMetrics:
         assert sum(buckets.values()) == pytest.approx(1.0)
         assert buckets["0"] == 0.5
 
-    def test_weighted_mean(self):
-        assert weighted_mean([1, 3], [1, 1]) == 2.0
-        assert weighted_mean([], []) == 0.0
-        with pytest.raises(ValueError):
-            weighted_mean([1], [1, 2])
-
 
 class TestReport:
     def test_format_table_alignment(self):
@@ -210,6 +166,3 @@ class TestReport:
     def test_format_markdown_table(self):
         markdown = format_markdown_table(["a"], [[1]])
         assert markdown.splitlines()[1] == "|---|"
-
-    def test_format_series(self):
-        assert format_series("s", {"x": 1}) == "s: x=1"

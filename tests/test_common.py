@@ -3,21 +3,13 @@
 import pytest
 
 from repro.common.addresses import (
-    CACHE_BLOCK_SIZE,
     PAGE_SIZE_2M,
     PAGE_SIZE_4K,
     PageSize,
-    align_down,
     align_up,
-    block_address,
-    block_number,
-    block_offset,
-    canonical,
     is_power_of_two,
     page_number,
-    page_offset,
     radix_indices,
-    vpn_to_vaddr,
 )
 from repro.common.counters import EventRateMonitor, SaturatingCounter
 from repro.common.errors import ConfigurationError, ReproError, TranslationFault
@@ -45,23 +37,6 @@ class TestAddressArithmetic:
     def test_page_number_2m(self):
         assert page_number(0x1234_5678, PageSize.SIZE_2M) == 0x1234_5678 >> 21
 
-    def test_page_offset(self):
-        assert page_offset(0x1000 + 0x123, PageSize.SIZE_4K) == 0x123
-
-    def test_vpn_roundtrip(self):
-        vaddr = 0x7F12_3456_7000
-        vpn = page_number(vaddr)
-        assert vpn_to_vaddr(vpn) == vaddr & ~0xFFF
-
-    def test_block_address_aligns(self):
-        assert block_address(0x1234) == 0x1234 & ~(CACHE_BLOCK_SIZE - 1)
-        assert block_address(0x1234) % CACHE_BLOCK_SIZE == 0
-
-    def test_block_number_and_offset(self):
-        addr = 0x1000 + 65
-        assert block_number(addr) == addr >> 6
-        assert block_offset(addr) == 1
-
     def test_radix_indices_width(self):
         indices = radix_indices((1 << 48) - 1)
         assert all(0 <= i < 512 for i in indices)
@@ -72,13 +47,8 @@ class TestAddressArithmetic:
         rebuilt = (pml4 << 39) | (pdpt << 30) | (pd << 21) | (pt << 12)
         assert rebuilt == vaddr & ~0xFFF
 
-    def test_canonical_masks_to_48_bits(self):
-        assert canonical(1 << 60) == 0
-        assert canonical((1 << 48) | 5) == 5
-
     def test_align_up_down(self):
         assert align_up(0x1001, 0x1000) == 0x2000
-        assert align_down(0x1FFF, 0x1000) == 0x1000
         assert align_up(0x2000, 0x1000) == 0x2000
 
     def test_is_power_of_two(self):
@@ -94,12 +64,6 @@ class TestSaturatingCounter:
         for _ in range(20):
             counter.increment()
         assert int(counter) == 7
-        assert counter.is_saturated()
-
-    def test_never_negative(self):
-        counter = SaturatingCounter(bits=4, value=2)
-        counter.decrement(10)
-        assert int(counter) == 0
 
     def test_increment_by_amount(self):
         counter = SaturatingCounter(bits=4)
@@ -109,11 +73,6 @@ class TestSaturatingCounter:
     def test_initial_value_clamped(self):
         counter = SaturatingCounter(bits=2, value=100)
         assert int(counter) == 3
-
-    def test_reset(self):
-        counter = SaturatingCounter(bits=3, value=5)
-        counter.reset()
-        assert int(counter) == 0
 
     def test_zero_bits_rejected(self):
         with pytest.raises(ValueError):

@@ -44,11 +44,6 @@ class TestRunner:
         assert set(matrix.keys()) == {"rnd", "bfs"}
         assert set(matrix["rnd"].keys()) == {"radix", "victima"}
 
-    def test_settings_scaled_down(self):
-        cheaper = TINY.scaled_down(2)
-        assert cheaper.max_refs <= TINY.max_refs
-        assert cheaper.workloads == TINY.workloads
-
     def test_disk_cache(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         clear_cache()

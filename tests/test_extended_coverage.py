@@ -1,12 +1,9 @@
-"""Additional coverage: nested Victima paths, presets sweeps, results, ablations."""
+"""Additional coverage: nested Victima paths, presets sweeps, results."""
 
 import pytest
 
 from repro.cache.block import BlockKind
 from repro.common.addresses import PageSize
-from repro.experiments.ablations import ablation_insertion_triggers, ablation_predictor
-from repro.experiments.runner import ExperimentSettings, clear_cache
-from repro.sim.config import SystemKind
 from repro.sim.presets import make_system_config
 from repro.sim.simulator import SimulationResult
 from repro.workloads.registry import WORKLOAD_NAMES, workload_catalog
@@ -58,7 +55,7 @@ class TestPresetSweeps:
     def test_opt_l2tlb_sweep_sizes(self, size_token, entries):
         config = make_system_config(f"opt_l2tlb_{size_token}")
         assert config.mmu.l2_tlb.entries == entries
-        assert config.kind is SystemKind.LARGE_L2_TLB
+        assert config.kind == "large_l2_tlb"
 
     @pytest.mark.parametrize("size_token,latency", [("2k", 13), ("8k", 21), ("32k", 34)])
     def test_real_l2tlb_sweep_latencies(self, size_token, latency):
@@ -98,26 +95,6 @@ class TestSimulationResultDerivedMetrics:
         result = simulator.run()
         assert len(result.translation_reach_samples) >= 2
         assert result.mean_translation_reach_bytes >= 0
-
-
-class TestAblationExperiments:
-    TINY = ExperimentSettings(max_refs=1_000, hardware_scale=16, warmup_fraction=0.2,
-                              seed=4, workloads=("rnd",))
-
-    @classmethod
-    def setup_class(cls):
-        clear_cache()
-
-    def test_insertion_trigger_ablation(self):
-        result = ablation_insertion_triggers(self.TINY)
-        assert result.rows[-1][0] == "GMEAN"
-        assert result.measured["best variant"] in (
-            "victima", "victima_miss_only", "victima_eviction_only")
-
-    def test_predictor_ablation(self):
-        result = ablation_predictor(self.TINY)
-        assert "speedup delta (pp)" in result.measured
-        assert len(result.rows) == len(self.TINY.workloads) + 1
 
 
 class TestWorkloadCatalogConsistency:

@@ -17,13 +17,12 @@ import pytest
 
 from repro.common.counters import EventRateMonitor
 from repro.common.pressure import PressureMonitor
-from repro.sim.config import SimulationConfig
 from repro.sim.multicore import MultiCoreSimulator
 from repro.sim.presets import make_system_config, make_workload_config
 from repro.sim.simulator import Simulator
 from repro.traces.combinators import dilate, mix, phased, remap, shard
 from repro.workloads import make_workload
-from repro.workloads.base import MemoryRef, WorkloadConfig
+from repro.workloads.base import MemoryRef
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 HOTPATH_GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data",
@@ -227,23 +226,3 @@ class TestReachSamplesClearedAtMeasureStart:
         # and therefore no more samples than the shorter warm-up produces.
         assert (len(long.translation_reach_samples)
                 <= len(short.translation_reach_samples))
-
-
-class TestFromSimulationConfigDoesNotMutateCaller:
-    def test_caller_config_unchanged(self):
-        workload_config = WorkloadConfig(name="rnd", max_refs=50_000,
-                                         params={"table_bytes": 1 << 20})
-        sim_config = SimulationConfig(system=make_system_config("radix"),
-                                      max_refs=1234)
-        sim = Simulator.from_simulation_config(sim_config, workload_config)
-        assert workload_config.max_refs == 50_000
-        assert sim.workload.config.max_refs == 1234
-        # The params dict is copied too, not shared.
-        sim.workload.config.params["table_bytes"] = 999
-        assert workload_config.params["table_bytes"] == 1 << 20
-
-    def test_none_max_refs_uses_caller_config_directly(self):
-        workload_config = WorkloadConfig(name="rnd", max_refs=2222)
-        sim_config = SimulationConfig(system=make_system_config("radix"))
-        sim = Simulator.from_simulation_config(sim_config, workload_config)
-        assert sim.workload.config.max_refs == 2222

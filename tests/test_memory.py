@@ -2,12 +2,14 @@
 
 import pytest
 
+from repro.cache.hierarchy import AccessResult, MemoryLevel
 from repro.common.addresses import PAGE_SIZE_2M, PAGE_SIZE_4K, PageSize
 from repro.common.errors import OutOfPhysicalMemory, TranslationFault
-from repro.memory.dram import DramConfig, DramModel
+from repro.memory.dram import DramModel
 from repro.memory.page_table import LEAF_LEVEL_2M, LEAF_LEVEL_4K, RadixPageTable
 from repro.memory.page_allocator import VirtualMemoryManager
 from repro.memory.physical import PhysicalMemory
+from repro.mmu.page_walker import PageTableWalker
 from tests.conftest import allocator_state, page_table_state
 
 
@@ -99,7 +101,7 @@ class TestAllocate4KFrames:
 
 class TestDramModel:
     def test_row_miss_then_hit(self):
-        dram = DramModel(DramConfig(row_hit_latency=100, row_miss_latency=200))
+        dram = DramModel(row_hit_latency=100, row_miss_latency=200)
         first = dram.access(0x1000)
         # Same bank (block number differs by num_banks) and same 8 KB row.
         second = dram.access(0x1000 + 64 * 16)
@@ -107,9 +109,7 @@ class TestDramModel:
         assert second == 100
 
     def test_different_rows_miss(self):
-        dram = DramModel(DramConfig(row_hit_latency=100, row_miss_latency=200,
-                                    row_size_bytes=8192, num_banks=1,
-                                    channel_interleave_bits=6))
+        dram = DramModel(row_hit_latency=100, row_miss_latency=200, num_banks=1)
         dram.access(0x0)
         assert dram.access(0x10000) == 200
 
@@ -246,6 +246,88 @@ class TestRadixPageTable:
         page_table.map_page(vpn=0x400 >> 9, pfn=0x2, page_size=PageSize.SIZE_2M)
         assert page_table.unmapped_run(0x401, 0x600) == 0
         assert page_table.leaf_run(0x400, 0x600) == []
+
+
+class _RecordingHierarchy:
+    """Stands in for the cache hierarchy: records every address a walk reads."""
+
+    def __init__(self):
+        self.addresses = []
+
+    def access_for_ptw(self, paddr):
+        self.addresses.append(paddr)
+        return AccessResult(1, MemoryLevel.L2)
+
+
+class TestRadixWalkOracle:
+    """Walk addresses derived by hand, not recorded from the code.
+
+    The x86-64 walk (Figure 1 of the paper) starts at the root node (CR3).
+    At level k it reads the 8-byte entry at node base + 8 * ((va >> s) & 511),
+    with s = 39, 30, 21 and 12 for PML4, PDPT, PD and PT.  A 2 MB page's leaf
+    is the PD entry, so its walk stops after three reads.  Victima's TLB
+    block is the 64-byte block holding the leaf entry.
+    """
+
+    SHIFTS = (39, 30, 21, 12)
+    #: Three 4 KB pages with different PML4 indices, and a 2 MB page that
+    #: shares its PML4 and PDPT indices with ``4k_a``.
+    VAS = {"4k_a": (1 << 39) | (2 << 30) | (3 << 21) | (4 << 12),
+           "4k_b": (7 << 39) | (511 << 30) | (0 << 21) | (511 << 12),
+           "4k_c": (300 << 39) | (45 << 30) | (100 << 21) | (257 << 12),
+           "2m": (1 << 39) | (2 << 30) | (5 << 21)}
+
+    @pytest.fixture
+    def table(self, page_table):
+        for pfn, (name, va) in enumerate(self.VAS.items(), start=0x100):
+            if name == "2m":
+                page_table.map_page(vpn=va >> 21, pfn=pfn, page_size=PageSize.SIZE_2M)
+            else:
+                page_table.map_page(vpn=va >> 12, pfn=pfn)
+        return page_table
+
+    def expected_entries(self, va, node_bases):
+        return [base + 8 * ((va >> shift) & 511)
+                for base, shift in zip(node_bases, self.SHIFTS)]
+
+    @pytest.mark.parametrize("name", VAS)
+    def test_each_entry_is_node_base_plus_eight_times_index(self, table, name):
+        va = self.VAS[name]
+        levels = 3 if name == "2m" else 4
+        path = table.walk(va)
+        assert len(path.steps) == levels
+        assert path.steps[0].node_paddr == table.root_paddr
+        nodes = [step.node_paddr for step in path.steps]
+        assert all(base % 4096 == 0 for base in nodes)
+        assert len(set(nodes)) == levels
+        assert [step.level for step in path.steps] == list(range(levels))
+        assert ([step.entry_paddr for step in path.steps]
+                == self.expected_entries(va, nodes))
+
+    @pytest.mark.parametrize("name", VAS)
+    def test_leaf_entry_and_tlb_block(self, table, name):
+        path = table.walk(self.VAS[name])
+        leaf = path.steps[-1].entry_paddr
+        assert path.pte.entry_paddr == leaf
+        assert path.pte.cluster_block_paddr == leaf & ~63
+
+    def test_walks_share_nodes_exactly_where_indices_agree(self, table):
+        first, huge = table.walk(self.VAS["4k_a"]), table.walk(self.VAS["2m"])
+        # Same PML4 and PDPT indices: same root, PDPT node and PD node.
+        assert ([step.node_paddr for step in huge.steps]
+                == [step.node_paddr for step in first.steps[:3]])
+        # Different PML4 indices: three different PDPT nodes.
+        assert len({table.walk(self.VAS[name]).steps[1].node_paddr
+                    for name in ("4k_a", "4k_b", "4k_c")}) == 3
+
+    @pytest.mark.parametrize("name", VAS)
+    def test_cold_walker_reads_exactly_the_derived_entries(self, table, name):
+        va = self.VAS[name]
+        hierarchy = _RecordingHierarchy()
+        result = PageTableWalker(hierarchy).walk(table, va)
+        nodes = [step.node_paddr for step in table.walk(va).steps]
+        assert hierarchy.addresses == self.expected_entries(va, nodes)
+        assert result.memory_accesses == len(nodes)
 
 
 class TestVirtualMemoryManager:

@@ -10,7 +10,7 @@ from repro import api
 from repro.common.errors import ConfigurationError
 from repro.experiments import runner
 from repro.scenario import ScenarioSpec, WorkloadSpec, load_scenario
-from repro.sim.config import SystemConfig, SystemKind
+from repro.sim.config import SystemConfig
 from repro.sim.multicore import MultiCoreSimulator
 from repro.sim.presets import make_system_config, make_workload_config
 from repro.sim.simulator import Simulator
@@ -195,7 +195,7 @@ class TestValidation:
             SystemConfig(num_cores=99).validate()
 
     def test_virtualized_multicore_rejected(self):
-        config = SystemConfig(kind=SystemKind.NESTED_PAGING, num_cores=2)
+        config = SystemConfig(kind="nested_paging", num_cores=2)
         with pytest.raises(ConfigurationError, match="native"):
             config.validate()
 

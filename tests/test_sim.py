@@ -8,7 +8,6 @@ from repro.sim.config import (
     CacheConfig,
     MMUConfig,
     SystemConfig,
-    SystemKind,
     TLBConfig,
     VictimaConfig,
 )
@@ -28,7 +27,7 @@ from tests.conftest import build_tiny_simulator
 class TestConfig:
     def test_default_system_is_table3_baseline(self):
         config = SystemConfig()
-        assert config.kind is SystemKind.RADIX
+        assert config.kind == "radix"
         assert config.mmu.l2_tlb.entries == 1536
         assert config.mmu.l2_tlb.latency == 12
         assert config.l2_cache.size_bytes == 2 * 1024 * 1024
@@ -44,26 +43,16 @@ class TestConfig:
             CacheConfig(size_bytes=1000, associativity=3, latency=1).validate()
 
     def test_l3_tlb_system_requires_l3_tlb(self):
-        config = SystemConfig(kind=SystemKind.L3_TLB)
+        config = SystemConfig(kind="l3_tlb")
         with pytest.raises(ConfigurationError):
             config.validate()
 
     def test_victima_requires_srrip_family(self):
-        config = SystemConfig(kind=SystemKind.VICTIMA)
-        config.l2_cache.replacement_policy = "lru"
-        with pytest.raises(ConfigurationError):
-            config.validate()
-
-    def test_kind_helpers(self):
-        assert SystemKind.VIRT_VICTIMA.is_virtualized
-        assert SystemKind.VIRT_VICTIMA.uses_victima
-        assert not SystemKind.RADIX.is_virtualized
-
-    def test_with_overrides(self):
-        config = SystemConfig()
-        copy = config.with_overrides(base_cpi=1.0)
-        assert copy.base_cpi == 1.0
-        assert config.base_cpi != 1.0
+        for kind in ("victima", "virt_victima"):
+            config = SystemConfig(kind=kind)
+            config.l2_cache.replacement_policy = "lru"
+            with pytest.raises(ConfigurationError):
+                config.validate()
 
 
 class TestPresets:
@@ -145,6 +134,7 @@ class TestSystemFactory:
 
     def test_virt_victima_system(self):
         system = build_system(make_system_config("virt_victima", hardware_scale=16))
+        assert system.is_virtualized
         assert system.victima is not None
         assert system.victima.host_page_table is not None
 
