@@ -212,6 +212,14 @@ class TestRegistry:
         for spec in available_backends():
             assert spec.name in message
 
+    @pytest.mark.parametrize("name", [spec.name for spec in available_backends()])
+    def test_every_registered_name_builds_its_own_backend(self, name):
+        config = make_system_config(name, hardware_scale=16)
+        assert config.kind == name
+        system = build_system(config)
+        assert system.backend.name == name
+        assert system.is_virtualized == get_backend(name).virtualized
+
     def test_backends_describe_one_line(self):
         for spec in available_backends():
             assert spec.summary, f"{spec.name} needs a summary"

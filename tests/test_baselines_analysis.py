@@ -1,4 +1,4 @@
-"""Unit tests for repro.baselines (the POM-TLB) and repro.analysis."""
+"""Unit tests for the baselines (POM-TLB, large TLBs) and repro.analysis."""
 
 import pytest
 
@@ -23,6 +23,8 @@ from repro.cache.hierarchy import CacheHierarchy
 from repro.common.addresses import PageSize
 from repro.memory.dram import DramModel
 from repro.memory.physical import PhysicalMemory
+from repro.sim.presets import make_system_config
+from repro.sim.system import build_system
 
 
 def make_hierarchy():
@@ -83,6 +85,27 @@ class TestPOMTLB:
         pom.insert(pte, asid=0)
         found, _ = pom.lookup((0x3 << 21) + 999, asid=0, hierarchy=make_hierarchy())
         assert found is pte
+
+
+class TestLargeTLBs:
+    """The large-TLB baselines of Figure 8, as the system factory builds them."""
+
+    def test_baseline_l2_tlb(self):
+        tlb = build_system(make_system_config("radix")).l2_tlb
+        assert tlb.entries == 1536 and tlb.latency == 12
+
+    def test_optimistic_keeps_baseline_latency(self):
+        tlb = build_system(make_system_config("opt_l2tlb_64k")).l2_tlb
+        assert tlb.latency == 12
+        assert tlb.entries == 64 * 1024
+
+    def test_realistic_uses_cacti_latency(self):
+        tlb = build_system(make_system_config("real_l2tlb_64k")).l2_tlb
+        assert tlb.latency == 39
+
+    def test_l3_tlb(self):
+        tlb = build_system(make_system_config("opt_l3tlb_64k", l3_latency=25)).l3_tlb
+        assert tlb.latency == 25 and tlb.entries == 64 * 1024
 
 
 class TestCacti:

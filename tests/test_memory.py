@@ -113,6 +113,21 @@ class TestDramModel:
         dram.access(0x0)
         assert dram.access(0x10000) == 200
 
+    def test_consecutive_blocks_interleave_across_banks(self):
+        dram = DramModel(row_hit_latency=100, row_miss_latency=200, num_banks=16)
+        # Adjacent 64-byte blocks sit in different banks, so opening the
+        # second block's row leaves the first block's row open.
+        assert dram.access(0x0) == 200
+        assert dram.access(0x40) == 200
+        assert dram.access(0x0) == 100
+
+    def test_rows_are_eight_kib(self):
+        dram = DramModel(row_hit_latency=100, row_miss_latency=200, num_banks=1)
+        dram.access(0x0)
+        assert dram.access(8 * 1024 - 64) == 100
+        assert dram.access(8 * 1024) == 200
+        assert (dram.stats.row_hits, dram.stats.row_misses) == (1, 2)
+
     def test_stats(self):
         dram = DramModel()
         dram.access(0x0)

@@ -6,6 +6,7 @@ from repro.common.errors import ConfigurationError
 from repro.mmu.mmu import MMU
 from repro.sim.config import (
     CacheConfig,
+    DramTimingConfig,
     MMUConfig,
     SystemConfig,
     TLBConfig,
@@ -137,6 +138,17 @@ class TestSystemFactory:
         assert system.is_virtualized
         assert system.victima is not None
         assert system.victima.host_page_table is not None
+
+    @pytest.mark.parametrize("num_cores", [1, 2])
+    def test_dram_takes_configured_timing(self, num_cores):
+        config = make_system_config("radix", hardware_scale=16, num_cores=num_cores)
+        config.dram = DramTimingConfig(row_hit_latency=90, row_miss_latency=200,
+                                       num_banks=4)
+        system = build_system(config)
+        dram = system.dram
+        assert (dram.row_hit_latency, dram.row_miss_latency, dram.num_banks) == (90, 200, 4)
+        for core in getattr(system, "cores", [system]):
+            assert core.hierarchy.dram is dram
 
     def test_huge_page_fraction_propagates(self):
         system = build_system(make_system_config("radix", hardware_scale=16),
