@@ -26,8 +26,9 @@ def main() -> None:
         warmup_fraction=0.0)
     simulator.run()
     system = simulator.system
-    victima = system.victima
-    maintenance = system.maintenance
+    core = system.cores[0]
+    victima = core.victima
+    maintenance = core.maintenance
 
     resident_before = len(victima.resident_tlb_blocks())
     print(f"After the run, {resident_before} TLB blocks are resident in the L2 cache, "

@@ -62,7 +62,7 @@ from repro.api import compare, simulate
 from repro.scenario import ScenarioSpec, WorkloadSpec, load_scenario
 from repro.sim.multicore import MultiCoreSimulator
 from repro.sim.simulator import CoreResult, SimulationResult, Simulator
-from repro.sim.system import MultiCoreSystem, System, build_system
+from repro.sim.system import System, build_system
 from repro.workloads.registry import WORKLOAD_NAMES, make_workload
 
 __version__ = "1.6.0"
@@ -83,7 +83,6 @@ __all__ = [
     "Simulator",
     "MultiCoreSimulator",
     "System",
-    "MultiCoreSystem",
     "build_system",
     "WORKLOAD_NAMES",
     "make_workload",

@@ -202,7 +202,7 @@ class HashedPageTableBackend(TranslationBackend):
     """Hashed page table probed on every L2 TLB miss; radix walk as fallback."""
 
     def __init__(self, hash_pt: HashedPageTable, hierarchy, walker, page_table):
-        #: The table, shared by every core of a multi-core machine.
+        #: The machine's table, shared by every core.
         self.hash_pt = hash_pt
         #: This core's caches, which every probe of the table goes through.
         self.hierarchy = hierarchy
@@ -251,8 +251,7 @@ def _make_table(ctx) -> HashedPageTable:
 
 
 def _build_hash_pt(ctx) -> HashedPageTableBackend:
-    table = ctx.shared if ctx.shared is not None else _make_table(ctx)
-    return HashedPageTableBackend(table, ctx.hierarchy, ctx.walker, ctx.page_table)
+    return HashedPageTableBackend(ctx.shared, ctx.hierarchy, ctx.walker, ctx.page_table)
 
 
 register_backend(BackendSpec(

@@ -24,19 +24,19 @@ from repro.mmu.tlb import TLB
 
 @dataclass
 class NativeBuildContext:
-    """What the system factory hands a native backend's build hook.
+    """What the system factory hands a native backend's build hooks.
 
-    One context per machine — or per *core* on a multi-core machine, where
-    ``core_id`` names the core and ``shared`` carries the structure built
-    once by the spec's ``build_shared`` hook (e.g. the in-memory POM-TLB).
-    That hook runs before any core exists, so its context has no
+    ``build`` gets one context per core: ``core_id`` names the core and
+    ``shared`` carries the structure the spec's ``build_shared`` hook built
+    once for the machine (e.g. the in-memory POM-TLB), or ``None``.  That
+    hook runs before any core exists, so its context has no ``core_id``,
     ``hierarchy``, ``pressure`` or ``walker``; each core's backend passes
     its own hierarchy to the shared structure on every probe.
     """
 
     config: object            # SystemConfig
     physical: object          # PhysicalMemory
-    hierarchy: object         # CacheHierarchy (this core's on multi-core)
+    hierarchy: object         # CacheHierarchy (this core's)
     pressure: object          # PressureMonitor (this core's)
     walker: object            # PageTableWalker (this core's)
     memory_manager: object    # VirtualMemoryManager (shared address space)
@@ -46,9 +46,6 @@ class NativeBuildContext:
     @property
     def page_table(self):
         return self.memory_manager.page_table
-
-    def tlb_name(self, base: str) -> str:
-        return base if self.core_id is None else f"{base}-c{self.core_id}"
 
 
 class RadixBackend(TranslationBackend):
@@ -102,7 +99,7 @@ class POMTLBBackend(TranslationBackend):
     """A part-of-memory software TLB probed before the walk (Ryoo et al.)."""
 
     def __init__(self, pom_tlb: POMTLB, hierarchy, walker, page_table):
-        #: The POM-TLB, shared by every core of a multi-core machine.
+        #: The machine's POM-TLB, shared by every core.
         self.pom_tlb = pom_tlb
         #: This core's caches, which every probe of the POM-TLB goes through.
         self.hierarchy = hierarchy
@@ -175,7 +172,7 @@ def _build_radix(ctx: NativeBuildContext) -> RadixBackend:
 
 def _build_l3_tlb(ctx: NativeBuildContext) -> L3TLBBackend:
     tlb_config = ctx.config.mmu.l3_tlb
-    l3_tlb = TLB(ctx.tlb_name("L3-TLB"), entries=tlb_config.entries,
+    l3_tlb = TLB(f"L3-TLB-c{ctx.core_id}", entries=tlb_config.entries,
                  associativity=tlb_config.associativity,
                  latency=tlb_config.latency, page_sizes=tlb_config.page_sizes)
     return L3TLBBackend(l3_tlb, ctx.walker, ctx.page_table)
@@ -188,8 +185,7 @@ def _make_pom_tlb(ctx) -> POMTLB:
 
 
 def _build_pom_tlb(ctx: NativeBuildContext) -> POMTLBBackend:
-    pom = ctx.shared if ctx.shared is not None else _make_pom_tlb(ctx)
-    return POMTLBBackend(pom, ctx.hierarchy, ctx.walker, ctx.page_table)
+    return POMTLBBackend(ctx.shared, ctx.hierarchy, ctx.walker, ctx.page_table)
 
 
 def _build_victima(ctx: NativeBuildContext) -> VictimaBackend:

@@ -38,11 +38,11 @@ __all__ = [
 class BackendSpec:
     """Everything the rest of the stack needs to know about one backend.
 
-    ``build(context)`` assembles the backend for a single-core machine (or
-    one core of a multi-core machine); ``build_shared(context)`` — optional —
-    builds the structure that multi-core machines instantiate *once* and
-    share across cores (e.g. the in-memory POM-TLB), which ``build`` then
-    receives via ``context.shared``.
+    ``build(context)`` assembles the backend for one core of a machine;
+    ``build_shared(context)`` — optional, native backends only — builds the
+    structure a machine instantiates *once* and shares across its cores
+    (e.g. the in-memory POM-TLB), which every core's ``build`` then receives
+    via ``context.shared``.
     """
 
     #: Registry key: the preset/scenario name that selects the backend and
@@ -52,9 +52,9 @@ class BackendSpec:
     label: str
     #: One-line summary shown by ``repro backends list``.
     summary: str
-    #: Build the backend for one (core's) machine slice.
+    #: Build the backend for one core.
     build: Callable[["object"], "object"]
-    #: Build the once-per-machine shared structure (multi-core), if any.
+    #: Build the once-per-machine shared structure, if any.
     build_shared: Optional[Callable[["object"], "object"]] = None
     #: Whether the backend runs under the virtualized MMU.
     virtualized: bool = False
@@ -67,8 +67,13 @@ def register_backend(spec: BackendSpec) -> BackendSpec:
     """Register ``spec`` under its name; returns it unchanged.
 
     Re-registering a name is an error — backends are process-global and a
-    silent overwrite would make results depend on import order.
+    silent overwrite would make results depend on import order.  So is a
+    name with capitals: the preset layer lower-cases every system name, so
+    it could never select that backend.
     """
+    if spec.name != spec.name.lower():
+        raise ConfigurationError(
+            f"translation backend name {spec.name!r} must be lower-case")
     if spec.name in _REGISTRY:
         raise ConfigurationError(
             f"translation backend {spec.name!r} is already registered")

@@ -61,10 +61,10 @@ _ACTIVE: List["StatsRegistry"] = []
 class StatsRegistry:
     """An ordered list of components whose statistics reset together.
 
-    The system factory (:mod:`repro.sim.system`) activates one registry per
-    machine (multi-core machines additionally keep one per core for the
-    per-core warm-up boundaries) and attaches it to the built system; the
-    simulators call :meth:`reset_all` at the warm-up boundary.
+    The system factory (:mod:`repro.sim.system`) activates one registry for
+    a machine's shared structures and one per core (for the per-core
+    warm-up boundaries); the simulators call :meth:`reset_all` at the
+    warm-up boundary.
     """
 
     def __init__(self) -> None:

@@ -181,11 +181,9 @@ class SystemConfig:
     base_cpi: float = 0.35
     #: Core frequency, used only when reporting wall-clock-style numbers.
     frequency_ghz: float = 2.6
-    #: Number of cores.  1 (the default) builds the classic single-core
-    #: :class:`~repro.sim.system.System`; larger values build a
-    #: :class:`~repro.sim.system.MultiCoreSystem` with per-core private
-    #: structures (TLBs, PWCs, walker, L1/L2 caches) around the shared LLC,
-    #: DRAM, page table and POM-TLB.
+    #: Number of cores (:class:`~repro.sim.system.Core`) the machine builds,
+    #: each with private structures (TLBs, PWCs, walker, L1/L2 caches) around
+    #: the shared LLC, DRAM, page table and POM-TLB.  1 is the default.
     num_cores: int = 1
 
     def validate(self) -> None:
@@ -201,12 +199,11 @@ class SystemConfig:
             raise ConfigurationError(
                 "multi-core simulation currently supports native systems only; "
                 f"{self.kind!r} requires num_cores=1")
-        if (self.num_cores > 1 and self.l3_cache is not None
+        if (self.l3_cache is not None
                 and self.l3_cache.replacement_policy == "tlb_aware_srrip"):
             raise ConfigurationError(
-                "a multi-core machine tracks translation pressure per core "
-                "only, so its shared LLC cannot use 'tlb_aware_srrip'; use "
-                "'srrip' or num_cores=1")
+                "translation pressure is tracked per core only, so the shared "
+                "LLC cannot use 'tlb_aware_srrip'; use 'srrip'")
         self.mmu.validate()
         for cache in (self.l1d_cache, self.l2_cache):
             cache.validate()

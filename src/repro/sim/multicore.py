@@ -6,7 +6,7 @@ or an interleave of tenants — placed there by the scenario layer, see
 :meth:`repro.traces.combinators.MixWorkload.per_core_workloads`) and a private
 slice of the machine (TLBs, PWCs, walker, L1/L2 caches, Victima controller),
 while all cores contend in the shared LLC, DRAM, page table and POM-TLB of
-the :class:`~repro.sim.system.MultiCoreSystem`.
+the :class:`~repro.sim.system.System`.
 
 Scheduling is deterministic: at every step the *ready core* — the core whose
 accumulated cycle count is lowest, ties broken by core id — executes its next
@@ -18,16 +18,19 @@ private caches runs ahead — the same first-order contention model the paper's
 multi-core evaluation relies on, with no randomness anywhere in the schedule.
 
 ``num_cores == 1`` scenarios build the single-core
-:class:`~repro.sim.simulator.Simulator`, which shares everything around the
+:class:`~repro.sim.simulator.Simulator`, which runs on the same
+:class:`~repro.sim.system.System` (a machine with one
+:class:`~repro.sim.system.Core`) and shares everything around the
 per-reference step with this engine: one
 :class:`~repro.sim.simulator.CoreRun` record per core, the SMARTS sampler
 (:func:`~repro.sim.sampling.sampled_batches`), the Victima reach series and
 the per-core-then-sum result assembly
 (:func:`~repro.sim.simulator.collect_result`), and the prefault
-(:func:`~repro.sim.simulator.prefault`).  Only the per-reference bodies
-differ: this scheduler sums a reference's cycles before adding them
-to the core's clock, and that order rounds differently from the single-core
-loop's, so merging the two would move results.
+(:func:`~repro.sim.simulator.prefault`) and the warm-up resets of the
+cores' and the machine's statistics.  Only the per-reference bodies differ:
+this scheduler sums a reference's cycles before adding them to the core's
+clock, and that order rounds differently from the single-core loop's, so
+merging the two would move results.
 """
 
 from __future__ import annotations
@@ -41,12 +44,12 @@ from repro.common.errors import ConfigurationError
 from repro.sim.sampling import SamplingConfig, sampled_batches
 from repro.sim.simulator import (CoreRun, ReachSeries, SimulationResult,
                                  collect_result, prefault)
-from repro.sim.system import MultiCoreSystem, build_system
+from repro.sim.system import System, build_system
 from repro.workloads.base import MemoryRef, Workload
 
 
 class MultiCoreSimulator:
-    """Runs one workload per core on a :class:`MultiCoreSystem`.
+    """Runs one workload per core on a multi-core :class:`System`.
 
     ``core_workloads`` holds one entry per core; ``None`` entries idle their
     core.  Warm-up follows the single-core methodology per core: the first
@@ -56,16 +59,12 @@ class MultiCoreSimulator:
     zeroed when the last core crosses.
     """
 
-    def __init__(self, system: MultiCoreSystem,
+    def __init__(self, system: System,
                  core_workloads: Sequence[Optional[Workload]],
                  epoch_instructions: int = 10_000,
                  warmup_fraction: float = 0.25,
                  name: Optional[str] = None,
                  sampling: Optional[SamplingConfig] = None):
-        if not isinstance(system, MultiCoreSystem):
-            raise ConfigurationError(
-                "MultiCoreSimulator needs a MultiCoreSystem (num_cores > 1); "
-                "single-core systems run on repro.sim.simulator.Simulator")
         if len(core_workloads) != system.num_cores:
             raise ConfigurationError(
                 f"need exactly one workload slot per core: got "

@@ -25,7 +25,7 @@ from repro.cache.hierarchy import MemoryLevel
 from repro.common.errors import ConfigurationError
 from repro.sim.config import SystemConfig
 from repro.sim.sampling import SamplingConfig, sampled_batches, sampling_block
-from repro.sim.system import MultiCoreSystem, System, build_system
+from repro.sim.system import System, build_system
 from repro.workloads.base import MemoryRef, Workload, WorkloadConfig
 from repro.workloads.registry import make_workload
 
@@ -33,14 +33,10 @@ from repro.workloads.registry import make_workload
 class CoreRun:
     """One core's run through a simulation: its accumulators and sampling state.
 
-    Both engines keep one per simulated core.  A single-core run's ``core``
-    is the :class:`~repro.sim.system.System` itself, which exposes the same
-    ``mmu``, ``walker``, ``hierarchy``, ``pressure``, ``victima``,
-    ``l2_cache`` and ``stats_registry`` as a multi-core
-    :class:`~repro.sim.system.Core`.  ``refs`` counts *detailed* references
-    and is never reset at the warm-up boundary; ``ready_at`` is the core's
-    global-cycle position, which drives the multi-core scheduler and is
-    never reset either.
+    Both engines keep one per simulated :class:`~repro.sim.system.Core`.
+    ``refs`` counts *detailed* references and is never reset at the warm-up
+    boundary; ``ready_at`` is the core's global-cycle position, which drives
+    the multi-core scheduler and is never reset either.
     """
 
     __slots__ = ("core", "workload", "warmup_refs", "measuring", "refs",
@@ -70,9 +66,11 @@ class CoreRun:
     def reset_measured(self) -> None:
         """The core's warm-up boundary: zero measured stats, keep all warm state.
 
-        The system factory gives every core (and a single-core ``System``)
-        a :class:`~repro.common.stats.StatsRegistry` holding its stat-bearing
-        components, so the reset is one walk of one list.
+        The system factory gives every core a
+        :class:`~repro.common.stats.StatsRegistry` holding its stat-bearing
+        components, so the reset is one walk of one list.  The machine's own
+        registry (the shared structures) is the engine's to reset, once every
+        core is warm.
         """
         self.core.stats_registry.reset_all()
         self._zero_measured()
@@ -283,7 +281,10 @@ class SimulationResult:
 
 
 class Simulator:
-    """Runs one workload on one system.
+    """Runs one workload on core 0 of a :class:`~repro.sim.system.System`.
+
+    Single-core scenarios build a one-core machine for it; on a larger
+    machine the other cores stay idle.
 
     ``warmup_fraction`` of the workload's references are simulated first with
     full functional effect (TLBs, caches, Victima blocks and the POM-TLB warm
@@ -295,10 +296,6 @@ class Simulator:
     def __init__(self, system: System, workload: Workload,
                  epoch_instructions: int = 10_000, warmup_fraction: float = 0.25,
                  sampling: Optional[SamplingConfig] = None):
-        if isinstance(system, MultiCoreSystem):
-            raise ConfigurationError(
-                "this Simulator is single-core; a MultiCoreSystem "
-                "(num_cores > 1) runs on repro.sim.multicore.MultiCoreSimulator")
         if not 0.0 <= warmup_fraction < 1.0:
             raise ValueError("warmup_fraction must be in [0, 1)")
         self.system = system
@@ -375,14 +372,15 @@ class Simulator:
         run at ``stride=1`` is bit-identical to the full run.
         """
         self.prefault()
-        run = CoreRun(self.system, self.workload,
+        core = self.system.cores[0]
+        run = CoreRun(core, self.workload,
                       int(self.workload.config.max_refs * self.warmup_fraction))
-        reach = ReachSeries([self.system.victima], self.epoch_instructions)
+        reach = ReachSeries([core.victima], self.epoch_instructions)
         if self.sampling is None:
             batches = self.workload.bounded_batches()
         else:
             batches = sampled_batches(run, self.sampling)
-        translate_data = self.system.mmu.translate_data
+        translate_data = core.mmu.translate_data
         process_batch = self._process_batch
         for batch in batches:
             process_batch(run, reach, translate_data, batch)
@@ -399,6 +397,7 @@ class Simulator:
         and that order rounds differently.
         """
         system = self.system
+        core = run.core
         instructions = run.instructions
         cycles = run.cycles
         translation_cycles = run.translation_cycles
@@ -410,15 +409,17 @@ class Simulator:
         next_epoch = reach.next_epoch
         advance_epoch = reach.advance
         base_cpi = system.config.base_cpi
-        hierarchy_access = system.hierarchy.access
-        record_instructions = system.pressure.record_instructions
-        record_l2_cache_miss = system.pressure.record_l2_cache_miss
+        hierarchy_access = core.hierarchy.access
+        record_instructions = core.pressure.record_instructions
+        record_l2_cache_miss = core.pressure.record_l2_cache_miss
         level_l3 = MemoryLevel.L3
         level_dram = MemoryLevel.DRAM
 
         for ref in batch:
             if not measuring and refs >= warmup_refs:
+                # The only running core is warm: so are the shared structures.
                 run.reset_measured()
+                system.stats_registry.reset_all()
                 reach.restart()
                 instructions = 0
                 cycles = 0.0
@@ -483,10 +484,9 @@ def prefault(system, workloads: Sequence[Workload]) -> int:
     # Backends that accumulate translations over a process lifetime (the
     # POM-TLB, the hashed page table) start warm: over the billions of
     # instructions preceding the region of interest they hold (essentially)
-    # the whole working set.  A multi-core machine warms its shared structure
-    # once, through the first core's backend, which holds it.
-    first = system.cores[0] if system.config.num_cores > 1 else system
-    first.backend.warm_start(system.page_table)
+    # the whole working set.  A shared structure is warmed once, through
+    # core 0's backend.
+    system.backend.warm_start(system.page_table)
     return mapped
 
 
@@ -511,16 +511,14 @@ def collect_result(system, runs: Sequence[CoreRun], name: str,
                    sampling: Optional[SamplingConfig] = None) -> SimulationResult:
     """Assemble a finished run's result: one :class:`CoreResult` per core, summed.
 
-    Serves both engines; a single-core machine's only core is the ``System``
-    itself.  Idle cores (no run) contribute empty slices.  Counts sum over
-    the cores, ``cycles`` is the per-core maximum (the makespan), and
-    ``per_core`` is kept only when ``num_cores > 1``.  The final reach sample
-    is taken here, so short runs still report reach.
+    Serves both engines.  Idle cores (no run) contribute empty slices.
+    Counts sum over the cores, ``cycles`` is the per-core maximum (the
+    makespan), and ``per_core`` is kept only when ``num_cores > 1``.  The
+    final reach sample is taken here, so short runs still report reach.
     """
     reach.sample()
     config = system.config
     virtualized = system.is_virtualized
-    cores = system.cores if config.num_cores > 1 else [system]
     per_core: List[CoreResult] = []
     level_counts: Dict[str, int] = {}
     breakdown: Dict[str, int] = {}
@@ -528,7 +526,7 @@ def collect_result(system, runs: Sequence[CoreRun], name: str,
     ptw_histogram: Dict[int, int] = {}
     reuse_histogram: Dict[int, int] = {}
     miss_latency = walk_latency = walks = background_walks = 0
-    for core_id, core in enumerate(cores):
+    for core_id, core in enumerate(system.cores):
         run = next((run for run in runs if run.core is core), None)
         if run is None:
             per_core.append(CoreResult(core=core_id, workload="idle"))
@@ -597,8 +595,8 @@ def collect_result(system, runs: Sequence[CoreRun], name: str,
         result.victima_stats = totals
         result.tlb_block_reuse_histogram = block_reuse
 
-    if system.pom_tlb is not None:
-        pom = system.pom_tlb.stats
+    if system.backend.pom_tlb is not None:
+        pom = system.backend.pom_tlb.stats
         result.pom_tlb_stats = {
             "lookups": pom.lookups,
             "hits": pom.hits,
@@ -608,7 +606,7 @@ def collect_result(system, runs: Sequence[CoreRun], name: str,
 
     if virtualized:
         nested = system.nested_walker.stats
-        result.host_page_walks = system.mmu.stats.host_page_walks
+        result.host_page_walks = system.cores[0].mmu.stats.host_page_walks
         result.nested_stats = {
             "nested_tlb_hits": nested.nested_tlb_hits,
             "nested_tlb_misses": nested.nested_tlb_misses,

@@ -105,15 +105,14 @@ def _invariant_violations(result) -> list:
 def _cache_stat_violations(system) -> list:
     """Stat relations every cache of a finished machine must satisfy.
 
-    Checks each core's L1-D and L2 and the L3 (or shared LLC) once: hits and
-    misses sum to accesses, the reuse histograms sum to the evictions, and
-    the (nested) TLB histograms sum to the TLB-block evictions.
+    Checks each core's L1-D and L2 and the shared LLC once: hits and misses
+    sum to accesses, the reuse histograms sum to the evictions, and the
+    (nested) TLB histograms sum to the TLB-block evictions.
     """
-    hierarchies = [core.hierarchy for core in getattr(system, "cores", [system])]
-    caches = [cache for hierarchy in hierarchies
-              for cache in (hierarchy.l1d, hierarchy.l2)]
-    if hierarchies[0].l3 is not None:
-        caches.append(hierarchies[0].l3)
+    caches = [cache for core in system.cores
+              for cache in (core.hierarchy.l1d, core.hierarchy.l2)]
+    if system.llc is not None:
+        caches.append(system.llc)
     problems = []
     for cache in caches:
         stats = cache.stats
@@ -200,7 +199,7 @@ class TestRegistry:
             name="alias_radix", label="Alias Radix",
             summary="Radix under a second name (test only).", build=build))
         system = build_system(make_system_config("alias_radix", hardware_scale=16))
-        assert calls == [None]
+        assert calls == [0]
         assert system.backend.name == "alias_radix"
         assert system.config.label == "Alias Radix"
 
@@ -220,6 +219,16 @@ class TestRegistry:
         assert system.backend.name == name
         assert system.is_virtualized == get_backend(name).virtualized
 
+    def test_backend_names_must_be_lower_case(self, monkeypatch):
+        # The preset layer lower-cases every system name, so a name with
+        # capitals could never be selected.
+        monkeypatch.setattr(registry, "_REGISTRY", dict(registry._REGISTRY))
+        with pytest.raises(ConfigurationError, match="'MyRadix' must be lower-case"):
+            register_backend(BackendSpec(
+                name="MyRadix", label="My Radix", summary="Test only.",
+                build=get_backend("radix").build))
+        assert "MyRadix" not in registry._REGISTRY
+
     def test_backends_describe_one_line(self):
         for spec in available_backends():
             assert spec.summary, f"{spec.name} needs a summary"
@@ -228,17 +237,17 @@ class TestRegistry:
 
 class TestResettableStats:
     def test_registry_resets_registered_components(self):
-        system = build_system(make_system_config("victima",
-                                                 hardware_scale=HARDWARE_SCALE))
-        registry = system.stats_registry
-        assert registry is not None and len(registry) > 0
-        system.mmu.stats.translations = 99
-        system.walker.stats.walks = 42
-        system.victima.stats.probes = 7
+        core = build_system(make_system_config(
+            "victima", hardware_scale=HARDWARE_SCALE)).cores[0]
+        registry = core.stats_registry
+        assert len(registry) > 0
+        core.mmu.stats.translations = 99
+        core.walker.stats.walks = 42
+        core.victima.stats.probes = 7
         registry.reset_all()
-        assert system.mmu.stats.translations == 0
-        assert system.walker.stats.walks == 0
-        assert system.victima.stats.probes == 0
+        assert core.mmu.stats.translations == 0
+        assert core.walker.stats.walks == 0
+        assert core.victima.stats.probes == 0
 
     def test_vmm_footprint_counters_survive_reset(self):
         # The VirtualMemoryManager describes the address space, not the
@@ -263,19 +272,42 @@ class TestResettableStats:
         Probe()  # outside any active registry: constructible, unregistered
         assert len(registry) == 1
 
-    def test_multicore_cores_carry_private_registries(self):
+    @pytest.mark.parametrize("num_cores", [1, 2])
+    @pytest.mark.parametrize("name", ["pom_tlb", "hash_pt"])
+    def test_multicore_cores_carry_private_registries(self, name, num_cores):
         system = build_system(make_system_config(
-            "pom_tlb", hardware_scale=HARDWARE_SCALE, num_cores=2))
-        assert system.stats_registry is not None
-        registries = [core.stats_registry for core in system.cores]
-        assert all(r is not None for r in registries)
-        assert registries[0] is not registries[1]
-        # The shared POM-TLB lives in the machine registry, not a core's.
-        shared = system.shared_backend
-        assert shared is not None
+            name, hardware_scale=HARDWARE_SCALE, num_cores=num_cores))
+        registries = [system.stats_registry] + [core.stats_registry
+                                                for core in system.cores]
+        assert len({id(registry) for registry in registries}) == num_cores + 1
+        # The shared structure is built once, lives in the machine registry,
+        # and every core's backend holds that same object.
+        shared = system.shared
+        built = [component for registry in registries
+                 for component in registry.components()
+                 if isinstance(component, type(shared))]
+        assert len(built) == 1 and built[0] is shared
         assert shared in system.stats_registry.components()
-        for registry in registries:
-            assert shared not in registry.components()
+        for core in system.cores:
+            assert getattr(core.backend, name) is shared
+
+    @pytest.mark.parametrize("num_cores", [1, 2])
+    @pytest.mark.parametrize("warmup_fraction, resets", [(0.25, 1), (0.0, 0)])
+    def test_machine_registry_resets_once_every_core_is_warm(
+            self, num_cores, warmup_fraction, resets, monkeypatch):
+        sim = Simulator.from_scenario({
+            "system": "pom_tlb", "max_refs": 600, "seed": 42,
+            "hardware_scale": HARDWARE_SCALE, "num_cores": num_cores,
+            "warmup_fraction": warmup_fraction,
+            "workload": {"kind": "mix", "tenants": [{"workload": "bfs"},
+                                                    {"workload": "rnd"}]}})
+        registry = sim.system.stats_registry
+        calls = []
+        reset_all = registry.reset_all
+        monkeypatch.setattr(registry, "reset_all",
+                            lambda: calls.append(1) or reset_all())
+        sim.run()
+        assert len(calls) == resets
 
 
 class TestHashedPageTableBackend:

@@ -91,20 +91,20 @@ class TestLargeTLBs:
     """The large-TLB baselines of Figure 8, as the system factory builds them."""
 
     def test_baseline_l2_tlb(self):
-        tlb = build_system(make_system_config("radix")).l2_tlb
+        tlb = build_system(make_system_config("radix")).cores[0].l2_tlb
         assert tlb.entries == 1536 and tlb.latency == 12
 
     def test_optimistic_keeps_baseline_latency(self):
-        tlb = build_system(make_system_config("opt_l2tlb_64k")).l2_tlb
+        tlb = build_system(make_system_config("opt_l2tlb_64k")).cores[0].l2_tlb
         assert tlb.latency == 12
         assert tlb.entries == 64 * 1024
 
     def test_realistic_uses_cacti_latency(self):
-        tlb = build_system(make_system_config("real_l2tlb_64k")).l2_tlb
+        tlb = build_system(make_system_config("real_l2tlb_64k")).cores[0].l2_tlb
         assert tlb.latency == 39
 
     def test_l3_tlb(self):
-        tlb = build_system(make_system_config("opt_l3tlb_64k", l3_latency=25)).l3_tlb
+        tlb = build_system(make_system_config("opt_l3tlb_64k", l3_latency=25)).backend.l3_tlb
         assert tlb.latency == 25 and tlb.entries == 64 * 1024
 
 

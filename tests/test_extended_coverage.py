@@ -120,10 +120,11 @@ class TestMMUVictimaEvictionPath:
     def test_l2_tlb_evictions_feed_victima(self):
         simulator = build_tiny_simulator("victima", "rnd", max_refs=2_000)
         result = simulator.run()
-        victima = simulator.system.victima
+        core = simulator.system.cores[0]
+        victima = core.victima
         # With the tiny scaled L2 TLB there must have been evictions, and the
         # eviction path must have been consulted (insertions or duplicates).
-        assert simulator.system.mmu.stats.l2_tlb_evictions > 0
+        assert core.mmu.stats.l2_tlb_evictions > 0
         consulted = (victima.stats.insertions_on_eviction
                      + victima.stats.duplicate_blocks_skipped
                      + victima.stats.predictor_rejections)
@@ -132,5 +133,6 @@ class TestMMUVictimaEvictionPath:
     def test_background_walks_do_not_count_as_demand_walks(self):
         simulator = build_tiny_simulator("victima", "rnd", max_refs=2_000)
         result = simulator.run()
-        assert result.background_walks == simulator.system.victima.stats.background_walks
-        assert result.page_walks == simulator.system.mmu.stats.page_walks
+        core = simulator.system.cores[0]
+        assert result.background_walks == core.victima.stats.background_walks
+        assert result.page_walks == core.mmu.stats.page_walks

@@ -183,7 +183,7 @@ class TestPressureResetAtWarmupBoundary:
             make_system_config("victima"),
             make_workload_config("rnd", max_refs=4000))
         result = sim.run()
-        pressure = sim.system.pressure
+        pressure = sim.system.cores[0].pressure
         # With the reset at the warm-up boundary, the monitor's totals must
         # equal the measured-window statistics exactly; before the fix they
         # also contained every warm-up instruction and miss.

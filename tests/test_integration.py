@@ -123,11 +123,11 @@ class TestMaintenanceIntegration:
         simulator = Simulator.from_configs(system_config, workload_config,
                                            warmup_fraction=0.0)
         simulator.run()
-        system = simulator.system
-        assert system.victima.resident_tlb_blocks()
-        result = system.maintenance.flush_all()
+        core = simulator.system.cores[0]
+        assert core.victima.resident_tlb_blocks()
+        result = core.maintenance.flush_all()
         assert result.cache_blocks_invalidated > 0
-        assert not system.victima.resident_tlb_blocks()
+        assert not core.victima.resident_tlb_blocks()
 
     def test_shootdown_after_unmap(self):
         system_config = make_system_config("victima", hardware_scale=SCALE)
@@ -135,10 +135,10 @@ class TestMaintenanceIntegration:
         simulator = Simulator.from_configs(system_config, workload_config,
                                            warmup_fraction=0.0)
         simulator.run()
-        system = simulator.system
+        core = simulator.system.cores[0]
         entry = next(
-            pte for block in system.victima.resident_tlb_blocks()
+            pte for block in core.victima.resident_tlb_blocks()
             for pte in (block.payload or []) if pte is not None)
         vaddr = entry.vpn << entry.page_size.offset_bits
-        result = system.maintenance.shootdown_page(vaddr, asid=0)
+        result = core.maintenance.shootdown_page(vaddr, asid=0)
         assert result.cache_blocks_invalidated >= 1

@@ -14,7 +14,7 @@ from repro.sim.config import SystemConfig
 from repro.sim.multicore import MultiCoreSimulator
 from repro.sim.presets import make_system_config, make_workload_config
 from repro.sim.simulator import Simulator
-from repro.sim.system import MultiCoreSystem, build_system
+from repro.sim.system import build_system
 from repro.traces.combinators import TENANT_STRIDE, mix
 from repro.workloads import make_workload
 
@@ -128,6 +128,14 @@ class TestMultiCoreRun:
         assert idle.workload == "idle"
         assert idle.memory_refs == 0 and idle.cycles == 0.0
 
+    def test_simulator_runs_core_zero_and_idles_the_rest(self):
+        system = build_system(make_system_config("radix", hardware_scale=16,
+                                                 num_cores=2))
+        result = Simulator(system, make_workload("rnd", max_refs=100)).run()
+        assert result.num_cores == 2
+        assert [core.workload for core in result.per_core] == ["rnd", "idle"]
+        assert result.memory_refs == result.per_core[0].memory_refs > 0
+
     def test_shared_pom_tlb_under_two_cores(self):
         result = api.simulate({
             "system": "pom_tlb", "num_cores": 2, "max_refs": 1200,
@@ -199,10 +207,12 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="native"):
             config.validate()
 
-    def test_tlb_aware_llc_multicore_rejected(self):
+    @pytest.mark.parametrize("num_cores", [1, 2])
+    def test_tlb_aware_llc_rejected(self, num_cores):
         # Translation pressure is tracked per core; no monitor feeds the
         # shared LLC, so a TLB-aware LLC policy would silently act as SRRIP.
-        config = make_system_config("victima", hardware_scale=16, num_cores=2)
+        config = make_system_config("victima", hardware_scale=16,
+                                    num_cores=num_cores)
         config.l3_cache.replacement_policy = "tlb_aware_srrip"
         with pytest.raises(ConfigurationError, match="per core"):
             build_system(config)
@@ -237,12 +247,6 @@ class TestValidation:
                 make_system_config("radix", num_cores=2),
                 make_workload_config("rnd", max_refs=100))
 
-    def test_simulator_init_rejects_multicore_system(self):
-        system = build_system(make_system_config("radix", hardware_scale=16,
-                                                 num_cores=2))
-        with pytest.raises(ConfigurationError, match="MultiCoreSimulator"):
-            Simulator(system, make_workload("rnd", max_refs=100))
-
     def test_truncating_multicore_spec_rejected_at_load(self):
         with pytest.raises(ConfigurationError, match="truncating"):
             load_scenario({"system": "radix", "num_cores": 2, "max_refs": 1000,
@@ -253,7 +257,6 @@ class TestValidation:
     def test_build_system_dispatch(self):
         system = build_system(make_system_config("radix", hardware_scale=16,
                                                  num_cores=2))
-        assert isinstance(system, MultiCoreSystem)
         assert system.num_cores == 2
         assert system.cores[0].l2_cache is not system.cores[1].l2_cache
         assert system.cores[0].hierarchy.l3 is system.cores[1].hierarchy.l3

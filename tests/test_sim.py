@@ -106,29 +106,29 @@ class TestPresets:
 class TestSystemFactory:
     def test_radix_system(self):
         system = build_system(make_system_config("radix", hardware_scale=16))
-        assert isinstance(system.mmu, MMU)
-        assert system.victima is None and system.pom_tlb is None
+        assert isinstance(system.cores[0].mmu, MMU)
+        assert system.backend.victima is None and system.backend.pom_tlb is None
         assert not system.is_virtualized
 
     def test_victima_system_wiring(self):
-        system = build_system(make_system_config("victima", hardware_scale=16))
-        assert system.victima is not None
-        assert system.backend.victima is system.victima
-        assert system.victima.l2_cache is system.hierarchy.l2
-        assert system.l2_cache.policy.name == "tlb_aware_srrip"
+        core = build_system(make_system_config("victima", hardware_scale=16)).cores[0]
+        assert core.victima is not None
+        assert core.backend.victima is core.victima
+        assert core.victima.l2_cache is core.hierarchy.l2
+        assert core.l2_cache.policy.name == "tlb_aware_srrip"
 
     def test_pom_system(self):
         system = build_system(make_system_config("pom_tlb", hardware_scale=16))
-        assert system.pom_tlb is not None
-        assert system.backend.pom_tlb is system.pom_tlb
+        assert system.shared is not None
+        assert system.backend.pom_tlb is system.shared
 
     def test_l3_tlb_system(self):
         system = build_system(make_system_config("opt_l3tlb_64k", hardware_scale=16))
-        assert system.l3_tlb is not None
+        assert system.backend.l3_tlb is not None
 
     def test_virtualized_system(self):
         system = build_system(make_system_config("nested_paging", hardware_scale=16))
-        assert isinstance(system.mmu, VirtualizedMMU)
+        assert isinstance(system.cores[0].mmu, VirtualizedMMU)
         assert system.is_virtualized
         assert system.nested_walker is not None
         assert system.page_table is system.shadow_builder.table
@@ -136,8 +136,8 @@ class TestSystemFactory:
     def test_virt_victima_system(self):
         system = build_system(make_system_config("virt_victima", hardware_scale=16))
         assert system.is_virtualized
-        assert system.victima is not None
-        assert system.victima.host_page_table is not None
+        assert system.cores[0].victima is not None
+        assert system.cores[0].victima.host_page_table is not None
 
     @pytest.mark.parametrize("num_cores", [1, 2])
     def test_dram_takes_configured_timing(self, num_cores):
@@ -147,7 +147,7 @@ class TestSystemFactory:
         system = build_system(config)
         dram = system.dram
         assert (dram.row_hit_latency, dram.row_miss_latency, dram.num_banks) == (90, 200, 4)
-        for core in getattr(system, "cores", [system]):
+        for core in system.cores:
             assert core.hierarchy.dram is dram
 
     def test_huge_page_fraction_propagates(self):
@@ -203,6 +203,25 @@ class TestSimulator:
         mapped = simulator.prefault()
         assert mapped > 0
         assert simulator.system.memory_manager.footprint_bytes > 0
+
+    @pytest.mark.parametrize("num_cores", [1, 2])
+    def test_prefault_warms_once_through_core_zero(self, num_cores, monkeypatch):
+        simulator = Simulator.from_scenario({
+            "system": "pom_tlb", "max_refs": 200, "hardware_scale": 16,
+            "num_cores": num_cores,
+            "workload": {"kind": "mix", "tenants": [{"workload": "bfs"},
+                                                    {"workload": "rnd"}]}})
+        system = simulator.system
+        calls = []
+        for core in system.cores:
+            warm_start = core.backend.warm_start
+            monkeypatch.setattr(
+                core.backend, "warm_start",
+                lambda table, backend=core.backend, warm=warm_start:
+                    calls.append(backend) or warm(table))
+        simulator.prefault()
+        assert len(calls) == 1
+        assert calls[0] is system.backend is system.cores[0].backend
 
     def test_determinism_across_runs(self):
         first = build_tiny_simulator("radix", "bfs", max_refs=400).run()
