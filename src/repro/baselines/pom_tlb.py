@@ -67,11 +67,12 @@ class POMTLB(ResettableStats):
         # *contiguous* physical allocation (Section 3.2, drawback 2).
         self.base_paddr = physical_memory.reserve_contiguous(self.size_bytes, label="pom-tlb")
         self.stats = POMTLBStats()
-        # set index -> { (asid, page_size, vpn): (pte, last_touch) }
-        self._sets: list[Dict[Tuple[int, int, int], Tuple[PageTableEntry, int]]] = [
+        # set index -> {(asid, page_size, vpn): pte} in last-touch order: a
+        # hit or a re-insert moves its key to the end, so the LRU victim is
+        # the first key.
+        self._sets: list[Dict[Tuple[int, int, int], PageTableEntry]] = [
             dict() for _ in range(self.num_sets)
         ]
-        self._clock = 0
         self._register_stats()
 
     # ------------------------------------------------------------------ #
@@ -97,7 +98,6 @@ class POMTLB(ResettableStats):
         two probes proceed in parallel, so the slower one is charged.
         """
         self.stats.lookups += 1
-        self._clock += 1
         latency = 0
         found: Optional[PageTableEntry] = None
         for page_size in (PageSize.SIZE_4K, PageSize.SIZE_2M):
@@ -106,10 +106,13 @@ class POMTLB(ResettableStats):
             access = hierarchy.access_for_ptw(self._set_paddr(set_index))
             latency = max(latency, access.latency)
             if found is None:
-                entry = self._sets[set_index].get((asid, int(page_size), vpn))
-                if entry is not None and entry[0].valid:
-                    found = entry[0]
-                    self._sets[set_index][(asid, int(page_size), vpn)] = (entry[0], self._clock)
+                pom_set = self._sets[set_index]
+                key = (asid, int(page_size), vpn)
+                pte = pom_set.get(key)
+                if pte is not None and pte.valid:
+                    found = pte
+                    del pom_set[key]
+                    pom_set[key] = pte
         if found is not None:
             self.stats.hits += 1
         else:
@@ -119,17 +122,16 @@ class POMTLB(ResettableStats):
 
     def insert(self, pte: PageTableEntry, asid: int) -> Optional[PageTableEntry]:
         """Insert a translation (on the return path of a page walk)."""
-        self._clock += 1
         vpn = pte.vpn
-        set_index = self._set_index(vpn)
-        pom_set = self._sets[set_index]
+        pom_set = self._sets[self._set_index(vpn)]
         key = (asid, int(pte.page_size), vpn)
         evicted: Optional[PageTableEntry] = None
-        if key not in pom_set and len(pom_set) >= self.associativity:
-            victim_key = min(pom_set, key=lambda k: pom_set[k][1])
-            evicted = pom_set.pop(victim_key)[0]
+        if key in pom_set:
+            del pom_set[key]
+        elif len(pom_set) >= self.associativity:
+            evicted = pom_set.pop(next(iter(pom_set)))
             self.stats.evictions += 1
-        pom_set[key] = (pte, self._clock)
+        pom_set[key] = pte
         self.stats.insertions += 1
         return evicted
 

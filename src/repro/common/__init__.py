@@ -15,7 +15,6 @@ from repro.common.addresses import (
     page_number,
     radix_indices,
 )
-from repro.common.counters import SaturatingCounter
 from repro.common.errors import (
     ConfigurationError,
     ReproError,
@@ -32,7 +31,6 @@ __all__ = [
     "PageSize",
     "page_number",
     "radix_indices",
-    "SaturatingCounter",
     "ConfigurationError",
     "ReproError",
     "TranslationFault",

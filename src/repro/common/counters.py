@@ -1,41 +1,6 @@
-"""Small hardware-style counters used by predictors and replacement policies."""
+"""The event-rate monitor behind Victima's run-time pressure signals."""
 
 from __future__ import annotations
-
-
-class SaturatingCounter:
-    """An ``n``-bit saturating counter.
-
-    The paper stores two such counters in the unused bits of each PTE: a 3-bit
-    page-table-walk frequency counter and a 4-bit PTW cost counter.  When a
-    counter saturates it stays at its maximum value for the rest of execution
-    (Section 5.2).
-    """
-
-    __slots__ = ("bits", "value", "max_value")
-
-    def __init__(self, bits: int, value: int = 0):
-        if bits <= 0:
-            raise ValueError("a saturating counter needs at least one bit")
-        self.bits = bits
-        # Stored (not a property): increments happen several times per
-        # simulated memory reference, so the ceiling must not be recomputed.
-        max_value = self.max_value = (1 << bits) - 1
-        self.value = value if value < max_value else max_value
-
-    def increment(self, amount: int = 1) -> int:
-        """Increment, saturating at the maximum value.  Returns the new value."""
-        value = self.value + amount
-        if value > self.max_value:
-            value = self.max_value
-        self.value = value
-        return value
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SaturatingCounter(bits={self.bits}, value={self.value})"
 
 
 class EventRateMonitor:

@@ -207,7 +207,7 @@ def build_dataset_from_simulation(workloads: Sequence[str] = ("rnd", "bfs", "xs"
             # Only pages that were actually touched during the window carry a
             # meaningful label; the pre-faulted-but-untouched majority would
             # otherwise swamp the dataset with all-zero rows.
-            if int(pte.features.accesses) == 0:
+            if pte.features.accesses == 0:
                 continue
             rows.append([float(v) for v in pte.features.as_vector()])
             costs.append(float(pte.total_ptw_cycles))

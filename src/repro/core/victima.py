@@ -34,6 +34,9 @@ from repro.memory.page_table import PageTableEntry, RadixPageTable
 from repro.mmu.page_walker import PageTableWalker
 from repro.mmu.tlb import TLBEntry
 
+#: The page sizes a TLB-block probe tries, in order, with each one's VPN shift.
+_PROBE_PLAN = ((PageSize.SIZE_4K, 12), (PageSize.SIZE_2M, 21))
+
 
 @dataclass
 class VictimaStats:
@@ -115,11 +118,11 @@ class VictimaController(ResettableStats):
         return pte, self.l2_cache.latency
 
     def _probe_kind(self, vaddr: int, asid: int, kind: BlockKind) -> Optional[PageTableEntry]:
-        for page_size in (PageSize.SIZE_4K, PageSize.SIZE_2M):
-            vpn = page_number(vaddr, page_size)
-            key = (tlb_key(vpn, asid, page_size) if kind is BlockKind.TLB
-                   else nested_tlb_key(vpn, asid, page_size))
-            block = self.l2_cache.lookup(key, count_access=False)
+        block_key = tlb_key if kind is BlockKind.TLB else nested_tlb_key
+        lookup = self.l2_cache.lookup
+        for page_size, shift in _PROBE_PLAN:
+            vpn = vaddr >> shift
+            block = lookup(block_key(vpn, asid, page_size), count_access=False)
             if block is not None and block.kind is kind:
                 pte = block.find_translation(vpn)
                 if pte is not None:

@@ -10,12 +10,20 @@ of eight leaf PTEs for a virtual page, which this module exposes via
 
 Level numbering follows the walk order of Figure 1: level 0 is the PML4 root,
 level 3 is the leaf PT.  2 MB pages terminate the walk at level 2 (the PD).
+
+A 4 KB leaf written in bulk (:meth:`RadixPageTable.map_4k_run`, the
+prefault path) is stored packed, as its PFN, much as hardware keeps a PTE
+in one 64-bit word: its VPN and entry address follow from its node and
+slot.  Its :class:`PageTableEntry` is built the first time a lookup, walk
+or :meth:`RadixPageTable.all_entries` returns it and then replaces the PFN
+in the slot, so every later read returns the same object.  A pre-faulted
+table thus holds objects only for the pages a run touches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.common.addresses import (
     ENTRIES_PER_NODE,
@@ -24,7 +32,6 @@ from repro.common.addresses import (
     PageSize,
     radix_indices,
 )
-from repro.common.counters import SaturatingCounter
 from repro.common.errors import TranslationFault
 from repro.memory.physical import PhysicalMemory
 
@@ -45,6 +52,12 @@ class PTEFeatures:
     two that the final comparator-based PTW-CP uses (PTW frequency and PTW
     cost) are saturating counters stored in the unused PTE bits; the remaining
     ones are gathered for the offline feature-selection study (Table 2).
+
+    The nine counters are plain ints that saturate where they are
+    incremented (:meth:`PageTableEntry.record_walk` and the MMUs' inline
+    updates), once they reach their width's maximum: ``ptw_frequency`` is 3
+    bits (7), ``ptw_cost`` 4 bits (15), ``l2_tlb_evictions`` and
+    ``accesses`` 6 bits (63), and the other five 5 bits (31).
     """
 
     __slots__ = ("page_size_is_2m", "ptw_frequency", "ptw_cost", "pwc_hits",
@@ -53,29 +66,29 @@ class PTEFeatures:
 
     def __init__(self, page_size_is_2m: bool = False):
         self.page_size_is_2m = page_size_is_2m
-        self.ptw_frequency = SaturatingCounter(3)
-        self.ptw_cost = SaturatingCounter(4)
-        self.pwc_hits = SaturatingCounter(5)
-        self.l1_tlb_misses = SaturatingCounter(5)
-        self.l2_tlb_misses = SaturatingCounter(5)
-        self.l2_cache_hits = SaturatingCounter(5)
-        self.l1_tlb_evictions = SaturatingCounter(5)
-        self.l2_tlb_evictions = SaturatingCounter(6)
-        self.accesses = SaturatingCounter(6)
+        self.ptw_frequency = 0
+        self.ptw_cost = 0
+        self.pwc_hits = 0
+        self.l1_tlb_misses = 0
+        self.l2_tlb_misses = 0
+        self.l2_cache_hits = 0
+        self.l1_tlb_evictions = 0
+        self.l2_tlb_evictions = 0
+        self.accesses = 0
 
     def as_vector(self) -> List[int]:
         """Return the ten features as a plain list (for the predictor study)."""
         return [
             int(self.page_size_is_2m),
-            int(self.ptw_frequency),
-            int(self.ptw_cost),
-            int(self.pwc_hits),
-            int(self.l1_tlb_misses),
-            int(self.l2_tlb_misses),
-            int(self.l2_cache_hits),
-            int(self.l1_tlb_evictions),
-            int(self.l2_tlb_evictions),
-            int(self.accesses),
+            self.ptw_frequency,
+            self.ptw_cost,
+            self.pwc_hits,
+            self.l1_tlb_misses,
+            self.l2_tlb_misses,
+            self.l2_cache_hits,
+            self.l1_tlb_evictions,
+            self.l2_tlb_evictions,
+            self.accesses,
         ]
 
 
@@ -131,19 +144,23 @@ class PageTableEntry:
     # Convenience accessors used by the predictor and the MMU ----------------
     @property
     def ptw_frequency(self) -> int:
-        return int(self.features.ptw_frequency)
+        return self.features.ptw_frequency
 
     @property
     def ptw_cost(self) -> int:
-        return int(self.features.ptw_cost)
+        return self.features.ptw_cost
 
     def record_walk(self, cycles: int, dram_accesses: int, pwc_hits: int) -> None:
         """Update the PTE metadata after a page-table walk that fetched it."""
-        self.features.ptw_frequency.increment()
+        features = self.features
+        if features.ptw_frequency < 7:
+            features.ptw_frequency += 1
         if dram_accesses > 0:
-            self.features.ptw_cost.increment(dram_accesses)
+            cost = features.ptw_cost + dram_accesses
+            features.ptw_cost = cost if cost < 15 else 15
         if pwc_hits > 0:
-            self.features.pwc_hits.increment(pwc_hits)
+            hits = features.pwc_hits + pwc_hits
+            features.pwc_hits = hits if hits < 31 else 31
         self.total_ptw_cycles += cycles
 
     def translate(self, vaddr: int) -> int:
@@ -190,15 +207,23 @@ class WalkPath:
 
 
 class _PageTableNode:
-    """An internal radix node occupying one 4 KB physical frame."""
+    """An internal radix node occupying one 4 KB physical frame.
 
-    __slots__ = ("level", "frame_paddr", "children", "leaves")
+    ``leaves`` maps a slot to its leaf: a :class:`PageTableEntry`, or, for
+    a 4 KB leaf that :meth:`RadixPageTable.map_4k_run` wrote and nothing
+    has read yet, its PFN as a plain ``int``.  ``base_vpn`` is the first
+    4 KB page the node covers, so slot ``i`` of a PT node maps page
+    ``base_vpn + i``.
+    """
 
-    def __init__(self, level: int, frame_paddr: int):
+    __slots__ = ("level", "frame_paddr", "base_vpn", "children", "leaves")
+
+    def __init__(self, level: int, frame_paddr: int, base_vpn: int):
         self.level = level
         self.frame_paddr = frame_paddr
+        self.base_vpn = base_vpn
         self.children: Dict[int, "_PageTableNode"] = {}
-        self.leaves: Dict[int, PageTableEntry] = {}
+        self.leaves: Dict[int, Union[PageTableEntry, int]] = {}
 
     def entry_paddr(self, index: int) -> int:
         return self.frame_paddr + index * PTE_SIZE
@@ -210,7 +235,7 @@ class RadixPageTable:
     def __init__(self, physical_memory: PhysicalMemory, asid: int = 0):
         self.physical = physical_memory
         self.asid = asid
-        self._root = self._new_node(level=0)
+        self._root = self._new_node(level=0, base_vpn=0)
         self.num_nodes = 1
         self.num_leaf_entries = 0
         # Functional-lookup memo: 4K page number -> leaf PTE.  Purely an
@@ -226,9 +251,25 @@ class RadixPageTable:
     # ------------------------------------------------------------------ #
     # Construction
     # ------------------------------------------------------------------ #
-    def _new_node(self, level: int) -> _PageTableNode:
+    def _new_node(self, level: int, base_vpn: int) -> _PageTableNode:
         frame = self.physical.allocate_frame(PageSize.SIZE_4K)
-        return _PageTableNode(level, frame)
+        return _PageTableNode(level, frame, base_vpn)
+
+    def _entry(self, node: _PageTableNode, index: int) -> PageTableEntry:
+        """The entry in ``node``'s slot ``index``, built on first use.
+
+        A packed 4K leaf (a PFN) becomes a :class:`PageTableEntry` whose VPN
+        and entry address follow from the node and the slot; the entry then
+        replaces the PFN in the slot (keeping the slot's dictionary order),
+        so every later read returns the same object.
+        """
+        leaves = node.leaves
+        leaf = leaves[index]
+        if leaf.__class__ is int:
+            leaf = leaves[index] = PageTableEntry(
+                node.base_vpn + index, leaf, PageSize.SIZE_4K, self.asid,
+                node.frame_paddr + index * PTE_SIZE)
+        return leaf
 
     @property
     def root_paddr(self) -> int:
@@ -250,20 +291,23 @@ class RadixPageTable:
 
         node = self._root
         for level in range(leaf_level):
-            index = (vaddr >> _LEVEL_SHIFTS[level]) & _INDEX_MASK
+            shift = _LEVEL_SHIFTS[level]
+            index = (vaddr >> shift) & _INDEX_MASK
             child = node.children.get(index)
             if child is None:
-                child = self._new_node(level + 1)
+                child = self._new_node(level + 1, (vaddr >> shift) << (shift - 12))
                 node.children[index] = child
                 self.num_nodes += 1
             node = child
 
         leaf_index = (vaddr >> leaf_shift) & _INDEX_MASK
         old = node.leaves.get(leaf_index)
-        if old is not None:
-            old.valid = False
-        else:
+        if old is None:
             self.num_leaf_entries += 1
+        elif old.__class__ is not int:
+            # Invalidate the entry readers may hold.  A packed leaf (a PFN)
+            # was never handed out, so nothing holds it.
+            old.valid = False
         if old is not None or leaf_level == LEAF_LEVEL_2M:
             # Only a remap, or a 2 MB leaf that may shadow 4K leaves below its
             # slot, can change what an earlier lookup or walk found.  A new 4K
@@ -310,37 +354,69 @@ class RadixPageTable:
             index += 1
         return index - start
 
-    def leaf_run(self, vpn: int, limit: int) -> List[PageTableEntry]:
-        """The 4K leaves of pages ``vpn``, ``vpn + 1``, … of one PT node.
+    def leaf_run(self, vpn: int, limit: int) -> List[int]:
+        """The PFNs of 4K pages ``vpn``, ``vpn + 1``, … of one PT node.
 
         The run stops at the first unmapped page, at VPN ``limit``
         (exclusive) and at the end of ``vpn``'s PT node; it is empty when
-        that node does not exist or a 2 MB leaf covers ``vpn``.  Each entry
-        is what :meth:`lookup` returns for its page.
+        that node does not exist or a 2 MB leaf covers ``vpn``.  Each PFN
+        is that of the entry :meth:`lookup` returns for its page, but a
+        packed leaf is read as it is: no entry is built.
         """
         index = vpn & _INDEX_MASK
         stop = min(index + limit - vpn, ENTRIES_PER_NODE)
         node = self._pt_node(vpn) if index < stop else None
-        run: List[PageTableEntry] = []
+        run: List[int] = []
         if node is None:
             return run
         leaves = node.leaves
         while index < stop:
-            pte = leaves.get(index)
-            if pte is None:
+            leaf = leaves.get(index)
+            if leaf is None:
                 break
-            run.append(pte)
+            run.append(leaf if leaf.__class__ is int else leaf.pfn)
             index += 1
         return run
+
+    def frame_numbers(self, vpns: List[int]) -> List[Optional[int]]:
+        """The 4K frame each 4K page of ``vpns`` maps to, ``None`` where unmapped.
+
+        A mapped page's frame is ``lookup(vpn << 12).translate(vpn << 12) >> 12``,
+        read here without building the entry of a packed leaf or filling the
+        lookup memo.  Pages of one 2 MB region in a row share one descent.
+        """
+        frames: List[Optional[int]] = []
+        region = -1
+        leaves: Dict[int, Union[PageTableEntry, int]] = {}
+        huge_base: Optional[int] = None
+        for vpn in vpns:
+            if vpn >> 9 != region:
+                region = vpn >> 9
+                node = self._pt_node(vpn)
+                if node is not None:
+                    leaves, huge_base = node.leaves, None
+                else:
+                    # No PT node: a 2 MB leaf covers the page, or nothing does.
+                    found = self._find(vpn << 12)
+                    leaves = {}
+                    huge_base = None if found is None else found[2].pfn << 9
+            leaf = leaves.get(vpn & _INDEX_MASK)
+            if leaf is not None:
+                frames.append(leaf if leaf.__class__ is int else leaf.pfn)
+            else:
+                frames.append(None if huge_base is None else huge_base | (vpn & _INDEX_MASK))
+        return frames
 
     def map_4k_run(self, vpn: int, pfns: List[int]) -> None:
         """Map 4K pages ``vpn``, ``vpn + 1``, … to frames ``pfns`` in one step.
 
         The pages must be an :meth:`unmapped_run` of an existing PT node.
-        The table then ends up exactly as after one :meth:`map_page` call per
-        page, in order, without the per-page descents: no node is created,
-        and since fresh 4K leaves in empty slots cannot change an earlier
-        lookup or walk, the memos are kept.
+        Each leaf is stored packed, as its PFN, and becomes an entry only
+        when something reads it (see :meth:`_entry`).  The table then reads
+        exactly as after one :meth:`map_page` call per page, in order,
+        without the per-page descents: no node is created, and since fresh
+        4K leaves in empty slots cannot change an earlier lookup or walk,
+        the memos are kept.
         """
         if not pfns:
             return
@@ -348,15 +424,7 @@ class RadixPageTable:
         index = vpn & _INDEX_MASK
         if node is None or index + len(pfns) > ENTRIES_PER_NODE:
             raise ValueError(f"pages 0x{vpn:x}+{len(pfns)} are not in one existing PT node")
-        leaves = node.leaves
-        entry_paddr = node.frame_paddr + index * PTE_SIZE
-        asid = self.asid
-        size = PageSize.SIZE_4K
-        for pfn in pfns:
-            leaves[index] = PageTableEntry(vpn, pfn, size, asid, entry_paddr)
-            vpn += 1
-            index += 1
-            entry_paddr += PTE_SIZE
+        node.leaves.update(zip(range(index, index + len(pfns)), pfns))
         self.num_leaf_entries += len(pfns)
 
     def unmap_page(self, vaddr: int) -> Optional[PageTableEntry]:
@@ -381,6 +449,8 @@ class RadixPageTable:
             index = (vaddr >> shift) & _INDEX_MASK
             leaf = node.leaves.get(index)
             if leaf is not None:
+                if leaf.__class__ is int:
+                    leaf = self._entry(node, index)
                 return node, index, leaf
             node = node.children.get(index)
             if node is None:
@@ -440,6 +510,8 @@ class RadixPageTable:
             steps.append(WalkStep(level=level, node_paddr=node.frame_paddr, entry_paddr=entry_paddr))
             leaf = node.leaves.get(index)
             if leaf is not None:
+                if leaf.__class__ is int:
+                    leaf = self._entry(node, index)
                 path = WalkPath(steps=steps, pte=leaf)
                 self._walk_memo[memo_key] = path
                 return path
@@ -469,12 +541,16 @@ class RadixPageTable:
     # Introspection
     # ------------------------------------------------------------------ #
     def all_entries(self) -> List[PageTableEntry]:
-        """Return every valid leaf entry (used by the Table 2 dataset builder)."""
+        """Return every valid leaf entry (the Table 2 dataset builder and the
+        backends' warm start read them); packed leaves are built here."""
         entries: List[PageTableEntry] = []
         stack = [self._root]
         while stack:
             node = stack.pop()
-            entries.extend(node.leaves.values())
+            leaves = node.leaves
+            for index in [index for index, leaf in leaves.items() if leaf.__class__ is int]:
+                self._entry(node, index)
+            entries.extend(leaves.values())
             stack.extend(node.children.values())
         return entries
 

@@ -109,7 +109,11 @@ class MMU(ResettableStats):
         # Demand paging happens outside the timed path (a real OS would have
         # populated the mapping on first touch before the measured region).
         pte = self.memory_manager.ensure_mapped(vaddr)
-        pte.features.accesses.increment()
+        # The PTE's feature counters saturate at their widths' maxima (see
+        # ``PTEFeatures``): ``accesses`` is 6 bits, the TLB-miss counts 5.
+        features = pte.features
+        if features.accesses < 63:
+            features.accesses += 1
         stats = self.stats
         served = stats.served_by
 
@@ -124,7 +128,8 @@ class MMU(ResettableStats):
             served["l1_tlb"] = served.get("l1_tlb", 0) + 1
             stats.l1_tlb_hits += 1
             return entry.pte.translate(vaddr), latency
-        pte.features.l1_tlb_misses.increment()
+        if features.l1_tlb_misses < 31:
+            features.l1_tlb_misses += 1
 
         # -- L2 TLB (12 cycles) ------------------------------------------- #
         latency += self.l2_tlb.latency
@@ -139,7 +144,8 @@ class MMU(ResettableStats):
 
         # -- L2 TLB miss: dispatch to the translation backend -------------- #
         self.pressure.record_l2_tlb_miss()
-        pte.features.l2_tlb_misses.increment()
+        if features.l2_tlb_misses < 31:
+            features.l2_tlb_misses += 1
         miss = self.backend.translate(vaddr, asid)
         resolved_pte = miss.pte
         latency += miss.latency
@@ -181,11 +187,15 @@ class MMU(ResettableStats):
         evicted = target.insert(pte, asid)
         if evicted is not None:
             self.stats.l1_tlb_evictions += 1
-            evicted.pte.features.l1_tlb_evictions.increment()
+            features = evicted.pte.features
+            if features.l1_tlb_evictions < 31:
+                features.l1_tlb_evictions += 1
 
     def _fill_l2(self, pte: PageTableEntry, asid: int) -> None:
         evicted = self.l2_tlb.insert(pte, asid)
         if evicted is not None:
             self.stats.l2_tlb_evictions += 1
-            evicted.pte.features.l2_tlb_evictions.increment()
+            features = evicted.pte.features
+            if features.l2_tlb_evictions < 63:
+                features.l2_tlb_evictions += 1
             self.backend.on_l2_tlb_eviction(evicted)

@@ -19,12 +19,16 @@ that tag, in insertion order, so a probe is one dict lookup per page size.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.common.addresses import PageSize, is_power_of_two, page_number
 from repro.common.errors import ConfigurationError
 from repro.common.stats import ResettableStats
 from repro.memory.page_table import PageTableEntry
+
+
+_last_touch = attrgetter("last_touch")
 
 
 class TLBEntry:
@@ -167,9 +171,7 @@ class TLB(ResettableStats):
         evicted: Optional[TLBEntry] = None
         if len(tlb_set) >= self.associativity:
             # LRU: the first entry with the lowest last_touch.
-            for entry in tlb_set.values():
-                if evicted is None or entry.last_touch < evicted.last_touch:
-                    evicted = entry
+            evicted = min(tlb_set.values(), key=_last_touch)
             del tlb_set[(evicted.vpn, evicted.asid, evicted.page_size)]
             self.stats.evictions += 1
         tlb_set[key] = TLBEntry(vpn, asid, page_size, pte, self._access_counter)

@@ -216,11 +216,11 @@ class NestedPageTableWalker(ResettableStats):
         gva = start_gva
         while gva < end:
             vpn = gva >> 12
-            guest_ptes = guest_table.leaf_run(vpn, vpn + shadow.table.unmapped_run(vpn, end_vpn))
-            if guest_ptes:
-                shadow.install_run(vpn, guest_ptes, self.host_vmm)
-                covered += len(guest_ptes)
-                gva = (vpn + len(guest_ptes)) << 12
+            guest_pfns = guest_table.leaf_run(vpn, vpn + shadow.table.unmapped_run(vpn, end_vpn))
+            if guest_pfns:
+                shadow.install_run(vpn, guest_pfns, self.host_vmm)
+                covered += len(guest_pfns)
+                gva = (vpn + len(guest_pfns)) << 12
             else:
                 combined = self.install_shadow_mapping(gva)
                 covered += 1

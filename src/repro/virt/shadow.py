@@ -52,28 +52,35 @@ class ShadowPageTableBuilder:
         self.installed_pages += 1
         return combined
 
-    def install_run(self, vpn: int, guest_ptes: List[PageTableEntry],
+    def install_run(self, vpn: int, guest_pfns: List[int],
                     host_vmm: VirtualMemoryManager) -> None:
         """Install the combined mappings of 4 KB guest pages ``vpn``, ``vpn + 1``, ….
 
-        ``guest_ptes`` are the pages' guest leaves, and the pages must be an
+        ``guest_pfns`` are the pages' guest frames (a guest
+        :meth:`~repro.memory.page_table.RadixPageTable.leaf_run`), and the
+        pages must be an
         :meth:`~repro.memory.page_table.RadixPageTable.unmapped_run` of the
-        shadow table.  Each guest frame is backed through
-        ``host_vmm.ensure_mapped`` in page order, so host faults allocate as
-        one :meth:`install` per page would; the shadow PT node is then filled
-        in one step.
+        shadow table.  The host frames are read from the host table without
+        building its entries
+        (:meth:`~repro.memory.page_table.RadixPageTable.frame_numbers`); only
+        a guest frame the host has not mapped yet goes through
+        ``host_vmm.ensure_mapped``, in page order, so host faults allocate as
+        one :meth:`install` per page would.  The shadow PT node is then
+        filled in one step, packed.
         """
-        ensure_mapped = host_vmm.ensure_mapped
-        pfns: List[int] = []
+        host_pfns = host_vmm.page_table.frame_numbers(guest_pfns)
+        installed = 0
         try:
-            for guest_pte in guest_ptes:
-                guest_base = guest_pte.pfn << 12
-                pfns.append(ensure_mapped(guest_base).translate(guest_base) >> 12)
+            for index, host_pfn in enumerate(host_pfns):
+                if host_pfn is None:
+                    guest_base = guest_pfns[index] << 12
+                    host_pfns[index] = host_vmm.ensure_mapped(guest_base).translate(guest_base) >> 12
+                installed = index + 1
         finally:
             # Should a host fault raise, the pages before it stay installed,
             # as they would with one install per page.
-            self.table.map_4k_run(vpn, pfns)
-            self.installed_pages += len(pfns)
+            self.table.map_4k_run(vpn, host_pfns[:installed])
+            self.installed_pages += installed
 
     def lookup(self, gva: int) -> PageTableEntry | None:
         """Return the combined entry for ``gva`` if one has been installed."""

@@ -120,10 +120,14 @@ class VirtualizedMMU(ResettableStats):
         pte = miss.pte
         latency += miss.latency
 
+        # Saturating counters (see ``PTEFeatures``): 5, 5 and 6 bits.
         features = pte.features
-        features.l1_tlb_misses.increment()
-        features.l2_tlb_misses.increment()
-        features.accesses.increment()
+        if features.l1_tlb_misses < 31:
+            features.l1_tlb_misses += 1
+        if features.l2_tlb_misses < 31:
+            features.l2_tlb_misses += 1
+        if features.accesses < 63:
+            features.accesses += 1
         self._fill_l2(pte)
         self._fill_l1(pte)
 
@@ -147,11 +151,15 @@ class VirtualizedMMU(ResettableStats):
         evicted = target.insert(pte, self.vmid)
         if evicted is not None:
             self.stats.l1_tlb_evictions += 1
-            evicted.pte.features.l1_tlb_evictions.increment()
+            features = evicted.pte.features
+            if features.l1_tlb_evictions < 31:
+                features.l1_tlb_evictions += 1
 
     def _fill_l2(self, pte: PageTableEntry) -> None:
         evicted = self.l2_tlb.insert(pte, self.vmid)
         if evicted is not None:
             self.stats.l2_tlb_evictions += 1
-            evicted.pte.features.l2_tlb_evictions.increment()
+            features = evicted.pte.features
+            if features.l2_tlb_evictions < 63:
+                features.l2_tlb_evictions += 1
             self.backend.on_l2_tlb_eviction(evicted)

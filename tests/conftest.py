@@ -74,14 +74,18 @@ def page_table_state(table: RadixPageTable) -> tuple:
 
     Every node's level, frame and child slots, and every leaf's slot, VPN,
     PFN, page size, entry address and valid bit, plus the node and leaf
-    counts.  Two tables built by equivalent operation sequences compare equal.
+    counts.  Leaves are read through the table's entry builder, so a packed
+    leaf reads as the entry a lookup would return.  Two tables built by
+    equivalent operation sequences compare equal.
     """
     nodes = []
     stack = [table._root]
     while stack:
         node = stack.pop()
-        leaves = [(index, pte.vpn, pte.pfn, pte.page_size, pte.entry_paddr, pte.valid)
-                  for index, pte in node.leaves.items()]
+        leaves = []
+        for index in list(node.leaves):
+            pte = table._entry(node, index)
+            leaves.append((index, pte.vpn, pte.pfn, pte.page_size, pte.entry_paddr, pte.valid))
         nodes.append((node.level, node.frame_paddr, list(node.children), leaves))
         stack.extend(node.children.values())
     return nodes, table.num_nodes, table.num_leaf_entries

@@ -11,7 +11,7 @@ from repro.common.addresses import (
     page_number,
     radix_indices,
 )
-from repro.common.counters import EventRateMonitor, SaturatingCounter
+from repro.common.counters import EventRateMonitor
 from repro.common.errors import ConfigurationError, ReproError, TranslationFault
 from repro.common.pressure import PressureMonitor
 
@@ -56,27 +56,6 @@ class TestAddressArithmetic:
         assert is_power_of_two(4096)
         assert not is_power_of_two(0)
         assert not is_power_of_two(3)
-
-
-class TestSaturatingCounter:
-    def test_saturates_at_max(self):
-        counter = SaturatingCounter(bits=3)
-        for _ in range(20):
-            counter.increment()
-        assert int(counter) == 7
-
-    def test_increment_by_amount(self):
-        counter = SaturatingCounter(bits=4)
-        counter.increment(5)
-        assert int(counter) == 5
-
-    def test_initial_value_clamped(self):
-        counter = SaturatingCounter(bits=2, value=100)
-        assert int(counter) == 3
-
-    def test_zero_bits_rejected(self):
-        with pytest.raises(ValueError):
-            SaturatingCounter(bits=0)
 
 
 class TestEventRateMonitor:

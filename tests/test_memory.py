@@ -2,14 +2,16 @@
 
 import pytest
 
+from repro.api import build_simulator
 from repro.cache.hierarchy import AccessResult, MemoryLevel
 from repro.common.addresses import PAGE_SIZE_2M, PAGE_SIZE_4K, PageSize
 from repro.common.errors import OutOfPhysicalMemory, TranslationFault
 from repro.memory.dram import DramModel
-from repro.memory.page_table import LEAF_LEVEL_2M, LEAF_LEVEL_4K, RadixPageTable
+from repro.memory.page_table import LEAF_LEVEL_2M, LEAF_LEVEL_4K, PageTableEntry, RadixPageTable
 from repro.memory.page_allocator import VirtualMemoryManager
 from repro.memory.physical import PhysicalMemory
 from repro.mmu.page_walker import PageTableWalker
+from repro.scenario import ScenarioSpec
 from tests.conftest import allocator_state, page_table_state
 
 
@@ -247,7 +249,7 @@ class TestRadixPageTable:
         for i, pfn in enumerate(pfns):
             single.map_page(vpn=0x406 + i, pfn=pfn)
         assert page_table_state(runs) == page_table_state(single)
-        assert runs.leaf_run(0x405, 0x409) == [runs.lookup(vpn << 12)
+        assert runs.leaf_run(0x405, 0x409) == [runs.lookup(vpn << 12).pfn
                                                for vpn in range(0x405, 0x409)]
         assert len(runs.leaf_run(0x400, 0x600)) == 0
         assert len(runs.leaf_run(0x405, 0x700)) == 0x600 - 0x405
@@ -261,6 +263,90 @@ class TestRadixPageTable:
         page_table.map_page(vpn=0x400 >> 9, pfn=0x2, page_size=PageSize.SIZE_2M)
         assert page_table.unmapped_run(0x401, 0x600) == 0
         assert page_table.leaf_run(0x400, 0x600) == []
+
+
+class TestPackedLeaves:
+    """A leaf ``map_4k_run`` wrote is a PFN until something reads it; the
+    entry built then stays in its slot, so every reader sees one object."""
+
+    @pytest.fixture
+    def table(self, page_table):
+        page_table.map_page(vpn=0x400, pfn=0x1)  # creates the PT node
+        page_table.map_4k_run(0x401, [0x70 + i for i in range(0xF)])
+        return page_table
+
+    def test_readers_share_one_entry_per_page(self, table):
+        va = (0x405 << 12) | 0x123
+        pte = table.lookup(va)
+        assert table.lookup(va) is pte
+        assert table.walk(va).pte is pte
+        table.map_page(vpn=0x9000, pfn=0x2)
+        table.unmap_page(0x9000 << 12)  # clears both memos
+        assert table.lookup(va) is pte
+        assert table.walk(va).pte is pte
+        assert (pte.vpn, pte.pfn, pte.page_size, pte.asid) == (0x405, 0x74, PageSize.SIZE_4K, 0)
+        entries = table.all_entries()
+        assert [entry.vpn for entry in entries] == list(range(0x400, 0x410))
+        assert all(entry is table.lookup(entry.vpn << 12) for entry in entries)
+        assert table.all_entries()[5] is pte
+
+    def test_remap_of_a_packed_slot(self, table):
+        entries = table.num_leaf_entries
+        table.map_page(vpn=0x406, pfn=0x999)
+        assert table.num_leaf_entries == entries
+        assert table.lookup(0x406 << 12).pfn == 0x999
+        # An entry already handed out is invalidated by the remap.
+        pte = table.lookup(0x407 << 12)
+        new = table.map_page(vpn=0x407, pfn=0x998)
+        assert pte.valid is False and new.valid is True
+        assert table.lookup(0x407 << 12) is new
+        assert table.num_leaf_entries == entries
+
+    def test_unmap_of_a_packed_slot(self, table):
+        node_base = table.walk(0x400 << 12).steps[-1].node_paddr
+        entries = table.num_leaf_entries
+        removed = table.unmap_page(0x408 << 12)
+        assert removed.valid is False
+        assert (removed.vpn, removed.pfn, removed.entry_paddr) == (0x408, 0x77, node_base + 64)
+        assert table.lookup(0x408 << 12) is None
+        assert table.num_leaf_entries == entries - 1
+        pte = table.lookup(0x409 << 12)
+        assert table.unmap_page(0x409 << 12) is pte and pte.valid is False
+
+    def test_frame_numbers_read_frames_without_building_entries(self, table):
+        table.map_page(vpn=0x3, pfn=0x40, page_size=PageSize.SIZE_2M)  # pages 0x600-0x7FF
+        vpns = [0x402, 0x400, 0x7FF, 0x410, 0x601, 0x600, 0x9000, 0x40F, 0x6FF]
+        frames = table.frame_numbers(vpns)
+        node = table._pt_node(0x400)
+        assert [type(leaf) for leaf in node.leaves.values()] == [PageTableEntry] + [int] * 0xF
+        assert frames == [0x71, 0x1, (0x40 << 9) | 0x1FF, None, (0x40 << 9) | 0x1,
+                          0x40 << 9, None, 0x7E, (0x40 << 9) | 0xFF]
+        for vpn, frame in zip(vpns, frames):
+            pte = table.lookup(vpn << 12)
+            assert frame == (None if pte is None else pte.translate(vpn << 12) >> 12)
+
+    def test_prefault_builds_entries_only_on_the_per_page_path(self):
+        spec = ScenarioSpec.from_dict({
+            "name": "packed", "system": "radix", "max_refs": 100, "seed": 42,
+            "hardware_scale": 16,
+            "workload": {"workload": "bfs", "footprint_scale": 0.05}})
+        simulator = build_simulator(spec)
+        simulator.prefault()
+        pt_nodes, huge_pages, packed = 0, 0, 0
+        stack = [simulator.system.page_table._root]
+        while stack:
+            node = stack.pop()
+            kinds = [type(leaf) for leaf in node.leaves.values()]
+            if node.level == LEAF_LEVEL_4K:
+                # The page that created the node took the per-page path.
+                assert kinds == [PageTableEntry] + [int] * (len(kinds) - 1)
+                pt_nodes += 1
+                packed += len(kinds) - 1
+            else:
+                assert set(kinds) <= {PageTableEntry}
+                huge_pages += len(kinds)
+            stack.extend(node.children.values())
+        assert pt_nodes and huge_pages and packed > 10 * pt_nodes
 
 
 class _RecordingHierarchy:

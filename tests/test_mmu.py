@@ -277,6 +277,15 @@ class TestMMU:
             mmu.translate_data(0x5000_0000 + i * 4096)
         assert int(first.features.l2_tlb_evictions) >= 1
 
+    def test_accesses_counter_saturates_at_six_bits(self):
+        mmu, _ = make_mmu()
+        for _ in range(70):
+            mmu.translate_data(0x1234_5000)
+        features = mmu.memory_manager.page_table.translate(0x1234_5000).features
+        assert features.accesses == 63
+        assert (features.l1_tlb_misses, features.l2_tlb_misses) == (1, 1)
+        assert features.ptw_frequency == 1
+
 
 class TestMaintenance:
     def test_context_switch_partial_flush(self, page_table):

@@ -3,11 +3,12 @@
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.pom_tlb import POMTLB
 from repro.cache.block import BlockKind, CacheBlock, data_key
 from repro.cache.cache import Cache
+from repro.cache.hierarchy import AccessResult, MemoryLevel
 from repro.cache.replacement import SRRIPPolicy
 from repro.common.addresses import PageSize, page_number, radix_indices
-from repro.common.counters import SaturatingCounter
 from repro.analysis.metrics import geometric_mean, reuse_buckets
 from repro.memory.page_table import PageTableEntry, RadixPageTable
 from repro.memory.physical import PhysicalMemory
@@ -42,16 +43,25 @@ def test_page_number_roundtrip(vaddr, page_size):
 
 
 # --------------------------------------------------------------------------- #
-# Saturating counters
+# PTE feature counters
 # --------------------------------------------------------------------------- #
 @common_settings
-@given(bits=st.integers(min_value=1, max_value=8),
-       operations=st.lists(st.integers(min_value=0, max_value=5), max_size=50))
-def test_saturating_counter_stays_in_range(bits, operations):
-    counter = SaturatingCounter(bits)
-    for op in operations:
-        counter.increment(op)
-        assert 0 <= int(counter) <= counter.max_value
+@given(walks=st.lists(st.tuples(st.integers(min_value=0, max_value=500),
+                                st.integers(min_value=0, max_value=6),
+                                st.integers(min_value=0, max_value=4)),
+                      max_size=40))
+def test_record_walk_counters_saturate_at_their_widths(walks):
+    """PTW frequency is 3 bits, PTW cost 4 and PWC hits 5 (Section 5.2):
+    each counter reads min(sum of its increments, its ceiling)."""
+    pte = PageTableEntry(0x5, 0x9, PageSize.SIZE_4K, 0, entry_paddr=0)
+    for cycles, dram_accesses, pwc_hits in walks:
+        pte.record_walk(cycles, dram_accesses, pwc_hits)
+    frequency = min(len(walks), 7)
+    cost = min(sum(walk[1] for walk in walks), 15)
+    pwc_hits = min(sum(walk[2] for walk in walks), 31)
+    assert pte.features.as_vector() == [0, frequency, cost, pwc_hits, 0, 0, 0, 0, 0, 0]
+    assert (pte.ptw_frequency, pte.ptw_cost) == (frequency, cost)
+    assert pte.total_ptw_cycles == sum(walk[0] for walk in walks)
 
 
 # --------------------------------------------------------------------------- #
@@ -252,6 +262,87 @@ def test_tlb_matches_a_list_scan_lru_model(ops):
             model.resident())
     stats = tlb.stats
     assert {name: getattr(stats, name) for name in model.stats} == model.stats
+
+
+class _MinTouchPOMTLB:
+    """The oracle: POM-TLB sets that stamp each entry with its last touch
+    and evict the entry with the lowest stamp.  The clock ticks once per
+    lookup and once per insert; a hit or an insert stamps its key."""
+
+    def __init__(self, num_sets, associativity):
+        self.num_sets = num_sets
+        self.associativity = associativity
+        self.sets = [{} for _ in range(num_sets)]
+        self.clock = 0
+        self.hits = 0
+
+    def lookup(self, vaddr, asid):
+        self.clock += 1
+        for page_size in BOTH:
+            vpn = page_number(vaddr, page_size)
+            pom_set = self.sets[vpn % self.num_sets]
+            key = (asid, int(page_size), vpn)
+            if key in pom_set and pom_set[key][0].valid:
+                pte = pom_set[key][0]
+                pom_set[key] = (pte, self.clock)
+                self.hits += 1
+                return pte
+        return None
+
+    def insert(self, pte, asid):
+        self.clock += 1
+        pom_set = self.sets[pte.vpn % self.num_sets]
+        key = (asid, int(pte.page_size), pte.vpn)
+        evicted = None
+        if key not in pom_set and len(pom_set) == self.associativity:
+            victim = min(pom_set, key=lambda k: pom_set[k][1])
+            evicted = pom_set.pop(victim)[0]
+        pom_set[key] = (pte, self.clock)
+        return evicted
+
+    def resident(self):
+        return sorted(key for pom_set in self.sets for key in pom_set)
+
+
+class _FlatHierarchy:
+    """Stands in for the cache hierarchy: every set block costs 1 cycle."""
+
+    def access_for_ptw(self, paddr):
+        return AccessResult(1, MemoryLevel.L2)
+
+
+_POM_OPS = st.lists(st.one_of(
+    st.tuples(st.just("insert_4k"), _PAGES, _ASIDS),
+    st.tuples(st.just("insert_2m"), st.integers(min_value=0, max_value=1), _ASIDS),
+    st.tuples(st.just("lookup"), _PAGES, _ASIDS),
+    st.tuples(st.just("invalidate"), st.integers(min_value=0, max_value=63), st.none()),
+), min_size=10, max_size=120)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(ops=_POM_OPS)
+def test_pom_tlb_matches_a_min_last_touch_model(ops):
+    pom = POMTLB(PhysicalMemory(1 << 30), entries=8, associativity=2)
+    model = _MinTouchPOMTLB(pom.num_sets, 2)
+    hierarchy = _FlatHierarchy()
+    inserted = []
+    for op, value, asid in ops:
+        if op.startswith("insert"):
+            size = PageSize.SIZE_4K if op == "insert_4k" else PageSize.SIZE_2M
+            pte = PageTableEntry(value, value + 7, size, asid, entry_paddr=0)
+            inserted.append(pte)
+            assert pom.insert(pte, asid) is model.insert(pte, asid)
+        elif op == "lookup":
+            vaddr = (value << 12) | 0x123
+            found, _ = pom.lookup(vaddr, asid, hierarchy)
+            assert found is model.lookup(vaddr, asid)
+        elif inserted:
+            # A remapped page's entry stays resident but no longer hits.
+            inserted[value % len(inserted)].valid = False
+        assert sorted(key for pom_set in pom._sets for key in pom_set) == model.resident()
+        assert pom.occupancy() == len(model.resident())
+    assert pom.stats.hits == model.hits
 
 
 # --------------------------------------------------------------------------- #
