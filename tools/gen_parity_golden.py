@@ -13,6 +13,11 @@ Golden keys read ``<preset>/<N>core`` or ``<preset>/<N>core/<variant>``:
 
 ``sampled``
     SMARTS sampling, one 256-ref window in every 4 with a 128-ref re-warm.
+``sampled_resume``
+    The ``sampled`` settings at 6,000 refs.  Each core then simulates
+    windows after a skipped one, so a skip moves the core's clock and the
+    two-core scheduler carries on from there; at 2,500 refs each core's
+    skips run to the end of its stream.
 ``sampled_bfs``, ``sampled_tc``
     The ``sampled`` settings on ``bfs`` and ``tc`` instead of ``rnd``, so the
     skipped windows go through a graph kernel's ``fast_forward``.  ``bfs``
@@ -96,8 +101,10 @@ MULTI_CORE_PRESETS = ("victima", "pom_tlb", "radix", "hash_pt",
 
 SAMPLED_KEYS = ("victima/1core/sampled", "victima/2core/sampled",
                 "virt_victima/1core/sampled", "pom_tlb/2core/sampled",
-                "victima/1core/sampled_bfs", "victima/1core/sampled_tc")
+                "victima/1core/sampled_bfs", "victima/1core/sampled_tc",
+                "victima/2core/sampled_resume", "pom_tlb/2core/sampled_resume")
 SAMPLING = {"stride": 4, "warmup_refs": 128, "window_refs": 256}
+SAMPLED_RESUME_REFS = 6000
 
 L1_RESIDENT_KEYS = ("radix/1core/l1_resident", "victima/1core/l1_resident")
 L1_RESIDENT_REFS = 12_000
@@ -169,6 +176,8 @@ def scenario_for_key(key: str) -> dict:
         ]}
     if variant == ["sampled"]:
         spec["sampling"] = dict(SAMPLING)
+    elif variant == ["sampled_resume"]:
+        spec.update(sampling=dict(SAMPLING), max_refs=SAMPLED_RESUME_REFS)
     elif variant in (["sampled_bfs"], ["sampled_tc"]):
         spec.update(sampling=dict(SAMPLING), workload=variant[0][len("sampled_"):])
     elif variant == ["l1_resident"]:
