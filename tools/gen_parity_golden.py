@@ -54,8 +54,12 @@ Usage (from the repo root)::
 Only regenerate after an *intentional* behaviour change — and record why in
 the commit message; the whole point of the file is that it does not move.
 To check a refactor against the goldens, use ``--check``: it replays every
-backend and hot-path golden and writes nothing, prints each diverging key
-with its first differing top-level field, and exits 1 on any divergence.
+backend and hot-path golden and writes nothing.  For each diverging run it
+prints one ``MOVED`` line per moved leaf field: its path (``cycles``,
+``per_core[1].cycles``, ``served_by.l2_tlb``), the golden and the fresh
+value and, when both are floats, the relative change.  A last line says
+whether any non-float field moved, and the exit code is 1 on any
+divergence.
 """
 
 from __future__ import annotations
@@ -243,46 +247,82 @@ def _write(name: str, golden: dict) -> None:
     print(f"wrote {out} ({len(golden)} runs)")
 
 
+#: Stands in for a key that one side of a comparison lacks.
+_ABSENT = "<absent>"
+
+
+def _moved_leaves(expected, actual, path: str = ""):
+    """Yield ``(path, golden, fresh)`` for every leaf where the two differ.
+
+    Dicts and equal-length lists are walked; anything else is a leaf.
+    """
+    if isinstance(expected, dict) and isinstance(actual, dict):
+        for key in sorted(set(expected) | set(actual)):
+            yield from _moved_leaves(expected.get(key, _ABSENT),
+                                     actual.get(key, _ABSENT),
+                                     f"{path}.{key}" if path else key)
+    elif (isinstance(expected, list) and isinstance(actual, list)
+          and len(expected) == len(actual)):
+        for index, (old, new) in enumerate(zip(expected, actual)):
+            yield from _moved_leaves(old, new, f"{path}[{index}]")
+    elif expected != actual:
+        yield path, expected, actual
+
+
 def _divergences(name: str, fresh: dict) -> list:
-    """``(key, first differing top-level field)`` for each run of ``fresh``
-    that differs from the committed golden file ``name``."""
+    """``(key, moved leaves)`` for each run of ``fresh`` that differs from
+    the committed golden file ``name``; a run on one side only has the
+    whole run as its one leaf."""
     with open(_golden_path(name), encoding="utf-8") as handle:
         golden = json.load(handle)
     # Round-trip through JSON: histogram keys are strings in the file.
     fresh = json.loads(json.dumps(fresh))
     found = []
     for key in sorted(set(golden) | set(fresh)):
-        if key not in golden or key not in fresh:
-            found.append((key, "missing from the golden file" if key not in golden
-                          else "no longer generated"))
-            continue
-        expected, actual = golden[key], fresh[key]
-        fields = sorted(set(expected) | set(actual))
-        field = next((f for f in fields if expected.get(f) != actual.get(f)), None)
-        if field is not None:
-            found.append((key, field))
+        leaves = list(_moved_leaves(golden.get(key, _ABSENT),
+                                    fresh.get(key, _ABSENT)))
+        if leaves:
+            found.append((key, leaves))
     return found
+
+
+def _describe(path: str, golden, fresh) -> str:
+    if path == "":
+        return ("missing from the golden file" if golden is _ABSENT
+                else "no longer generated")
+    line = f"{path}: {golden!r} -> {fresh!r}"
+    if isinstance(golden, float) and isinstance(fresh, float) and golden:
+        line += f" (relative {(fresh - golden) / golden:+.3g})"
+    return line
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--check", action="store_true",
-                        help="replay every golden and report divergences; "
-                             "write nothing")
+                        help="replay every golden and report every moved "
+                             "field; write nothing")
     args = parser.parse_args(argv)
     if not args.check:
         _write("backend_parity_golden.json", run_all())
         _write("hotpath_golden.json", run_hotpath())
         return 0
     diverged = 0
+    non_float = False
     for name, runs in (("backend_parity_golden.json", run_all),
                        ("hotpath_golden.json", run_hotpath)):
         found = _divergences(name, runs())
-        for key, field in found:
-            print(f"DIVERGED {name} {key}: {field}")
+        for key, leaves in found:
+            for path, golden, fresh in leaves:
+                print(f"MOVED {name} {key} {_describe(path, golden, fresh)}")
+                non_float |= not (isinstance(golden, float)
+                                  and isinstance(fresh, float))
         diverged += len(found)
-    print(f"{diverged} diverging run(s)" if diverged else "every golden replays")
-    return 1 if diverged else 0
+    if not diverged:
+        print("every golden replays")
+        return 0
+    print(f"{diverged} diverging run(s); "
+          + ("non-float fields moved" if non_float else "only float fields moved"))
+    return 1
 
 
 if __name__ == "__main__":
