@@ -142,6 +142,85 @@ class TestNestedWalker:
         assert second.host_walks < first.host_walks or victima.stats.nested_block_hits > 0
 
 
+class _FixedPWCs:
+    """Page-walk caches whose deepest hit is always ``hit_level`` (None: a miss)."""
+
+    latency = 0
+
+    def __init__(self, hit_level=None):
+        self.hit_level = hit_level
+
+    def deepest_hit_level(self, asid, vaddr, max_level):
+        return self.hit_level
+
+    def fill(self, asid, vaddr, levels):
+        pass
+
+
+class _MissingTLB:
+    """A nested TLB that never hits and never evicts."""
+
+    latency = 0
+
+    def lookup(self, vaddr, vmid):
+        return None
+
+    def insert(self, pte, vmid):
+        return None
+
+
+class TestNestedWalkLength:
+    """The length of a 2-D walk, derived from the page-table geometry.
+
+    With 4 KB pages in both dimensions each table has four levels.  Every
+    guest entry's guest-physical address is translated before the entry is
+    read, and so is the data page's: with no PWC and no nested-TLB hit that
+    is one 4-read host walk each.  A cold walk thus reads 4 guest entries and
+    makes 5 host walks, 4 + 5 x 4 = 24 reads.  A guest PWC hit at level L
+    skips guest levels 0..L, with their reads and their host walks.
+    """
+
+    def _walk(self, guest_pwc_hit=None):
+        hierarchy = CacheHierarchy(Cache("L1D", 1024, 4, 4),
+                                   Cache("L2", 64 * 1024, 16, 16), None, DramModel())
+        reads = []
+        access_for_ptw = hierarchy.access_for_ptw
+
+        def counted(paddr):
+            reads.append(paddr)
+            return access_for_ptw(paddr)
+
+        hierarchy.access_for_ptw = counted
+        host_physical = PhysicalMemory(8 << 30)
+        host_walker = PageTableWalker(hierarchy, _FixedPWCs())
+        walker = NestedPageTableWalker(
+            guest_vmm=VirtualMemoryManager(PhysicalMemory(8 << 30), asid=0,
+                                           huge_page_fraction=0.0),
+            host_vmm=VirtualMemoryManager(host_physical, asid=0,
+                                          huge_page_fraction=0.0),
+            host_walker=host_walker, nested_tlb=_MissingTLB(),
+            hierarchy=hierarchy,
+            shadow_builder=ShadowPageTableBuilder(host_physical, vmid=0),
+            guest_pwcs=_FixedPWCs(guest_pwc_hit))
+        result = walker.walk(0x1234_5000)
+        return result, len(reads), host_walker.stats
+
+    def test_cold_walk_reads_24_entries(self):
+        result, reads, host = self._walk()
+        assert result.guest_memory_accesses == 4
+        assert result.host_walks == host.walks == 5
+        assert host.total_memory_accesses == 5 * 4
+        assert reads == 24
+
+    @pytest.mark.parametrize("level,expected_reads", [(0, 19), (1, 14), (2, 9)])
+    def test_guest_pwc_hit_removes_the_reads_it_covers(self, level, expected_reads):
+        result, reads, host = self._walk(guest_pwc_hit=level)
+        assert result.guest_memory_accesses == 3 - level
+        assert result.host_walks == host.walks == 4 - level
+        assert host.total_memory_accesses == (4 - level) * 4
+        assert reads == (3 - level) + (4 - level) * 4 == expected_reads
+
+
 #: A guest range over 2 MB regions 2-8 from ``_BASE``; at huge fraction 0.3
 #: regions 3 and 6 are huge.  Both ends fall mid-page and mid-region.
 _BASE = 0x4000_0000
