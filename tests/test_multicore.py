@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import heapq
 import logging
+from collections import deque
 
 import pytest
 
@@ -144,6 +146,94 @@ class TestMultiCoreRun:
         }, use_cache=False)
         assert result.pom_tlb_stats is not None
         assert result.pom_tlb_stats["lookups"] > 0
+
+
+#: References per busy core in the schedule test.  At base CPI 1.0 its
+#: clocks tie 23 times; in 4 of them core 2 has just run and must yield.
+SCHEDULE_REFS = 6000
+
+
+def _scheduled_run(base_cpi):
+    """Run bfs on core 0 and rnd on core 2 of a three-core radix machine.
+
+    Returns the run's log, one ``[core, gap, translation latency, access
+    latency]`` entry per retired reference, in retirement order.
+    """
+    config = make_system_config("radix", hardware_scale=16, num_cores=3)
+    config.base_cpi = base_cpi
+    system = build_system(config)
+    log = []
+
+    def wrap(core):
+        record_instructions = core.pressure.record_instructions
+        translate_data = core.mmu.translate_data
+        access = core.hierarchy.access
+
+        def logged_instructions(count):
+            log.append([core.core_id, count - 1])
+            return record_instructions(count)
+
+        def logged_translate(vaddr):
+            paddr, latency = translate_data(vaddr)
+            log[-1].append(latency)
+            return paddr, latency
+
+        def logged_access(paddr, write=False, ip=0):
+            result = access(paddr, write=write, ip=ip)
+            log[-1].append(result.latency)
+            return result
+
+        core.pressure.record_instructions = logged_instructions
+        core.mmu.translate_data = logged_translate
+        core.hierarchy.access = logged_access
+
+    for core in system.cores:
+        wrap(core)
+    tenants = mix([make_workload("bfs", max_refs=SCHEDULE_REFS),
+                   make_workload("rnd", max_refs=SCHEDULE_REFS)], cores=[0, 2])
+    MultiCoreSimulator(system, tenants.per_core_workloads(3)).run()
+    return log
+
+
+def _replay_schedule(log, base_cpi):
+    """The core order, and the ties, of a min-(clock, core) heap over ``log``.
+
+    A core's clock adds its gap cycles, translation latency and access
+    latency one at a time; a core whose references are used up leaves.
+    """
+    parts = {}
+    for core, *latencies in log:
+        parts.setdefault(core, deque()).append(latencies)
+    ready = [(0.0, core) for core in parts]
+    order, ties = [], 0
+    while ready:
+        clock, core = heapq.heappop(ready)
+        if not parts[core]:
+            continue
+        ties += bool(ready) and ready[0][0] == clock
+        gap, translation, access = parts[core].popleft()
+        order.append(core)
+        clock += gap * base_cpi
+        clock += translation
+        clock += access
+        heapq.heappush(ready, (clock, core))
+    return order, ties
+
+
+class TestScheduleRule:
+    """The engine retires each reference on the core with the smallest
+    ``(clock, core id)``, replayed here from the run's own latencies."""
+
+    @pytest.mark.parametrize("base_cpi", [0.35, 1.0])
+    def test_cores_retire_in_clock_order(self, base_cpi):
+        log = _scheduled_run(base_cpi)
+        assert all(len(entry) == 4 for entry in log)
+        order, ties = _replay_schedule(log, base_cpi)
+        assert [core for core, *_ in log] == order
+        assert order.count(0) == order.count(2) == SCHEDULE_REFS
+        if base_cpi == 1.0:
+            # Integer latencies: clocks tie, and the lower core id must win.
+            assert ties >= 20
 
 
 class TestMixPlacementApi:
