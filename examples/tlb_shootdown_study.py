@@ -46,7 +46,7 @@ def main() -> None:
 
     # 3. A full flush (the OS ran out of ASIDs).
     # Re-run a little work first so there is state to flush again.
-    simulator.workload.config.max_refs = 1_000
+    simulator.core_workloads[0].config.max_refs = 1_000
     simulator.run()
     full_flush = maintenance.flush_all()
 

@@ -60,7 +60,6 @@ from repro.sim.config import (
 )
 from repro.api import compare, simulate
 from repro.scenario import ScenarioSpec, WorkloadSpec, load_scenario
-from repro.sim.multicore import MultiCoreSimulator
 from repro.sim.simulator import CoreResult, SimulationResult, Simulator
 from repro.sim.system import System, build_system
 from repro.workloads.registry import WORKLOAD_NAMES, make_workload
@@ -81,7 +80,6 @@ __all__ = [
     "SimulationResult",
     "CoreResult",
     "Simulator",
-    "MultiCoreSimulator",
     "System",
     "build_system",
     "WORKLOAD_NAMES",

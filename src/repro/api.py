@@ -15,10 +15,9 @@ the examples — ultimately runs simulations through two functions:
     Run a ``systems × workloads`` matrix through the parallel execution
     engine and return ``{workload: {system: result}}``.
 
-Scenarios with ``num_cores > 1`` run on the multi-core engine
-(:mod:`repro.sim.multicore`) transparently: the same :func:`simulate` call
-returns a result carrying per-core statistics in
-:attr:`~repro.sim.simulator.SimulationResult.per_core`.
+Scenarios with ``num_cores > 1`` run on the same engine, one workload per
+core: the same :func:`simulate` call returns a result carrying per-core
+statistics in :attr:`~repro.sim.simulator.SimulationResult.per_core`.
 
 The examples below are doctests (checked by ``python -m doctest src/repro/api.py``
 and ``tests/test_docstrings.py``), so they double as executable documentation.
@@ -47,15 +46,15 @@ def build_simulator(scenario):
     Useful when the caller wants the assembled :class:`~repro.sim.system.System`
     (e.g. to inspect TLB geometry) before — or instead of — running it.
     ``scenario`` is anything :func:`~repro.scenario.load_scenario` accepts.
-    Returns a :class:`~repro.sim.simulator.Simulator` for single-core specs
-    and a :class:`~repro.sim.multicore.MultiCoreSimulator` when the spec sets
-    ``num_cores > 1``; both expose ``run() -> SimulationResult``.
+    Returns a :class:`~repro.sim.simulator.Simulator` holding one workload
+    slot per core of the spec's machine; ``run()`` returns the
+    :class:`~repro.sim.simulator.SimulationResult`.
 
     >>> from repro import api
     >>> sim = api.build_simulator("two_tenant_mix")     # built-in scenario
     >>> sim.system.config.label
     'Victima'
-    >>> sim.workload.name
+    >>> sim.name
     'mix(bfs+rnd@1)'
     """
     return Simulator.from_scenario(load_scenario(scenario))

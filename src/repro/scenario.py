@@ -33,9 +33,8 @@ A minimal TOML scenario::
 
 Adding ``num_cores = 2`` at the top level turns the same spec into a
 multi-core run: each tenant may pin itself with ``core = N`` (unpinned
-tenants spread across the least-loaded cores), and the run executes on the
-multi-core engine with per-core statistics in the result (see
-ARCHITECTURE.md, "Multi-core scheduling").
+tenants spread across the least-loaded cores), and the result carries
+per-core statistics (see ARCHITECTURE.md, "Multi-core scheduling").
 """
 
 from __future__ import annotations
@@ -322,10 +321,10 @@ class ScenarioSpec:
     hardware_scale: int = 1
     #: Overrides the preset's display label (reported in results).
     label: Optional[str] = None
-    #: Number of simulated cores.  1 runs the classic single-core engine;
+    #: Number of simulated cores.  1 runs the whole workload on one core;
     #: > 1 requires a ``mix`` workload tree whose tenants are placed on cores
-    #: (``core = N`` per tenant, least-loaded placement for unpinned ones) and
-    #: multi-core engine (:mod:`repro.sim.multicore`).
+    #: (``core = N`` per tenant, least-loaded placement for unpinned ones),
+    #: one stream per core (see :meth:`repro.sim.simulator.Simulator.from_scenario`).
     num_cores: int = 1
     #: Opt-in SMARTS-style sampled simulation (see :mod:`repro.sim.sampling`).
     #: ``None`` (the default) simulates every reference; a
@@ -505,20 +504,6 @@ class ScenarioSpec:
         'mix(bfs+rnd@1)'
         """
         return self.workload.build(self.max_refs, self.seed)
-
-    def build_core_workloads(self) -> List[Optional[Workload]]:
-        """Materialise one workload stream per core (multi-core scenarios).
-
-        For ``num_cores == 1`` this is ``[build_workload()]``.  Otherwise the
-        top-level mix's tenants are placed on cores (explicit ``core`` pins
-        first, least-loaded cores for the rest) and each core receives its own
-        stream; cores hosting no tenant get ``None`` and idle.
-        """
-        if self.num_cores == 1:
-            return [self.build_workload()]
-        root = self.build_workload()
-        assert isinstance(root, combinators.MixWorkload)  # enforced in __post_init__
-        return root.per_core_workloads(self.num_cores)
 
     def build_system_config(self) -> SystemConfig:
         """Build (and validate) the system configuration for this scenario.

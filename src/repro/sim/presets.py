@@ -70,7 +70,7 @@ def make_system_config(name: str, l3_latency: Optional[int] = None,
     ``num_cores`` selects the machine width: 1 (the default) is the classic
     single-core machine every paper figure uses; larger values replicate the
     private structures per core around the shared LLC/DRAM/page-table (see
-    :mod:`repro.sim.multicore`).  The per-core geometry is identical either
+    :mod:`repro.sim.system`).  The per-core geometry is identical either
     way, so ``hardware_scale`` keeps its meaning.
 
     ``hardware_scale`` divides every capacity (TLB entries, cache sizes,

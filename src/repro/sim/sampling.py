@@ -5,13 +5,13 @@ small systematic sample of a program's execution — one short *detailed window*
 out of every N, fast-forwarding through the rest — estimates whole-run
 metrics with quantifiable error bars at a fraction of the cost.  This module
 holds the opt-in configuration (:class:`SamplingConfig`) threaded through
-:class:`~repro.scenario.ScenarioSpec`, ``Simulator`` and
-``MultiCoreSimulator``; the one sampler both engines run per core
-(:func:`sampled_batches`); and the per-window statistics that become the
-``sampling`` block of a :class:`~repro.sim.simulator.SimulationResult`
+:class:`~repro.scenario.ScenarioSpec` and
+:class:`~repro.sim.simulator.Simulator`; the sampler the simulator runs per
+core (:func:`sampled_batches`); and the per-window statistics that become
+the ``sampling`` block of a :class:`~repro.sim.simulator.SimulationResult`
 (:func:`sampling_block`).
 
-Semantics (the same in both engines, because they share the sampler):
+Semantics (per core, on any number of cores):
 
 * The global warm-up region (``warmup_fraction`` of the run) is always
   simulated in detail, so the sampled and full runs reset their measured
@@ -50,7 +50,7 @@ __all__ = ["SamplingConfig", "sampled_batches", "window_series_summary",
 
 @dataclass(frozen=True)
 class SamplingConfig:
-    """Opt-in SMARTS sampling parameters for both simulation engines.
+    """Opt-in SMARTS sampling parameters for the simulator.
 
     ``stride``
         Simulate one detailed window out of every ``stride`` post-warm-up
@@ -105,9 +105,10 @@ def sampled_batches(run, sampling: SamplingConfig) -> Iterator[List[MemoryRef]]:
     The consumer must simulate each list before pulling the next: the
     generator resumes only then, so a window's cycles-per-ref (appended to
     ``run.window_series``) and a skip's estimate read settled accumulators.
-    A skipped window advances ``run.ready_at`` by the run's measured mean
-    cycles per reference, which keeps the multi-core scheduler interleaving
-    cores in (estimated) cycle order; a single-core run never reads it.
+    A skipped window advances ``run.ready_at``, the core's clock, by the
+    run's measured mean cycles per reference, which keeps the scheduler
+    interleaving cores in (estimated) cycle order.  On one core nothing
+    compares the clock, so the skip does not change the run.
     """
     workload = run.workload
     stream = workload.generate()

@@ -1,6 +1,6 @@
-"""The trace-driven simulator loop and its result object.
+"""The trace-driven simulation engine and its result object.
 
-For every memory reference emitted by a workload the simulator:
+For every memory reference a core retires, the simulator:
 
 1. charges the reference's instruction gap at the core's base CPI,
 2. translates the virtual address through the system's MMU (which models the
@@ -12,10 +12,24 @@ Translation sits on the critical path before the data access (no memory access
 is possible until the physical address is known), so the two latencies add up —
 the same first-order model the paper's motivation uses when it attributes ~30 %
 of execution cycles to address translation.
+
+One engine, :class:`Simulator`, runs every machine.  Each core owns a private
+reference stream (one tenant, or an interleave of tenants, placed there by
+:meth:`~repro.traces.combinators.MixWorkload.per_core_workloads`) and a
+private slice of the :class:`~repro.sim.system.System` (TLBs, PWCs, walker,
+L1/L2 caches, Victima controller), while all cores contend in its shared LLC,
+DRAM, page table and POM-TLB.  Scheduling is deterministic: the *ready core*,
+whose clock is lowest with ties broken by core id, retires its next reference
+to completion.  Each reference advances its core's clock by the modelled
+latency, so cores interleave in global-cycle order: a core stalled on DRAM
+falls behind while a core hitting in its private caches runs ahead.  On one
+core the schedule is a plain loop over the workload's references.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -26,17 +40,17 @@ from repro.common.errors import ConfigurationError
 from repro.sim.config import SystemConfig
 from repro.sim.sampling import SamplingConfig, sampled_batches, sampling_block
 from repro.sim.system import System, build_system
-from repro.workloads.base import MemoryRef, Workload, WorkloadConfig
+from repro.workloads.base import Workload, WorkloadConfig
 from repro.workloads.registry import make_workload
 
 
 class CoreRun:
     """One core's run through a simulation: its accumulators and sampling state.
 
-    Both engines keep one per simulated :class:`~repro.sim.system.Core`.
+    The engine keeps one per running :class:`~repro.sim.system.Core`.
     ``refs`` counts *detailed* references and is never reset at the warm-up
-    boundary; ``ready_at`` is the core's global-cycle position, which drives
-    the multi-core scheduler and is never reset either.
+    boundary; ``ready_at`` is the core's clock, its global-cycle position,
+    which orders the cores and is never reset either.
     """
 
     __slots__ = ("core", "workload", "warmup_refs", "measuring", "refs",
@@ -81,8 +95,8 @@ class ReachSeries:
     """Victima translation reach, sampled every epoch and once at the end.
 
     Each sample sums the reach of ``victimas``, the run's Victima controllers
-    (one per core; none on systems without Victima).  The engines count the
-    epoch's instructions themselves and call :meth:`advance` when the count
+    (one per core; none on systems without Victima).  The engine counts the
+    epoch's instructions itself and calls :meth:`advance` when the count
     reaches :attr:`next_epoch`.
     """
 
@@ -281,29 +295,43 @@ class SimulationResult:
 
 
 class Simulator:
-    """Runs one workload on core 0 of a :class:`~repro.sim.system.System`.
+    """Runs one workload per core on a :class:`~repro.sim.system.System`.
 
-    Single-core scenarios build a one-core machine for it; on a larger
-    machine the other cores stay idle.
-
-    ``warmup_fraction`` of the workload's references are simulated first with
-    full functional effect (TLBs, caches, Victima blocks and the POM-TLB warm
-    up) but without contributing to the measured statistics — the standard
-    warm-up methodology that stands in for the paper's much longer
-    500M-instruction regions of interest.
+    ``core_workloads`` holds one slot per core; a ``None`` slot idles its
+    core.  ``warmup_fraction`` of each core's references are simulated first
+    with full functional effect (TLBs, caches, Victima blocks and the POM-TLB
+    warm up) but without contributing to the measured statistics — the
+    standard warm-up methodology that stands in for the paper's much longer
+    500M-instruction regions of interest.  A core's private statistics are
+    zeroed when it crosses its own boundary, and the shared structures'
+    (LLC, DRAM, POM-TLB) when the last running core crosses.
     """
 
-    def __init__(self, system: System, workload: Workload,
+    def __init__(self, system: System,
+                 core_workloads: Sequence[Optional[Workload]],
                  epoch_instructions: int = 10_000, warmup_fraction: float = 0.25,
+                 name: Optional[str] = None,
                  sampling: Optional[SamplingConfig] = None):
+        if len(core_workloads) != system.num_cores:
+            raise ConfigurationError(
+                f"need exactly one workload slot per core: got "
+                f"{len(core_workloads)} for {system.num_cores} cores")
+        if all(workload is None for workload in core_workloads):
+            raise ConfigurationError("every core is idle; nothing to simulate")
         if not 0.0 <= warmup_fraction < 1.0:
             raise ValueError("warmup_fraction must be in [0, 1)")
         self.system = system
-        self.workload = workload
+        self.core_workloads = list(core_workloads)
         self.epoch_instructions = epoch_instructions
         self.warmup_fraction = warmup_fraction
-        #: Opt-in SMARTS sampling (see :mod:`repro.sim.sampling`).  ``None``
-        #: (the default) simulates every reference.
+        if name is None:
+            names = [workload.name if workload is not None else "idle"
+                     for workload in core_workloads]
+            name = names[0] if len(names) == 1 else "cores(" + "|".join(names) + ")"
+        #: The workload name the result reports.
+        self.name = name
+        #: Opt-in SMARTS sampling (see :mod:`repro.sim.sampling`), applied
+        #: per core.  ``None`` (the default) simulates every reference.
         self.sampling = sampling
 
     @classmethod
@@ -315,14 +343,15 @@ class Simulator:
             raise ConfigurationError(
                 "Simulator.from_configs is single-core; multi-core machines "
                 "take one workload per core — use a num_cores > 1 scenario "
-                "(Simulator.from_scenario) or repro.sim.multicore directly")
+                "(Simulator.from_scenario) or pass one slot per core to "
+                "Simulator(system, core_workloads)")
         workload = make_workload(workload_config)
         system = build_system(system_config, huge_page_fraction=workload.huge_page_fraction)
-        return cls(system, workload, epoch_instructions=epoch_instructions,
+        return cls(system, [workload], epoch_instructions=epoch_instructions,
                    warmup_fraction=warmup_fraction)
 
     @classmethod
-    def from_scenario(cls, scenario):
+    def from_scenario(cls, scenario) -> "Simulator":
         """Build a simulator from a declarative scenario.
 
         ``scenario`` is anything :func:`repro.scenario.load_scenario` accepts
@@ -332,162 +361,202 @@ class Simulator:
         identical results; composed workload trees (mixes, phases, replays)
         are materialised through :mod:`repro.traces`.
 
-        A spec with ``num_cores > 1`` returns a
-        :class:`~repro.sim.multicore.MultiCoreSimulator` instead (the two
-        classes share the ``run() -> SimulationResult`` interface, and the
-        run record, sampler and result assembly behind it).
+        With ``num_cores > 1`` the top-level mix's tenants are placed on
+        cores (explicit ``core`` pins first, then least-loaded cores) by
+        :meth:`~repro.traces.combinators.MixWorkload.per_core_workloads`;
+        tenant address-space slots and reference budgets are those of the
+        single-core interleaving of the same spec.  The mix itself names the
+        result and sets the machine's huge-page mix; its own stream is never
+        pulled.
         """
         from repro.scenario import load_scenario
 
         spec = load_scenario(scenario)
-        if spec.num_cores > 1:
-            from repro.sim.multicore import MultiCoreSimulator
-
-            return MultiCoreSimulator.from_scenario(spec)
         workload = spec.build_workload()
         system = build_system(spec.build_system_config(),
                               huge_page_fraction=workload.huge_page_fraction)
-        return cls(system, workload, epoch_instructions=spec.epoch_instructions,
-                   warmup_fraction=spec.warmup_fraction,
+        core_workloads = (workload.per_core_workloads(spec.num_cores)
+                          if spec.num_cores > 1 else [workload])
+        return cls(system, core_workloads, epoch_instructions=spec.epoch_instructions,
+                   warmup_fraction=spec.warmup_fraction, name=workload.name,
                    sampling=spec.sampling)
 
     # ------------------------------------------------------------------ #
     # Main loop
     # ------------------------------------------------------------------ #
     def prefault(self) -> int:
-        """Prefault the workload's regions (see :func:`prefault`).
+        """Populate the page table(s) for every data region of the workloads.
 
-        :meth:`run` calls it through ``self``, so a caller can time set-up by
-        replacing it on the instance.
-        """
-        return prefault(self.system, [self.workload])
-
-    def run(self) -> SimulationResult:
-        """Simulate the workload and return the measured result.
-
-        Reference lists come from
-        :meth:`~repro.workloads.base.Workload.bounded_batches` or, for a
-        sampled run, from :func:`~repro.sim.sampling.sampled_batches`, which
-        resumes only after the previous list has been simulated.  A sampled
-        run at ``stride=1`` is bit-identical to the full run.
-        """
-        self.prefault()
-        core = self.system.cores[0]
-        run = CoreRun(core, self.workload,
-                      int(self.workload.config.max_refs * self.warmup_fraction))
-        reach = ReachSeries([core.victima], self.epoch_instructions)
-        if self.sampling is None:
-            batches = self.workload.bounded_batches()
-        else:
-            batches = sampled_batches(run, self.sampling)
-        translate_data = core.mmu.translate_data
-        process_batch = self._process_batch
-        for batch in batches:
-            process_batch(run, reach, translate_data, batch)
-        return collect_result(self.system, [run], self.workload.name, reach,
-                              self.sampling)
-
-    def _process_batch(self, run: CoreRun, reach: ReachSeries, translate_data,
-                       batch: List[MemoryRef]) -> None:
-        """Simulate one list of references, updating ``run`` in place.
-
-        This is *the* single-core per-reference loop, with the callees bound
-        to locals.  The multi-core scheduler keeps its own body, because it
-        sums a reference's cycles before adding them to the core's clock,
-        and that order rounds differently.
+        The paper's workloads allocate and initialise their datasets before
+        the measured region of interest, so the measured window starts with a
+        fully populated page table (and hence with dense 8-entry PTE clusters
+        for Victima to transform).  The cores share one address space.
+        Returns the number of pages covered by the regions, whether mapped
+        here or already present.  :meth:`run` calls it through ``self``, so a
+        caller can time set-up by replacing it on the instance.
         """
         system = self.system
-        core = run.core
-        instructions = run.instructions
-        cycles = run.cycles
-        translation_cycles = run.translation_cycles
-        refs = run.refs
-        data_l2_misses = run.data_l2_misses
-        level_counts = run.level_counts
-        measuring = run.measuring
-        warmup_refs = run.warmup_refs
+        regions = [region for workload in self.core_workloads if workload is not None
+                   for region in workload.memory_regions()]
+        mapped = 0
+        for base, size in regions:
+            mapped += system.memory_manager.prefault_range(base, size)
+        if system.is_virtualized:
+            # Back every guest-physical page with a host frame and install the
+            # combined (shadow) mapping, mirroring a VM whose guest memory is
+            # resident before the region of interest.
+            walker = system.nested_walker
+            walker.host_vmm.prefault_range(0, walker.guest_vmm.physical.allocated_bytes)
+            for base, size in regions:
+                walker.install_shadow_range(base, size)
+        # Backends that accumulate translations over a process lifetime (the
+        # POM-TLB, the hashed page table) start warm: over the billions of
+        # instructions preceding the region of interest they hold (essentially)
+        # the whole working set.  A shared structure is warmed once, through
+        # core 0's backend.
+        system.backend.warm_start(system.page_table)
+        return mapped
+
+    def run(self) -> SimulationResult:
+        """Simulate every core's workload and return the measured result.
+
+        Ready cores wait in a heap keyed by ``(clock, index)``.  The popped
+        core retires references, with its accumulators in locals, while its
+        key stays below the smallest waiting one; on one core the heap is
+        empty and this is a plain loop.  A waiting core's key does not move,
+        so the schedule is the one a heap pick per reference gives.  Each
+        reference adds its gap cycles, translation latency and access latency
+        one at a time to both the core's measured ``cycles`` and its clock.
+
+        A core's references come in lists from
+        :meth:`~repro.workloads.base.Workload.bounded_batches` or, for a
+        sampled run, from :func:`~repro.sim.sampling.sampled_batches`.  The
+        sampler reads the core's run record and a skip moves its clock, so
+        the record is written back before each pull and the clock reloaded
+        after it; the pulled list's first reference retires before the next
+        clock comparison.  A sampled run at ``stride=1`` is bit-identical to
+        the full run.
+        """
+        system = self.system
+        self.prefault()
+        runs = [CoreRun(core, workload,
+                        int(workload.config.max_refs * self.warmup_fraction))
+                for core, workload in zip(system.cores, self.core_workloads)
+                if workload is not None]
+        # Cores that start measuring (warm-up 0) count as already warm; the
+        # shared-stat reset only fires when a *boundary crossing* completes
+        # the set, so a run with no warm-up anywhere never resets anything.
+        cores_warm = sum(1 for run in runs if run.measuring)
+        # Victima reach is sampled every epoch of instructions summed over
+        # the cores, plus a final snapshot after the loop.
+        reach = ReachSeries([run.core.victima for run in runs], self.epoch_instructions)
         next_epoch = reach.next_epoch
-        advance_epoch = reach.advance
+        total_instructions = 0
+
+        sampling = self.sampling
+        pulls = [run.workload.bounded_batches() if sampling is None
+                 else sampled_batches(run, sampling) for run in runs]
+        pending = [iter(()) for _ in runs]
+        # Bound here rather than at build time, so wrappers that a caller puts
+        # on the instances after the build are the ones called.
+        hooks = [(run.core.mmu.translate_data, run.core.hierarchy.access,
+                  run.core.pressure.record_instructions,
+                  run.core.pressure.record_l2_cache_miss) for run in runs]
         base_cpi = system.config.base_cpi
-        hierarchy_access = core.hierarchy.access
-        record_instructions = core.pressure.record_instructions
-        record_l2_cache_miss = core.pressure.record_l2_cache_miss
         level_l3 = MemoryLevel.L3
         level_dram = MemoryLevel.DRAM
+        ready = [(run.ready_at, index) for index, run in enumerate(runs)]
+        heapq.heapify(ready)
+        while ready:
+            _, index = heapq.heappop(ready)
+            run = runs[index]
+            (translate_data, hierarchy_access, record_instructions,
+             record_l2_cache_miss) = hooks[index]
+            if ready:
+                # Yield once the clock passes the smallest waiting key; a
+                # clock tie goes to the lower index.
+                limit, waiting = ready[0]
+                yield_on_tie = index > waiting
+            else:
+                limit, yield_on_tie = math.inf, False
+            clock = run.ready_at
+            instructions = run.instructions
+            cycles = run.cycles
+            translation_cycles = run.translation_cycles
+            refs = run.refs
+            data_l2_misses = run.data_l2_misses
+            level_counts = run.level_counts
+            measuring = run.measuring
+            warmup_refs = run.warmup_refs
+            batch = pending[index]
+            while True:
+                for ref in batch:
+                    if not measuring and refs >= warmup_refs:
+                        run.reset_measured()
+                        instructions = 0
+                        cycles = 0.0
+                        translation_cycles = 0.0
+                        data_l2_misses = 0
+                        level_counts = run.level_counts
+                        measuring = True
+                        cores_warm += 1
+                        if cores_warm == len(runs):
+                            # Every running core is warm: so are the shared
+                            # structures.  Warm-up epochs must not leak into
+                            # the reach series.
+                            system.stats_registry.reset_all()
+                            reach.restart()
+                            total_instructions = 0
+                            next_epoch = reach.next_epoch
 
-        for ref in batch:
-            if not measuring and refs >= warmup_refs:
-                # The only running core is warm: so are the shared structures.
-                run.reset_measured()
-                system.stats_registry.reset_all()
-                reach.restart()
-                instructions = 0
-                cycles = 0.0
-                translation_cycles = 0.0
-                data_l2_misses = 0
-                level_counts = run.level_counts
-                next_epoch = reach.next_epoch
-                measuring = True
+                    gap = ref.instruction_gap
+                    count = gap + 1
+                    instructions += count
+                    total_instructions += count
+                    record_instructions(count)
+                    latency = gap * base_cpi
+                    cycles += latency
+                    clock += latency
 
-            gap = ref.instruction_gap
-            instructions += gap + 1
-            record_instructions(gap + 1)
-            cycles += gap * base_cpi
+                    paddr, latency = translate_data(ref.vaddr)
+                    cycles += latency
+                    clock += latency
+                    translation_cycles += latency
 
-            paddr, translation_latency = translate_data(ref.vaddr)
-            cycles += translation_latency
-            translation_cycles += translation_latency
+                    access = hierarchy_access(paddr, write=ref.is_write, ip=ref.ip)
+                    latency = access.latency
+                    cycles += latency
+                    clock += latency
+                    refs += 1
+                    level = access.level
+                    name = level._value_  # the level's name, without Enum.value's call
+                    level_counts[name] = level_counts.get(name, 0) + 1
+                    if level is level_l3 or level is level_dram:
+                        data_l2_misses += 1
+                        record_l2_cache_miss()
 
-            access = hierarchy_access(paddr, write=ref.is_write, ip=ref.ip)
-            cycles += access.latency
-            refs += 1
-            level = access.level
-            name = level._value_  # the level's name, without Enum.value's call
-            level_counts[name] = level_counts.get(name, 0) + 1
-            if level is level_l3 or level is level_dram:
-                data_l2_misses += 1
-                record_l2_cache_miss()
-
-            if instructions >= next_epoch:
-                next_epoch = advance_epoch()
-
-        run.instructions = instructions
-        run.cycles = cycles
-        run.translation_cycles = translation_cycles
-        run.refs = refs
-        run.data_l2_misses = data_l2_misses
-
-
-def prefault(system, workloads: Sequence[Workload]) -> int:
-    """Populate the page table(s) for every data region of ``workloads``.
-
-    The paper's workloads allocate and initialise their datasets before the
-    measured region of interest, so the measured window starts with a fully
-    populated page table (and hence with dense 8-entry PTE clusters for
-    Victima to transform).  Serves both engines; the cores of a multi-core
-    machine share one address space.  Returns the number of pages covered
-    by the regions, whether mapped here or already present.
-    """
-    regions = [region for workload in workloads
-               for region in workload.memory_regions()]
-    mapped = 0
-    for base, size in regions:
-        mapped += system.memory_manager.prefault_range(base, size)
-    if system.is_virtualized:
-        # Back every guest-physical page with a host frame and install the
-        # combined (shadow) mapping, mirroring a VM whose guest memory is
-        # resident before the region of interest.
-        walker = system.nested_walker
-        walker.host_vmm.prefault_range(0, walker.guest_vmm.physical.allocated_bytes)
-        for base, size in regions:
-            walker.install_shadow_range(base, size)
-    # Backends that accumulate translations over a process lifetime (the
-    # POM-TLB, the hashed page table) start warm: over the billions of
-    # instructions preceding the region of interest they hold (essentially)
-    # the whole working set.  A shared structure is warmed once, through
-    # core 0's backend.
-    system.backend.warm_start(system.page_table)
-    return mapped
+                    if total_instructions >= next_epoch:
+                        next_epoch = reach.advance()
+                    if clock >= limit and (clock > limit or yield_on_tie):
+                        break
+                else:
+                    batch = None
+                run.instructions = instructions
+                run.cycles = cycles
+                run.translation_cycles = translation_cycles
+                run.refs = refs
+                run.data_l2_misses = data_l2_misses
+                run.ready_at = clock
+                if batch is not None:
+                    pending[index] = batch
+                    heapq.heappush(ready, (clock, index))
+                    break
+                batch = next(pulls[index], None)
+                if batch is None:
+                    break
+                clock = run.ready_at  # a skipped window moves it
+                batch = iter(batch)
+        return collect_result(system, runs, self.name, reach, sampling)
 
 
 # --------------------------------------------------------------------------- #
@@ -511,7 +580,7 @@ def collect_result(system, runs: Sequence[CoreRun], name: str,
                    sampling: Optional[SamplingConfig] = None) -> SimulationResult:
     """Assemble a finished run's result: one :class:`CoreResult` per core, summed.
 
-    Serves both engines.  Idle cores (no run) contribute empty slices.
+    Idle cores (no run) contribute empty slices.
     Counts sum over the cores, ``cycles`` is the per-core maximum (the
     makespan), and ``per_core`` is kept only when ``num_cores > 1``.  The
     final reach sample is taken here, so short runs still report reach.

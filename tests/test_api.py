@@ -52,7 +52,8 @@ class TestParity:
         spec = ScenarioSpec.from_dict(MIX_SCENARIO)
         for reference in (spec, MIX_SCENARIO):
             simulator = Simulator.from_scenario(reference)
-            assert simulator.workload.name == "mix(bfs+rnd@1)"
+            assert simulator.name == "mix(bfs+rnd@1)"
+            assert [w.name for w in simulator.core_workloads] == ["mix(bfs+rnd@1)"]
             assert simulator.system.config.kind == "victima"
 
     def test_run_one_and_scenario_share_cache_entries(self):

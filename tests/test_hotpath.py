@@ -1,9 +1,11 @@
 """Hot-path engine: batched streams, fast-path parity, warm-up bugfixes.
 
 Whole-run behaviour is pinned by goldens: the parity goldens in
-``tests/test_backends.py`` and, here, the results the straight-line
-reference loop recorded before it was deleted
-(``tests/data/hotpath_golden.json``).
+``tests/test_backends.py`` and, here, ``tests/data/hotpath_golden.json``.
+Its single-core runs are the results the straight-line reference loop
+recorded before it was deleted; its two-core runs were re-recorded, one ULP
+of ``cycles`` apart, when the two engines became one (see
+``tools/gen_parity_golden.py``).
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import pytest
 
 from repro.common.counters import EventRateMonitor
 from repro.common.pressure import PressureMonitor
-from repro.sim.multicore import MultiCoreSimulator
 from repro.sim.presets import make_system_config, make_workload_config
 from repro.sim.simulator import Simulator
 from repro.traces.combinators import dilate, mix, phased, remap, shard
@@ -107,19 +108,20 @@ def _canonical(result_dict: dict) -> str:
 
 
 class TestFastPathParity:
-    """The batched loop is bit-identical to the straight-line reference loop.
+    """The engine is bit-identical to the straight-line reference loop.
 
     That loop is deleted; ``tests/data/hotpath_golden.json`` holds the full
-    results it produced on these runs, which ``tools/gen_parity_golden.py``
-    builds.
+    results it produced on the single-core runs, which
+    ``tools/gen_parity_golden.py`` builds, and the engine's own results on
+    the two-core runs.
     """
 
     def _assert_matches_reference(self, key, multi_core=False):
         sim = _GENERATOR.hotpath_simulator(key)
-        assert isinstance(sim, MultiCoreSimulator) == multi_core
+        assert len(sim.core_workloads) == (2 if multi_core else 1)
         result = sim.run()
         assert _canonical(result.to_json_dict()) == _canonical(_HOTPATH_GOLDEN[key]), (
-            f"{key}: the batched loop diverged from the reference loop's result")
+            f"{key}: the engine diverged from the committed hot-path golden")
 
     def test_golden_file_covers_every_generator_key(self):
         assert sorted(_HOTPATH_GOLDEN) == sorted(_GENERATOR.hotpath_keys())

@@ -1,4 +1,4 @@
-"""The multi-core engine: single-core parity, placement, stats consistency."""
+"""Multi-core runs: single-core parity, placement, scheduling, stats consistency."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from repro.common.errors import ConfigurationError
 from repro.experiments import runner
 from repro.scenario import ScenarioSpec, WorkloadSpec, load_scenario
 from repro.sim.config import SystemConfig
-from repro.sim.multicore import MultiCoreSimulator
 from repro.sim.presets import make_system_config, make_workload_config
 from repro.sim.simulator import Simulator
 from repro.sim.system import build_system
@@ -91,7 +90,8 @@ class TestMultiCoreRun:
 
     def test_distinct_cores_never_share_private_tlb_entries(self):
         simulator = api.build_simulator(PINNED_SCENARIO)
-        assert isinstance(simulator, MultiCoreSimulator)
+        assert isinstance(simulator, Simulator)
+        assert [w.name for w in simulator.core_workloads] == ["bfs", "rnd@1"]
         simulator.run()
 
         footprints = []
@@ -116,7 +116,7 @@ class TestMultiCoreRun:
             "workload": {"tenants": [{"workload": "bfs"}, {"workload": "rnd"},
                                      {"workload": "xs"}]},
         })
-        workloads = spec.build_core_workloads()
+        workloads = api.build_simulator(spec).core_workloads
         assert [w.name for w in workloads] == ["mix(bfs+xs@2)", "rnd@1"]
 
     def test_idle_core_reports_zero(self):
@@ -133,7 +133,9 @@ class TestMultiCoreRun:
     def test_simulator_runs_core_zero_and_idles_the_rest(self):
         system = build_system(make_system_config("radix", hardware_scale=16,
                                                  num_cores=2))
-        result = Simulator(system, make_workload("rnd", max_refs=100)).run()
+        simulator = Simulator(system, [make_workload("rnd", max_refs=100), None])
+        assert simulator.name == "cores(rnd|idle)"
+        result = simulator.run()
         assert result.num_cores == 2
         assert [core.workload for core in result.per_core] == ["rnd", "idle"]
         assert result.memory_refs == result.per_core[0].memory_refs > 0
@@ -191,7 +193,7 @@ def _scheduled_run(base_cpi):
         wrap(core)
     tenants = mix([make_workload("bfs", max_refs=SCHEDULE_REFS),
                    make_workload("rnd", max_refs=SCHEDULE_REFS)], cores=[0, 2])
-    MultiCoreSimulator(system, tenants.per_core_workloads(3)).run()
+    Simulator(system, tenants.per_core_workloads(3)).run()
     return log
 
 
@@ -330,6 +332,14 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="top level"):
             ScenarioSpec(system="radix",
                          system_overrides=(("num_cores", 2),))
+
+    def test_simulator_needs_one_slot_per_core(self):
+        system = build_system(make_system_config("radix", hardware_scale=16,
+                                                 num_cores=2))
+        with pytest.raises(ConfigurationError, match="one workload slot per core"):
+            Simulator(system, [make_workload("rnd", max_refs=100)])
+        with pytest.raises(ConfigurationError, match="every core is idle"):
+            Simulator(system, [None, None])
 
     def test_from_configs_rejects_multicore(self):
         with pytest.raises(ConfigurationError, match="single-core"):

@@ -42,9 +42,13 @@ Golden keys read ``<preset>/<N>core`` or ``<preset>/<N>core/<variant>``:
 The same run also rewrites ``tests/data/hotpath_golden.json``, which
 ``tests/test_hotpath.py`` pins: the runs (built by :func:`hotpath_simulator`)
 on which the batched loop was checked against the straight-line reference
-loop while that loop existed.  The committed file holds the reference loop's
-own results, recorded just before it was deleted; the batched loop matched
-every one of them bit for bit.
+loop while that loop existed.  Its single-core runs hold the reference
+loop's own results, recorded just before it was deleted; the batched loop
+matched every one of them bit for bit.  Its ``<preset>/2core`` runs were
+re-recorded when the single-core and multi-core loops became one engine:
+that engine adds a reference's gap, translation and access cycles to the
+clock one at a time, which moved each run's ``cycles`` by one ULP and no
+count.
 
 Usage (from the repo root)::
 
