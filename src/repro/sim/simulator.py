@@ -540,7 +540,8 @@ class Simulator:
                     if clock >= limit and (clock > limit or yield_on_tie):
                         break
                 else:
-                    batch = None
+                    batch = None  # the list is used up
+                # Settle the record: the sampler reads it on the next pull.
                 run.instructions = instructions
                 run.cycles = cycles
                 run.translation_cycles = translation_cycles
@@ -548,12 +549,13 @@ class Simulator:
                 run.data_l2_misses = data_l2_misses
                 run.ready_at = clock
                 if batch is not None:
+                    # Past the smallest waiting key: wait on the heap.
                     pending[index] = batch
                     heapq.heappush(ready, (clock, index))
                     break
                 batch = next(pulls[index], None)
                 if batch is None:
-                    break
+                    break  # the core's stream is done; it leaves the heap
                 clock = run.ready_at  # a skipped window moves it
                 batch = iter(batch)
         return collect_result(system, runs, self.name, reach, sampling)
