@@ -16,7 +16,9 @@ from repro.mmu.mmu import MMU, ServedBy
 from repro.mmu.page_walker import PageTableWalker
 from repro.mmu.pwc import PageWalkCaches
 from repro.mmu.tlb import TLB
-from tests.conftest import translate_counted
+from repro.sim.presets import make_system_config, make_workload_config
+from repro.sim.simulator import Simulator
+from tests.conftest import allocator_state, page_table_state, translate_counted
 
 BOTH = (PageSize.SIZE_4K, PageSize.SIZE_2M)
 
@@ -285,6 +287,43 @@ class TestMMU:
         assert features.accesses == 63
         assert (features.l1_tlb_misses, features.l2_tlb_misses) == (1, 1)
         assert features.ptw_frequency == 1
+
+
+class TestDemandPagingInsideARun:
+    """Pages demand-mapped during a run, where no golden run maps a native page.
+
+    With ``prefault`` replaced by a no-op every page the run touches is
+    mapped by the MMU's own ``ensure_mapped`` call.  Mapping each page before
+    its reference enters the MMU, as a wrapper here does, must change
+    nothing: not the result, the page table or the frame allocator.
+    """
+
+    @staticmethod
+    def _run(system_name: str, map_first: bool):
+        sim = Simulator.from_configs(
+            make_system_config(system_name, hardware_scale=16),
+            make_workload_config("rnd", max_refs=2000, seed=7))
+        sim.prefault = lambda: 0
+        system = sim.system
+        if map_first:
+            mmu = system.cores[0].mmu
+            translate_data = mmu.translate_data
+            ensure_mapped = system.memory_manager.ensure_mapped
+
+            def mapped_then_translated(vaddr):
+                ensure_mapped(vaddr)
+                return translate_data(vaddr)
+
+            mmu.translate_data = mapped_then_translated
+        result = sim.run()
+        return (result, page_table_state(system.memory_manager.page_table),
+                allocator_state(system.physical), system.memory_manager.stats)
+
+    @pytest.mark.parametrize("system_name", ["radix", "victima"])
+    def test_mapping_before_translation_changes_nothing(self, system_name):
+        result, table, frames, vm_stats = self._run(system_name, map_first=False)
+        assert vm_stats.demand_faults > 1000
+        assert self._run(system_name, map_first=True) == (result, table, frames, vm_stats)
 
 
 class TestMaintenance:
