@@ -13,13 +13,15 @@ The public API is organised by subsystem:
     Set-associative caches, replacement policies (LRU, SRRIP and the paper's
     TLB-aware SRRIP), prefetchers and the three-level cache hierarchy.
 ``repro.mmu``
-    TLBs, page-walk caches, the hardware page-table walker and the MMU.
+    TLBs, page-walk caches, the hardware page-table walker and the MMU that
+    every core, native or virtualized, translates through.
 ``repro.core``
     Victima itself: TLB blocks inside the L2 cache, the PTW cost predictor
     (comparator and neural-network reference models) and the controller that
     inserts / probes TLB blocks.
 ``repro.virt``
-    Nested paging, the nested TLB, ideal shadow paging and the virtualized MMU.
+    Nested paging's two-dimensional walker, the nested TLB and the shadow
+    (combined gVA→hPA) page table that ideal shadow paging walks.
 ``repro.baselines``
     The POM-TLB (a large software-managed TLB in memory).  The large
     hardware TLB baselines are presets (:mod:`repro.sim.presets`).

@@ -3,10 +3,9 @@
 A *translation backend* is the structure (or structure combination) that
 resolves an L2 TLB miss — the part of the machine the paper's comparison
 matrix varies while everything above it (L1/L2 TLBs, caches, workloads) stays
-fixed.  The MMUs (:class:`repro.mmu.mmu.MMU` and
-:class:`repro.virt.virt_mmu.VirtualizedMMU`) dispatch every L2 TLB miss to
-``backend.translate(...)`` instead of branching over hard-wired
-``victima``/``l3_tlb``/``pom_tlb`` attributes.
+fixed.  The MMU (:class:`repro.mmu.mmu.MMU`, native and virtualized alike)
+dispatches every L2 TLB miss to ``backend.translate(...)`` instead of
+branching over hard-wired ``victima``/``l3_tlb``/``pom_tlb`` attributes.
 
 The protocol (see ``docs/backends.md`` for the worked tutorial):
 
@@ -28,7 +27,7 @@ The protocol (see ``docs/backends.md`` for the worked tutorial):
 
 from __future__ import annotations
 
-from typing import Dict, NamedTuple, Optional
+from typing import Dict, NamedTuple
 
 from repro.common.stats import ResettableStats
 from repro.memory.page_table import PageTableEntry
@@ -38,24 +37,16 @@ from repro.mmu.mmu import ServedBy
 class MissResolution(NamedTuple):
     """What a backend reports for one resolved L2 TLB miss.
 
-    The first five fields mirror the historical ``_resolve_miss`` tuple
-    ``(served_by, pte, latency, breakdown, walked)``; the remaining counters
-    let virtualized backends report walk composition without reaching into
-    MMU statistics (the virtualized MMU applies them — keeping backends
-    stat-agnostic and the accounting in one place).
+    The MMU keeps the accounting: it counts the miss under its
+    ``served_by`` source (its ``page_walks`` count ``ServedBy.PAGE_WALK``)
+    and adds ``latency`` and ``breakdown`` to its miss-latency totals.  The
+    walkers count their own walks, host and shadow walks included.
     """
 
     served_by: ServedBy
     pte: PageTableEntry
     latency: int
     breakdown: Dict[str, int]
-    walked: bool
-    #: Guest-dimension walks performed (virtualized backends only).
-    guest_walks: int = 0
-    #: Host-dimension walks performed (virtualized backends only).
-    host_walks: int = 0
-    #: Shadow-table walks performed (ideal shadow paging only).
-    shadow_walks: int = 0
 
 
 class TranslationBackend(ResettableStats):

@@ -216,15 +216,14 @@ class HashedPageTableBackend(TranslationBackend):
         if pte is not None:
             # The hashed probe *is* the page walk for this baseline, so it
             # reports as a (cheap) walk — results keep their schema.
-            return MissResolution(ServedBy.PAGE_WALK, pte, probe_latency,
-                                  breakdown, True)
+            return MissResolution(ServedBy.PAGE_WALK, pte, probe_latency, breakdown)
         # Demand-mapped page never walked before: resolve through the radix
         # walker once and install, as the OS would on a hashed-PT miss fault.
         walk = self.walker.walk(self.page_table, vaddr)
         self.hash_pt.insert(walk.pte, asid)
         breakdown["walk"] = walk.latency
         return MissResolution(ServedBy.PAGE_WALK, walk.pte,
-                              probe_latency + walk.latency, breakdown, True)
+                              probe_latency + walk.latency, breakdown)
 
     def install(self, pte, asid: int) -> None:
         """The hashed table mirrors the OS page table, so it starts warm."""

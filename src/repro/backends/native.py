@@ -58,8 +58,7 @@ class RadixBackend(TranslationBackend):
     def translate(self, vaddr: int, asid: int) -> MissResolution:
         walk = self.walker.walk(self.page_table, vaddr)
         breakdown: Dict[str, int] = {"walk": walk.latency}
-        return MissResolution(ServedBy.PAGE_WALK, walk.pte, walk.latency,
-                              breakdown, True)
+        return MissResolution(ServedBy.PAGE_WALK, walk.pte, walk.latency, breakdown)
 
 
 class L3TLBBackend(TranslationBackend):
@@ -76,14 +75,12 @@ class L3TLBBackend(TranslationBackend):
         entry = self.l3_tlb.lookup(vaddr, asid)
         if entry is not None:
             breakdown["l3_tlb"] = l3_latency
-            return MissResolution(ServedBy.L3_TLB, entry.pte, l3_latency,
-                                  breakdown, False)
+            return MissResolution(ServedBy.L3_TLB, entry.pte, l3_latency, breakdown)
         walk = self.walker.walk(self.page_table, vaddr)
         self.l3_tlb.insert(walk.pte, asid)
         breakdown["l3_tlb"] = l3_latency
         breakdown["walk"] = walk.latency
-        return MissResolution(ServedBy.PAGE_WALK, walk.pte,
-                              l3_latency + walk.latency, breakdown, True)
+        return MissResolution(ServedBy.PAGE_WALK, walk.pte, l3_latency + walk.latency, breakdown)
 
     def invalidate_page(self, vaddr: int, asid: int) -> int:
         return self.l3_tlb.invalidate_page(vaddr, asid)
@@ -111,13 +108,11 @@ class POMTLBBackend(TranslationBackend):
         pom_pte, pom_latency = self.pom_tlb.lookup(vaddr, asid, self.hierarchy)
         breakdown["stlb"] = pom_latency
         if pom_pte is not None:
-            return MissResolution(ServedBy.POM_TLB, pom_pte, pom_latency,
-                                  breakdown, False)
+            return MissResolution(ServedBy.POM_TLB, pom_pte, pom_latency, breakdown)
         walk = self.walker.walk(self.page_table, vaddr)
         self.pom_tlb.insert(walk.pte, asid)
         breakdown["walk"] = walk.latency
-        return MissResolution(ServedBy.PAGE_WALK, walk.pte,
-                              pom_latency + walk.latency, breakdown, True)
+        return MissResolution(ServedBy.PAGE_WALK, walk.pte, pom_latency + walk.latency, breakdown)
 
     def install(self, pte, asid: int) -> None:
         """POM-TLBs accumulate every translation ever walked, so they start
@@ -142,13 +137,11 @@ class VictimaBackend(TranslationBackend):
         block_pte, probe_latency = self.victima.probe(vaddr, asid)
         if block_pte is not None:
             breakdown["l2_cache"] = probe_latency
-            return MissResolution(ServedBy.VICTIMA_BLOCK, block_pte,
-                                  probe_latency, breakdown, False)
+            return MissResolution(ServedBy.VICTIMA_BLOCK, block_pte, probe_latency, breakdown)
         walk = self.walker.walk(self.page_table, vaddr)
         breakdown["walk"] = walk.latency
         self.victima.on_l2_tlb_miss(walk.pte)
-        return MissResolution(ServedBy.PAGE_WALK, walk.pte, walk.latency,
-                              breakdown, True)
+        return MissResolution(ServedBy.PAGE_WALK, walk.pte, walk.latency, breakdown)
 
     def on_l2_tlb_eviction(self, evicted) -> None:
         self.victima.on_l2_tlb_eviction(evicted)

@@ -56,7 +56,8 @@ class BackendSpec:
     build: Callable[["object"], "object"]
     #: Build the once-per-machine shared structure, if any.
     build_shared: Optional[Callable[["object"], "object"]] = None
-    #: Whether the backend runs under the virtualized MMU.
+    #: Whether the backend serves a virtualized machine (guest and host page
+    #: tables, combined guest-virtual → host-physical TLB entries).
     virtualized: bool = False
 
 

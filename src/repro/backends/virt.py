@@ -1,11 +1,9 @@
 """Virtualized-execution translation backends (NP, I-SP, POM-TLB, Victima).
 
-Counterparts of :mod:`repro.backends.native` for the virtualized MMU
-(Figures 3 and 19 of the paper).  Each ``translate`` body is the matching
-branch of the historical ``VirtualizedMMU._resolve_miss`` — moved verbatim,
-with the walk-composition statistics (guest/host/shadow walk counts) reported
-through :class:`~repro.backends.base.MissResolution` instead of being bumped
-inline; the virtualized MMU applies them centrally.
+Counterparts of :mod:`repro.backends.native` for virtualized machines
+(Figures 3 and 19 of the paper): the same MMU dispatches their L2 TLB
+misses, whose entries are combined guest-virtual → host-physical
+translations.  The walkers count the walks, host and shadow walks included.
 
 Virtualized backends are built in two phases: the spec's ``build`` hook runs
 at the exact point of the factory where the Victima controller / POM-TLB used
@@ -64,9 +62,7 @@ class NestedPagingBackend(VirtTranslationBackend):
         nested = self.nested_walker.walk(gva)
         breakdown["guest"] = nested.guest_latency
         breakdown["host"] = nested.host_latency
-        return MissResolution(ServedBy.PAGE_WALK, nested.combined_pte,
-                              nested.latency, breakdown, True,
-                              guest_walks=1, host_walks=nested.host_walks)
+        return MissResolution(ServedBy.PAGE_WALK, nested.combined_pte, nested.latency, breakdown)
 
 
 class ShadowPagingBackend(VirtTranslationBackend):
@@ -87,8 +83,7 @@ class ShadowPagingBackend(VirtTranslationBackend):
         self.nested_walker.install_shadow_mapping(gva)
         walk = self.shadow_walker.walk(self.shadow_table, gva)
         breakdown["guest"] = walk.latency
-        return MissResolution(ServedBy.PAGE_WALK, walk.pte, walk.latency,
-                              breakdown, True, guest_walks=1, shadow_walks=1)
+        return MissResolution(ServedBy.PAGE_WALK, walk.pte, walk.latency, breakdown)
 
 
 class VirtVictimaBackend(VirtTranslationBackend):
@@ -103,15 +98,12 @@ class VirtVictimaBackend(VirtTranslationBackend):
         block_pte, probe_latency = self.victima.probe(gva, asid)
         if block_pte is not None:
             breakdown["l2_cache"] = probe_latency
-            return MissResolution(ServedBy.VICTIMA_BLOCK, block_pte,
-                                  probe_latency, breakdown, False)
+            return MissResolution(ServedBy.VICTIMA_BLOCK, block_pte, probe_latency, breakdown)
         nested = self.nested_walker.walk(gva)
         breakdown["guest"] = nested.guest_latency
         breakdown["host"] = nested.host_latency
         self.victima.on_l2_tlb_miss(nested.combined_pte)
-        return MissResolution(ServedBy.PAGE_WALK, nested.combined_pte,
-                              nested.latency, breakdown, True,
-                              guest_walks=1, host_walks=nested.host_walks)
+        return MissResolution(ServedBy.PAGE_WALK, nested.combined_pte, nested.latency, breakdown)
 
     def on_l2_tlb_eviction(self, evicted) -> None:
         self.victima.on_l2_tlb_eviction(evicted)
@@ -140,15 +132,13 @@ class VirtPOMTLBBackend(VirtTranslationBackend):
         pom_pte, pom_latency = self.pom_tlb.lookup(gva, asid, self.hierarchy)
         breakdown["stlb"] = pom_latency
         if pom_pte is not None:
-            return MissResolution(ServedBy.POM_TLB, pom_pte, pom_latency,
-                                  breakdown, False)
+            return MissResolution(ServedBy.POM_TLB, pom_pte, pom_latency, breakdown)
         nested = self.nested_walker.walk(gva)
         breakdown["guest"] = nested.guest_latency
         breakdown["host"] = nested.host_latency
         self.pom_tlb.insert(nested.combined_pte, asid)
         return MissResolution(ServedBy.PAGE_WALK, nested.combined_pte,
-                              pom_latency + nested.latency, breakdown, True,
-                              guest_walks=1, host_walks=nested.host_walks)
+                              pom_latency + nested.latency, breakdown)
 
     def install(self, pte, asid: int) -> None:
         self.pom_tlb.insert(pte, asid)

@@ -1,22 +1,22 @@
 """The memory management unit: the full address-translation flow.
 
-This is the native-execution MMU of Figure 2 (and Figure 17 when Victima is
-attached): a two-level TLB hierarchy, a hardware page-table walker with split
-page-walk caches, and optionally one of the evaluated back-ends behind the L2
-TLB:
+One MMU serves every evaluated machine, native (Figure 2, and Figure 17 when
+Victima is attached) and virtualized (Figures 3 and 19): a two-level TLB
+hierarchy and, behind the L2 TLB, one of the evaluated back-ends:
 
-* nothing (the Radix baseline),
+* a four-level radix walk (the Radix baseline),
 * a large hardware L3 TLB (the "Opt. L3 TLB" configurations),
 * a POM-TLB, i.e. a large software-managed TLB resident in memory,
-* Victima, which probes the L2 cache for TLB blocks in parallel with the walk.
+* Victima, which probes the L2 cache for TLB blocks in parallel with the walk,
+* under virtualization, nested paging's two-dimensional walk, ideal shadow
+  paging, and the POM-TLB and Victima over nested paging.
 
 The back-end behind the L2 TLB is a pluggable
 :class:`~repro.backends.base.TranslationBackend` (see ``docs/backends.md``):
 the MMU dispatches every L2 TLB miss to ``backend.translate`` and never
-branches on which mechanism is attached.
-
-The virtualized MMU (nested paging, Figure 3 / 19) lives in
-:mod:`repro.virt.virt_mmu` and reuses the same components.
+branches on which mechanism is attached, or on whether the machine is
+virtualized.  On a virtualized machine the TLBs hold combined
+guest-virtual → host-physical entries and the memory manager is the guest's.
 """
 
 from __future__ import annotations
@@ -46,9 +46,8 @@ class ServedBy(enum.Enum):
 
 @dataclass
 class MMUStats:
-    """Aggregate MMU statistics."""
+    """Aggregate MMU statistics: one count per translation source."""
 
-    translations: int = 0
     l1_tlb_hits: int = 0
     l2_tlb_hits: int = 0
     l2_tlb_misses: int = 0
@@ -58,10 +57,22 @@ class MMUStats:
     page_walks: int = 0
     l1_tlb_evictions: int = 0
     l2_tlb_evictions: int = 0
-    total_translation_latency: int = 0
     total_miss_latency: int = 0
     miss_latency_breakdown: Dict[str, int] = field(default_factory=dict)
-    served_by: Dict[str, int] = field(default_factory=dict)
+
+    @property
+    def translations(self) -> int:
+        return self.l1_tlb_hits + self.l2_tlb_hits + self.l2_tlb_misses
+
+    @property
+    def served_by(self) -> Dict[str, int]:
+        """Translations per :class:`ServedBy` value; sources that served none
+        are left out."""
+        counts = ((ServedBy.L1_TLB, self.l1_tlb_hits), (ServedBy.L2_TLB, self.l2_tlb_hits),
+                  (ServedBy.L3_TLB, self.l3_tlb_hits), (ServedBy.POM_TLB, self.pom_tlb_hits),
+                  (ServedBy.VICTIMA_BLOCK, self.victima_hits),
+                  (ServedBy.PAGE_WALK, self.page_walks))
+        return {source.value: count for source, count in counts if count}
 
     @property
     def mean_miss_latency(self) -> float:
@@ -72,8 +83,9 @@ class MMU(ResettableStats):
     """Two-level TLB hierarchy + pluggable back-end.
 
     ``backend`` is the :class:`~repro.backends.base.TranslationBackend`
-    (page-table walker included) that resolves every L2 TLB miss; the system
-    factory builds it through the backend registry.
+    (page-table or nested walker included) that resolves every L2 TLB miss;
+    the system factory builds it through the backend registry.
+    ``memory_manager`` demand-maps the page of every L2 TLB miss.
     """
 
     def __init__(
@@ -103,19 +115,13 @@ class MMU(ResettableStats):
         """Translate one data reference; returns ``(paddr, latency)``.
 
         Models the full latency of the lookup path: the L1 D-TLBs, the L2
-        TLB, then the backend.  Each path bumps its counters inline.
+        TLB, then the backend.  Each path bumps its counters inline, and the
+        feature counters of the entry that served the translation.  Those
+        saturate at their widths' maxima (see ``PTEFeatures``): ``accesses``
+        is 6 bits, the TLB-miss counts 5.
         """
         asid = self.asid
-        # Demand paging happens outside the timed path (a real OS would have
-        # populated the mapping on first touch before the measured region).
-        pte = self.memory_manager.ensure_mapped(vaddr)
-        # The PTE's feature counters saturate at their widths' maxima (see
-        # ``PTEFeatures``): ``accesses`` is 6 bits, the TLB-miss counts 5.
-        features = pte.features
-        if features.accesses < 63:
-            features.accesses += 1
         stats = self.stats
-        served = stats.served_by
 
         # -- L1 D-TLBs (1 cycle) ----------------------------------------- #
         entry = self.l1_dtlb_4k.lookup(vaddr, asid)
@@ -123,56 +129,63 @@ class MMU(ResettableStats):
             entry = self.l1_dtlb_2m.lookup(vaddr, asid)
         latency = self.l1_dtlb_4k.latency
         if entry is not None:
-            stats.translations += 1
-            stats.total_translation_latency += latency
-            served["l1_tlb"] = served.get("l1_tlb", 0) + 1
             stats.l1_tlb_hits += 1
-            return entry.pte.translate(vaddr), latency
-        if features.l1_tlb_misses < 31:
-            features.l1_tlb_misses += 1
+            pte = entry.pte
+            features = pte.features
+            if features.accesses < 63:
+                features.accesses += 1
+            return pte.translate(vaddr), latency
 
         # -- L2 TLB (12 cycles) ------------------------------------------- #
         latency += self.l2_tlb.latency
         entry = self.l2_tlb.lookup(vaddr, asid)
         if entry is not None:
-            self._fill_l1(entry.pte, asid)
-            stats.translations += 1
-            stats.total_translation_latency += latency
-            served["l2_tlb"] = served.get("l2_tlb", 0) + 1
             stats.l2_tlb_hits += 1
-            return entry.pte.translate(vaddr), latency
+            pte = entry.pte
+            features = pte.features
+            if features.accesses < 63:
+                features.accesses += 1
+            if features.l1_tlb_misses < 31:
+                features.l1_tlb_misses += 1
+            self._fill_l1(pte, asid)
+            return pte.translate(vaddr), latency
 
         # -- L2 TLB miss: dispatch to the translation backend -------------- #
+        stats.l2_tlb_misses += 1
         self.pressure.record_l2_tlb_miss()
+        # Demand paging happens outside the timed path (a real OS would have
+        # populated the mapping on first touch before the measured region).
+        # A TLB holds only mapped pages and no run unmaps one, so only a
+        # miss can reach an unmapped page.
+        self.memory_manager.ensure_mapped(vaddr)
+        miss = self.backend.translate(vaddr, asid)
+        pte = miss.pte
+        latency += miss.latency
+        features = pte.features
+        if features.accesses < 63:
+            features.accesses += 1
+        if features.l1_tlb_misses < 31:
+            features.l1_tlb_misses += 1
         if features.l2_tlb_misses < 31:
             features.l2_tlb_misses += 1
-        miss = self.backend.translate(vaddr, asid)
-        resolved_pte = miss.pte
-        latency += miss.latency
 
-        self._fill_l2(resolved_pte, asid)
-        self._fill_l1(resolved_pte, asid)
+        self._fill_l2(pte, asid)
+        self._fill_l1(pte, asid)
 
-        stats.translations += 1
-        stats.total_translation_latency += latency
         served_by = miss.served_by
-        # ``_value_`` skips the Python-level ``Enum.value`` descriptor call.
-        source = served_by._value_
-        served[source] = served.get(source, 0) + 1
-        stats.l2_tlb_misses += 1
-        stats.total_miss_latency += miss.latency
-        breakdown = stats.miss_latency_breakdown
-        for component, cycles in miss.breakdown.items():
-            breakdown[component] = breakdown.get(component, 0) + cycles
-        if miss.walked:
+        if served_by is ServedBy.PAGE_WALK:
             stats.page_walks += 1
-        if served_by is ServedBy.VICTIMA_BLOCK:
+        elif served_by is ServedBy.VICTIMA_BLOCK:
             stats.victima_hits += 1
         elif served_by is ServedBy.POM_TLB:
             stats.pom_tlb_hits += 1
         elif served_by is ServedBy.L3_TLB:
             stats.l3_tlb_hits += 1
-        return resolved_pte.translate(vaddr), latency
+        stats.total_miss_latency += miss.latency
+        breakdown = stats.miss_latency_breakdown
+        for component, cycles in miss.breakdown.items():
+            breakdown[component] = breakdown.get(component, 0) + cycles
+        return pte.translate(vaddr), latency
 
     # ------------------------------------------------------------------ #
     # TLB fills

@@ -41,7 +41,6 @@ from repro.mmu.tlb import TLB
 from repro.sim.config import CacheConfig, SystemConfig, TLBConfig
 from repro.virt.nested import NestedPageTableWalker
 from repro.virt.shadow import ShadowPageTableBuilder
-from repro.virt.virt_mmu import VirtualizedMMU
 
 
 @dataclass
@@ -61,7 +60,7 @@ class Core:
     hierarchy: CacheHierarchy
     pressure: PressureMonitor
     walker: PageTableWalker
-    mmu: object  # MMU or VirtualizedMMU
+    mmu: MMU
     maintenance: TLBMaintenance
     #: This core's translation backend (also ``mmu.backend``).
     backend: object
@@ -134,7 +133,7 @@ def _make_tlb(name: str, config: TLBConfig) -> TLB:
 
 
 def _make_tlbs(config: SystemConfig, core_id: int) -> List[TLB]:
-    """The 4 KB and 2 MB L1-D TLBs and the L2 TLB, in the MMUs' argument order."""
+    """The 4 KB and 2 MB L1-D TLBs and the L2 TLB, in the MMU's argument order."""
     mmu = config.mmu
     return [_make_tlb(f"L1-DTLB-4K-c{core_id}", mmu.l1_dtlb_4k),
             _make_tlb(f"L1-DTLB-2M-c{core_id}", mmu.l1_dtlb_2m),
@@ -284,7 +283,9 @@ def _build_virtualized_core(system: System, core_id: int, hierarchy: CacheHierar
     dimension.  The backend's build hook runs first (the virtualized POM-TLB
     reserves its host-physical region here); the nested walker is built
     afterwards, because it takes the backend's Victima controller, and is
-    then bound to the backend.
+    then bound to the backend.  The MMU is the one a native core builds, given
+    the guest's memory manager, which demand-maps the guest page of each L2
+    TLB miss.
     """
     config = system.config
     host_pwcs = _make_pwcs(config)
@@ -306,7 +307,7 @@ def _build_virtualized_core(system: System, core_id: int, hierarchy: CacheHierar
     backend.bind(system.nested_walker)
 
     tlbs = _make_tlbs(config, core_id)
-    mmu = VirtualizedMMU(*tlbs, pressure, backend, vmid=0)
+    mmu = MMU(*tlbs, system.memory_manager, pressure, backend, asid=0)
     maintenance = TLBMaintenance(tlbs + [nested_tlb], host_pwcs, backend=backend)
     return Core(core_id, hierarchy, pressure, host_walker, mmu, maintenance, backend,
                 registry)

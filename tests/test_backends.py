@@ -83,7 +83,7 @@ def _invariant_violations(result) -> list:
     levels = sum(result.data_access_levels.values())
     if levels != refs:
         problems.append(f"data_access_levels sum to {levels}, memory_refs is {refs}")
-    # Virtualized MMUs do not attribute translations, so served_by is empty.
+    # Virtualized results report an empty served_by (see ROADMAP item 4).
     if not get_backend(result.system_kind).virtualized:
         served = sum(result.served_by.values())
         if served != refs:
@@ -241,11 +241,11 @@ class TestResettableStats:
             "victima", hardware_scale=HARDWARE_SCALE)).cores[0]
         registry = core.stats_registry
         assert len(registry) > 0
-        core.mmu.stats.translations = 99
+        core.mmu.stats.l1_tlb_hits = 99
         core.walker.stats.walks = 42
         core.victima.stats.probes = 7
         registry.reset_all()
-        assert core.mmu.stats.translations == 0
+        assert core.mmu.stats.l1_tlb_hits == 0
         assert core.walker.stats.walks == 0
         assert core.victima.stats.probes == 0
 

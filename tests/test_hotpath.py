@@ -146,8 +146,9 @@ class TestFastPathParity:
         self._assert_matches_reference(f"{preset}/2core", multi_core=True)
 
     def test_virtualized_system_falls_back(self):
-        # Virtualized MMUs once had no translate_data and the batched loop
-        # fell back to an adapter; it now binds VirtualizedMMU.translate_data
+        # Virtualized machines once had an MMU class of their own, with no
+        # translate_data, and the batched loop fell back to an adapter; they
+        # now translate through MMU.translate_data, as native machines do,
         # and must still match the reference loop bit for bit.
         self._assert_matches_reference("nested_paging/1core/rnd")
 

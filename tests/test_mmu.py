@@ -216,15 +216,16 @@ class TestMMU:
     def test_first_translation_walks(self):
         mmu, _ = make_mmu()
         _, _, delta = translate_counted(mmu, 0x1234_5678)
-        assert delta["served_by"] == {ServedBy.PAGE_WALK.value: 1}
         assert delta["l2_tlb_misses"] == 1 and delta["page_walks"] == 1
         assert delta["total_miss_latency"] > 0
+        assert mmu.stats.served_by == {ServedBy.PAGE_WALK.value: 1}
 
     def test_second_translation_hits_l1(self):
         mmu, _ = make_mmu()
         mmu.translate_data(0x1234_5678)
         _, latency, delta = translate_counted(mmu, 0x1234_5000)
-        assert delta["served_by"] == {ServedBy.L1_TLB.value: 1}
+        assert delta["l1_tlb_hits"] == 1
+        assert delta["l2_tlb_hits"] == delta["l2_tlb_misses"] == 0
         assert latency == 1
 
     def test_l2_tlb_hit_path(self):
@@ -234,8 +235,32 @@ class TestMMU:
         for i in range(1, 20):
             mmu.translate_data(0x2000_0000 + i * 4096)
         _, _, delta = translate_counted(mmu, 0x1234_5678)
-        assert list(delta["served_by"]) in ([ServedBy.L2_TLB.value],
-                                            [ServedBy.L1_TLB.value])
+        assert (delta["l1_tlb_hits"], delta["l2_tlb_hits"]) in ((0, 1), (1, 0))
+        assert delta["l2_tlb_misses"] == 0
+
+    def test_tlb_hits_make_no_demand_paging_call(self):
+        mmu, _ = make_mmu()
+        mmu.translate_data(0x1234_5678)
+        calls = []
+        ensure_mapped = mmu.memory_manager.ensure_mapped
+
+        def spy(vaddr):
+            calls.append(vaddr)
+            return ensure_mapped(vaddr)
+
+        mmu.memory_manager.ensure_mapped = spy
+        _, _, delta = translate_counted(mmu, 0x1234_5000)
+        assert delta["l1_tlb_hits"] == 1
+        mmu.l1_dtlb_4k.invalidate_all()
+        _, _, delta = translate_counted(mmu, 0x1234_5000)
+        assert delta["l2_tlb_hits"] == 1
+        assert calls == []
+        # An L2 TLB miss on the same page is where demand paging runs.
+        mmu.l1_dtlb_4k.invalidate_all()
+        mmu.l2_tlb.invalidate_all()
+        _, _, delta = translate_counted(mmu, 0x1234_5000)
+        assert delta["l2_tlb_misses"] == 1
+        assert calls == [0x1234_5000]
 
     def test_translation_is_correct(self):
         mmu, _ = make_mmu()
@@ -267,8 +292,7 @@ class TestMMU:
             mmu.translate_data(0x3000_0000 + i * 4096)
         _, _, delta = translate_counted(mmu, 0x1234_5000)
         if delta["l2_tlb_misses"]:
-            assert list(delta["served_by"]) in ([ServedBy.L3_TLB.value],
-                                                [ServedBy.PAGE_WALK.value])
+            assert (delta["l3_tlb_hits"], delta["page_walks"]) in ((1, 0), (0, 1))
         assert mmu.stats.l3_tlb_hits >= 0
 
     def test_eviction_features_updated(self):

@@ -20,7 +20,6 @@ from repro.sim.presets import (
 )
 from repro.sim.simulator import SimulationResult, Simulator
 from repro.sim.system import build_system
-from repro.virt.virt_mmu import VirtualizedMMU
 from repro.workloads.registry import make_workload
 from tests.conftest import build_tiny_simulator
 
@@ -128,7 +127,7 @@ class TestSystemFactory:
 
     def test_virtualized_system(self):
         system = build_system(make_system_config("nested_paging", hardware_scale=16))
-        assert isinstance(system.cores[0].mmu, VirtualizedMMU)
+        assert isinstance(system.cores[0].mmu, MMU)
         assert system.is_virtualized
         assert system.nested_walker is not None
         assert system.page_table is system.shadow_builder.table

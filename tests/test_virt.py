@@ -1,4 +1,4 @@
-"""Unit tests for repro.virt: shadow table, nested walker, virtualized MMU."""
+"""Unit tests for repro.virt: shadow table, nested walker, and the MMU over them."""
 
 import pytest
 
@@ -13,12 +13,12 @@ from repro.core.victima import VictimaController
 from repro.memory.dram import DramModel
 from repro.memory.page_allocator import VirtualMemoryManager
 from repro.memory.physical import PhysicalMemory
+from repro.mmu.mmu import MMU
 from repro.mmu.page_walker import PageTableWalker
 from repro.mmu.pwc import PageWalkCaches
 from repro.mmu.tlb import TLB
 from repro.virt.nested import NestedPageTableWalker
 from repro.virt.shadow import ShadowPageTableBuilder
-from repro.virt.virt_mmu import VirtualizedMMU
 from tests.conftest import allocator_state, page_table_state, translate_counted
 
 BOTH = (PageSize.SIZE_4K, PageSize.SIZE_2M)
@@ -59,11 +59,12 @@ def make_virt_stack(with_victima=False, shadow_paging=False, guest_huge_fraction
         backend = VirtVictimaBackend(victima)
     else:
         backend = NestedPagingBackend()
-    mmu = VirtualizedMMU(
+    mmu = MMU(
         l1_dtlb_4k=TLB("L1D-4K", 8, 4, 1, (PageSize.SIZE_4K,)),
         l1_dtlb_2m=TLB("L1D-2M", 8, 4, 1, (PageSize.SIZE_2M,)),
         l2_tlb=TLB("L2-TLB", 48, 12, 12, BOTH),
-        pressure=pressure, backend=backend.bind(nested_walker), vmid=0)
+        memory_manager=guest_vmm, pressure=pressure,
+        backend=backend.bind(nested_walker))
     return mmu, nested_walker, shadow_builder, victima
 
 
@@ -288,14 +289,17 @@ class TestShadowRangeInstall:
 
 
 class TestVirtualizedMMU:
+    """The MMU on a virtualized machine: the guest's memory manager and a
+    virtualized backend bound to the nested walker."""
+
     def test_nested_paging_translation(self):
-        mmu, _, _, _ = make_virt_stack()
+        mmu, nested_walker, _, _ = make_virt_stack()
         _, _, delta = translate_counted(mmu, 0x1234_5678)
-        assert delta["l2_tlb_misses"] == 1 and delta["guest_page_walks"] == 1
+        assert delta["l2_tlb_misses"] == 1 and delta["page_walks"] == 1
         breakdown = delta["miss_latency_breakdown"]
         assert "host" in breakdown and "guest" in breakdown
-        assert mmu.stats.guest_page_walks == 1
-        assert mmu.stats.host_page_walks >= 1
+        assert mmu.stats.page_walks == 1
+        assert nested_walker.stats.total_host_walks >= 1
 
     def test_l1_hit_on_repeat(self):
         mmu, _, _, _ = make_virt_stack()
@@ -304,11 +308,11 @@ class TestVirtualizedMMU:
         assert delta["l1_tlb_hits"] == 1
 
     def test_shadow_paging_mode_has_no_host_walks(self):
-        mmu, _, _, _ = make_virt_stack(shadow_paging=True)
+        mmu, nested_walker, _, _ = make_virt_stack(shadow_paging=True)
         _, _, delta = translate_counted(mmu, 0x1234_5678)
-        assert delta["shadow_walks"] == 1
-        assert mmu.stats.host_page_walks == 0
-        assert mmu.stats.shadow_walks == 1
+        assert delta["page_walks"] == 1
+        assert nested_walker.stats.total_host_walks == 0
+        assert mmu.backend.shadow_walker.stats.walks == 1
         breakdown = delta["miss_latency_breakdown"]
         assert "guest" in breakdown and "host" not in breakdown
 
