@@ -17,75 +17,106 @@ ticks with retired instructions and the MMU / L2 cache feed with miss events.
 
 from __future__ import annotations
 
-from repro.common.counters import EventRateMonitor
 from repro.common.stats import register_stats_component
 
 
 class PressureMonitor:
-    """Aggregates the L2 TLB and L2 cache MPKI signals."""
+    """Aggregates the L2 TLB and L2 cache MPKI signals.
+
+    Each signal's rate is taken over a window of ``window_instructions``
+    retired instructions, which both signals share: once a window completes
+    the rate is that window's, and before any window has completed (or while
+    the last completed one saw no events) it is the rate so far in the
+    current window, so early simulation phases do not permanently bias it.
+    """
 
     def __init__(self, window_instructions: int = 50_000,
                  tlb_pressure_threshold: float = 5.0,
                  cache_pressure_threshold: float = 5.0):
+        self.window_instructions = window_instructions
         self.tlb_pressure_threshold = tlb_pressure_threshold
         self.cache_pressure_threshold = cache_pressure_threshold
-        self._l2_tlb = EventRateMonitor(window_instructions)
-        self._l2_cache = EventRateMonitor(window_instructions)
+        self.reset_stats()
         register_stats_component(self)
 
     # -- feeding ---------------------------------------------------------- #
     def record_instructions(self, count: int) -> None:
-        self._l2_tlb.record_instructions(count)
-        self._l2_cache.record_instructions(count)
+        self._instructions += count
+        window = self._window + count
+        if window >= self.window_instructions:
+            self._tlb_rate = 1000.0 * self._tlb_window / max(window, 1)
+            self._cache_rate = 1000.0 * self._cache_window / max(window, 1)
+            self._tlb_window = self._cache_window = window = 0
+        self._window = window
 
     def record_l2_tlb_miss(self, count: int = 1) -> None:
-        self._l2_tlb.record_event(count)
+        self._tlb_window += count
+        self._tlb_misses += count
 
     def record_l2_cache_miss(self, count: int = 1) -> None:
-        self._l2_cache.record_event(count)
+        self._cache_window += count
+        self._cache_misses += count
 
     # -- resetting -------------------------------------------------------- #
     def reset_stats(self) -> None:
-        """Zero both rate monitors (the ``reset_stats`` convention).
+        """Zero the window, the totals and both rates (the ``reset_stats``
+        convention).
 
         Called at the warm-up boundary: Victima's insertion and replacement
         decisions inside the measured window must be driven by measured-window
         pressure only, not by instructions and misses retired during warm-up.
         The configured thresholds and window length are kept.
         """
-        self._l2_tlb.reset()
-        self._l2_cache.reset()
+        self._instructions = self._window = 0
+        self._tlb_misses = self._tlb_window = 0
+        self._cache_misses = self._cache_window = 0
+        self._tlb_rate = self._cache_rate = 0.0
 
     # -- reading ---------------------------------------------------------- #
     @property
     def total_l2_tlb_misses(self) -> int:
         """Total L2 TLB misses recorded since construction or ``reset_stats``."""
-        return self._l2_tlb.total_events
+        return self._tlb_misses
 
     @property
     def total_l2_cache_misses(self) -> int:
         """Total L2 cache misses recorded since construction or ``reset_stats``."""
-        return self._l2_cache.total_events
+        return self._cache_misses
 
     @property
     def total_instructions(self) -> int:
         """Total instructions recorded since construction or ``reset_stats``."""
-        return self._l2_tlb.total_instructions
+        return self._instructions
 
     @property
     def l2_tlb_mpki(self) -> float:
-        return self._l2_tlb.rate_per_kilo_instructions
+        rate = self._tlb_rate
+        if not rate and self._window:
+            rate = 1000.0 * self._tlb_window / self._window
+        return rate
 
     @property
     def l2_cache_mpki(self) -> float:
-        return self._l2_cache.rate_per_kilo_instructions
+        rate = self._cache_rate
+        if not rate and self._window:
+            rate = 1000.0 * self._cache_window / self._window
+        return rate
 
+    # The two flags repeat the MPKI rule inline: the TLB-aware replacement
+    # policy reads ``translation_pressure_high`` on every TLB-block insertion,
+    # hit and victim choice.
     @property
     def translation_pressure_high(self) -> bool:
         """True when the L2 TLB MPKI exceeds the activation threshold."""
-        return self.l2_tlb_mpki > self.tlb_pressure_threshold
+        rate = self._tlb_rate
+        if not rate and self._window:
+            rate = 1000.0 * self._tlb_window / self._window
+        return rate > self.tlb_pressure_threshold
 
     @property
     def data_locality_low(self) -> bool:
         """True when the L2 cache MPKI is high enough to bypass the PTW-CP."""
-        return self.l2_cache_mpki > self.cache_pressure_threshold
+        rate = self._cache_rate
+        if not rate and self._window:
+            rate = 1000.0 * self._cache_window / self._window
+        return rate > self.cache_pressure_threshold

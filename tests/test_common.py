@@ -1,4 +1,4 @@
-"""Unit tests for repro.common: addresses, counters, pressure, errors."""
+"""Unit tests for repro.common: addresses, pressure, errors."""
 
 import pytest
 
@@ -11,7 +11,6 @@ from repro.common.addresses import (
     page_number,
     radix_indices,
 )
-from repro.common.counters import EventRateMonitor
 from repro.common.errors import ConfigurationError, ReproError, TranslationFault
 from repro.common.pressure import PressureMonitor
 
@@ -58,33 +57,40 @@ class TestAddressArithmetic:
         assert not is_power_of_two(3)
 
 
-class TestEventRateMonitor:
-    def test_rate_before_window_uses_running_average(self):
-        monitor = EventRateMonitor(window_instructions=1000)
-        monitor.record_instructions(100)
-        monitor.record_event(5)
-        assert monitor.rate_per_kilo_instructions == pytest.approx(50.0)
-
-    def test_rate_after_window(self):
-        monitor = EventRateMonitor(window_instructions=100)
-        for _ in range(10):
-            monitor.record_event()
-        monitor.record_instructions(100)
-        assert monitor.rate_per_kilo_instructions == pytest.approx(100.0)
-
-    def test_totals(self):
-        monitor = EventRateMonitor(window_instructions=100)
-        monitor.record_event(3)
-        monitor.record_instructions(50)
-        assert monitor.total_events == 3
-        assert monitor.total_instructions == 50
-
-    def test_zero_instructions_rate_is_zero(self):
-        monitor = EventRateMonitor()
-        assert monitor.rate_per_kilo_instructions == 0.0
+#: The two signals of a PressureMonitor: (event recorder, rate, total).
+_SIGNALS = [("record_l2_tlb_miss", "l2_tlb_mpki", "total_l2_tlb_misses"),
+            ("record_l2_cache_miss", "l2_cache_mpki", "total_l2_cache_misses")]
 
 
 class TestPressureMonitor:
+    @pytest.mark.parametrize("record, rate, total", _SIGNALS)
+    def test_rate_before_window_uses_running_average(self, record, rate, total):
+        monitor = PressureMonitor(window_instructions=1000)
+        monitor.record_instructions(100)
+        getattr(monitor, record)(5)
+        assert getattr(monitor, rate) == pytest.approx(50.0)
+
+    @pytest.mark.parametrize("record, rate, total", _SIGNALS)
+    def test_rate_after_window(self, record, rate, total):
+        monitor = PressureMonitor(window_instructions=100)
+        for _ in range(10):
+            getattr(monitor, record)()
+        monitor.record_instructions(100)
+        assert getattr(monitor, rate) == pytest.approx(100.0)
+
+    @pytest.mark.parametrize("record, rate, total", _SIGNALS)
+    def test_totals(self, record, rate, total):
+        monitor = PressureMonitor(window_instructions=100)
+        getattr(monitor, record)(3)
+        monitor.record_instructions(50)
+        assert getattr(monitor, total) == 3
+        assert monitor.total_instructions == 50
+
+    @pytest.mark.parametrize("record, rate, total", _SIGNALS)
+    def test_zero_instructions_rate_is_zero(self, record, rate, total):
+        monitor = PressureMonitor()
+        assert getattr(monitor, rate) == 0.0
+
     def test_translation_pressure_threshold(self):
         monitor = PressureMonitor(window_instructions=100, tlb_pressure_threshold=5.0)
         monitor.record_instructions(100)

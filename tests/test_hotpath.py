@@ -17,7 +17,6 @@ import os
 
 import pytest
 
-from repro.common.counters import EventRateMonitor
 from repro.common.pressure import PressureMonitor
 from repro.sim.presets import make_system_config, make_workload_config
 from repro.sim.simulator import Simulator
@@ -157,14 +156,15 @@ class TestFastPathParity:
 # Warm-up bugfix regressions
 # --------------------------------------------------------------------------- #
 class TestPressureResetAtWarmupBoundary:
-    def test_event_rate_monitor_reset(self):
-        monitor = EventRateMonitor(window_instructions=100)
+    def test_pressure_monitor_reset_zeroes_rates(self):
+        monitor = PressureMonitor(window_instructions=100)
         monitor.record_instructions(250)
-        monitor.record_event(7)
-        monitor.reset()
-        assert monitor.total_events == 0
+        monitor.record_l2_tlb_miss(7)
+        monitor.record_l2_cache_miss(7)
+        monitor.reset_stats()
+        assert monitor.total_l2_tlb_misses == monitor.total_l2_cache_misses == 0
         assert monitor.total_instructions == 0
-        assert monitor.rate_per_kilo_instructions == 0.0
+        assert monitor.l2_tlb_mpki == monitor.l2_cache_mpki == 0.0
 
     def test_pressure_monitor_reset_stats(self):
         pressure = PressureMonitor(window_instructions=100)
