@@ -114,11 +114,15 @@ class VirtualMemoryManager:
 
         The range is mapped one PT node at a time.  In a region not decided
         huge whose PT node exists, each run of unmapped pages is mapped in
-        one step: one frame grab, filled straight into the node.  Every other
-        page, such as the first of a region (which creates the node) or one
-        already mapped, goes through :meth:`ensure_mapped`.  Frames still go
-        out in page order, each page's data frame before any node it needs,
-        so the result is exactly that of one :meth:`ensure_mapped` per page.
+        one step: one frame grab, filled straight into the node.  A run of
+        pages already mapped 4 KB is stepped over in one step too, without
+        building their entries (:meth:`RadixPageTable.leaf_run`).  Every
+        other page, such as the first of a region (which creates the node),
+        one in a region decided huge or one a 2 MB page covers, goes through
+        :meth:`ensure_mapped`.  Frames
+        still go out in page order, each page's data frame before any node
+        it needs, so the result is exactly that of one :meth:`ensure_mapped`
+        per page.
         """
         table = self.page_table
         stats = self.stats
@@ -134,6 +138,9 @@ class VirtualMemoryManager:
                 table.map_4k_run(vpn, [frame >> 12 for frame in frames])
                 stats.demand_faults += count
                 stats.pages_4k += count
+            else:
+                count = len(table.leaf_run(vpn, end_vpn))
+            if count:
                 covered += count
                 vaddr = (vpn + count) << 12
             else:

@@ -534,6 +534,16 @@ def _vmm_state(vmm: VirtualMemoryManager) -> tuple:
     return (page_table_state(vmm.page_table), allocator_state(vmm.physical), vmm.stats)
 
 
+def _built_entries(table: RadixPageTable) -> int:
+    """How many leaf slots hold a built entry rather than a packed PFN."""
+    built, stack = 0, [table._root]
+    while stack:
+        node = stack.pop()
+        built += sum(leaf.__class__ is not int for leaf in node.leaves.values())
+        stack.extend(node.children.values())
+    return built
+
+
 class TestPrefaultRuns:
     """``prefault_range`` maps a PT node at a time, exactly like the per-page loop."""
 
@@ -561,6 +571,19 @@ class TestPrefaultRuns:
         faults = vmm.stats.demand_faults
         assert vmm.prefault_range(_START, _SIZE) == covered
         assert vmm.stats.demand_faults == faults
+
+    # Not 1.0: there the first pass maps 2 MB pages over the prepared 4K
+    # pages of huge regions, so a second pass covers fewer pages.
+    @pytest.mark.parametrize("fraction", [0.0, 0.3])
+    def test_second_pass_builds_no_entries(self, fraction):
+        twice, once = _prepared_vmm(fraction), _prepared_vmm(fraction)
+        covered = twice.prefault_range(_START, _SIZE)
+        assert once.prefault_range(_START, _SIZE) == covered
+        built = _built_entries(twice.page_table)
+        assert twice.prefault_range(_START, _SIZE) == covered
+        # Counted before page_table_state, which builds every entry itself.
+        assert _built_entries(twice.page_table) == built
+        assert _vmm_state(twice) == _vmm_state(once)
 
     def test_out_of_memory_raises_before_mapping_the_run(self):
         physical = PhysicalMemory(PAGE_SIZE_2M * 2)
