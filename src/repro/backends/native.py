@@ -1,9 +1,10 @@
 """Native-execution translation backends (Radix, L3 TLB, POM-TLB, Victima).
 
 Each class here is the body of one branch of the historical
-``MMU._resolve_miss`` — moved, not rewritten, so every latency, statistic and
+``MMU._resolve_miss`` — moved, not rewritten, so every latency and
 side-effect order is preserved (pinned bit-identical by
-``tests/test_backends.py``).  The module registers one :class:`BackendSpec`
+``tests/test_backends.py``); the MMU, which also serves virtualized
+machines, counts each miss by its reported source.  The module registers one :class:`BackendSpec`
 per evaluated native system; the build hooks reproduce exactly the
 construction the system factory used to hard-code.
 """

@@ -119,10 +119,9 @@ class VirtualMemoryManager:
         building their entries (:meth:`RadixPageTable.leaf_run`).  Every
         other page, such as the first of a region (which creates the node),
         one in a region decided huge or one a 2 MB page covers, goes through
-        :meth:`ensure_mapped`.  Frames
-        still go out in page order, each page's data frame before any node
-        it needs, so the result is exactly that of one :meth:`ensure_mapped`
-        per page.
+        :meth:`ensure_mapped`.  Frames still go out in page order, each
+        page's data frame before any node it needs, so the result is exactly
+        that of one :meth:`ensure_mapped` per page.
         """
         table = self.page_table
         stats = self.stats

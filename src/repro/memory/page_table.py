@@ -54,7 +54,7 @@ class PTEFeatures:
     ones are gathered for the offline feature-selection study (Table 2).
 
     The nine counters are plain ints that saturate where they are
-    incremented (:meth:`PageTableEntry.record_walk` and the MMUs' inline
+    incremented (:meth:`PageTableEntry.record_walk` and the MMU's inline
     updates), once they reach their width's maximum: ``ptw_frequency`` is 3
     bits (7), ``ptw_cost`` 4 bits (15), ``l2_tlb_evictions`` and
     ``accesses`` 6 bits (63), and the other five 5 bits (31).
@@ -462,8 +462,8 @@ class RadixPageTable:
 
         Returns ``None`` when unmapped.  Memoised by 4K page number — the
         demand-paging check in :meth:`VirtualMemoryManager.ensure_mapped`
-        runs once per simulated memory reference, and one dictionary probe
-        replaces the four-level radix descent on the (overwhelmingly common)
+        runs once per L2 TLB miss, and one dictionary probe replaces the
+        four-level radix descent on the (overwhelmingly common)
         already-mapped case.
         """
         key = vaddr >> 12
