@@ -57,39 +57,36 @@ class TestAddressArithmetic:
         assert not is_power_of_two(3)
 
 
-#: The two signals of a PressureMonitor: (event recorder, rate, total).
-_SIGNALS = [("record_l2_tlb_miss", "l2_tlb_mpki", "total_l2_tlb_misses"),
-            ("record_l2_cache_miss", "l2_cache_mpki", "total_l2_cache_misses")]
-
-
 class TestPressureMonitor:
-    @pytest.mark.parametrize("record, rate, total", _SIGNALS)
-    def test_rate_before_window_uses_running_average(self, record, rate, total):
+    """The four rate cases run on each signal: ``l2_tlb`` and ``l2_cache``."""
+
+    @pytest.mark.parametrize("signal", ["l2_tlb", "l2_cache"])
+    def test_rate_before_window_uses_running_average(self, signal):
         monitor = PressureMonitor(window_instructions=1000)
         monitor.record_instructions(100)
-        getattr(monitor, record)(5)
-        assert getattr(monitor, rate) == pytest.approx(50.0)
+        getattr(monitor, f"record_{signal}_miss")(5)
+        assert getattr(monitor, f"{signal}_mpki") == pytest.approx(50.0)
 
-    @pytest.mark.parametrize("record, rate, total", _SIGNALS)
-    def test_rate_after_window(self, record, rate, total):
+    @pytest.mark.parametrize("signal", ["l2_tlb", "l2_cache"])
+    def test_rate_after_window(self, signal):
         monitor = PressureMonitor(window_instructions=100)
         for _ in range(10):
-            getattr(monitor, record)()
+            getattr(monitor, f"record_{signal}_miss")()
         monitor.record_instructions(100)
-        assert getattr(monitor, rate) == pytest.approx(100.0)
+        assert getattr(monitor, f"{signal}_mpki") == pytest.approx(100.0)
 
-    @pytest.mark.parametrize("record, rate, total", _SIGNALS)
-    def test_totals(self, record, rate, total):
+    @pytest.mark.parametrize("signal", ["l2_tlb", "l2_cache"])
+    def test_totals(self, signal):
         monitor = PressureMonitor(window_instructions=100)
-        getattr(monitor, record)(3)
+        getattr(monitor, f"record_{signal}_miss")(3)
         monitor.record_instructions(50)
-        assert getattr(monitor, total) == 3
+        assert getattr(monitor, f"total_{signal}_misses") == 3
         assert monitor.total_instructions == 50
 
-    @pytest.mark.parametrize("record, rate, total", _SIGNALS)
-    def test_zero_instructions_rate_is_zero(self, record, rate, total):
+    @pytest.mark.parametrize("signal", ["l2_tlb", "l2_cache"])
+    def test_zero_instructions_rate_is_zero(self, signal):
         monitor = PressureMonitor()
-        assert getattr(monitor, rate) == 0.0
+        assert getattr(monitor, f"{signal}_mpki") == 0.0
 
     def test_translation_pressure_threshold(self):
         monitor = PressureMonitor(window_instructions=100, tlb_pressure_threshold=5.0)
