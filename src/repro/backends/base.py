@@ -11,9 +11,9 @@ The protocol (see ``docs/backends.md`` for the worked tutorial):
 
 ``translate``
     Resolve one L2-TLB-missing address; returns a :class:`MissResolution`.
-``install``
-    Insert one already-walked translation (used by :meth:`warm_start` to
-    model structures that are warm before the region of interest).
+``install`` / ``warm_start``
+    Insert one already-walked translation, and pre-populate from the page
+    table before the region of interest (structures that are warm there).
 ``invalidate_page`` / ``invalidate_asid`` / ``invalidate_all``
     TLB-maintenance hooks (shootdowns, context switches).  Backends without
     invalidatable state inherit the no-ops.
@@ -77,9 +77,11 @@ class TranslationBackend(ResettableStats):
 
     def warm_start(self, page_table) -> None:
         """Pre-populate from every mapped translation before the region of
-        interest.  Backends that accumulate translations over a process
-        lifetime (POM-TLB, hashed page tables) override ``install`` and get
-        the warm start for free; probe-on-demand backends stay cold."""
+        interest.  The default calls ``install`` once per entry of
+        ``page_table.all_entries()``, building every packed leaf, when a
+        subclass overrides ``install`` (the hashed page table); the POM-TLB
+        backends override ``warm_start`` itself so that they build only
+        the entries they keep.  Probe-on-demand backends stay cold."""
         if type(self).install is not TranslationBackend.install:
             for pte in page_table.all_entries():
                 self.install(pte, pte.asid)

@@ -115,10 +115,10 @@ class POMTLBBackend(TranslationBackend):
         breakdown["walk"] = walk.latency
         return MissResolution(ServedBy.PAGE_WALK, walk.pte, pom_latency + walk.latency, breakdown)
 
-    def install(self, pte, asid: int) -> None:
+    def warm_start(self, page_table) -> None:
         """POM-TLBs accumulate every translation ever walked, so they start
         the region of interest warm (see ``Simulator.prefault``)."""
-        self.pom_tlb.insert(pte, asid)
+        self.pom_tlb.warm_start(page_table)
 
 
 class VictimaBackend(TranslationBackend):

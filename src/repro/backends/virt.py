@@ -140,8 +140,10 @@ class VirtPOMTLBBackend(VirtTranslationBackend):
         return MissResolution(ServedBy.PAGE_WALK, nested.combined_pte,
                               pom_latency + nested.latency, breakdown)
 
-    def install(self, pte, asid: int) -> None:
-        self.pom_tlb.insert(pte, asid)
+    def warm_start(self, page_table) -> None:
+        """The POM-TLB starts warm with the combined (shadow) translations,
+        as on a native machine."""
+        self.pom_tlb.warm_start(page_table)
 
 
 # --------------------------------------------------------------------------- #

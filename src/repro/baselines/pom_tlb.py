@@ -22,7 +22,7 @@ from repro.cache.hierarchy import CacheHierarchy
 from repro.common.addresses import PageSize, is_power_of_two, page_number
 from repro.common.errors import ConfigurationError
 from repro.common.stats import ResettableStats
-from repro.memory.page_table import PageTableEntry
+from repro.memory.page_table import PageTableEntry, RadixPageTable
 from repro.memory.physical import PhysicalMemory
 
 
@@ -134,6 +134,42 @@ class POMTLB(ResettableStats):
         pom_set[key] = pte
         self.stats.insertions += 1
         return evicted
+
+    def warm_start(self, page_table: RadixPageTable) -> None:
+        """Insert every leaf of ``page_table``, in ``all_entries()`` order.
+
+        The POM-TLB ends exactly as after one :meth:`insert` per entry of
+        :meth:`~repro.memory.page_table.RadixPageTable.all_entries`: the same
+        keys in the same order in each set, each holding the page table's
+        own entry, and the same insertion and eviction counts.  The LRU rule
+        runs on the keys of :meth:`~repro.memory.page_table.RadixPageTable.leaves`
+        first, so a packed leaf is built
+        (:meth:`~repro.memory.page_table.RadixPageTable.entry_4k`) only if
+        it stays resident.
+        """
+        sets = self._sets
+        mask = self.num_sets - 1
+        ways = self.associativity
+        asid = page_table.asid
+        evictions = 0
+        inserted = 0
+        for vpn, page_size, pte in page_table.leaves():
+            pom_set = sets[vpn & mask]
+            key = (asid, int(page_size), vpn)
+            if key in pom_set:
+                del pom_set[key]
+            elif len(pom_set) >= ways:
+                del pom_set[next(iter(pom_set))]
+                evictions += 1
+            # A packed leaf's slot holds None until the entry is built below.
+            pom_set[key] = pte
+            inserted += 1
+        for pom_set in sets:
+            for key, pte in pom_set.items():
+                if pte is None:
+                    pom_set[key] = page_table.entry_4k(key[2])
+        self.stats.insertions += inserted
+        self.stats.evictions += evictions
 
     def contains(self, vaddr: int, asid: int) -> bool:
         """Residency check without memory accesses or statistics updates."""

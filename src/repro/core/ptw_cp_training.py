@@ -203,13 +203,15 @@ def build_dataset_from_simulation(workloads: Sequence[str] = ("rnd", "bfs", "xs"
         wl_cfg = make_workload_config(workload, max_refs=max_refs, seed=seed)
         simulator = Simulator.from_configs(sys_cfg, wl_cfg)
         simulator.run()
-        for pte in simulator.system.page_table.all_entries():
+        for _, _, pte in simulator.system.page_table.leaves():
             # Only pages that were actually touched during the window carry a
             # meaningful label; the pre-faulted-but-untouched majority would
-            # otherwise swamp the dataset with all-zero rows.
-            if pte.features.accesses == 0:
+            # otherwise swamp the dataset with all-zero rows.  An untouched
+            # page may have no entry (a packed leaf) or no features yet.
+            features = None if pte is None else pte.counted_features()
+            if features is None or features.accesses == 0:
                 continue
-            rows.append([float(v) for v in pte.features.as_vector()])
+            rows.append([float(v) for v in features.as_vector()])
             costs.append(float(pte.total_ptw_cycles))
     features = np.asarray(rows, dtype=float)
     labels = label_by_cost(np.asarray(costs), costly_fraction)

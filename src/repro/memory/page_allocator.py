@@ -85,12 +85,18 @@ class VirtualMemoryManager:
     # Demand paging
     # ------------------------------------------------------------------ #
     def ensure_mapped(self, vaddr: int) -> PageTableEntry:
-        """Return the PTE covering ``vaddr``, demand-allocating it if needed."""
+        """Return the PTE covering ``vaddr``, demand-allocating it if needed.
+
+        A fault maps a 2 MB page in a region the THP policy decides huge,
+        unless that region's PT node already exists: then it maps a 4 KB
+        page, as Linux does when the PMD already points to a page table, so
+        a 2 MB leaf never hides the node's 4 KB leaves.
+        """
         pte = self.page_table.lookup(vaddr)
         if pte is not None:
             return pte
         self.stats.demand_faults += 1
-        if self._region_is_huge(vaddr):
+        if self._region_is_huge(vaddr) and self.page_table.pt_node(vaddr >> 12) is None:
             page_size = PageSize.SIZE_2M
             self.stats.pages_2m += 1
         else:
@@ -112,16 +118,22 @@ class VirtualMemoryManager:
         allocation-time population of data structures whose first touch we do
         not want to bill as a page fault during the measured region.
 
-        The range is mapped one PT node at a time.  In a region not decided
-        huge whose PT node exists, each run of unmapped pages is mapped in
-        one step: one frame grab, filled straight into the node.  A run of
-        pages already mapped 4 KB is stepped over in one step too, without
-        building their entries (:meth:`RadixPageTable.leaf_run`).  Every
-        other page, such as the first of a region (which creates the node),
-        one in a region decided huge or one a 2 MB page covers, goes through
-        :meth:`ensure_mapped`.  Frames still go out in page order, each
-        page's data frame before any node it needs, so the result is exactly
-        that of one :meth:`ensure_mapped` per page.
+        The range is mapped one PT node at a time.  Where the PT node
+        exists, each run of unmapped pages is mapped in one step: one frame
+        grab, filled straight into the node as packed leaves (a fault there
+        maps a 4 KB page even in a region decided huge, see
+        :meth:`ensure_mapped`).  A run of pages already mapped 4 KB is
+        stepped over in one step too, without building their entries
+        (:meth:`RadixPageTable.leaf_run`).  Every other page, such as the
+        first of a region (which creates the node or maps a 2 MB page) or
+        one a 2 MB page covers, goes through :meth:`ensure_mapped`.  Frames
+        still go out in page order, each page's data frame before any node
+        it needs, so the result is exactly that of one :meth:`ensure_mapped`
+        per page, in order.  Should physical memory run out, the pages
+        before the failing one stay mapped, and a run whose frames do not
+        all fit maps none of its pages
+        (:meth:`~repro.memory.physical.PhysicalMemory.allocate_4k_frames`
+        raises before taking any).
         """
         table = self.page_table
         stats = self.stats
@@ -131,7 +143,7 @@ class VirtualMemoryManager:
         vaddr = start_vaddr
         while vaddr < end:
             vpn = vaddr >> 12
-            count = 0 if self._region_is_huge(vaddr) else table.unmapped_run(vpn, end_vpn)
+            count = table.unmapped_run(vpn, end_vpn)
             if count:
                 frames = self.physical.allocate_4k_frames(count)
                 table.map_4k_run(vpn, [frame >> 12 for frame in frames])

@@ -14,16 +14,17 @@ level 3 is the leaf PT.  2 MB pages terminate the walk at level 2 (the PD).
 A 4 KB leaf written in bulk (:meth:`RadixPageTable.map_4k_run`, the
 prefault path) is stored packed, as its PFN, much as hardware keeps a PTE
 in one 64-bit word: its VPN and entry address follow from its node and
-slot.  Its :class:`PageTableEntry` is built the first time a lookup, walk
-or :meth:`RadixPageTable.all_entries` returns it and then replaces the PFN
-in the slot, so every later read returns the same object.  A pre-faulted
-table thus holds objects only for the pages a run touches.
+slot.  Its :class:`PageTableEntry` is built the first time a lookup, walk,
+:meth:`RadixPageTable.all_entries` or :meth:`RadixPageTable.entry_4k`
+returns it and then replaces the PFN in the slot, so every later read
+returns the same object.  A pre-faulted table thus holds objects only for
+the pages a run touches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.common.addresses import (
     ENTRIES_PER_NODE,
@@ -140,6 +141,17 @@ class PageTableEntry:
         features = PTEFeatures(page_size_is_2m=(self.page_size is PageSize.SIZE_2M))
         self.features = features
         return features
+
+    def counted_features(self) -> Optional[PTEFeatures]:
+        """``features`` if it exists, else ``None``; builds nothing.
+
+        Every counter update goes through ``features``, so ``None`` means
+        that nothing has counted on this entry yet.
+        """
+        try:
+            return PageTableEntry.features.__get__(self)
+        except AttributeError:
+            return None
 
     # Convenience accessors used by the predictor and the MMU ----------------
     @property
@@ -322,7 +334,7 @@ class RadixPageTable:
     # ------------------------------------------------------------------ #
     # Runs of 4 KB pages inside one PT node (bulk prefault)
     # ------------------------------------------------------------------ #
-    def _pt_node(self, vpn: int) -> Optional[_PageTableNode]:
+    def pt_node(self, vpn: int) -> Optional[_PageTableNode]:
         """The PT node holding 4K page ``vpn``'s slot, if it exists and no
         larger page's leaf above it covers that page."""
         vaddr = vpn << 12
@@ -346,7 +358,7 @@ class RadixPageTable:
         """
         index = start = vpn & _INDEX_MASK
         stop = min(start + limit - vpn, ENTRIES_PER_NODE)
-        node = self._pt_node(vpn) if start < stop else None
+        node = self.pt_node(vpn) if start < stop else None
         if node is None:
             return 0
         leaves = node.leaves
@@ -365,7 +377,7 @@ class RadixPageTable:
         """
         index = vpn & _INDEX_MASK
         stop = min(index + limit - vpn, ENTRIES_PER_NODE)
-        node = self._pt_node(vpn) if index < stop else None
+        node = self.pt_node(vpn) if index < stop else None
         run: List[int] = []
         if node is None:
             return run
@@ -392,7 +404,7 @@ class RadixPageTable:
         for vpn in vpns:
             if vpn >> 9 != region:
                 region = vpn >> 9
-                node = self._pt_node(vpn)
+                node = self.pt_node(vpn)
                 if node is not None:
                     leaves, huge_base = node.leaves, None
                 else:
@@ -420,7 +432,7 @@ class RadixPageTable:
         """
         if not pfns:
             return
-        node = self._pt_node(vpn)
+        node = self.pt_node(vpn)
         index = vpn & _INDEX_MASK
         if node is None or index + len(pfns) > ENTRIES_PER_NODE:
             raise ValueError(f"pages 0x{vpn:x}+{len(pfns)} are not in one existing PT node")
@@ -553,6 +565,36 @@ class RadixPageTable:
             entries.extend(leaves.values())
             stack.extend(node.children.values())
         return entries
+
+    def leaves(self) -> Iterator[Tuple[int, PageSize, Optional[PageTableEntry]]]:
+        """Every leaf as ``(vpn, page_size, entry)``, in :meth:`all_entries` order.
+
+        ``entry`` is the leaf's :class:`PageTableEntry` once one has been
+        built, and ``None`` for a packed leaf (always a 4 KB one), which is
+        read as it is: nothing is built.  :meth:`entry_4k` builds it.
+        """
+        stack = [self._root]
+        while stack:
+            node = stack.pop()
+            base_vpn = node.base_vpn
+            for index, leaf in node.leaves.items():
+                if leaf.__class__ is int:
+                    yield base_vpn + index, PageSize.SIZE_4K, None
+                else:
+                    yield leaf.vpn, leaf.page_size, leaf
+            stack.extend(node.children.values())
+
+    def entry_4k(self, vpn: int) -> PageTableEntry:
+        """The entry in 4K page ``vpn``'s leaf slot, built if it is packed.
+
+        This is the slot's own entry, the one :meth:`all_entries` returns;
+        raises ``KeyError`` if the slot or a node above it is missing.
+        """
+        vaddr = vpn << 12
+        node = self._root
+        for shift in _LEVEL_SHIFTS[:LEAF_LEVEL_4K]:
+            node = node.children[(vaddr >> shift) & _INDEX_MASK]
+        return self._entry(node, vpn & _INDEX_MASK)
 
     @property
     def size_bytes(self) -> int:

@@ -204,23 +204,37 @@ class NestedPageTableWalker(ResettableStats):
         returns the number of pages covered.  A run of pages whose guest
         leaves are present 4 KB leaves and whose shadow slots are free in an
         existing shadow PT node is installed in one step
-        (:meth:`ShadowPageTableBuilder.install_run`).  Every other page, such
-        as the first of a region (which creates the shadow node), a 2 MB one
-        or one whose guest leaf is missing, takes the per-page path.
+        (:meth:`ShadowPageTableBuilder.install_run`), its host faults in
+        runs of ``host_vmm.prefault_range``.  A run whose shadow slots are
+        filled, whose guest leaves are 4 KB and whose host frames are all
+        mapped is stepped over without building any entry, since the
+        per-page path would change nothing there.  Every other page, such as
+        the first of a region (which creates the shadow node), a 2 MB one or
+        one whose guest leaf is missing, takes the per-page path.
         """
         guest_table = self.guest_vmm.page_table
+        host_table = self.host_vmm.page_table
         shadow = self.shadow_builder
+        shadow_table = shadow.table
         end = start_gva + size_bytes
         end_vpn = (end + PAGE_SIZE_4K - 1) >> 12  # one past the page holding end - 1
         covered = 0
         gva = start_gva
         while gva < end:
             vpn = gva >> 12
-            guest_pfns = guest_table.leaf_run(vpn, vpn + shadow.table.unmapped_run(vpn, end_vpn))
-            if guest_pfns:
-                shadow.install_run(vpn, guest_pfns, self.host_vmm)
-                covered += len(guest_pfns)
-                gva = (vpn + len(guest_pfns)) << 12
+            free = shadow_table.unmapped_run(vpn, end_vpn)
+            if free:
+                guest_pfns = guest_table.leaf_run(vpn, vpn + free)
+                if guest_pfns:
+                    shadow.install_run(vpn, guest_pfns, self.host_vmm)
+                count = len(guest_pfns)
+            else:
+                filled = len(shadow_table.leaf_run(vpn, end_vpn))
+                host_pfns = host_table.frame_numbers(guest_table.leaf_run(vpn, vpn + filled))
+                count = host_pfns.index(None) if None in host_pfns else len(host_pfns)
+            if count:
+                covered += count
+                gva = (vpn + count) << 12
             else:
                 combined = self.install_shadow_mapping(gva)
                 covered += 1

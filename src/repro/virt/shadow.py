@@ -62,23 +62,35 @@ class ShadowPageTableBuilder:
         :meth:`~repro.memory.page_table.RadixPageTable.unmapped_run` of the
         shadow table.  The host frames are read from the host table without
         building its entries
-        (:meth:`~repro.memory.page_table.RadixPageTable.frame_numbers`); only
-        a guest frame the host has not mapped yet goes through
-        ``host_vmm.ensure_mapped``, in page order, so host faults allocate as
-        one :meth:`install` per page would.  The shadow PT node is then
-        filled in one step, packed.
+        (:meth:`~repro.memory.page_table.RadixPageTable.frame_numbers`).
+        Each maximal run of guest frames that the host has not mapped and
+        that follow one another (``guest_pfns[k + 1] == guest_pfns[k] + 1``)
+        is backed by one ``host_vmm.prefault_range`` call, in page order, so
+        host faults allocate as one :meth:`install` per page would while
+        most become packed host leaves.  The shadow PT node is then filled
+        in one step, packed.  Should a host fault raise, the longest prefix
+        of the pages whose host frames are mapped stays installed.
         """
-        host_pfns = host_vmm.page_table.frame_numbers(guest_pfns)
-        installed = 0
+        host_table = host_vmm.page_table
+        host_pfns = host_table.frame_numbers(guest_pfns)
+        count = len(guest_pfns)
         try:
-            for index, host_pfn in enumerate(host_pfns):
-                if host_pfn is None:
-                    guest_base = guest_pfns[index] << 12
-                    host_pfns[index] = host_vmm.ensure_mapped(guest_base).translate(guest_base) >> 12
-                installed = index + 1
+            start = 0
+            while start < count:
+                if host_pfns[start] is not None:
+                    start += 1
+                    continue
+                stop = start + 1
+                while (stop < count and host_pfns[stop] is None
+                       and guest_pfns[stop] == guest_pfns[stop - 1] + 1):
+                    stop += 1
+                try:
+                    host_vmm.prefault_range(guest_pfns[start] << 12, (stop - start) << 12)
+                finally:
+                    host_pfns[start:stop] = host_table.frame_numbers(guest_pfns[start:stop])
+                start = stop
         finally:
-            # Should a host fault raise, the pages before it stay installed,
-            # as they would with one install per page.
+            installed = host_pfns.index(None) if None in host_pfns else count
             self.table.map_4k_run(vpn, host_pfns[:installed])
             self.installed_pages += installed
 

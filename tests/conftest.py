@@ -91,6 +91,20 @@ def page_table_state(table: RadixPageTable) -> tuple:
     return nodes, table.num_nodes, table.num_leaf_entries
 
 
+def built_entries(table: RadixPageTable) -> int:
+    """How many leaf slots hold a built entry rather than a packed PFN.
+
+    Count before any :func:`page_table_state` call, which builds every
+    entry itself.
+    """
+    built, stack = 0, [table._root]
+    while stack:
+        node = stack.pop()
+        built += sum(leaf.__class__ is not int for leaf in node.leaves.values())
+        stack.extend(node.children.values())
+    return built
+
+
 def allocator_state(physical: PhysicalMemory) -> tuple:
     """The frame allocator's whole state: bump pointer, free lists and counts."""
     return (physical._next_free, list(physical._free_4k), list(physical._free_2m),

@@ -29,6 +29,7 @@ from repro.backends import (
     register_backend,
 )
 from repro.backends import registry
+from repro.common.addresses import PageSize
 from repro.common.errors import ConfigurationError
 from repro.common.stats import ResettableStats, StatsRegistry
 from repro.sim.config import SystemConfig
@@ -368,6 +369,54 @@ class TestHashedPageTableBackend:
         assert table.contains(0x1000, 3)
         assert table.invalidate_page(0x1000, 3) == 1
         assert not table.contains(0x1000, 3)
+
+
+def _pom_state(pom) -> tuple:
+    """Each POM-TLB set's keys in last-touch order, and the counters."""
+    return [list(pom_set) for pom_set in pom._sets], pom.stats
+
+
+class TestPOMTLBWarmStart:
+    """The POM-TLB warm start ends as one ``insert`` per ``all_entries()``
+    entry would, and builds only the entries it keeps."""
+
+    @pytest.mark.parametrize("system", ["pom_tlb", "virt_pom_tlb"])
+    def test_matches_one_insert_per_entry(self, system):
+        # bfs at scale 8: a table of about 36k leaves (the shadow table on
+        # virt_pom_tlb) against an 8,192-entry POM-TLB, so sets evict.
+        spec = {"system": system, "max_refs": 100, "seed": 42, "hardware_scale": 8,
+                "workload": "bfs"}
+        warm, reference = Simulator.from_scenario(spec), Simulator.from_scenario(spec)
+        for simulator in (warm, reference):
+            simulator.system.backend.warm_start = lambda page_table: None
+            simulator.prefault()
+            del simulator.system.backend.warm_start
+        table, reference_table = warm.system.page_table, reference.system.page_table
+        pom, reference_pom = warm.system.backend.pom_tlb, reference.system.backend.pom_tlb
+        leaves = list(table.leaves())
+        kinds = {(size, pte is None) for _, size, pte in leaves}
+        assert kinds == {(PageSize.SIZE_4K, True), (PageSize.SIZE_4K, False),
+                         (PageSize.SIZE_2M, False)}
+        assert len(leaves) > 4 * pom.entries
+        for _ in range(2):  # the second warm start goes into a full POM-TLB
+            packed = {(int(size), vpn) for vpn, size, pte in table.leaves() if pte is None}
+            warm.system.backend.warm_start(table)
+            for pte in reference_table.all_entries():
+                reference_pom.insert(pte, pte.asid)
+            assert _pom_state(pom) == _pom_state(reference_pom)
+            # Only the entries the POM-TLB keeps were built ...
+            kept = {(size, vpn) for pom_set in pom._sets for _, size, vpn in pom_set}
+            assert {(int(size), vpn) for vpn, size, pte in table.leaves()
+                    if pte is None} == packed - kept
+            # ... and each is the page table's own entry.
+            for pom_set in pom._sets:
+                for (_, size, vpn), pte in pom_set.items():
+                    own = (table.entry_4k(vpn) if size == PageSize.SIZE_4K
+                           else table.lookup(vpn << 21))
+                    assert pte is own
+        assert pom.occupancy() == pom.entries
+        assert pom.stats.insertions == 2 * len(leaves)
+        assert pom.stats.evictions > len(leaves)
 
 
 class TestBackendsCLIList:

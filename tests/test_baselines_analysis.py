@@ -22,6 +22,7 @@ from repro.cache.cache import Cache
 from repro.cache.hierarchy import CacheHierarchy
 from repro.common.addresses import PageSize
 from repro.memory.dram import DramModel
+from repro.memory.page_table import RadixPageTable
 from repro.memory.physical import PhysicalMemory
 from repro.sim.presets import make_system_config
 from repro.sim.system import build_system
@@ -85,6 +86,35 @@ class TestPOMTLB:
         pom.insert(pte, asid=0)
         found, _ = pom.lookup((0x3 << 21) + 999, asid=0, hierarchy=make_hierarchy())
         assert found is pte
+
+
+    def test_warm_start_moves_resident_keys_as_insert_does(self):
+        # Twin tables: 4K pages 0x400-0x414 (all but the first packed) and a
+        # 2 MB page, into 4 sets of 4 ways.  Sets 1 and 2 already hold keys
+        # of the table out of order, so the first warm start re-inserts them
+        # while resident; the second one thrashes every set.
+        poms, tables = [], []
+        for _ in range(2):
+            table = RadixPageTable(PhysicalMemory(1 << 30))
+            table.map_page(vpn=0x400, pfn=0x1)
+            table.map_4k_run(0x401, [0x70 + i for i in range(0x14)])
+            table.map_page(vpn=0x3, pfn=0x9, page_size=PageSize.SIZE_2M)
+            pom = POMTLB(PhysicalMemory(1 << 30), entries=16, associativity=4)
+            for vpn in (0x409, 0x401, 0x406):
+                pom.insert(table.lookup(vpn << 12), asid=0)
+            poms.append(pom)
+            tables.append(table)
+        warm, reference = poms
+        for _ in range(2):
+            warm.warm_start(tables[0])
+            for pte in tables[1].all_entries():
+                reference.insert(pte, pte.asid)
+            assert [list(s) for s in warm._sets] == [list(s) for s in reference._sets]
+            assert warm.stats == reference.stats
+        assert (warm.stats.insertions, warm.stats.evictions) == (3 + 2 * 22, 6 + 22)
+        # Pages 0x402-0x404 never stayed resident, so they are still packed.
+        assert {vpn for vpn, _, pte in tables[0].leaves() if pte is None} == {
+            0x402, 0x403, 0x404}
 
 
 class TestLargeTLBs:

@@ -12,8 +12,10 @@ from repro.common.pressure import PressureMonitor
 from repro.core.mlp import MLPClassifier
 from repro.core.ptw_cp import BoundingBox, ComparatorPTWCostPredictor
 from repro.core.ptw_cp_training import (
+    COSTLY_FRACTION,
     FEATURES_NN2,
     PTWCPDataset,
+    build_dataset_from_simulation,
     build_synthetic_dataset,
     decision_region,
     evaluate_predictions,
@@ -30,6 +32,8 @@ from repro.memory.physical import PhysicalMemory
 from repro.mmu.page_walker import PageTableWalker
 from repro.mmu.pwc import PageWalkCaches
 from repro.mmu.tlb import TLB, TLBEntry
+from repro.sim.simulator import Simulator
+from tests.conftest import built_entries
 
 
 # --------------------------------------------------------------------------- #
@@ -154,6 +158,33 @@ class TestTrainingPipeline:
         assert grid.shape == (8, 16)
         assert bool(grid[0, 5]) is False
         assert bool(grid[3, 5]) is True
+
+    def test_simulation_harvest_reads_only_touched_entries(self, monkeypatch):
+        # Each run's page table, with its packed leaves counted as the run ends.
+        runs = []
+        run = Simulator.run
+
+        def run_and_count(simulator):
+            result = run(simulator)
+            table = simulator.system.page_table
+            runs.append((table, table.num_leaf_entries - built_entries(table)))
+            return result
+
+        monkeypatch.setattr(Simulator, "run", run_and_count)
+        dataset = build_dataset_from_simulation(("rnd", "bfs"), max_refs=3000)
+        assert len(runs) == 2 and all(packed > 0 for _, packed in runs)
+        assert [table.num_leaf_entries - built_entries(table) for table, _ in runs] == [
+            packed for _, packed in runs]
+        rows, costs = [], []
+        for table, _ in runs:
+            for pte in table.all_entries():
+                if pte.features.accesses == 0:
+                    continue
+                rows.append(pte.features.as_vector())
+                costs.append(pte.total_ptw_cycles)
+        assert np.array_equal(dataset.features, np.asarray(rows, dtype=float))
+        assert np.array_equal(dataset.labels,
+                              label_by_cost(np.asarray(costs, dtype=float), COSTLY_FRACTION))
 
     def test_dataset_validation(self):
         with pytest.raises(ValueError):

@@ -12,7 +12,7 @@ from repro.memory.page_allocator import VirtualMemoryManager
 from repro.memory.physical import PhysicalMemory
 from repro.mmu.page_walker import PageTableWalker
 from repro.scenario import ScenarioSpec
-from tests.conftest import allocator_state, page_table_state
+from tests.conftest import allocator_state, built_entries, page_table_state
 
 
 class TestPhysicalMemory:
@@ -313,11 +313,34 @@ class TestPackedLeaves:
         pte = table.lookup(0x409 << 12)
         assert table.unmap_page(0x409 << 12) is pte and pte.valid is False
 
+    def test_leaves_follow_all_entries_without_building(self, table):
+        table.map_page(vpn=0x3, pfn=0x40, page_size=PageSize.SIZE_2M)
+        looked_up = table.lookup(0x405 << 12)
+        built = built_entries(table)
+        leaves = list(table.leaves())
+        assert built_entries(table) == built == 3
+        assert [pte for _, _, pte in leaves].count(None) == 0xE
+        entries = table.all_entries()
+        assert [(vpn, size) for vpn, size, _ in leaves] == [
+            (entry.vpn, entry.page_size) for entry in entries]
+        assert all(pte is None or pte is entry for (_, _, pte), entry in zip(leaves, entries))
+        assert looked_up in [pte for _, _, pte in leaves]
+
+    def test_entry_4k_builds_the_slot_entry(self, table):
+        node = table.pt_node(0x400)
+        pte = table.entry_4k(0x406)
+        assert node.leaves[6] is pte and (pte.vpn, pte.pfn) == (0x406, 0x75)
+        assert table.entry_4k(0x406) is pte
+        assert table.lookup(0x406 << 12) is pte
+        assert built_entries(table) == 2
+        with pytest.raises(KeyError):
+            table.entry_4k(0x410)
+
     def test_frame_numbers_read_frames_without_building_entries(self, table):
         table.map_page(vpn=0x3, pfn=0x40, page_size=PageSize.SIZE_2M)  # pages 0x600-0x7FF
         vpns = [0x402, 0x400, 0x7FF, 0x410, 0x601, 0x600, 0x9000, 0x40F, 0x6FF]
         frames = table.frame_numbers(vpns)
-        node = table._pt_node(0x400)
+        node = table.pt_node(0x400)
         assert [type(leaf) for leaf in node.leaves.values()] == [PageTableEntry] + [int] * 0xF
         assert frames == [0x71, 0x1, (0x40 << 9) | 0x1FF, None, (0x40 << 9) | 0x1,
                           0x40 << 9, None, 0x7E, (0x40 << 9) | 0xFF]
@@ -472,6 +495,21 @@ class TestVirtualMemoryManager:
         mapped = vmm_huge.prefault_range(0x0, 4 * PAGE_SIZE_2M)
         assert mapped == 4
 
+    def test_fault_in_a_huge_region_with_a_pt_node_maps_4k(self, vmm_huge):
+        # The region is decided huge, but its PT node already holds a 4 KB
+        # leaf, which a 2 MB leaf at the PD slot would hide.
+        table = vmm_huge.page_table
+        small = table.map_page(vpn=0x4000_5000 >> 12, pfn=0x77)
+        pte = vmm_huge.ensure_mapped(0x4000_0000)
+        assert pte.page_size is PageSize.SIZE_4K
+        assert (vmm_huge.stats.pages_4k, vmm_huge.stats.pages_2m) == (1, 0)
+        assert table.lookup(0x4000_5000) is small and small.valid
+        assert table.lookup(0x4000_0000) is pte
+        assert table.walk(0x4000_5000).pte is small
+        assert table.num_leaf_entries == 2
+        # A huge region without a PT node still takes a 2 MB page.
+        assert vmm_huge.ensure_mapped(0x4020_0000).page_size is PageSize.SIZE_2M
+
     def test_unmap_releases_frame(self, vmm):
         vmm.ensure_mapped(0x7000_0000)
         before = vmm.physical.allocated_4k_frames
@@ -534,16 +572,6 @@ def _vmm_state(vmm: VirtualMemoryManager) -> tuple:
     return (page_table_state(vmm.page_table), allocator_state(vmm.physical), vmm.stats)
 
 
-def _built_entries(table: RadixPageTable) -> int:
-    """How many leaf slots hold a built entry rather than a packed PFN."""
-    built, stack = 0, [table._root]
-    while stack:
-        node = stack.pop()
-        built += sum(leaf.__class__ is not int for leaf in node.leaves.values())
-        stack.extend(node.children.values())
-    return built
-
-
 class TestPrefaultRuns:
     """``prefault_range`` maps a PT node at a time, exactly like the per-page loop."""
 
@@ -572,17 +600,15 @@ class TestPrefaultRuns:
         assert vmm.prefault_range(_START, _SIZE) == covered
         assert vmm.stats.demand_faults == faults
 
-    # Not 1.0: there the first pass maps 2 MB pages over the prepared 4K
-    # pages of huge regions, so a second pass covers fewer pages.
-    @pytest.mark.parametrize("fraction", [0.0, 0.3])
+    @pytest.mark.parametrize("fraction", [0.0, 0.3, 1.0])
     def test_second_pass_builds_no_entries(self, fraction):
         twice, once = _prepared_vmm(fraction), _prepared_vmm(fraction)
         covered = twice.prefault_range(_START, _SIZE)
         assert once.prefault_range(_START, _SIZE) == covered
-        built = _built_entries(twice.page_table)
+        built = built_entries(twice.page_table)
         assert twice.prefault_range(_START, _SIZE) == covered
         # Counted before page_table_state, which builds every entry itself.
-        assert _built_entries(twice.page_table) == built
+        assert built_entries(twice.page_table) == built
         assert _vmm_state(twice) == _vmm_state(once)
 
     def test_out_of_memory_raises_before_mapping_the_run(self):

@@ -7,6 +7,7 @@ from repro.cache.cache import Cache
 from repro.cache.hierarchy import CacheHierarchy
 from repro.cache.replacement import TLBAwareSRRIPPolicy
 from repro.common.addresses import PAGE_SIZE_2M, PAGE_SIZE_4K, PageSize
+from repro.common.errors import OutOfPhysicalMemory
 from repro.common.pressure import PressureMonitor
 from repro.core.ptw_cp import ComparatorPTWCostPredictor
 from repro.core.victima import VictimaController
@@ -19,12 +20,13 @@ from repro.mmu.pwc import PageWalkCaches
 from repro.mmu.tlb import TLB
 from repro.virt.nested import NestedPageTableWalker
 from repro.virt.shadow import ShadowPageTableBuilder
-from tests.conftest import allocator_state, page_table_state, translate_counted
+from tests.conftest import allocator_state, built_entries, page_table_state, translate_counted
 
 BOTH = (PageSize.SIZE_4K, PageSize.SIZE_2M)
 
 
-def make_virt_stack(with_victima=False, shadow_paging=False, guest_huge_fraction=0.0):
+def make_virt_stack(with_victima=False, shadow_paging=False, guest_huge_fraction=0.0,
+                    host_huge_fraction=0.0):
     host_physical = PhysicalMemory(8 << 30)
     guest_physical = PhysicalMemory(8 << 30)
     l1d = Cache("L1D", 1024, 4, 4)
@@ -34,7 +36,8 @@ def make_virt_stack(with_victima=False, shadow_paging=False, guest_huge_fraction
 
     guest_vmm = VirtualMemoryManager(guest_physical, asid=0,
                                      huge_page_fraction=guest_huge_fraction)
-    host_vmm = VirtualMemoryManager(host_physical, asid=0, huge_page_fraction=0.0)
+    host_vmm = VirtualMemoryManager(host_physical, asid=0,
+                                    huge_page_fraction=host_huge_fraction)
     host_walker = PageTableWalker(hierarchy, PageWalkCaches())
     shadow_walker = PageTableWalker(hierarchy, PageWalkCaches())
     shadow_builder = ShadowPageTableBuilder(host_physical, vmid=0)
@@ -101,6 +104,27 @@ class TestShadowBuilder:
     def test_lookup_missing(self):
         builder = ShadowPageTableBuilder(PhysicalMemory(1 << 30), vmid=0)
         assert builder.lookup(0xABC_DEF0) is None
+
+    def test_out_of_memory_installs_the_prefix_the_host_mapped(self):
+        # 512 host frames: the root, 344 taken here and 167 left.
+        host_physical = PhysicalMemory(PAGE_SIZE_2M)
+        host_vmm = VirtualMemoryManager(host_physical, huge_page_fraction=0.0)
+        host_physical.allocate_4k_frames(344)
+        builder = ShadowPageTableBuilder(PhysicalMemory(1 << 30))
+        builder.table.map_page(vpn=0x400, pfn=0x1)  # creates the shadow PT node
+        # Two host runs.  Guest frames 0-99 take 4 + 99 frames (page 0 also
+        # builds three host nodes).  Guest frames 500-599 take 12 frames for
+        # 500-511, 2 for 512 (and its PT node), and then the 87 of 513-599
+        # do not fit in the 50 left, so none of them is taken.
+        guest_pfns = list(range(100)) + list(range(500, 600))
+        with pytest.raises(OutOfPhysicalMemory):
+            builder.install_run(0x401, guest_pfns, host_vmm)
+        frames = host_vmm.page_table.frame_numbers(guest_pfns)
+        assert None not in frames[:113] and set(frames[113:]) == {None}
+        assert builder.installed_pages == 113
+        assert [builder.lookup((0x401 + i) << 12).pfn for i in range(113)] == frames[:113]
+        assert builder.lookup((0x401 + 113) << 12) is None
+        assert builder.table.num_leaf_entries == 114
 
 
 class TestNestedWalker:
@@ -233,7 +257,7 @@ def _page(region: int, page: int) -> int:
     return _BASE + region * PAGE_SIZE_2M + page * PAGE_SIZE_4K
 
 
-def _prepared_walker() -> NestedPageTableWalker:
+def _prepared_walker(host_fraction: float = 0.0) -> NestedPageTableWalker:
     """A nested walker whose guest range is prefaulted with mixed page sizes.
 
     The guest maps a few pages past the range's end.  One guest page of the
@@ -241,7 +265,8 @@ def _prepared_walker() -> NestedPageTableWalker:
     and the host backs only the first half of guest memory, so the shadow
     install has to fault in host pages as it goes.
     """
-    _, walker, _, _ = make_virt_stack(guest_huge_fraction=0.3)
+    _, walker, _, _ = make_virt_stack(guest_huge_fraction=0.3,
+                                      host_huge_fraction=host_fraction)
     guest = walker.guest_vmm
     guest.prefault_range(_START, _END - _START + 3 * PAGE_SIZE_4K)
     guest.unmap(_page(4, 100))
@@ -260,11 +285,25 @@ def _walker_state(walker: NestedPageTableWalker) -> tuple:
 class TestShadowRangeInstall:
     """``install_shadow_range`` is one ``install_shadow_mapping`` per page."""
 
-    def test_matches_per_page_install(self):
-        runs, single = _prepared_walker(), _prepared_walker()
+    @pytest.mark.parametrize("host_fraction", [0.0, 0.3])
+    def test_matches_per_page_install(self, host_fraction):
+        runs, single = _prepared_walker(host_fraction), _prepared_walker(host_fraction)
         assert _walker_state(runs) == _walker_state(single)
-        host_faults = runs.host_vmm.stats.demand_faults
+        host = runs.host_vmm
+        host_faults, host_2m = host.stats.demand_faults, host.stats.pages_2m
+        mapped = {(vpn, size) for vpn, size, _ in host.page_table.leaves()}
+        # Host pages that an ensure_mapped call returns, whoever calls it.
+        per_page = set()
+        ensure_mapped = host.ensure_mapped
+
+        def spy(vaddr):
+            pte = ensure_mapped(vaddr)
+            per_page.add((pte.vpn, pte.page_size))
+            return pte
+
+        host.ensure_mapped = spy
         covered = runs.install_shadow_range(_START, _END - _START)
+        del host.ensure_mapped
         pages = 0
         gva = _START
         while gva < _END:
@@ -272,20 +311,31 @@ class TestShadowRangeInstall:
             gva = (combined.vpn + 1) << combined.page_size.offset_bits
             pages += 1
         assert covered == pages
+        # The other host faults took prefault_range's runs: packed leaves.
+        # Checked before _walker_state, whose page_table_state builds them.
+        in_runs = [pte for vpn, size, pte in host.page_table.leaves()
+                   if (vpn, size) not in mapped | per_page]
+        assert len(in_runs) > 100 and set(in_runs) == {None}
         assert _walker_state(runs) == _walker_state(single)
         # The range really mixed page sizes and made the host fault.
         sizes = {pte.page_size for pte in runs.shadow_builder.table.all_entries()}
         assert sizes == set(BOTH)
         assert runs.host_vmm.stats.demand_faults > host_faults
+        assert (host.stats.pages_2m > host_2m) == (host_fraction > 0)
         assert runs.shadow_builder.lookup(_END - 1) is not None
         assert runs.shadow_builder.lookup(_END - 1 + PAGE_SIZE_4K) is None
 
     def test_second_install_covers_the_same_pages_and_adds_none(self):
-        walker = _prepared_walker()
-        covered = walker.install_shadow_range(_START, _END - _START)
-        installed = walker.shadow_builder.installed_pages
-        assert walker.install_shadow_range(_START, _END - _START) == covered
-        assert walker.shadow_builder.installed_pages == installed
+        twice, once = _prepared_walker(), _prepared_walker()
+        covered = twice.install_shadow_range(_START, _END - _START)
+        assert once.install_shadow_range(_START, _END - _START) == covered
+        tables = (twice.guest_vmm.page_table, twice.host_vmm.page_table,
+                  twice.shadow_builder.table)
+        built = [built_entries(table) for table in tables]
+        assert twice.install_shadow_range(_START, _END - _START) == covered
+        # Counted before _walker_state, whose page_table_state builds every entry.
+        assert [built_entries(table) for table in tables] == built
+        assert _walker_state(twice) == _walker_state(once)
 
 
 class TestVirtualizedMMU:
