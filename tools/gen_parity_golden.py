@@ -36,8 +36,10 @@ Golden keys read ``<preset>/<N>core`` or ``<preset>/<N>core/<variant>``:
 ``bfs``
     The ``bfs`` workload instead of ``rnd``.  Its data regions end mid-page
     and mid-2 MB region (the vertex array is 24,000,000 B), which ``rnd``'s
-    whole-2 MB regions never do; on virtualized presets this covers the
-    unaligned ends of the guest, host and shadow prefault.
+    whole-2 MB regions never do; on the virtualized presets
+    (``nested_paging/1core/bfs``, ``ideal_shadow/1core/bfs``,
+    ``virt_victima/1core/bfs`` and ``virt_pom_tlb/1core/bfs``) this covers
+    the unaligned ends of the guest, host and shadow prefault.
 
 The same run also rewrites ``tests/data/hotpath_golden.json``, which
 ``tests/test_hotpath.py`` pins: the runs (built by :func:`hotpath_simulator`)
@@ -123,7 +125,7 @@ ENGINE_KEYS = ("radix/3core/idle", "victima/1core/no_warmup",
                "victima/2core/no_warmup")
 
 VIRT_BFS_KEYS = ("nested_paging/1core/bfs", "ideal_shadow/1core/bfs",
-                 "virt_victima/1core/bfs")
+                 "virt_victima/1core/bfs", "virt_pom_tlb/1core/bfs")
 
 
 #: Every native preset the paper evaluates, plus the hashed page table.
