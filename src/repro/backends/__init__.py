@@ -6,7 +6,7 @@ resolve backends through it.  ``docs/backends.md`` is the tutorial for
 writing and registering a new one.
 """
 
-from repro.backends.base import MissResolution, TranslationBackend
+from repro.backends.base import BuildContext, MissResolution, TranslationBackend
 from repro.backends.registry import (
     BackendSpec,
     available_backends,
@@ -22,21 +22,15 @@ from repro.backends import hash_pt as _hash_pt  # noqa: F401  (registration)
 from repro.backends.hash_pt import HashedPageTable, HashedPageTableBackend
 from repro.backends.native import (
     L3TLBBackend,
-    NativeBuildContext,
     POMTLBBackend,
     RadixBackend,
     VictimaBackend,
 )
-from repro.backends.virt import (
-    NestedPagingBackend,
-    ShadowPagingBackend,
-    VirtBuildContext,
-    VirtPOMTLBBackend,
-    VirtVictimaBackend,
-)
+from repro.backends.virt import ShadowPagingBackend
 
 __all__ = [
     "BackendSpec",
+    "BuildContext",
     "MissResolution",
     "TranslationBackend",
     "available_backends",
@@ -46,12 +40,7 @@ __all__ = [
     "L3TLBBackend",
     "POMTLBBackend",
     "VictimaBackend",
-    "NativeBuildContext",
-    "NestedPagingBackend",
     "ShadowPagingBackend",
-    "VirtPOMTLBBackend",
-    "VirtVictimaBackend",
-    "VirtBuildContext",
     "HashedPageTable",
     "HashedPageTableBackend",
 ]

@@ -1,4 +1,4 @@
-"""The :class:`TranslationBackend` interface.
+"""The :class:`TranslationBackend` interface and the :class:`BuildContext`.
 
 A *translation backend* is the structure (or structure combination) that
 resolves an L2 TLB miss — the part of the machine the paper's comparison
@@ -6,17 +6,21 @@ matrix varies while everything above it (L1/L2 TLBs, caches, workloads) stays
 fixed.  The MMU (:class:`repro.mmu.mmu.MMU`, native and virtualized alike)
 dispatches every L2 TLB miss to ``backend.translate(...)`` instead of
 branching over hard-wired ``victima``/``l3_tlb``/``pom_tlb`` attributes.
+One backend class serves a mechanism on both kinds of machine: what differs
+is the walker its build hook receives (:class:`BuildContext`).
 
 The protocol (see ``docs/backends.md`` for the worked tutorial):
 
 ``translate``
     Resolve one L2-TLB-missing address; returns a :class:`MissResolution`.
-``install`` / ``warm_start``
-    Insert one already-walked translation, and pre-populate from the page
-    table before the region of interest (structures that are warm there).
+``warm_start``
+    Pre-populate from the page table before the region of interest
+    (structures that are warm there); the default does nothing.
 ``invalidate_page`` / ``invalidate_asid`` / ``invalidate_all``
-    TLB-maintenance hooks (shootdowns, context switches).  Backends without
-    invalidatable state inherit the no-ops.
+    TLB-maintenance hooks (shootdowns, context switches), called only on
+    backends with neither a Victima controller nor an L3 TLB (maintenance
+    reaches those two directly).  Backends without invalidatable state
+    inherit the no-ops.
 ``reset_stats``
     The :class:`~repro.common.stats.ResettableStats` contract; backends own
     no counters themselves (their structures register individually), so the
@@ -27,11 +31,47 @@ The protocol (see ``docs/backends.md`` for the worked tutorial):
 
 from __future__ import annotations
 
-from typing import Dict, NamedTuple
+from dataclasses import dataclass
+from typing import Dict, NamedTuple, Optional
 
 from repro.common.stats import ResettableStats
 from repro.memory.page_table import PageTableEntry
 from repro.mmu.mmu import ServedBy
+
+
+@dataclass
+class BuildContext:
+    """What the system factory hands a backend spec's build hooks.
+
+    ``build`` gets one context per core.  Its ``walker`` resolves the core's
+    L2 TLB misses by walking ``page_table``: natively the core's radix walker
+    over the process's table, on a virtualized machine the machine's nested
+    walker over the guest's table.  Both walkers take
+    ``walk(page_table, vaddr)`` and return a result with ``pte``, ``latency``
+    and ``breakdown``.  Structures that hold the TLBs' own entries (Victima's
+    TLB blocks, ideal shadow paging) also get that table as ``tlb_table``, a
+    one-dimensional walker over it as ``tlb_walker`` and, on a virtualized
+    machine, the host's table as ``host_page_table``; natively the first two
+    are ``page_table`` and ``walker``, and the last is ``None``.
+
+    ``shared`` carries the structure the spec's ``build_shared`` hook built
+    once for the machine (e.g. the in-memory POM-TLB), or ``None``.  That
+    hook runs before any core exists, so its context holds only ``config``
+    and ``physical``; each core's backend passes its own hierarchy to the
+    shared structure on every probe.
+    """
+
+    config: object                    # SystemConfig
+    physical: object                  # PhysicalMemory (the host's, if virtualized)
+    core_id: Optional[int] = None
+    hierarchy: object = None          # CacheHierarchy (this core's)
+    pressure: object = None           # PressureMonitor (this core's)
+    walker: object = None             # resolves this core's L2 TLB misses
+    page_table: object = None         # the table ``walker`` walks
+    tlb_table: object = None          # the table whose entries the TLBs cache
+    tlb_walker: object = None         # a one-dimensional walker over ``tlb_table``
+    host_page_table: object = None    # the host's table (virtualized only)
+    shared: Optional[object] = None
 
 
 class MissResolution(NamedTuple):
@@ -71,20 +111,11 @@ class TranslationBackend(ResettableStats):
         raise NotImplementedError
 
     # -- population ---------------------------------------------------- #
-    def install(self, pte: PageTableEntry, asid: int) -> None:
-        """Install one translation into the backend's structure (no-op
-        default: hardware-walked backends have nothing to pre-populate)."""
-
     def warm_start(self, page_table) -> None:
         """Pre-populate from every mapped translation before the region of
-        interest.  The default calls ``install`` once per entry of
-        ``page_table.all_entries()``, building every packed leaf, when a
-        subclass overrides ``install`` (the hashed page table); the POM-TLB
-        backends override ``warm_start`` itself so that they build only
-        the entries they keep.  Probe-on-demand backends stay cold."""
-        if type(self).install is not TranslationBackend.install:
-            for pte in page_table.all_entries():
-                self.install(pte, pte.asid)
+        interest.  Structures that accumulate translations over a process
+        lifetime (the POM-TLB, the hashed page table) override this;
+        probe-on-demand backends stay cold."""
 
     # -- invalidation (TLB maintenance) -------------------------------- #
     def invalidate_page(self, vaddr: int, asid: int) -> int:

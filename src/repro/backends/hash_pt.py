@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from repro.backends.base import MissResolution, TranslationBackend
+from repro.backends.base import BuildContext, MissResolution, TranslationBackend
 from repro.backends.registry import BackendSpec, register_backend
 from repro.common.addresses import PageSize, page_number
 from repro.common.errors import ConfigurationError
@@ -225,9 +225,11 @@ class HashedPageTableBackend(TranslationBackend):
         return MissResolution(ServedBy.PAGE_WALK, walk.pte,
                               probe_latency + walk.latency, breakdown)
 
-    def install(self, pte, asid: int) -> None:
-        """The hashed table mirrors the OS page table, so it starts warm."""
-        self.hash_pt.insert(pte, asid)
+    def warm_start(self, page_table) -> None:
+        """The hashed table mirrors the OS page table, so it starts warm:
+        one ``insert`` per entry of ``page_table.all_entries()``, in order."""
+        for pte in page_table.all_entries():
+            self.hash_pt.insert(pte, pte.asid)
 
     def invalidate_page(self, vaddr: int, asid: int) -> int:
         return self.hash_pt.invalidate_page(vaddr, asid)
@@ -242,14 +244,14 @@ class HashedPageTableBackend(TranslationBackend):
 # --------------------------------------------------------------------------- #
 # Registration
 # --------------------------------------------------------------------------- #
-def _make_table(ctx) -> HashedPageTable:
+def _make_table(ctx: BuildContext) -> HashedPageTable:
     return HashedPageTable(ctx.physical,
                            entries=ctx.config.hash_pt.entries,
                            bucket_slots=ctx.config.hash_pt.bucket_slots,
                            entry_size_bytes=ctx.config.hash_pt.entry_size_bytes)
 
 
-def _build_hash_pt(ctx) -> HashedPageTableBackend:
+def _build_hash_pt(ctx: BuildContext) -> HashedPageTableBackend:
     return HashedPageTableBackend(ctx.shared, ctx.hierarchy, ctx.walker, ctx.page_table)
 
 

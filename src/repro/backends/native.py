@@ -1,20 +1,21 @@
-"""Native-execution translation backends (Radix, L3 TLB, POM-TLB, Victima).
+"""Translation backends for native and virtualized machines (Radix, L3 TLB,
+POM-TLB, Victima).
 
-Each class here is the body of one branch of the historical
-``MMU._resolve_miss`` — moved, not rewritten, so every latency and
-side-effect order is preserved (pinned bit-identical by
-``tests/test_backends.py``); the MMU, which also serves virtualized
-machines, counts each miss by its reported source.  The module registers one :class:`BackendSpec`
-per evaluated native system; the build hooks reproduce exactly the
-construction the system factory used to hard-code.
+Each class resolves an L2 TLB miss with one mechanism, on either kind of
+machine: its build hook gets the miss walker from the :class:`BuildContext`,
+the core's radix walker over the process's table on a native machine or the
+machine's nested walker over the guest's table on a virtualized one, where
+the entries are combined guest-virtual → host-physical translations.  Every
+latency and side-effect order is pinned bit-identical by
+``tests/test_backends.py``; the MMU counts each miss by its reported source.
+The module registers one :class:`BackendSpec` per evaluated native system;
+:mod:`repro.backends.virt` registers the virtualized systems, three of them
+over the build hooks here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional
-
-from repro.backends.base import MissResolution, TranslationBackend
+from repro.backends.base import BuildContext, MissResolution, TranslationBackend
 from repro.backends.registry import BackendSpec, register_backend
 from repro.baselines.pom_tlb import POMTLB
 from repro.core.ptw_cp import BoundingBox, ComparatorPTWCostPredictor
@@ -23,34 +24,8 @@ from repro.mmu.mmu import ServedBy
 from repro.mmu.tlb import TLB
 
 
-@dataclass
-class NativeBuildContext:
-    """What the system factory hands a native backend's build hooks.
-
-    ``build`` gets one context per core: ``core_id`` names the core and
-    ``shared`` carries the structure the spec's ``build_shared`` hook built
-    once for the machine (e.g. the in-memory POM-TLB), or ``None``.  That
-    hook runs before any core exists, so its context has no ``core_id``,
-    ``hierarchy``, ``pressure`` or ``walker``; each core's backend passes
-    its own hierarchy to the shared structure on every probe.
-    """
-
-    config: object            # SystemConfig
-    physical: object          # PhysicalMemory
-    hierarchy: object         # CacheHierarchy (this core's)
-    pressure: object          # PressureMonitor (this core's)
-    walker: object            # PageTableWalker (this core's)
-    memory_manager: object    # VirtualMemoryManager (shared address space)
-    core_id: Optional[int] = None
-    shared: Optional[object] = None
-
-    @property
-    def page_table(self):
-        return self.memory_manager.page_table
-
-
 class RadixBackend(TranslationBackend):
-    """Four-level radix walk: the baseline (and every large-L2-TLB system)."""
+    """A page walk on every L2 TLB miss: the radix baseline, or nested paging."""
 
     def __init__(self, walker, page_table):
         self.walker = walker
@@ -58,8 +33,7 @@ class RadixBackend(TranslationBackend):
 
     def translate(self, vaddr: int, asid: int) -> MissResolution:
         walk = self.walker.walk(self.page_table, vaddr)
-        breakdown: Dict[str, int] = {"walk": walk.latency}
-        return MissResolution(ServedBy.PAGE_WALK, walk.pte, walk.latency, breakdown)
+        return MissResolution(ServedBy.PAGE_WALK, walk.pte, walk.latency, walk.breakdown)
 
 
 class L3TLBBackend(TranslationBackend):
@@ -71,26 +45,15 @@ class L3TLBBackend(TranslationBackend):
         self.page_table = page_table
 
     def translate(self, vaddr: int, asid: int) -> MissResolution:
-        breakdown: Dict[str, int] = {}
         l3_latency = self.l3_tlb.latency
+        breakdown = {"l3_tlb": l3_latency}
         entry = self.l3_tlb.lookup(vaddr, asid)
         if entry is not None:
-            breakdown["l3_tlb"] = l3_latency
             return MissResolution(ServedBy.L3_TLB, entry.pte, l3_latency, breakdown)
         walk = self.walker.walk(self.page_table, vaddr)
         self.l3_tlb.insert(walk.pte, asid)
-        breakdown["l3_tlb"] = l3_latency
-        breakdown["walk"] = walk.latency
+        breakdown.update(walk.breakdown)
         return MissResolution(ServedBy.PAGE_WALK, walk.pte, l3_latency + walk.latency, breakdown)
-
-    def invalidate_page(self, vaddr: int, asid: int) -> int:
-        return self.l3_tlb.invalidate_page(vaddr, asid)
-
-    def invalidate_asid(self, asid: int) -> int:
-        return self.l3_tlb.invalidate_asid(asid)
-
-    def invalidate_all(self) -> int:
-        return self.l3_tlb.invalidate_all()
 
 
 class POMTLBBackend(TranslationBackend):
@@ -105,19 +68,20 @@ class POMTLBBackend(TranslationBackend):
         self.page_table = page_table
 
     def translate(self, vaddr: int, asid: int) -> MissResolution:
-        breakdown: Dict[str, int] = {}
         pom_pte, pom_latency = self.pom_tlb.lookup(vaddr, asid, self.hierarchy)
-        breakdown["stlb"] = pom_latency
+        breakdown = {"stlb": pom_latency}
         if pom_pte is not None:
             return MissResolution(ServedBy.POM_TLB, pom_pte, pom_latency, breakdown)
         walk = self.walker.walk(self.page_table, vaddr)
         self.pom_tlb.insert(walk.pte, asid)
-        breakdown["walk"] = walk.latency
+        breakdown.update(walk.breakdown)
         return MissResolution(ServedBy.PAGE_WALK, walk.pte, pom_latency + walk.latency, breakdown)
 
     def warm_start(self, page_table) -> None:
         """POM-TLBs accumulate every translation ever walked, so they start
-        the region of interest warm (see ``Simulator.prefault``)."""
+        the region of interest warm (see ``Simulator.prefault``) with the
+        entries of the table the TLBs cache: the combined (shadow) table on
+        a virtualized machine."""
         self.pom_tlb.warm_start(page_table)
 
 
@@ -130,41 +94,30 @@ class VictimaBackend(TranslationBackend):
         self.page_table = page_table
 
     def translate(self, vaddr: int, asid: int) -> MissResolution:
-        breakdown: Dict[str, int] = {}
         # Probe the L2 cache for a TLB block in parallel with starting the
         # walk (Figure 17).  On a hit the walk is aborted; on a miss the
         # probe is fully overlapped with the walk, so only the walk's
         # latency appears on the critical path.
         block_pte, probe_latency = self.victima.probe(vaddr, asid)
         if block_pte is not None:
-            breakdown["l2_cache"] = probe_latency
-            return MissResolution(ServedBy.VICTIMA_BLOCK, block_pte, probe_latency, breakdown)
+            return MissResolution(ServedBy.VICTIMA_BLOCK, block_pte, probe_latency,
+                                  {"l2_cache": probe_latency})
         walk = self.walker.walk(self.page_table, vaddr)
-        breakdown["walk"] = walk.latency
         self.victima.on_l2_tlb_miss(walk.pte)
-        return MissResolution(ServedBy.PAGE_WALK, walk.pte, walk.latency, breakdown)
+        return MissResolution(ServedBy.PAGE_WALK, walk.pte, walk.latency, walk.breakdown)
 
     def on_l2_tlb_eviction(self, evicted) -> None:
         self.victima.on_l2_tlb_eviction(evicted)
 
-    def invalidate_page(self, vaddr: int, asid: int) -> int:
-        return self.victima.invalidate_page(vaddr, asid)
-
-    def invalidate_asid(self, asid: int) -> int:
-        return self.victima.invalidate_asid(asid)
-
-    def invalidate_all(self) -> int:
-        return self.victima.invalidate_all()
-
 
 # --------------------------------------------------------------------------- #
-# Build hooks (one per evaluated native system)
+# Build hooks (one per mechanism)
 # --------------------------------------------------------------------------- #
-def _build_radix(ctx: NativeBuildContext) -> RadixBackend:
+def _build_radix(ctx: BuildContext) -> RadixBackend:
     return RadixBackend(ctx.walker, ctx.page_table)
 
 
-def _build_l3_tlb(ctx: NativeBuildContext) -> L3TLBBackend:
+def _build_l3_tlb(ctx: BuildContext) -> L3TLBBackend:
     tlb_config = ctx.config.mmu.l3_tlb
     l3_tlb = TLB(f"L3-TLB-c{ctx.core_id}", entries=tlb_config.entries,
                  associativity=tlb_config.associativity,
@@ -172,27 +125,28 @@ def _build_l3_tlb(ctx: NativeBuildContext) -> L3TLBBackend:
     return L3TLBBackend(l3_tlb, ctx.walker, ctx.page_table)
 
 
-def _make_pom_tlb(ctx) -> POMTLB:
+def _make_pom_tlb(ctx: BuildContext) -> POMTLB:
     return POMTLB(ctx.physical, entries=ctx.config.pom_tlb.entries,
                   associativity=ctx.config.pom_tlb.associativity,
                   entry_size_bytes=ctx.config.pom_tlb.entry_size_bytes)
 
 
-def _build_pom_tlb(ctx: NativeBuildContext) -> POMTLBBackend:
+def _build_pom_tlb(ctx: BuildContext) -> POMTLBBackend:
     return POMTLBBackend(ctx.shared, ctx.hierarchy, ctx.walker, ctx.page_table)
 
 
-def _build_victima(ctx: NativeBuildContext) -> VictimaBackend:
+def _build_victima(ctx: BuildContext) -> VictimaBackend:
     victima_config = ctx.config.victima
     predictor = ComparatorPTWCostPredictor(BoundingBox(
         min_frequency=victima_config.predictor_min_frequency,
         min_cost=victima_config.predictor_min_cost))
     victima = VictimaController(
         l2_cache=ctx.hierarchy.l2,
-        page_table=ctx.page_table,
-        walker=ctx.walker,
+        page_table=ctx.tlb_table,
+        walker=ctx.tlb_walker,
         predictor=predictor,
         pressure=ctx.pressure,
+        host_page_table=ctx.host_page_table,
         insert_on_miss=victima_config.insert_on_miss,
         insert_on_eviction=victima_config.insert_on_eviction,
         use_predictor=victima_config.use_predictor,

@@ -39,10 +39,13 @@ class BackendSpec:
     """Everything the rest of the stack needs to know about one backend.
 
     ``build(context)`` assembles the backend for one core of a machine;
-    ``build_shared(context)`` — optional, native backends only — builds the
-    structure a machine instantiates *once* and shares across its cores
+    ``build_shared(context)`` — optional — builds the structure a machine,
+    native or virtualized, instantiates *once* and shares across its cores
     (e.g. the in-memory POM-TLB), which every core's ``build`` then receives
-    via ``context.shared``.
+    via ``context.shared``.  Both take a
+    :class:`~repro.backends.base.BuildContext`.  On a virtualized machine its
+    miss walker is the nested walker, so a virtualized spec can reuse a
+    native spec's hooks.
     """
 
     #: Registry key: the preset/scenario name that selects the backend and

@@ -30,6 +30,11 @@ class PTWResult:
     pwc_hit_level: Optional[int]
     background: bool = False
 
+    @property
+    def breakdown(self) -> Dict[str, int]:
+        """The walk's share of a miss's latency breakdown."""
+        return {"walk": self.latency}
+
 
 @dataclass
 class PTWStats:

@@ -23,10 +23,11 @@ Virtualized execution (Figure 27):
     * ``ideal_shadow`` — ideal shadow paging.
     * ``virt_victima`` — Victima caching both TLB and nested TLB blocks.
 
-Any other name falls through to the translation-backend registry
-(:mod:`repro.backends`): every registered backend name — e.g. ``hash_pt``,
-the hashed-page-table baseline — is a valid system name here, in scenarios
-and on the ``repro run`` command line.  See ``docs/backends.md``.
+``radix``, ``nested_paging`` and any name not listed fall through to the
+translation-backend registry (:mod:`repro.backends`): every registered
+backend name — e.g. ``hash_pt``, the hashed-page-table baseline — is a valid
+system name here, in scenarios and on the ``repro run`` command line.  See
+``docs/backends.md``.
 """
 
 from __future__ import annotations
@@ -93,9 +94,6 @@ def make_system_config(name: str, l3_latency: Optional[int] = None,
         config.kind = "large_l2_tlb"
         config.label = f"{'Opt.' if flavour == 'opt' else 'Real.'} L2 TLB {size_token}K"
         config.mmu.l2_tlb = TLBConfig(entries, 16, latency, BOTH_PAGE_SIZES)
-    elif name == "radix":
-        config.kind = "radix"
-        config.label = "Radix"
     elif name in ("opt_l3tlb_64k", "l3_tlb"):
         config.kind = "l3_tlb"
         config.label = "Opt. L3 TLB 64K"
@@ -122,9 +120,6 @@ def make_system_config(name: str, l3_latency: Optional[int] = None,
             config.victima = VictimaConfig(insert_on_miss=False)
         elif name != "victima":
             raise ConfigurationError(f"unknown Victima variant: {name!r}")
-    elif name == "nested_paging":
-        config.kind = "nested_paging"
-        config.label = "Nested Paging"
     elif name == "virt_pom_tlb":
         config.kind = "virt_pom_tlb"
         config.label = "POM-TLB (virtualized)"
@@ -138,9 +133,10 @@ def make_system_config(name: str, l3_latency: Optional[int] = None,
         config.l2_cache.replacement_policy = "tlb_aware_srrip"
     else:
         # Fall through to the backend registry: any registered backend name
-        # (e.g. ``hash_pt``, or one registered by downstream code) is a valid
-        # preset.  ``get_backend`` raises a ConfigurationError listing every
-        # registered name when the lookup fails.
+        # (``radix``, ``nested_paging``, ``hash_pt``, or one registered by
+        # downstream code) is a valid preset.  ``get_backend`` raises a
+        # ConfigurationError listing every registered name when the lookup
+        # fails.
         from repro.backends import get_backend
         spec = get_backend(name)
         config.kind = spec.name

@@ -6,14 +6,16 @@ corresponding row of Table 3 describes.  The machine holds physical memory,
 DRAM, the LLC, one address space with its page table (the tenants a
 multi-core scenario pins to cores are isolated by disjoint virtual-address
 slots, exactly like single-core mixes), the structure a backend spec's
-``build_shared`` hook builds once (the POM-TLB or the hashed page table)
-and, on a virtualized machine, the guest and host memory managers, the
-shadow-table builder and the nested walker.  Each core owns its L1-D and L2
-caches, TLB hierarchy, page-walk caches, walker, pressure monitor and
-translation backend (:func:`_build_native_core`,
+``build_shared`` hook builds once, after the page-table roots (the POM-TLB
+or the hashed page table), and, on a virtualized machine, the guest and
+host memory managers, the shadow-table builder and the nested walker.  Each
+core owns its L1-D and L2 caches, TLB hierarchy, page-walk caches, walker,
+pressure monitor and translation backend (:func:`_build_native_core`,
 :func:`_build_virtualized_core`); a core's backend passes that core's cache
-hierarchy to the shared structure on every probe.  A single-core machine is
-a machine with one core.
+hierarchy to the shared structure on every probe.  Both kinds of core hand
+the backend's build hook one :class:`~repro.backends.base.BuildContext`,
+whose miss walker is the core's radix walker or the machine's nested
+walker.  A single-core machine is a machine with one core.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.backends import NativeBuildContext, VirtBuildContext, get_backend
+from repro.backends import BuildContext, get_backend
 from repro.cache.cache import Cache
 from repro.cache.hierarchy import CacheHierarchy
 from repro.cache.prefetcher import IPStridePrefetcher, Prefetcher, StreamPrefetcher
@@ -223,14 +225,12 @@ def build_system(config: SystemConfig, huge_page_fraction: float = 0.3) -> Syste
         else:
             system.memory_manager = VirtualMemoryManager(
                 physical, asid=0, huge_page_fraction=huge_page_fraction)
-            # The once-per-machine backend structure (e.g. the shared POM-TLB,
-            # which reserves its contiguous physical region once, after the
-            # page-table root).
-            if spec.build_shared is not None:
-                system.shared = spec.build_shared(NativeBuildContext(
-                    config=config, physical=physical, hierarchy=None,
-                    pressure=None, walker=None,
-                    memory_manager=system.memory_manager))
+        # The once-per-machine backend structure (e.g. the shared POM-TLB,
+        # which reserves its contiguous physical region once, after the
+        # page-table roots).
+        if spec.build_shared is not None:
+            system.shared = spec.build_shared(BuildContext(config=config,
+                                                           physical=physical))
 
     build_core = _build_virtualized_core if spec.virtualized else _build_native_core
     for core_id in range(config.num_cores):
@@ -252,17 +252,20 @@ def _build_native_core(system: System, core_id: int, hierarchy: CacheHierarchy,
 
     The registry supplies the translation backend ``config.kind`` names; its
     build hook constructs whatever structures the mechanism needs (Victima
-    controller, L3 TLB, ...) and receives the machine's ``build_shared``
-    structure, if any, as ``ctx.shared``.
+    controller, L3 TLB, ...) over the core's radix walker and the process's
+    page table, and receives the machine's ``build_shared`` structure, if
+    any, as ``ctx.shared``.
     """
     config = system.config
     pwcs = _make_pwcs(config)
     walker = PageTableWalker(hierarchy, pwcs)
+    page_table = system.memory_manager.page_table
     spec = get_backend(config.kind)
-    backend = spec.build(NativeBuildContext(
-        config=config, physical=system.physical, hierarchy=hierarchy,
-        pressure=pressure, walker=walker, memory_manager=system.memory_manager,
-        core_id=core_id, shared=system.shared))
+    backend = spec.build(BuildContext(
+        config=config, physical=system.physical, core_id=core_id,
+        hierarchy=hierarchy, pressure=pressure, walker=walker,
+        page_table=page_table, tlb_table=page_table, tlb_walker=walker,
+        shared=system.shared))
     backend.name = spec.name
 
     tlbs = _make_tlbs(config, core_id)
@@ -280,31 +283,33 @@ def _build_virtualized_core(system: System, core_id: int, hierarchy: CacheHierar
 
     Guest page-table nodes live in guest-physical memory, and the nested
     walker translates every guest-physical access through the host
-    dimension.  The backend's build hook runs first (the virtualized POM-TLB
-    reserves its host-physical region here); the nested walker is built
-    afterwards, because it takes the backend's Victima controller, and is
-    then bound to the backend.  The MMU is the one a native core builds, given
-    the guest's memory manager, which demand-maps the guest page of each L2
-    TLB miss.
+    dimension.  The backend's build hook gets that walker and the guest's
+    table where a native core passes its radix walker and the process's
+    table, and the combined (shadow) table as the table the TLBs cache.  A
+    Victima controller also serves the nested walker's nested TLB blocks, so
+    the walker takes it once the backend is built.  The MMU is the one a
+    native core builds, given the guest's memory manager, which demand-maps
+    the guest page of each L2 TLB miss.
     """
     config = system.config
     host_pwcs = _make_pwcs(config)
     host_walker = PageTableWalker(hierarchy, host_pwcs)
     shadow_walker = PageTableWalker(hierarchy, _make_pwcs(config))
     nested_tlb = _make_tlb(f"Nested-TLB-c{core_id}", config.mmu.nested_tlb)
-    spec = get_backend(config.kind)
-    backend = spec.build(VirtBuildContext(
-        config=config, physical=system.physical, hierarchy=hierarchy,
-        pressure=pressure, shadow_builder=system.shadow_builder,
-        shadow_walker=shadow_walker, host_vmm=system.host_memory_manager))
-    backend.name = spec.name
-
-    system.nested_walker = NestedPageTableWalker(
+    nested_walker = system.nested_walker = NestedPageTableWalker(
         guest_vmm=system.memory_manager, host_vmm=system.host_memory_manager,
         host_walker=host_walker, nested_tlb=nested_tlb, hierarchy=hierarchy,
-        shadow_builder=system.shadow_builder, guest_pwcs=_make_pwcs(config),
-        victima=backend.victima, vmid=0)
-    backend.bind(system.nested_walker)
+        shadow_builder=system.shadow_builder, guest_pwcs=_make_pwcs(config), vmid=0)
+    spec = get_backend(config.kind)
+    backend = spec.build(BuildContext(
+        config=config, physical=system.physical, core_id=core_id,
+        hierarchy=hierarchy, pressure=pressure, walker=nested_walker,
+        page_table=system.memory_manager.page_table,
+        tlb_table=system.shadow_builder.table, tlb_walker=shadow_walker,
+        host_page_table=system.host_memory_manager.page_table,
+        shared=system.shared))
+    backend.name = spec.name
+    nested_walker.victima = backend.victima
 
     tlbs = _make_tlbs(config, core_id)
     mmu = MMU(*tlbs, system.memory_manager, pressure, backend, asid=0)

@@ -14,13 +14,13 @@ completed host walks insert nested TLB blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.cache.hierarchy import CacheHierarchy
 from repro.common.addresses import PAGE_SIZE_4K
 from repro.common.stats import ResettableStats
 from repro.memory.page_allocator import VirtualMemoryManager
-from repro.memory.page_table import PageTableEntry
+from repro.memory.page_table import PageTableEntry, RadixPageTable
 from repro.mmu.page_walker import PageTableWalker
 from repro.mmu.pwc import PageWalkCaches
 from repro.mmu.tlb import TLB
@@ -29,9 +29,13 @@ from repro.virt.shadow import ShadowPageTableBuilder
 
 @dataclass
 class NestedWalkResult:
-    """Outcome of one two-dimensional (guest × host) walk."""
+    """Outcome of one two-dimensional (guest × host) walk.
 
-    combined_pte: PageTableEntry
+    ``pte`` is the combined guest-virtual → host-physical entry the walk
+    installed in the shadow table: the one the TLBs cache.
+    """
+
+    pte: PageTableEntry
     guest_pte: PageTableEntry
     latency: int
     guest_latency: int
@@ -39,6 +43,11 @@ class NestedWalkResult:
     guest_memory_accesses: int
     host_walks: int
     dram_accesses: int
+
+    @property
+    def breakdown(self) -> Dict[str, int]:
+        """The walk's share of a miss's latency breakdown, per dimension."""
+        return {"guest": self.guest_latency, "host": self.host_latency}
 
 
 @dataclass
@@ -121,10 +130,14 @@ class NestedPageTableWalker(ResettableStats):
     # ------------------------------------------------------------------ #
     # The 2-D walk itself
     # ------------------------------------------------------------------ #
-    def walk(self, gva: int) -> NestedWalkResult:
-        """Perform a full nested walk for guest-virtual address ``gva``."""
-        guest_pte_functional = self.guest_vmm.ensure_mapped(gva)
-        guest_table = self.guest_vmm.page_table
+    def walk(self, guest_table: RadixPageTable, gva: int) -> NestedWalkResult:
+        """Perform a full nested walk of ``guest_table``, the guest's page
+        table, for guest-virtual address ``gva``.
+
+        Takes the arguments a :class:`PageTableWalker` takes, so a backend
+        resolves its misses through either walker the same way.
+        """
+        self.guest_vmm.ensure_mapped(gva)  # demand-map the guest page
         path = guest_table.walk(gva)
         leaf_level = path.steps[-1].level
 
@@ -167,7 +180,7 @@ class NestedPageTableWalker(ResettableStats):
         combined.record_walk(total_latency, dram_accesses, 1 if pwc_hit is not None else 0)
 
         result = NestedWalkResult(
-            combined_pte=combined,
+            pte=combined,
             guest_pte=guest_pte,
             latency=total_latency,
             guest_latency=guest_latency,

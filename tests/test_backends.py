@@ -273,8 +273,9 @@ class TestResettableStats:
         Probe()  # outside any active registry: constructible, unregistered
         assert len(registry) == 1
 
-    @pytest.mark.parametrize("num_cores", [1, 2])
-    @pytest.mark.parametrize("name", ["pom_tlb", "hash_pt"])
+    @pytest.mark.parametrize("name, num_cores", [
+        ("pom_tlb", 1), ("pom_tlb", 2), ("hash_pt", 1), ("hash_pt", 2),
+        ("virt_pom_tlb", 1)])
     def test_multicore_cores_carry_private_registries(self, name, num_cores):
         system = build_system(make_system_config(
             name, hardware_scale=HARDWARE_SCALE, num_cores=num_cores))
@@ -289,8 +290,9 @@ class TestResettableStats:
                  if isinstance(component, type(shared))]
         assert len(built) == 1 and built[0] is shared
         assert shared in system.stats_registry.components()
+        attribute = "hash_pt" if name == "hash_pt" else "pom_tlb"
         for core in system.cores:
-            assert getattr(core.backend, name) is shared
+            assert getattr(core.backend, attribute) is shared
 
     @pytest.mark.parametrize("num_cores", [1, 2])
     @pytest.mark.parametrize("warmup_fraction, resets", [(0.25, 1), (0.0, 0)])
@@ -309,6 +311,46 @@ class TestResettableStats:
                             lambda: calls.append(1) or reset_all())
         sim.run()
         assert len(calls) == resets
+
+
+class TestBuild:
+    """What the system factory builds, where, and what it leaves to look up."""
+
+    def test_virtualized_pom_tlb_is_reserved_after_the_roots(self):
+        # The host's root and the shadow table's root take the first two
+        # host frames; the POM-TLB's region then starts at the next 2 MB.
+        system = build_system(make_system_config("virt_pom_tlb",
+                                                 hardware_scale=HARDWARE_SCALE))
+        pom = system.backend.pom_tlb
+        assert system.host_memory_manager.page_table.root_paddr == 0x0
+        assert system.shadow_builder.table.root_paddr == 0x1000
+        assert pom.base_paddr == 0x200000
+        assert system.physical.reserved_regions == [(0x200000, pom.size_bytes, "pom-tlb")]
+
+    @pytest.mark.parametrize("name", ["radix", "opt_l3tlb_64k", "pom_tlb", "victima",
+                                      "hash_pt", "nested_paging", "virt_pom_tlb",
+                                      "virt_victima"])
+    def test_a_wrapper_put_on_walk_after_the_build_sees_every_walk(self, name):
+        # A tracer wraps a walker's ``walk`` on the built instance, so the
+        # backends must look it up on every miss.
+        sim = Simulator.from_scenario({
+            "system": name, "max_refs": 600, "seed": 42,
+            "hardware_scale": HARDWARE_SCALE, "warmup_fraction": 0.0,
+            "workload": "rnd"})
+        system = sim.system
+        walker = system.nested_walker or system.cores[0].walker
+        seen = []
+        walk = walker.walk
+
+        def wrapped(*args, **kwargs):
+            seen.append(args)
+            return walk(*args, **kwargs)
+
+        walker.walk = wrapped
+        sim.run()
+        stats = walker.stats
+        counted = stats.walks + getattr(stats, "background_walks", 0)
+        assert stats.walks > 0 and len(seen) == counted
 
 
 class TestHashedPageTableBackend:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.backends import NestedPagingBackend, ShadowPagingBackend, VirtVictimaBackend
+from repro.backends import RadixBackend, ShadowPagingBackend, VictimaBackend
 from repro.cache.cache import Cache
 from repro.cache.hierarchy import CacheHierarchy
 from repro.cache.replacement import TLBAwareSRRIPPolicy
@@ -56,18 +56,18 @@ def make_virt_stack(with_victima=False, shadow_paging=False, guest_huge_fraction
         nested_tlb=nested_tlb, hierarchy=hierarchy, shadow_builder=shadow_builder,
         victima=victima, vmid=0)
 
+    # The native backends over the nested walker and the guest's table.
     if shadow_paging:
-        backend = ShadowPagingBackend(shadow_walker)
+        backend = ShadowPagingBackend(nested_walker, shadow_walker, shadow_builder.table)
     elif victima is not None:
-        backend = VirtVictimaBackend(victima)
+        backend = VictimaBackend(victima, nested_walker, guest_vmm.page_table)
     else:
-        backend = NestedPagingBackend()
+        backend = RadixBackend(nested_walker, guest_vmm.page_table)
     mmu = MMU(
         l1_dtlb_4k=TLB("L1D-4K", 8, 4, 1, (PageSize.SIZE_4K,)),
         l1_dtlb_2m=TLB("L1D-2M", 8, 4, 1, (PageSize.SIZE_2M,)),
         l2_tlb=TLB("L2-TLB", 48, 12, 12, BOTH),
-        memory_manager=guest_vmm, pressure=pressure,
-        backend=backend.bind(nested_walker))
+        memory_manager=guest_vmm, pressure=pressure, backend=backend)
     return mmu, nested_walker, shadow_builder, victima
 
 
@@ -130,23 +130,23 @@ class TestShadowBuilder:
 class TestNestedWalker:
     def test_walk_counts_host_walks(self):
         _, walker, _, _ = make_virt_stack()
-        result = walker.walk(0x1234_5000)
+        result = walker.walk(walker.guest_vmm.page_table, 0x1234_5000)
         assert result.host_walks >= 1
         assert result.guest_memory_accesses == 4
         assert result.latency == result.guest_latency + result.host_latency
-        assert result.combined_pte.translate(0x1234_5000) >= 0
+        assert result.pte.translate(0x1234_5000) >= 0
 
     def test_nested_tlb_reduces_host_walks(self):
         _, walker, _, _ = make_virt_stack()
-        first = walker.walk(0x1234_5000)
-        second = walker.walk(0x1234_5000)
+        first = walker.walk(walker.guest_vmm.page_table, 0x1234_5000)
+        second = walker.walk(walker.guest_vmm.page_table, 0x1234_5000)
         assert second.host_walks <= first.host_walks
         assert walker.stats.nested_tlb_hits > 0
 
     def test_walks_accumulate_stats(self):
         _, walker, _, _ = make_virt_stack()
-        walker.walk(0x1000)
-        walker.walk(0x2000_0000)
+        walker.walk(walker.guest_vmm.page_table, 0x1000)
+        walker.walk(walker.guest_vmm.page_table, 0x2000_0000)
         assert walker.stats.walks == 2
         assert walker.stats.mean_latency > 0
 
@@ -159,11 +159,11 @@ class TestNestedWalker:
     def test_victima_nested_blocks_skip_host_walks(self):
         _, walker, _, victima = make_virt_stack(with_victima=True)
         gpa_probe_target = None
-        first = walker.walk(0x5000_0000)
+        first = walker.walk(walker.guest_vmm.page_table, 0x5000_0000)
         assert victima.stats.nested_insertions > 0
         # Clear the nested TLB so the next walk must use the nested TLB blocks.
         walker.nested_tlb.invalidate_all()
-        second = walker.walk(0x5000_0000)
+        second = walker.walk(walker.guest_vmm.page_table, 0x5000_0000)
         assert second.host_walks < first.host_walks or victima.stats.nested_block_hits > 0
 
 
@@ -227,7 +227,7 @@ class TestNestedWalkLength:
             hierarchy=hierarchy,
             shadow_builder=ShadowPageTableBuilder(host_physical, vmid=0),
             guest_pwcs=_FixedPWCs(guest_pwc_hit))
-        result = walker.walk(0x1234_5000)
+        result = walker.walk(walker.guest_vmm.page_table, 0x1234_5000)
         return result, len(reads), host_walker.stats
 
     def test_cold_walk_reads_24_entries(self):
@@ -340,7 +340,7 @@ class TestShadowRangeInstall:
 
 class TestVirtualizedMMU:
     """The MMU on a virtualized machine: the guest's memory manager and a
-    virtualized backend bound to the nested walker."""
+    backend over the nested walker."""
 
     def test_nested_paging_translation(self):
         mmu, nested_walker, _, _ = make_virt_stack()
