@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.common.addresses import PAGE_SIZE_2M, PAGE_SIZE_4K, PageSize
+from repro.common.errors import OutOfPhysicalMemory
 from repro.memory.page_table import PageTableEntry, RadixPageTable
 from repro.memory.physical import PhysicalMemory
 
@@ -91,20 +92,32 @@ class VirtualMemoryManager:
         unless that region's PT node already exists: then it maps a 4 KB
         page, as Linux does when the PMD already points to a page table, so
         a 2 MB leaf never hides the node's 4 KB leaves.
+
+        The data frame goes out before any node the page needs.  Should a
+        node not fit, the frame goes back, the fault is not counted and the
+        error propagates; the nodes built before it stay.
         """
         pte = self.page_table.lookup(vaddr)
         if pte is not None:
             return pte
-        self.stats.demand_faults += 1
         if self._region_is_huge(vaddr) and self.page_table.pt_node(vaddr >> 12) is None:
             page_size = PageSize.SIZE_2M
-            self.stats.pages_2m += 1
         else:
             page_size = PageSize.SIZE_4K
-            self.stats.pages_4k += 1
         offset_bits = page_size.offset_bits
         frame = self.physical.allocate_frame(page_size)
-        return self.page_table.map_page(vaddr >> offset_bits, frame >> offset_bits, page_size)
+        try:
+            pte = self.page_table.map_page(vaddr >> offset_bits, frame >> offset_bits,
+                                           page_size)
+        except OutOfPhysicalMemory:
+            self.physical.free_frame(frame, page_size)
+            raise
+        self.stats.demand_faults += 1
+        if page_size is PageSize.SIZE_2M:
+            self.stats.pages_2m += 1
+        else:
+            self.stats.pages_4k += 1
+        return pte
 
     def translate(self, vaddr: int) -> int:
         """Functional virtual-to-physical translation with demand paging."""

@@ -510,6 +510,23 @@ class TestVirtualMemoryManager:
         # A huge region without a PT node still takes a 2 MB page.
         assert vmm_huge.ensure_mapped(0x4020_0000).page_size is PageSize.SIZE_2M
 
+    def test_fault_that_runs_out_of_memory_takes_no_frame(self):
+        # 512 frames: the root, 509 taken here and two left.  The fault takes
+        # the data frame, then the PDPT node; the PD node does not fit.
+        physical = PhysicalMemory(PAGE_SIZE_2M)
+        vmm = VirtualMemoryManager(physical, huge_page_fraction=0.0)
+        taken = len(physical.allocate_4k_frames(509))
+        with pytest.raises(OutOfPhysicalMemory):
+            vmm.ensure_mapped(0x1000)
+        table = vmm.page_table
+        assert (vmm.stats.demand_faults, vmm.stats.pages_4k, vmm.stats.pages_2m) == (0, 0, 0)
+        assert vmm.footprint_bytes == 0
+        assert table.num_leaf_entries == 0 and table.lookup(0x1000) is None
+        # The data frame went back; the new PDPT node stays, as the pages
+        # before a failing one stay in ``prefault_range``.
+        assert table.num_nodes == 2
+        assert physical.allocated_4k_frames == taken + table.num_nodes
+
     def test_unmap_releases_frame(self, vmm):
         vmm.ensure_mapped(0x7000_0000)
         before = vmm.physical.allocated_4k_frames
