@@ -25,7 +25,7 @@ from repro.mmu.tlb import TLB
 
 
 class RadixBackend(TranslationBackend):
-    """A page walk on every L2 TLB miss: the radix baseline, or nested paging."""
+    """A walk on every L2 TLB miss: radix, every large-L2-TLB system, nested paging."""
 
     def __init__(self, walker, page_table):
         self.walker = walker
