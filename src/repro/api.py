@@ -12,8 +12,9 @@ the examples — ultimately runs simulations through two functions:
     scenario's :meth:`~repro.scenario.ScenarioSpec.content_hash`.
 
 :func:`compare`
-    Run a ``systems × workloads`` matrix through the parallel execution
-    engine and return ``{workload: {system: result}}``.
+    Run a ``systems × workloads`` matrix as one
+    :func:`~repro.experiments.engine.run_many` batch and return
+    ``{workload: {system: result}}``.
 
 Scenarios with ``num_cores > 1`` run on the same engine, one workload per
 core: the same :func:`simulate` call returns a result carrying per-core
@@ -121,9 +122,10 @@ def compare(systems: Sequence[str], workloads: Optional[Iterable[str]] = None,
     A façade over :func:`repro.experiments.runner.run_matrix`: ``systems`` are
     preset names (see :func:`repro.sim.presets.make_system_config`),
     ``workloads`` defaults to the settings' workload tuple (all 11 evaluated
-    workloads unless ``REPRO_WORKLOADS`` narrows them), ``jobs`` selects the
-    serial or process-pool engine, and ``system_overrides`` are forwarded to
-    the preset factory (e.g. ``l3_latency=25``).
+    workloads unless ``REPRO_WORKLOADS`` narrows them), ``jobs`` is the
+    number of worker processes the batch runs on (1: in-process), and
+    ``system_overrides`` are forwarded to the preset factory (e.g.
+    ``l3_latency=25``).
 
     >>> from repro import api
     >>> from repro.experiments.runner import ExperimentSettings

@@ -25,8 +25,6 @@ The protocol (see ``docs/backends.md`` for the worked tutorial):
     The :class:`~repro.common.stats.ResettableStats` contract; backends own
     no counters themselves (their structures register individually), so the
     default is a no-op.
-``describe``
-    One human-readable line for ``repro backends list`` and the registry.
 """
 
 from __future__ import annotations
@@ -139,7 +137,3 @@ class TranslationBackend(ResettableStats):
     def reset_stats(self) -> None:
         """Backends hold no counters of their own; their structures
         (POM-TLB, Victima controller, ...) register individually."""
-
-    def describe(self) -> str:
-        """One line for ``repro backends list``."""
-        return type(self).__doc__.splitlines()[0] if type(self).__doc__ else ""

@@ -10,12 +10,12 @@ This is the entry point both humans and CI use to reproduce the paper::
     repro run --scenario examples/scenarios/two_tenant_mix.toml
     repro backends list                # registered translation backends
 
-``repro run`` executes the selected experiments through the parallel
-execution engine (:mod:`repro.experiments.engine`): ``--jobs N`` fans the
-underlying simulation runs out across *N* worker processes, ``--jobs auto``
-uses one per CPU, and ``--jobs 1`` (the default when ``REPRO_JOBS`` is unset)
-runs serially.  Results are cached in ``REPRO_CACHE_DIR`` (``--cache-dir``) so
-repeated and concurrent invocations share completed runs.
+``repro run`` runs each selected experiment's simulations as one batch
+through :func:`repro.experiments.engine.run_many`: ``--jobs N`` runs them on
+a shared pool of *N* worker processes, ``--jobs auto`` uses one per CPU, and
+``--jobs 1`` (the default when ``REPRO_JOBS`` is unset) runs them in-process.
+Results are cached in ``REPRO_CACHE_DIR`` (``--cache-dir``) so repeated and
+concurrent invocations share completed runs.
 
 ``repro run --scenario REF`` instead runs one (or several, with repeated
 flags) declarative scenarios through :func:`repro.api.simulate` — ``REF`` is
@@ -92,7 +92,7 @@ def run_experiments(selected: Sequence[Tuple[str, Callable]],
                     jobs=None,
                     quiet: bool = False,
                     stream=None) -> List[FigureResult]:
-    """Run experiments through the engine, printing each table as it lands."""
+    """Run experiments, printing each table as it lands."""
     stream = stream or sys.stdout
     results: List[FigureResult] = []
     total = len(selected)
@@ -350,7 +350,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             "--sample-stride/--sample-warmup apply to --scenario runs only "
             "(figure experiments always simulate in full detail)")
     selected = select_experiments(args.figures)
-    # jobs stays a raw string/None here; resolve_jobs (via the engine)
+    # jobs stays a raw string/None here; resolve_jobs (via run_many)
     # understands both, so there is exactly one parser for N / 'auto'.
     jobs = args.jobs
     resolved = resolve_jobs(jobs)

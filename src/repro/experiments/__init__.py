@@ -9,7 +9,8 @@ EXPERIMENTS.md.
 
 Modules
 -------
-* :mod:`repro.experiments.engine` — serial / process-pool execution backends.
+* :mod:`repro.experiments.engine` — :func:`run_many`, the one way a batch of
+  runs executes (in-process, or on a shared process pool).
 * :mod:`repro.experiments.runner` — settings, caching and the shared run matrix.
 * :mod:`repro.experiments.motivation` — Figures 4, 5, 9, 10, 11 (Section 3).
 * :mod:`repro.experiments.large_tlbs` — Figures 6, 7, 8 (Section 3.1).
@@ -20,15 +21,7 @@ Modules
 * :mod:`repro.experiments.overheads` — Section 7 (area and power).
 """
 
-from repro.experiments.engine import (
-    ExecutionEngine,
-    ProcessPoolEngine,
-    RunSpec,
-    SerialEngine,
-    get_engine,
-    resolve_jobs,
-    run_many,
-)
+from repro.experiments.engine import resolve_jobs, run_many
 from repro.experiments.runner import ExperimentSettings, FigureResult, clear_cache
 from repro.experiments.motivation import (
     fig04_ptw_latency,
@@ -87,11 +80,6 @@ __all__ = [
     "FigureResult",
     "clear_cache",
     "ALL_EXPERIMENTS",
-    "ExecutionEngine",
-    "SerialEngine",
-    "ProcessPoolEngine",
-    "RunSpec",
-    "get_engine",
     "resolve_jobs",
     "run_many",
     *[name for name in dir() if name.startswith(("fig", "table2", "sec7"))],

@@ -5,8 +5,13 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.analysis.metrics import arithmetic_mean, geometric_mean, percent_reduction
-from repro.experiments.engine import RunSpec, run_many
-from repro.experiments.runner import ExperimentSettings, FigureResult, run_matrix, run_one
+from repro.experiments.engine import run_many
+from repro.experiments.runner import (
+    ExperimentSettings,
+    FigureResult,
+    run_matrix,
+    scenario_for_run,
+)
 
 #: L2 cache sizes swept by Figure 25 (bytes, before hardware scaling).
 L2_CACHE_SIZES = (1 * 1024 * 1024, 2 * 1024 * 1024, 4 * 1024 * 1024, 8 * 1024 * 1024)
@@ -16,24 +21,22 @@ def fig25_cache_size_sweep(settings: Optional[ExperimentSettings] = None,
                            jobs: Optional[int] = None) -> FigureResult:
     """Figure 25: Victima's PTW reduction across L2 cache sizes (1-8 MB)."""
     settings = settings or ExperimentSettings()
-    # Dispatch the whole (workload x cache size) sweep in one batch; the loops
-    # below are then served from the in-process cache.
-    specs = [RunSpec.make("radix", workload) for workload in settings.workloads]
-    specs += [RunSpec.make("victima", workload,
-                           system_label=f"Victima (L2 {size >> 20}MB)",
-                           l2_cache_bytes=size)
+    # The whole (workload x cache size) sweep plus the baseline is one batch;
+    # the cells are read in spec order.
+    specs = [scenario_for_run("radix", workload, settings)
+             for workload in settings.workloads]
+    specs += [scenario_for_run("victima", workload, settings,
+                               system_label=f"Victima (L2 {size >> 20}MB)",
+                               l2_cache_bytes=size)
               for workload in settings.workloads for size in L2_CACHE_SIZES]
-    run_many(specs, settings, jobs=jobs)
+    sweep = iter(run_many(specs, jobs=jobs))
+    baselines = [next(sweep) for _ in settings.workloads]
     rows = []
     means = {size: [] for size in L2_CACHE_SIZES}
-    for workload in settings.workloads:
-        baseline = run_one("radix", workload, settings)
+    for workload, baseline in zip(settings.workloads, baselines):
         row = [workload]
         for size in L2_CACHE_SIZES:
-            label = f"Victima (L2 {size >> 20}MB)"
-            result = run_one("victima", workload, settings, l2_cache_bytes=size,
-                             system_label=label)
-            reduction = percent_reduction(baseline.page_walks, result.page_walks)
+            reduction = percent_reduction(baseline.page_walks, next(sweep).page_walks)
             means[size].append(reduction)
             row.append(round(reduction, 1))
         rows.append(row)

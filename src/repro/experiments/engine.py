@@ -1,24 +1,28 @@
-"""Parallel experiment execution engine.
+"""Batch execution of simulation runs.
 
 Every experiment in this repository ultimately reduces to a list of
-``(system, workload, overrides)`` simulation runs.  This module provides the
-machinery to execute such a list either serially (in-process) or fanned out
-across a :class:`concurrent.futures.ProcessPoolExecutor`, with
+:class:`~repro.scenario.ScenarioSpec` runs (see
+:func:`repro.experiments.runner.scenario_for_run`).  :func:`run_many` is the
+one way such a batch runs:
 
+* **run deduplication** — specs are grouped by
+  :meth:`~repro.scenario.ScenarioSpec.content_hash`, so a run submitted
+  twice in one batch is simulated once and its repeats report ``cache``;
+* **cache integration** — runs already memoised in-process are never
+  re-simulated, and results computed by pool workers are seeded back into
+  the parent's in-process cache (workers additionally share the on-disk
+  cache when ``REPRO_CACHE_DIR`` is set, see :mod:`repro.experiments.runner`);
 * **deterministic result ordering** — results come back in the order the
   specs were submitted, regardless of which worker finished first;
-* **run deduplication** — identical specs in one submission are executed once;
-* **cache integration** — runs already memoised in-process are never
-  re-dispatched, and results computed by workers are seeded back into the
-  parent's in-process cache (workers additionally share the on-disk cache when
-  ``REPRO_CACHE_DIR`` is set, see :mod:`repro.experiments.runner`);
 * **per-run progress/timing reporting** via a callback (enabled on stderr by
-  setting ``REPRO_PROGRESS=1``);
-* **graceful fallback to serial execution** when ``jobs=1``, when only one
-  unique run is pending, or when the platform cannot start a process pool.
+  setting ``REPRO_PROGRESS=1``).
 
-The backend is selected by the ``jobs`` argument, defaulting to the
-``REPRO_JOBS`` environment variable (``1`` = serial, ``N`` = pool of *N*
+The unique pending runs go through :func:`repro.api.simulate`: on a shared
+:class:`concurrent.futures.ProcessPoolExecutor` when more than one worker is
+asked for and more than one run is pending, and otherwise in-process — which
+is also the fallback when the platform cannot start worker processes.  The
+worker count comes from the ``jobs`` argument, defaulting to the
+``REPRO_JOBS`` environment variable (``1`` = in-process, ``N`` = pool of *N*
 workers, ``auto``/``0`` = one worker per CPU).
 """
 
@@ -28,47 +32,20 @@ import atexit
 import os
 import sys
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.common.errors import ConfigurationError
+from repro.scenario import ScenarioSpec
 
 __all__ = [
-    "RunSpec",
     "RunProgress",
-    "ExecutionEngine",
-    "SerialEngine",
-    "ProcessPoolEngine",
     "resolve_jobs",
-    "get_engine",
     "run_many",
     "shutdown_pools",
 ]
-
-
-@dataclass(frozen=True)
-class RunSpec:
-    """One simulation run: a named system, a workload and config overrides."""
-
-    system_name: str
-    workload: str
-    system_label: Optional[str] = None
-    overrides: Tuple[Tuple[str, object], ...] = ()
-
-    @classmethod
-    def make(cls, system_name: str, workload: str,
-             system_label: Optional[str] = None, **overrides) -> "RunSpec":
-        return cls(system_name=system_name, workload=workload,
-                   system_label=system_label,
-                   overrides=tuple(sorted(overrides.items())))
-
-    def describe(self) -> str:
-        parts = [f"{self.system_name}/{self.workload}"]
-        if self.overrides:
-            parts.append(",".join(f"{k}={v}" for k, v in self.overrides))
-        return " ".join(parts)
 
 
 @dataclass(frozen=True)
@@ -77,14 +54,16 @@ class RunProgress:
 
     completed: int
     total: int
-    spec: RunSpec
+    spec: ScenarioSpec
     seconds: float
     backend: str
     from_cache: bool = False
 
     def format(self) -> str:
         origin = "cache" if self.from_cache else self.backend
-        return (f"[{self.completed}/{self.total}] {self.spec.describe()} "
+        overrides = ",".join(f"{k}={v}" for k, v in self.spec.system_overrides)
+        run = f"{self.spec.name} {overrides}" if overrides else self.spec.name
+        return (f"[{self.completed}/{self.total}] {run} "
                 f"({self.seconds:.2f}s, {origin})")
 
 
@@ -103,7 +82,7 @@ def resolve_jobs(jobs: Union[int, str, None] = None) -> int:
     """Resolve the worker count from an explicit argument or ``REPRO_JOBS``.
 
     ``None`` falls back to the environment variable; an unset/empty variable
-    means serial execution.  ``jobs`` may also be a string (as typed on a
+    means in-process execution.  ``jobs`` may also be a string (as typed on a
     command line or in the environment): ``"auto"`` — like the integer ``0``
     — selects one worker per CPU, anything else must parse as an integer.
     """
@@ -128,72 +107,31 @@ def resolve_jobs(jobs: Union[int, str, None] = None) -> int:
     return jobs
 
 
-def _execute_spec(spec: RunSpec, settings) -> object:
-    """Run one spec through the shared runner (used by both backends).
-
-    Module-level so that it is picklable by :class:`ProcessPoolExecutor`
-    workers under any start method.
-    """
-    from repro.experiments import runner
-
-    return runner.run_one(spec.system_name, spec.workload, settings,
-                          system_label=spec.system_label,
-                          **dict(spec.overrides))
-
-
-def _timed_execute(spec: RunSpec, settings,
-                   cache_dir: Optional[str]) -> Tuple[object, float]:
-    """Worker entry point: execute one spec and report its wall-clock cost.
+def _timed_simulate(spec: ScenarioSpec,
+                    cache_dir: Optional[str]) -> Tuple[object, float]:
+    """Worker entry point: simulate one spec and report its wall-clock cost.
 
     ``cache_dir`` is the parent's ``REPRO_CACHE_DIR`` at submit time.  It is
-    re-applied here because shared pools outlive individual engine calls:
-    a worker spawned before the parent changed its cache configuration would
+    re-applied here because shared pools outlive individual batches: a
+    worker spawned before the parent changed its cache configuration would
     otherwise keep using the environment it inherited at fork/spawn time.
     """
+    from repro import api
+
     if cache_dir is None:
         os.environ.pop("REPRO_CACHE_DIR", None)
     else:
         os.environ["REPRO_CACHE_DIR"] = cache_dir
     start = time.perf_counter()
-    result = _execute_spec(spec, settings)
+    result = api.simulate(spec)
     return result, time.perf_counter() - start
 
 
-class ExecutionEngine:
-    """Executes a list of :class:`RunSpec` and returns results in order."""
-
-    backend = "serial"
-
-    def run(self, specs: Sequence[RunSpec], settings,
-            progress: Optional[ProgressCallback] = None) -> List[object]:
-        raise NotImplementedError
-
-
-class SerialEngine(ExecutionEngine):
-    """In-process execution; identical to the historical nested-loop path."""
-
-    backend = "serial"
-
-    def run(self, specs: Sequence[RunSpec], settings,
-            progress: Optional[ProgressCallback] = None) -> List[object]:
-        progress = progress or _default_progress()
-        results: List[object] = []
-        total = len(specs)
-        for index, spec in enumerate(specs):
-            start = time.perf_counter()
-            results.append(_execute_spec(spec, settings))
-            if progress is not None:
-                progress(RunProgress(completed=index + 1, total=total, spec=spec,
-                                     seconds=time.perf_counter() - start,
-                                     backend=self.backend))
-        return results
-
-
 # Worker pools are expensive to spin up (one interpreter + import per worker
-# under the spawn start method), so they are shared across engine invocations:
-# a full `repro run` reuses one pool for all ~20 experiments instead of
-# creating and tearing one down per figure.  Keyed by worker count; shut down
-# at interpreter exit (or discarded on breakage/interrupt).
+# under the spawn start method), so they are shared across batches: a full
+# `repro run` reuses one pool for all ~20 experiments instead of creating and
+# tearing one down per figure.  Keyed by worker count; shut down at
+# interpreter exit (or discarded on breakage/interrupt).
 _SHARED_POOLS: Dict[int, ProcessPoolExecutor] = {}
 
 
@@ -230,134 +168,98 @@ def shutdown_pools() -> None:
         _discard_pool(jobs)
 
 
-class ProcessPoolEngine(ExecutionEngine):
-    """Fans unique pending runs out across a :class:`ProcessPoolExecutor`.
-
-    Runs already present in the in-process cache are served directly; the
-    remaining unique specs are dispatched to workers.  Worker results are
-    seeded back into the parent's in-process cache so follow-up ``run_one``
-    calls (e.g. summary rows recomputing a baseline) stay free.  If the pool
-    cannot be created the engine silently degrades to serial execution.
-    """
-
-    backend = "process-pool"
-
-    def __init__(self, jobs: int):
-        if jobs < 2:
-            raise ValueError("ProcessPoolEngine requires jobs >= 2; "
-                             "use SerialEngine for serial execution")
-        self.jobs = jobs
-
-    def run(self, specs: Sequence[RunSpec], settings,
-            progress: Optional[ProgressCallback] = None) -> List[object]:
-        from repro.experiments import runner
-
-        progress = progress or _default_progress()
-        total = len(specs)
-        results: List[Optional[object]] = [None] * total
-        done = [0]
-
-        def report(spec: RunSpec, seconds: float, from_cache: bool,
-                   backend: Optional[str] = None) -> None:
-            done[0] += 1
-            if progress is not None:
-                progress(RunProgress(completed=done[0], total=total, spec=spec,
-                                     seconds=seconds,
-                                     backend=backend or self.backend,
-                                     from_cache=from_cache))
-
-        # Serve whatever the in-process cache already has, and deduplicate the
-        # rest so each unique run is dispatched exactly once.
-        pending: Dict[RunSpec, List[int]] = {}
-        for index, spec in enumerate(specs):
-            cached = runner.peek_cached(spec, settings)
-            if cached is not None:
-                results[index] = cached
-                report(spec, 0.0, from_cache=True)
-            else:
-                pending.setdefault(spec, []).append(index)
-
-        if not pending:
-            return results
-        if len(pending) == 1:
-            return self._finish_serially(pending, specs, settings, results, report)
-
-        try:
-            executor = _shared_pool(self.jobs)
-        except (OSError, ValueError, NotImplementedError):
-            # Sandboxed / exotic platforms without working multiprocessing.
-            return self._finish_serially(pending, specs, settings, results, report)
-
-        cache_dir = os.environ.get("REPRO_CACHE_DIR")
-        futures = {}
-        try:
-            for spec in pending:
-                futures[executor.submit(_timed_execute, spec, settings,
-                                        cache_dir)] = spec
-        except OSError:
-            # Workers are spawned lazily at the first submit(), so a platform
-            # that forbids process creation surfaces its OSError here rather
-            # than at pool construction — run everything serially instead.
-            # (Only spawn failures land here; an OSError *inside* a worker's
-            # simulation comes out of future.result() below and propagates
-            # like it would on the serial path.)
-            _discard_pool(self.jobs)
-            return self._finish_serially(pending, specs, settings, results,
-                                         report)
-        try:
-            not_done = set(futures)
-            while not_done:
-                finished, not_done = wait(not_done, return_when=FIRST_COMPLETED)
-                for future in finished:
-                    spec = futures[future]
-                    result, seconds = future.result()
-                    runner.seed_cache(spec, settings, result)
-                    # One progress event per submitted occurrence (not per
-                    # unique run) so ``completed`` reaches ``total`` just
-                    # like the serial backend.
-                    for position, index in enumerate(pending[spec]):
-                        results[index] = result
-                        report(spec, seconds if position == 0 else 0.0,
-                               from_cache=position > 0)
-        except BrokenProcessPool as exc:  # pragma: no cover - rare
-            _discard_pool(self.jobs)
-            raise RuntimeError(
-                f"parallel experiment execution failed ({exc}); "
-                "re-run with REPRO_JOBS=1 to execute serially") from exc
-        except BaseException:
-            # Ctrl-C or a worker exception must not leave queued or in-flight
-            # simulations running for minutes in the background: kill the
-            # workers and tear the pool down before propagating.
-            _discard_pool(self.jobs, terminate=True)
-            raise
-        return results
-
-    @staticmethod
-    def _finish_serially(pending, specs, settings, results, report):
-        for spec, indices in pending.items():
-            start = time.perf_counter()
-            result = _execute_spec(spec, settings)
-            seconds = time.perf_counter() - start
-            for position, index in enumerate(indices):
-                results[index] = result
-                report(spec, seconds if position == 0 else 0.0, position > 0,
-                       backend="serial")
-        return results
+def _submit(workers: int, specs: Sequence[ScenarioSpec]) -> Optional[list]:
+    """Submit ``specs`` to the shared pool; ``None`` if no worker can spawn."""
+    try:
+        executor = _shared_pool(workers)
+    except (OSError, ValueError, NotImplementedError):
+        # Sandboxed / exotic platforms without working multiprocessing.
+        return None
+    cache_dir = os.environ.get("REPRO_CACHE_DIR")
+    try:
+        return [executor.submit(_timed_simulate, spec, cache_dir)
+                for spec in specs]
+    except OSError:
+        # Workers are spawned lazily at the first submit(), so a platform
+        # that forbids process creation surfaces its OSError here rather
+        # than at pool construction.  (Only spawn failures land here; an
+        # OSError *inside* a worker's simulation comes out of
+        # future.result() and propagates like it would in-process.)
+        _discard_pool(workers)
+        return None
 
 
-def get_engine(jobs: Union[int, str, None] = None) -> ExecutionEngine:
-    """Pick the execution backend for the given (or environment) job count."""
-    resolved = resolve_jobs(jobs)
-    if resolved <= 1:
-        return SerialEngine()
-    return ProcessPoolEngine(resolved)
-
-
-def run_many(specs: Sequence[RunSpec], settings=None,
+def run_many(specs: Sequence[ScenarioSpec],
              jobs: Union[int, str, None] = None,
              progress: Optional[ProgressCallback] = None) -> List[object]:
-    """Execute ``specs`` through the selected backend; results keep spec order."""
-    from repro.experiments.runner import ExperimentSettings
+    """Run every spec once per content hash; results keep spec order.
 
-    settings = settings or ExperimentSettings()
-    return get_engine(jobs).run(list(specs), settings, progress=progress)
+    Runs the in-process cache holds are served from it.  The remaining
+    unique specs go through :func:`repro.api.simulate` on the shared worker
+    pool when ``resolve_jobs(jobs) > 1`` and more than one is pending, and
+    in-process otherwise.  ``progress`` (default: stderr when
+    ``REPRO_PROGRESS`` is set) gets one :class:`RunProgress` per spec.
+    """
+    from repro import api
+    from repro.experiments import runner
+
+    specs = list(specs)
+    workers = resolve_jobs(jobs)
+    path = "process-pool" if workers > 1 else "serial"
+    progress = progress or _default_progress()
+    results: List[Optional[object]] = [None] * len(specs)
+    completed = 0
+
+    def finish(indices: List[int], result, seconds: float, backend: str,
+               from_cache: bool = False) -> None:
+        # One progress event per submitted occurrence (not per unique run)
+        # so ``completed`` reaches ``total``; repeats report ``cache``.
+        nonlocal completed
+        for position, index in enumerate(indices):
+            results[index] = result
+            completed += 1
+            if progress is not None:
+                progress(RunProgress(
+                    completed=completed, total=len(specs), spec=specs[index],
+                    seconds=seconds if position == 0 else 0.0,
+                    backend=backend, from_cache=from_cache or position > 0))
+
+    pending: Dict[str, List[int]] = {}
+    for index, spec in enumerate(specs):
+        digest = spec.content_hash()
+        cached = runner.peek_cached(digest)
+        if cached is not None:
+            finish([index], cached, 0.0, path, from_cache=True)
+        else:
+            pending.setdefault(digest, []).append(index)
+
+    futures = None
+    if workers > 1 and len(pending) > 1:
+        futures = _submit(workers, [specs[indices[0]]
+                                    for indices in pending.values()])
+    if futures is None:
+        for indices in pending.values():
+            start = time.perf_counter()
+            result = api.simulate(specs[indices[0]])
+            finish(indices, result, time.perf_counter() - start, "serial")
+        return results
+
+    by_future = dict(zip(futures, pending.items()))
+    try:
+        for future in as_completed(by_future):
+            digest, indices = by_future[future]
+            result, seconds = future.result()
+            runner.seed_cache(digest, result)
+            finish(indices, result, seconds, "process-pool")
+    except BrokenProcessPool as exc:  # pragma: no cover - rare
+        _discard_pool(workers)
+        raise RuntimeError(
+            f"parallel experiment execution failed ({exc}); "
+            "re-run with REPRO_JOBS=1 to execute serially") from exc
+    except BaseException:
+        # Ctrl-C or a worker exception must not leave queued or in-flight
+        # simulations running for minutes in the background: kill the
+        # workers and tear the pool down before propagating.
+        _discard_pool(workers, terminate=True)
+        raise
+    return results

@@ -6,12 +6,12 @@ from typing import Optional, Sequence
 
 from repro.analysis.cacti import tlb_access_latency
 from repro.analysis.metrics import geometric_mean
-from repro.experiments.engine import RunSpec, run_many
+from repro.experiments.engine import run_many
 from repro.experiments.runner import (
     ExperimentSettings,
     FigureResult,
     run_matrix,
-    run_one,
+    scenario_for_run,
 )
 from repro.experiments.motivation import L2_TLB_SWEEP
 
@@ -25,8 +25,7 @@ L3_TLB_LATENCIES = (15, 20, 25, 30, 35, 39)
 def _speedup_figure(settings: ExperimentSettings, systems: Sequence[str],
                     experiment_id: str, title: str, headers: Sequence[str],
                     paper_gmean: dict, notes: str,
-                    jobs: Optional[int] = None,
-                    **overrides_per_system) -> FigureResult:
+                    jobs: Optional[int] = None) -> FigureResult:
     matrix = run_matrix(("radix",) + tuple(systems), settings, jobs=jobs)
     rows = []
     speedups = {system: [] for system in systems}
@@ -84,25 +83,22 @@ def fig08_l3tlb(settings: Optional[ExperimentSettings] = None,
                 jobs: Optional[int] = None) -> FigureResult:
     """Figure 8: speedup of a 64K-entry L3 TLB with increasing access latencies."""
     settings = settings or ExperimentSettings()
-    # Submit the whole (workload x latency) sweep plus the baseline in one
-    # batch so a parallel backend can overlap every run; the loops below then
-    # resolve instantly from the in-process cache.
-    specs = [RunSpec.make("radix", workload) for workload in settings.workloads]
-    specs += [RunSpec.make("opt_l3tlb_64k", workload,
-                           system_label=f"Opt. L3 TLB 64K ({latency} cyc)",
-                           l3_latency=latency)
+    # The whole (workload x latency) sweep plus the baseline is one batch, so
+    # a process pool overlaps every run; the cells are read in spec order.
+    specs = [scenario_for_run("radix", workload, settings)
+             for workload in settings.workloads]
+    specs += [scenario_for_run("opt_l3tlb_64k", workload, settings,
+                               system_label=f"Opt. L3 TLB 64K ({latency} cyc)",
+                               l3_latency=latency)
               for workload in settings.workloads for latency in L3_TLB_LATENCIES]
-    batch = run_many(specs, settings, jobs=jobs)
-    baselines = dict(zip(settings.workloads, batch[:len(settings.workloads)]))
+    sweep = iter(run_many(specs, jobs=jobs))
+    baselines = [next(sweep) for _ in settings.workloads]
     rows = []
     speedups = {latency: [] for latency in L3_TLB_LATENCIES}
-    for workload in settings.workloads:
-        baseline = baselines[workload].cycles
+    for workload, baseline in zip(settings.workloads, baselines):
         row = [workload]
         for latency in L3_TLB_LATENCIES:
-            result = run_one("opt_l3tlb_64k", workload, settings, l3_latency=latency,
-                             system_label=f"Opt. L3 TLB 64K ({latency} cyc)")
-            speedup = baseline / result.cycles
+            speedup = baseline.cycles / next(sweep).cycles
             speedups[latency].append(speedup)
             row.append(round(speedup, 3))
         rows.append(row)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.report import format_markdown_table, format_table
-from repro.experiments.engine import ProgressCallback, RunSpec, get_engine
+from repro.experiments.engine import ProgressCallback, run_many
 from repro.scenario import ScenarioSpec, WorkloadSpec
 from repro.sim.simulator import SimulationResult
 from repro.workloads.registry import WORKLOAD_NAMES
@@ -155,28 +155,16 @@ def scenario_for_run(system_name: str, workload: str,
     )
 
 
-def _cache_key(system_name: str, workload: str, settings: ExperimentSettings,
-               system_label: Optional[str] = None, **overrides) -> tuple:
-    spec = scenario_for_run(system_name, workload, settings,
-                            system_label=system_label, **overrides)
-    return ("scenario", spec.content_hash())
+def peek_cached(content_hash: str) -> Optional[SimulationResult]:
+    """Return the in-process cached result of the scenario whose
+    :meth:`ScenarioSpec.content_hash` is ``content_hash``, if any (no disk I/O)."""
+    return _RESULT_CACHE.get(("scenario", content_hash))
 
 
-def _spec_key(spec: RunSpec, settings: ExperimentSettings) -> tuple:
-    return _cache_key(spec.system_name, spec.workload, settings,
-                      system_label=spec.system_label, **dict(spec.overrides))
-
-
-def peek_cached(spec: RunSpec,
-                settings: ExperimentSettings) -> Optional[SimulationResult]:
-    """Return the in-process cached result for ``spec``, if any (no disk I/O)."""
-    return _RESULT_CACHE.get(_spec_key(spec, settings))
-
-
-def seed_cache(spec: RunSpec, settings: ExperimentSettings,
-               result: SimulationResult) -> None:
-    """Memoise a result computed elsewhere (e.g. by a pool worker)."""
-    _RESULT_CACHE[_spec_key(spec, settings)] = result
+def seed_cache(content_hash: str, result: SimulationResult) -> None:
+    """Memoise, under its scenario's content hash, a result computed
+    elsewhere (e.g. by a pool worker)."""
+    _RESULT_CACHE[("scenario", content_hash)] = result
 
 
 def _warn_stale_entries(cache_dir: str) -> None:
@@ -320,16 +308,19 @@ def run_matrix(system_names: Sequence[str],
                **system_overrides) -> Dict[str, Dict[str, SimulationResult]]:
     """Run every (workload, system) pair; returns ``{workload: {system: result}}``.
 
-    ``jobs`` selects the execution backend (default: ``REPRO_JOBS``); with
-    ``jobs > 1`` the full run list is fanned out across a process pool while
-    the returned matrix is identical to the serial path.
+    The whole run list is one :func:`~repro.experiments.engine.run_many`
+    batch: ``jobs`` (default: ``REPRO_JOBS``) above 1 fans it out across a
+    process pool, and the returned matrix is identical to the in-process one.
     """
     settings = settings or ExperimentSettings()
     workloads = tuple(workloads) if workloads is not None else settings.workloads
-    specs = [RunSpec.make(system_name, workload, **system_overrides)
+    cells = [(workload, system_name)
              for workload in workloads for system_name in system_names]
-    results = get_engine(jobs).run(specs, settings, progress=progress)
+    results = run_many([scenario_for_run(system_name, workload, settings,
+                                         **system_overrides)
+                        for workload, system_name in cells],
+                       jobs=jobs, progress=progress)
     matrix: Dict[str, Dict[str, SimulationResult]] = {}
-    for spec, result in zip(specs, results):
-        matrix.setdefault(spec.workload, {})[spec.system_name] = result
+    for (workload, system_name), result in zip(cells, results):
+        matrix.setdefault(workload, {})[system_name] = result
     return matrix

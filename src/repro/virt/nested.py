@@ -135,9 +135,10 @@ class NestedPageTableWalker(ResettableStats):
         table, for guest-virtual address ``gva``.
 
         Takes the arguments a :class:`PageTableWalker` takes, so a backend
-        resolves its misses through either walker the same way.
+        resolves its misses through either walker the same way.  The guest
+        page must already be mapped: the MMU demand-maps it on the L2 TLB
+        miss, before the backend walks.
         """
-        self.guest_vmm.ensure_mapped(gva)  # demand-map the guest page
         path = guest_table.walk(gva)
         leaf_level = path.steps[-1].level
 

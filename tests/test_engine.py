@@ -1,4 +1,4 @@
-"""Tests for the parallel experiment execution engine and the hardened cache."""
+"""Tests for ``run_many``, the one batch path, and the hardened cache."""
 
 import os
 import pickle
@@ -6,20 +6,14 @@ import pickle
 import pytest
 
 from repro.common.errors import ConfigurationError
-from repro.experiments.engine import (
-    ProcessPoolEngine,
-    RunProgress,
-    RunSpec,
-    SerialEngine,
-    get_engine,
-    resolve_jobs,
-    run_many,
-)
+from repro.experiments import engine as engine_mod
+from repro.experiments.engine import RunProgress, resolve_jobs, run_many
 from repro.experiments.runner import (
     ExperimentSettings,
     clear_cache,
     run_matrix,
     run_one,
+    scenario_for_run,
 )
 
 TINY = ExperimentSettings(max_refs=800, hardware_scale=16, warmup_fraction=0.2,
@@ -62,14 +56,6 @@ class TestResolveJobs:
         with pytest.raises(ConfigurationError):
             resolve_jobs(-2)
 
-    def test_backend_selection(self):
-        assert isinstance(get_engine(1), SerialEngine)
-        assert isinstance(get_engine(4), ProcessPoolEngine)
-
-    def test_env_selects_pool_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "2")
-        assert isinstance(get_engine(), ProcessPoolEngine)
-
 
 class TestEngineParity:
     def test_parallel_results_identical_to_serial(self):
@@ -88,16 +74,17 @@ class TestEngineParity:
         # distinct ones, changing the bytes without changing any value.
         import dataclasses
 
-        specs = [RunSpec.make("radix", "rnd"), RunSpec.make("victima", "rnd")]
-        serial = run_many(specs, TINY, jobs=1)
+        specs = [scenario_for_run("radix", "rnd", TINY),
+                 scenario_for_run("victima", "rnd", TINY)]
+        serial = run_many(specs, jobs=1)
         clear_cache()
-        parallel = run_many(specs, TINY, jobs=2)
+        parallel = run_many(specs, jobs=2)
         canon = lambda r: repr(dataclasses.asdict(r)).encode()
         assert [canon(r) for r in serial] == [canon(r) for r in parallel]
 
     def test_overrides_travel_to_workers(self):
-        spec = RunSpec.make("opt_l3tlb_64k", "rnd", l3_latency=25)
-        (parallel,) = run_many([spec], TINY, jobs=2)
+        spec = scenario_for_run("opt_l3tlb_64k", "rnd", TINY, l3_latency=25)
+        (parallel,) = run_many([spec], jobs=2)
         clear_cache()
         serial = run_one("opt_l3tlb_64k", "rnd", TINY, l3_latency=25)
         assert parallel == serial
@@ -105,17 +92,18 @@ class TestEngineParity:
 
 class TestEngineSemantics:
     def test_results_keep_submission_order_and_dedupe(self):
-        specs = [RunSpec.make("victima", "rnd"), RunSpec.make("radix", "rnd"),
-                 RunSpec.make("victima", "rnd")]
-        results = run_many(specs, TINY, jobs=2)
+        specs = [scenario_for_run("victima", "rnd", TINY),
+                 scenario_for_run("radix", "rnd", TINY),
+                 scenario_for_run("victima", "rnd", TINY)]
+        results = run_many(specs, jobs=2)
         assert results[0].system_kind == results[2].system_kind
         assert results[0] is results[2]  # deduplicated to one run
         assert results[1].system_kind != results[0].system_kind
 
     def test_progress_callback_reports_every_run(self):
         events = []
-        specs = [RunSpec.make("radix", w) for w in TINY.workloads]
-        run_many(specs, TINY, jobs=2, progress=events.append)
+        specs = [scenario_for_run("radix", w, TINY) for w in TINY.workloads]
+        run_many(specs, jobs=2, progress=events.append)
         assert [e.completed for e in events] == [1, 2]
         assert all(e.total == 2 for e in events)
         assert all(isinstance(e, RunProgress) for e in events)
@@ -123,32 +111,89 @@ class TestEngineSemantics:
 
     def test_progress_reaches_total_with_duplicate_specs(self):
         events = []
-        specs = [RunSpec.make("radix", "rnd"), RunSpec.make("victima", "rnd"),
-                 RunSpec.make("radix", "rnd")]
-        run_many(specs, TINY, jobs=2, progress=events.append)
+        specs = [scenario_for_run("radix", "rnd", TINY),
+                 scenario_for_run("victima", "rnd", TINY),
+                 scenario_for_run("radix", "rnd", TINY)]
+        run_many(specs, jobs=2, progress=events.append)
         assert [e.completed for e in events] == [1, 2, 3]
         assert events[-1].completed == events[-1].total == 3
 
     def test_pool_serves_warm_in_process_cache(self):
-        specs = [RunSpec.make("radix", w) for w in TINY.workloads]
-        run_many(specs, TINY, jobs=1)  # warm the in-process cache
+        specs = [scenario_for_run("radix", w, TINY) for w in TINY.workloads]
+        run_many(specs, jobs=1)  # warm the in-process cache
         events = []
-        run_many(specs, TINY, jobs=2, progress=events.append)
+        run_many(specs, jobs=2, progress=events.append)
         assert all(e.from_cache for e in events)
 
-    def test_pool_engine_requires_two_workers(self):
-        with pytest.raises(ValueError):
-            ProcessPoolEngine(1)
+    def test_env_jobs_runs_the_batch_on_the_pool(self, monkeypatch):
+        monkeypatch.setenv("REPRO_JOBS", "2")
+        events = []
+        run_many([scenario_for_run("radix", "rnd", TINY),
+                  scenario_for_run("victima", "rnd", TINY)], progress=events.append)
+        assert len(events) == 2
+        assert all(e.format().endswith(", process-pool)") for e in events)
+
+    def test_unset_env_runs_the_batch_in_process(self):
+        engine_mod.shutdown_pools()
+        events = []
+        run_many([scenario_for_run("radix", "rnd", TINY),
+                  scenario_for_run("victima", "rnd", TINY)], progress=events.append)
+        assert len(events) == 2
+        assert all(e.format().endswith(", serial)") for e in events)
+        assert not engine_mod._SHARED_POOLS
+
+    def test_in_process_batch_runs_each_spec_once(self, monkeypatch):
+        from repro.sim.simulator import Simulator
+
+        built = []
+        from_scenario = Simulator.from_scenario
+
+        def counted(scenario):
+            built.append(scenario)
+            return from_scenario(scenario)
+
+        monkeypatch.setattr(Simulator, "from_scenario", counted)
+        specs = [scenario_for_run("victima", "rnd", TINY),
+                 scenario_for_run("radix", "rnd", TINY),
+                 scenario_for_run("victima", "rnd", TINY)]
+        events = []
+        results = run_many(specs, jobs=1, progress=events.append)
+        assert len(built) == 2
+        assert results[0] is results[2]
+        hits = [e for e in events if e.from_cache]
+        assert len(hits) == 1 and hits[0].spec.system == "victima"
+        events.clear()
+        run_many(specs, jobs=1, progress=events.append)
+        assert len(events) == 3 and all(e.from_cache for e in events)
+        assert len(built) == 2
+
+    def test_spawn_failure_falls_back_in_process(self, monkeypatch):
+        from concurrent.futures import ProcessPoolExecutor
+
+        def cannot_spawn(*args, **kwargs):
+            raise OSError("process creation forbidden")
+
+        specs = [scenario_for_run("radix", "rnd", TINY),
+                 scenario_for_run("victima", "rnd", TINY)]
+        reference = run_many(specs, jobs=1)
+        clear_cache()
+        engine_mod.shutdown_pools()
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", cannot_spawn)
+        events = []
+        assert run_many(specs, jobs=2, progress=events.append) == reference
+        assert len(events) == 2
+        assert all(e.format().endswith(", serial)") for e in events)
+        assert not engine_mod._SHARED_POOLS
 
     def test_worker_pool_is_shared_across_invocations(self):
-        from repro.experiments import engine as engine_mod
-
         engine_mod.shutdown_pools()
-        specs_a = [RunSpec.make("radix", "rnd"), RunSpec.make("victima", "rnd")]
-        specs_b = [RunSpec.make("radix", "bfs"), RunSpec.make("victima", "bfs")]
-        run_many(specs_a, TINY, jobs=2)
+        specs_a = [scenario_for_run("radix", "rnd", TINY),
+                   scenario_for_run("victima", "rnd", TINY)]
+        specs_b = [scenario_for_run("radix", "bfs", TINY),
+                   scenario_for_run("victima", "bfs", TINY)]
+        run_many(specs_a, jobs=2)
         pools_after_first = dict(engine_mod._SHARED_POOLS)
-        run_many(specs_b, TINY, jobs=2)
+        run_many(specs_b, jobs=2)
         assert len(engine_mod._SHARED_POOLS) == 1
         assert engine_mod._SHARED_POOLS == pools_after_first  # same pool reused
         engine_mod.shutdown_pools()
@@ -175,17 +220,17 @@ class TestDiskCacheSharing:
 
     def test_cache_dir_set_after_pool_creation_reaches_workers(self, tmp_path,
                                                                monkeypatch):
-        # Shared pools outlive engine calls; a cache dir configured *after*
+        # Shared pools outlive batches; a cache dir configured *after*
         # the workers were spawned must still be honoured by them.
-        from repro.experiments import engine as engine_mod
-
         engine_mod.shutdown_pools()
-        run_many([RunSpec.make("radix", "rnd"), RunSpec.make("radix", "bfs")],
-                 TINY, jobs=2)  # spawn the pool with no cache dir configured
+        run_many([scenario_for_run("radix", "rnd", TINY),
+                  scenario_for_run("radix", "bfs", TINY)],
+                 jobs=2)  # spawn the pool with no cache dir configured
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         clear_cache()
-        run_many([RunSpec.make("victima", "rnd"), RunSpec.make("victima", "bfs")],
-                 TINY, jobs=2)
+        run_many([scenario_for_run("victima", "rnd", TINY),
+                  scenario_for_run("victima", "bfs", TINY)],
+                 jobs=2)
         assert len(list(tmp_path.glob("run_*.pkl"))) == 2
         engine_mod.shutdown_pools()
 
@@ -233,6 +278,39 @@ class TestDiskCacheSharing:
         path.write_bytes(pickle.dumps({"not": "a result"}))
         clear_cache()
         assert run_one("radix", "rnd", TINY) == reference
+
+
+class TestSweepCells:
+    """Figures 8 and 25 read each cell from their batch, in spec order."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_fig08_cells_match_their_runs(self, jobs):
+        from repro.experiments.large_tlbs import L3_TLB_LATENCIES, fig08_l3tlb
+
+        figure = fig08_l3tlb(TINY, jobs=jobs)
+        assert len(figure.rows) == len(TINY.workloads) + 1
+        for row, workload in zip(figure.rows, TINY.workloads):
+            baseline = run_one("radix", workload, TINY)
+            expected = [round(baseline.cycles / run_one(
+                "opt_l3tlb_64k", workload, TINY, l3_latency=latency,
+                system_label=f"Opt. L3 TLB 64K ({latency} cyc)").cycles, 3)
+                for latency in L3_TLB_LATENCIES]
+            assert row == [workload] + expected
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_fig25_cells_match_their_runs(self, jobs):
+        from repro.analysis.metrics import percent_reduction
+        from repro.experiments.ablations import L2_CACHE_SIZES, fig25_cache_size_sweep
+
+        figure = fig25_cache_size_sweep(TINY, jobs=jobs)
+        assert len(figure.rows) == len(TINY.workloads) + 1
+        for row, workload in zip(figure.rows, TINY.workloads):
+            baseline = run_one("radix", workload, TINY)
+            expected = [round(percent_reduction(baseline.page_walks, run_one(
+                "victima", workload, TINY, l2_cache_bytes=size,
+                system_label=f"Victima (L2 {size >> 20}MB)").page_walks), 1)
+                for size in L2_CACHE_SIZES]
+            assert row == [workload] + expected
 
 
 class TestExperimentsAcceptJobs:

@@ -8,20 +8,20 @@ from repro.sim.presets import make_system_config
 from repro.sim.simulator import SimulationResult
 from repro.workloads.registry import WORKLOAD_NAMES, workload_catalog
 from tests.conftest import build_tiny_simulator
-from tests.test_virt import make_virt_stack
+from tests.test_virt import make_virt_stack, nested_walk
 
 
 class TestNestedVictimaPaths:
     def test_nested_blocks_are_tagged_as_nested(self):
         _, walker, _, victima = make_virt_stack(with_victima=True)
-        walker.walk(walker.guest_vmm.page_table, 0x1234_5000)
+        nested_walk(walker, 0x1234_5000)
         nested_blocks = victima.l2_cache.resident_blocks(BlockKind.NESTED_TLB)
         assert nested_blocks, "a host walk should have produced nested TLB blocks"
         assert all(block.kind is BlockKind.NESTED_TLB for block in nested_blocks)
 
     def test_probe_nested_does_not_match_conventional_blocks(self):
         _, walker, builder, victima = make_virt_stack(with_victima=True)
-        walker.walk(walker.guest_vmm.page_table, 0x1234_5000)
+        nested_walk(walker, 0x1234_5000)
         combined = builder.lookup(0x1234_5000)
         assert combined is not None
         victima.on_l2_tlb_miss(combined)  # insert a conventional TLB block
@@ -35,15 +35,15 @@ class TestNestedVictimaPaths:
 
     def test_nested_eviction_path_inserts_block(self):
         _, walker, _, victima = make_virt_stack(with_victima=True)
-        walker.walk(walker.guest_vmm.page_table, 0x9000_0000)
+        nested_walk(walker, 0x9000_0000)
         # Force nested TLB evictions by walking many distinct guest pages.
         for i in range(1, 40):
-            walker.walk(walker.guest_vmm.page_table, 0x9000_0000 + i * 0x20_0000)
+            nested_walk(walker, 0x9000_0000 + i * 0x20_0000)
         assert victima.stats.nested_insertions > 0
 
     def test_invalidate_all_removes_nested_blocks_too(self):
         _, walker, _, victima = make_virt_stack(with_victima=True)
-        walker.walk(walker.guest_vmm.page_table, 0x1234_5000)
+        nested_walk(walker, 0x1234_5000)
         removed = victima.invalidate_all()
         assert removed >= 1
         assert not victima.resident_tlb_blocks()

@@ -71,6 +71,13 @@ def make_virt_stack(with_victima=False, shadow_paging=False, guest_huge_fraction
     return mmu, nested_walker, shadow_builder, victima
 
 
+def nested_walk(walker: NestedPageTableWalker, gva: int):
+    """Walk ``gva`` as the MMU does on an L2 TLB miss: demand-map the guest
+    page, then walk the guest's table."""
+    walker.guest_vmm.ensure_mapped(gva)
+    return walker.walk(walker.guest_vmm.page_table, gva)
+
+
 class TestShadowBuilder:
     def test_install_and_lookup(self):
         host_physical = PhysicalMemory(4 << 30)
@@ -130,7 +137,7 @@ class TestShadowBuilder:
 class TestNestedWalker:
     def test_walk_counts_host_walks(self):
         _, walker, _, _ = make_virt_stack()
-        result = walker.walk(walker.guest_vmm.page_table, 0x1234_5000)
+        result = nested_walk(walker, 0x1234_5000)
         assert result.host_walks >= 1
         assert result.guest_memory_accesses == 4
         assert result.latency == result.guest_latency + result.host_latency
@@ -138,15 +145,15 @@ class TestNestedWalker:
 
     def test_nested_tlb_reduces_host_walks(self):
         _, walker, _, _ = make_virt_stack()
-        first = walker.walk(walker.guest_vmm.page_table, 0x1234_5000)
-        second = walker.walk(walker.guest_vmm.page_table, 0x1234_5000)
+        first = nested_walk(walker, 0x1234_5000)
+        second = nested_walk(walker, 0x1234_5000)
         assert second.host_walks <= first.host_walks
         assert walker.stats.nested_tlb_hits > 0
 
     def test_walks_accumulate_stats(self):
         _, walker, _, _ = make_virt_stack()
-        walker.walk(walker.guest_vmm.page_table, 0x1000)
-        walker.walk(walker.guest_vmm.page_table, 0x2000_0000)
+        nested_walk(walker, 0x1000)
+        nested_walk(walker, 0x2000_0000)
         assert walker.stats.walks == 2
         assert walker.stats.mean_latency > 0
 
@@ -159,11 +166,11 @@ class TestNestedWalker:
     def test_victima_nested_blocks_skip_host_walks(self):
         _, walker, _, victima = make_virt_stack(with_victima=True)
         gpa_probe_target = None
-        first = walker.walk(walker.guest_vmm.page_table, 0x5000_0000)
+        first = nested_walk(walker, 0x5000_0000)
         assert victima.stats.nested_insertions > 0
         # Clear the nested TLB so the next walk must use the nested TLB blocks.
         walker.nested_tlb.invalidate_all()
-        second = walker.walk(walker.guest_vmm.page_table, 0x5000_0000)
+        second = nested_walk(walker, 0x5000_0000)
         assert second.host_walks < first.host_walks or victima.stats.nested_block_hits > 0
 
 
@@ -227,7 +234,7 @@ class TestNestedWalkLength:
             hierarchy=hierarchy,
             shadow_builder=ShadowPageTableBuilder(host_physical, vmid=0),
             guest_pwcs=_FixedPWCs(guest_pwc_hit))
-        result = walker.walk(walker.guest_vmm.page_table, 0x1234_5000)
+        result = nested_walk(walker, 0x1234_5000)
         return result, len(reads), host_walker.stats
 
     def test_cold_walk_reads_24_entries(self):
