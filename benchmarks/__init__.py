@@ -1,1 +1,4 @@
-"""Benchmark harness: one module per paper table/figure (see DESIGN.md)."""
+"""Benchmark harness: one module per paper table/figure.
+
+The runs are scaled (see ARCHITECTURE.md, "Scaled simulation").
+"""

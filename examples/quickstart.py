@@ -17,20 +17,18 @@ from __future__ import annotations
 
 import sys
 
+from repro import api
 from repro.analysis.report import format_table
-from repro.sim.presets import make_system_config, make_workload_config
-from repro.sim.simulator import Simulator
+from repro.sim.presets import make_system_config
 
-#: Machine scale-down factor; see DESIGN.md ("scaled simulation").
+#: Machine scale-down factor; see ARCHITECTURE.md ("Scaled simulation").
 HARDWARE_SCALE = 8
 
 
 def run(system_name: str, workload: str, refs: int):
-    system_config = make_system_config(system_name, hardware_scale=HARDWARE_SCALE)
-    workload_config = make_workload_config(workload, max_refs=refs)
-    simulator = Simulator.from_configs(system_config, workload_config,
-                                       warmup_fraction=0.3)
-    return simulator.run()
+    return api.simulate({"system": system_name, "workload": workload,
+                         "max_refs": refs, "hardware_scale": HARDWARE_SCALE,
+                         "warmup_fraction": 0.3}, use_cache=False)
 
 
 def main() -> None:
@@ -62,7 +60,8 @@ def main() -> None:
     print(f"  TLB-block probe hit rate : {stats.get('probe_hit_rate', 0):.2%}")
     print(f"  TLB blocks inserted      : "
           f"{stats.get('insertions_on_miss', 0) + stats.get('insertions_on_eviction', 0)}")
-    scaled_l2_tlb_reach_mb = (1536 // HARDWARE_SCALE) * 4096 / (1 << 20)
+    l2_tlb = make_system_config("radix", hardware_scale=HARDWARE_SCALE).mmu.l2_tlb
+    scaled_l2_tlb_reach_mb = l2_tlb.entries * 4096 / (1 << 20)
     print(f"  translation reach        : "
           f"{victima.mean_translation_reach_bytes / (1 << 20):.1f} MB "
           f"(vs. the scaled L2 TLB's ~{scaled_l2_tlb_reach_mb:.2f} MB of 4KB reach)")

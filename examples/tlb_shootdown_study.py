@@ -14,16 +14,15 @@ Usage::
 
 from __future__ import annotations
 
+from repro import api
 from repro.analysis.report import format_table
-from repro.sim.presets import make_system_config, make_workload_config
-from repro.sim.simulator import Simulator
 
 
 def main() -> None:
-    simulator = Simulator.from_configs(
-        make_system_config("victima", hardware_scale=8),
-        make_workload_config("gen", max_refs=8_000),
-        warmup_fraction=0.0)
+    # Built, not simulated through api.simulate: the study needs the machine.
+    simulator = api.build_simulator({"system": "victima", "hardware_scale": 8,
+                                     "workload": "gen", "max_refs": 8_000,
+                                     "warmup_fraction": 0.0})
     simulator.run()
     system = simulator.system
     core = system.cores[0]

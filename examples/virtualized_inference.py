@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import sys
 
+from repro import api
 from repro.analysis.report import format_table
-from repro.sim.presets import make_system_config, make_workload_config
-from repro.sim.simulator import Simulator
 
 WORKLOADS = ("dlrm", "rnd")
 SYSTEMS = ("nested_paging", "virt_pom_tlb", "ideal_shadow", "virt_victima")
@@ -33,11 +32,9 @@ HARDWARE_SCALE = 8
 
 
 def run(system_name: str, workload: str, refs: int):
-    simulator = Simulator.from_configs(
-        make_system_config(system_name, hardware_scale=HARDWARE_SCALE),
-        make_workload_config(workload, max_refs=refs),
-        warmup_fraction=0.3)
-    return simulator.run()
+    return api.simulate({"system": system_name, "workload": workload,
+                         "max_refs": refs, "hardware_scale": HARDWARE_SCALE,
+                         "warmup_fraction": 0.3}, use_cache=False)
 
 
 def main() -> None:

@@ -35,12 +35,14 @@ The public API is organised by subsystem:
     Declarative, hashable :class:`~repro.scenario.ScenarioSpec` run
     descriptions, loadable from TOML/JSON.
 ``repro.api``
-    The public façade: :func:`~repro.api.simulate` and
-    :func:`~repro.api.compare` — every experiment, example and CLI command
-    runs through it.
+    The public façade: :func:`~repro.api.simulate`,
+    :func:`~repro.api.compare` and :func:`~repro.api.build_simulator`, the
+    one builder of a simulator from a scenario — every experiment, example
+    and CLI command runs through it.
 ``repro.sim``
-    Simulation configuration, the system factory, the trace-driven simulator
-    loop (single-core and the multi-core ready-core scheduler) and statistics.
+    Simulation configuration, the system factory, the one engine (a
+    ready-core scheduler that runs every machine, one core or many) and its
+    results.
 ``repro.analysis``
     CACTI-style TLB latency/area scaling, McPAT-style overheads and metrics.
 ``repro.experiments``

@@ -48,7 +48,7 @@ _EXPERIMENTS_MD_HEADER = """# EXPERIMENTS — paper vs. measured
 
 Every table and figure of the paper's motivation and evaluation sections is
 regenerated by the benchmark harness (`benchmarks/`) and by the `repro` CLI.
-The simulator is a scaled trace-driven model (see DESIGN.md): absolute numbers
+The simulator is a scaled trace-driven model (see ARCHITECTURE.md, "Scaled simulation"): absolute numbers
 are not expected to match the paper's Sniper-based testbed, but the *shape* of
 each result — who wins, by roughly what factor, and in which direction each
 sweep moves — should hold.  The tables below record the paper's headline

@@ -1,7 +1,11 @@
 """The public entry point for running simulations.
 
 Everything in this repository — the experiment modules, the ``repro`` CLI,
-the examples — ultimately runs simulations through two functions:
+the examples — ultimately runs simulations through these functions:
+
+:func:`build_simulator`
+    The one builder: materialise a scenario into a ready-to-run
+    :class:`~repro.sim.simulator.Simulator` without running it.
 
 :func:`simulate`
     Run one :class:`~repro.scenario.ScenarioSpec` (or anything
@@ -30,6 +34,7 @@ from typing import Dict, Iterable, Optional, Sequence
 
 from repro.scenario import ScenarioSpec, list_scenarios, load_scenario
 from repro.sim.simulator import SimulationResult, Simulator
+from repro.sim.system import build_system
 
 __all__ = [
     "ScenarioSpec",
@@ -41,7 +46,7 @@ __all__ = [
 ]
 
 
-def build_simulator(scenario):
+def build_simulator(scenario) -> Simulator:
     """Materialise a scenario into a ready-to-run simulator (without running it).
 
     Useful when the caller wants the assembled :class:`~repro.sim.system.System`
@@ -51,6 +56,13 @@ def build_simulator(scenario):
     slot per core of the spec's machine; ``run()`` returns the
     :class:`~repro.sim.simulator.SimulationResult`.
 
+    The workload is built first and sets the machine's huge-page mix.  With
+    ``num_cores > 1`` the top-level mix's tenants are placed on cores
+    (``core`` pins first, then the least-loaded core) by
+    :meth:`~repro.traces.combinators.MixWorkload.per_core_workloads`, with
+    the address-space slots and budgets of the single-core interleaving;
+    the mix names the result, and its own stream is never pulled.
+
     >>> from repro import api
     >>> sim = api.build_simulator("two_tenant_mix")     # built-in scenario
     >>> sim.system.config.label
@@ -58,7 +70,15 @@ def build_simulator(scenario):
     >>> sim.name
     'mix(bfs+rnd@1)'
     """
-    return Simulator.from_scenario(load_scenario(scenario))
+    spec = load_scenario(scenario)
+    workload = spec.build_workload()
+    system = build_system(spec.build_system_config(),
+                          huge_page_fraction=workload.huge_page_fraction)
+    core_workloads = (workload.per_core_workloads(spec.num_cores)
+                      if spec.num_cores > 1 else [workload])
+    return Simulator(system, core_workloads, epoch_instructions=spec.epoch_instructions,
+                     warmup_fraction=spec.warmup_fraction, name=workload.name,
+                     sampling=spec.sampling)
 
 
 def simulate(scenario, *, use_cache: bool = True) -> SimulationResult:
@@ -73,10 +93,6 @@ def simulate(scenario, *, use_cache: bool = True) -> SimulationResult:
         When true (the default), a result whose scenario hash is already in
         the in-process cache — or in the ``REPRO_CACHE_DIR`` disk cache — is
         returned without simulating, and fresh results are stored back.
-
-    The single-workload fast path is bit-identical to the legacy
-    ``Simulator.from_configs(...).run()`` construction; the parity is pinned
-    by ``tests/test_api.py`` and ``tests/test_multicore.py``.
 
     >>> from repro import api
     >>> result = api.simulate({"system": "radix", "workload": "rnd",
@@ -107,11 +123,11 @@ def simulate(scenario, *, use_cache: bool = True) -> SimulationResult:
     """
     spec = load_scenario(scenario)
     if not use_cache:
-        return Simulator.from_scenario(spec).run()
+        return build_simulator(spec).run()
     from repro.experiments import runner
 
     return runner.cached_simulation(spec.content_hash(),
-                                    lambda: Simulator.from_scenario(spec).run())
+                                    lambda: build_simulator(spec).run())
 
 
 def compare(systems: Sequence[str], workloads: Optional[Iterable[str]] = None,

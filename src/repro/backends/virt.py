@@ -51,11 +51,11 @@ register_backend(BackendSpec(
     build=_build_shadow, virtualized=True))
 
 register_backend(BackendSpec(
-    name="virt_pom_tlb", label="NP + POM-TLB",
+    name="virt_pom_tlb", label="POM-TLB (virtualized)",
     summary="In-memory POM-TLB of combined translations over nested paging.",
     build=_build_pom_tlb, build_shared=_make_pom_tlb, virtualized=True))
 
 register_backend(BackendSpec(
-    name="virt_victima", label="NP + Victima",
+    name="virt_victima", label="Victima (virtualized)",
     summary="Combined-translation TLB blocks in the L2 cache over nested paging.",
     build=_build_victima, virtualized=True))

@@ -7,7 +7,7 @@ which is exactly the property the paper exploits.
 
 The cache is a *functional + latency* model: it tracks residency, replacement
 state, reuse and statistics, and reports a fixed access latency; bandwidth and
-MSHR contention are not modelled (see DESIGN.md).
+MSHR contention are not modelled (see ARCHITECTURE.md, "Scaled simulation").
 """
 
 from __future__ import annotations

@@ -12,25 +12,15 @@ and pollution, which is what matters for the translation study).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.common.addresses import CACHE_BLOCK_SIZE
-
-
-@dataclass
-class PrefetcherStats:
-    issued: int = 0
-    trainings: int = 0
 
 
 class Prefetcher:
     """Interface: observe a demand access, return block addresses to prefetch."""
 
     name = "none"
-
-    def __init__(self) -> None:
-        self.stats = PrefetcherStats()
 
     def observe(self, ip: int, paddr: int) -> List[int]:
         raise NotImplementedError
@@ -43,7 +33,6 @@ class IPStridePrefetcher(Prefetcher):
 
     def __init__(self, table_entries: int = 256, degree: int = 2,
                  confidence_threshold: int = 2):
-        super().__init__()
         self.table_entries = table_entries
         self.degree = degree
         self.confidence_threshold = confidence_threshold
@@ -51,7 +40,6 @@ class IPStridePrefetcher(Prefetcher):
         self._table: Dict[int, tuple[int, int, int]] = {}
 
     def observe(self, ip: int, paddr: int) -> List[int]:
-        self.stats.trainings += 1
         slot = ip % (self.table_entries * 4)  # tolerate sparse synthetic IPs
         entry = self._table.get(slot)
         prefetches: List[int] = []
@@ -70,7 +58,6 @@ class IPStridePrefetcher(Prefetcher):
         if confidence >= self.confidence_threshold and stride != 0:
             for i in range(1, self.degree + 1):
                 prefetches.append(paddr + i * stride)
-            self.stats.issued += len(prefetches)
         return prefetches
 
     def _evict_if_needed(self) -> None:
@@ -86,7 +73,6 @@ class StreamPrefetcher(Prefetcher):
 
     def __init__(self, num_streams: int = 16, degree: int = 4,
                  train_length: int = 2):
-        super().__init__()
         self.num_streams = num_streams
         self.degree = degree
         self.train_length = train_length
@@ -94,7 +80,6 @@ class StreamPrefetcher(Prefetcher):
         self._streams: Dict[int, tuple[int, int, int]] = {}
 
     def observe(self, ip: int, paddr: int) -> List[int]:
-        self.stats.trainings += 1
         block = paddr // CACHE_BLOCK_SIZE
         region = block >> 6  # 4 KB region groups accesses into streams
         stream_id = region % (self.num_streams * 8)
@@ -117,7 +102,6 @@ class StreamPrefetcher(Prefetcher):
         if run >= self.train_length and direction != 0:
             for i in range(1, self.degree + 1):
                 prefetches.append((block + i * direction) * CACHE_BLOCK_SIZE)
-            self.stats.issued += len(prefetches)
         return prefetches
 
     def _trim(self) -> None:

@@ -25,31 +25,12 @@ from repro.memory.page_table import PageTableEntry
 from repro.core.mlp import MLPClassifier
 
 
-@dataclass
-class PredictorStats:
-    predictions: int = 0
-    positives: int = 0
-    negatives: int = 0
-
-
 class PTWCostPredictor:
     """Interface: decide whether a page is costly-to-translate."""
 
     name = "base"
 
-    def __init__(self) -> None:
-        self.stats = PredictorStats()
-
     def predict(self, pte: PageTableEntry) -> bool:
-        decision = self._decide(pte)
-        self.stats.predictions += 1
-        if decision:
-            self.stats.positives += 1
-        else:
-            self.stats.negatives += 1
-        return decision
-
-    def _decide(self, pte: PageTableEntry) -> bool:
         raise NotImplementedError
 
     @property
@@ -89,10 +70,9 @@ class ComparatorPTWCostPredictor(PTWCostPredictor):
     name = "comparator"
 
     def __init__(self, box: Optional[BoundingBox] = None):
-        super().__init__()
         self.box = box or BoundingBox()
 
-    def _decide(self, pte: PageTableEntry) -> bool:
+    def predict(self, pte: PageTableEntry) -> bool:
         return self.box.contains(pte.ptw_frequency, pte.ptw_cost)
 
     def predict_from_counters(self, frequency: int, cost: int) -> bool:
@@ -134,12 +114,11 @@ class NeuralPTWCostPredictor(PTWCostPredictor):
     """An MLP-based predictor over a configurable subset of the Table 1 features."""
 
     def __init__(self, model: MLPClassifier, feature_indices: Sequence[int], name: str):
-        super().__init__()
         self.model = model
         self.feature_indices = list(feature_indices)
         self.name = name
 
-    def _decide(self, pte: PageTableEntry) -> bool:
+    def predict(self, pte: PageTableEntry) -> bool:
         vector = np.asarray(pte.features.as_vector(), dtype=float)[self.feature_indices]
         return bool(self.model.predict(vector.reshape(1, -1))[0])
 

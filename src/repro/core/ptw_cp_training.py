@@ -4,12 +4,13 @@ The paper collects ten per-page features (Table 1), labels the top 30 % most
 costly-to-translate pages as positives, and compares three MLP architectures
 against a comparator that mimics the NN-2 decision region (Figure 16).
 
-Two dataset sources are provided:
+Two dataset sources feed it:
 
-* :func:`build_dataset_from_simulation` — runs short simulations of a few
-  workloads on the baseline system and harvests the real PTE feature counters,
-  labelling pages by the total cycles their walks consumed.  This is the
-  faithful reproduction path used by the Table 2 benchmark.
+* :func:`repro.experiments.ptwcp.build_dataset_from_simulation` — runs short
+  simulations of a few workloads on the baseline system and harvests the real
+  PTE feature counters, labelling pages with :func:`label_by_cost` by the
+  total cycles their walks consumed.  This is the faithful reproduction path
+  used by the Table 2 benchmark.
 * :func:`build_synthetic_dataset` — draws features from distributions shaped
   like the simulation output.  It is fast and fully deterministic, which makes
   it suitable for unit tests and quick demos.
@@ -18,7 +19,7 @@ Two dataset sources are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -180,41 +181,6 @@ def build_synthetic_dataset(num_pages: int = 4000, seed: int = 7,
         + rng.normal(0.0, 25.0, num_pages)
     )
     labels = label_by_cost(true_cost, costly_fraction)
-    return PTWCPDataset(features, labels)
-
-
-def build_dataset_from_simulation(workloads: Sequence[str] = ("rnd", "bfs", "xs"),
-                                  max_refs: int = 15_000, seed: int = 1,
-                                  costly_fraction: float = COSTLY_FRACTION) -> PTWCPDataset:
-    """Harvest PTE feature counters from short baseline simulations.
-
-    Each listed workload is run on the Radix baseline for ``max_refs`` memory
-    references; every touched page contributes one row whose label says whether
-    its total PTW cycles put it in the top ``costly_fraction``.
-    """
-    # Imported lazily to avoid a package cycle (sim imports core for Victima).
-    from repro.sim.presets import make_system_config, make_workload_config
-    from repro.sim.simulator import Simulator
-
-    rows: List[List[float]] = []
-    costs: List[float] = []
-    for workload in workloads:
-        sys_cfg = make_system_config("radix")
-        wl_cfg = make_workload_config(workload, max_refs=max_refs, seed=seed)
-        simulator = Simulator.from_configs(sys_cfg, wl_cfg)
-        simulator.run()
-        for _, _, pte in simulator.system.page_table.leaves():
-            # Only pages that were actually touched during the window carry a
-            # meaningful label; the pre-faulted-but-untouched majority would
-            # otherwise swamp the dataset with all-zero rows.  An untouched
-            # page may have no entry (a packed leaf) or no features yet.
-            features = None if pte is None else pte.counted_features()
-            if features is None or features.accesses == 0:
-                continue
-            rows.append([float(v) for v in features.as_vector()])
-            costs.append(float(pte.total_ptw_cycles))
-    features = np.asarray(rows, dtype=float)
-    labels = label_by_cost(np.asarray(costs), costly_fraction)
     return PTWCPDataset(features, labels)
 
 

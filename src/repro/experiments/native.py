@@ -6,7 +6,7 @@ from typing import Dict, Optional
 
 from repro.analysis.metrics import arithmetic_mean, geometric_mean, percent_reduction
 from repro.experiments.runner import ExperimentSettings, FigureResult, run_matrix
-from repro.sim.presets import EVALUATED_NATIVE_SYSTEMS
+from repro.sim.presets import EVALUATED_NATIVE_SYSTEMS, make_system_config
 
 #: Column order and display names for the Figure 20 comparison.
 NATIVE_SYSTEMS = ("pom_tlb", "opt_l3tlb_64k", "opt_l2tlb_64k", "opt_l2tlb_128k", "victima")
@@ -169,8 +169,8 @@ def fig23_reach(settings: Optional[ExperimentSettings] = None,
 
 def _baseline_tlb_reach_mb(settings: ExperimentSettings) -> float:
     """Maximum reach of the (scaled) baseline L2 TLB assuming 4 KB pages."""
-    entries = max(12, 1536 // settings.hardware_scale // 12 * 12)
-    return entries * 4096 / (1 << 20)
+    l2_tlb = make_system_config("radix", hardware_scale=settings.hardware_scale).mmu.l2_tlb
+    return l2_tlb.entries * 4096 / (1 << 20)
 
 
 def fig24_tlb_block_reuse(settings: Optional[ExperimentSettings] = None,

@@ -3,18 +3,52 @@
 from __future__ import annotations
 
 import os
-from typing import Optional
+from typing import List, Optional, Sequence
 
+import numpy as np
+
+from repro import api
 from repro.core.ptw_cp import ComparatorPTWCostPredictor
 from repro.core.ptw_cp_training import (
+    COSTLY_FRACTION,
     FEATURES_NN2,
     PTWCPDataset,
-    build_dataset_from_simulation,
     build_synthetic_dataset,
     decision_region,
+    label_by_cost,
     train_and_evaluate_models,
 )
 from repro.experiments.runner import ExperimentSettings, FigureResult
+
+
+def build_dataset_from_simulation(workloads: Sequence[str] = ("rnd", "bfs", "xs"),
+                                  max_refs: int = 15_000, seed: int = 1,
+                                  costly_fraction: float = COSTLY_FRACTION) -> PTWCPDataset:
+    """Harvest PTE feature counters from short baseline simulations.
+
+    Each listed workload is run on the Radix baseline for ``max_refs`` memory
+    references; every touched page contributes one row whose label says whether
+    its total PTW cycles put it in the top ``costly_fraction``.
+    """
+    rows: List[List[float]] = []
+    costs: List[float] = []
+    for workload in workloads:
+        simulator = api.build_simulator({"system": "radix", "workload": workload,
+                                         "max_refs": max_refs, "seed": seed})
+        simulator.run()
+        for _, _, pte in simulator.system.page_table.leaves():
+            # Only pages that were actually touched during the window carry a
+            # meaningful label; the pre-faulted-but-untouched majority would
+            # otherwise swamp the dataset with all-zero rows.  An untouched
+            # page may have no entry (a packed leaf) or no features yet.
+            features = None if pte is None else pte.counted_features()
+            if features is None or features.accesses == 0:
+                continue
+            rows.append([float(v) for v in features.as_vector()])
+            costs.append(float(pte.total_ptw_cycles))
+    features = np.asarray(rows, dtype=float)
+    labels = label_by_cost(np.asarray(costs), costly_fraction)
+    return PTWCPDataset(features, labels)
 
 
 def _build_dataset(settings: ExperimentSettings, use_simulation: bool) -> PTWCPDataset:

@@ -5,7 +5,8 @@ defaults can be tuned through environment variables so the benchmark harness
 can be made faster or more thorough without code changes:
 
 * ``REPRO_EXPERIMENT_REFS`` — memory references per simulation (default 20000).
-* ``REPRO_HARDWARE_SCALE`` — machine scale-down factor (default 8, see DESIGN.md).
+* ``REPRO_HARDWARE_SCALE`` — machine scale-down factor (default 8, see
+  ARCHITECTURE.md, "Scaled simulation").
 * ``REPRO_WORKLOADS`` — comma-separated subset of workloads (default: all 11).
 * ``REPRO_WARMUP_FRACTION`` — warm-up fraction of each run (default 0.3).
 * ``REPRO_CACHE_DIR`` — if set, completed runs are pickled there and re-used
@@ -135,12 +136,12 @@ def scenario_for_run(system_name: str, workload: str,
                      settings: ExperimentSettings,
                      system_label: Optional[str] = None,
                      **system_overrides) -> ScenarioSpec:
-    """The :class:`ScenarioSpec` equivalent of a legacy ``run_one`` call.
+    """The :class:`ScenarioSpec` of one experiment cell.
 
-    This is the bridge between the positional experiment surface and the
-    declarative one: the returned spec builds the identical simulator, and
-    its content hash is the run's cache identity — canonical (sorted, typed)
-    regardless of how the overrides were spelled.
+    ``system_overrides`` go to :func:`repro.sim.presets.make_system_config`
+    (e.g. ``l3_latency=25``) and ``system_label`` renames the system.  The
+    spec's content hash is the cell's cache identity — canonical (sorted,
+    typed) regardless of how the overrides were spelled.
     """
     return ScenarioSpec(
         name=f"{system_name}/{workload}",
@@ -261,8 +262,8 @@ def cached_simulation(content_hash: str, compute) -> SimulationResult:
     """Run ``compute()`` through the in-process and on-disk result caches.
 
     ``content_hash`` is a :meth:`ScenarioSpec.content_hash` digest; it is the
-    single cache identity shared by every route into a run (legacy
-    ``run_one`` arguments, scenario files, :func:`repro.api.simulate`).
+    single cache identity shared by every route into a run (experiment
+    cells, scenario files, :func:`repro.api.simulate`).
     """
     key = ("scenario", content_hash)
     if key in _RESULT_CACHE:
@@ -278,26 +279,6 @@ def cached_simulation(content_hash: str, compute) -> SimulationResult:
     if disk_path:
         _store_cached_result(disk_path, result)
     return result
-
-
-def run_one(system_name: str, workload: str,
-            settings: Optional[ExperimentSettings] = None,
-            system_label: Optional[str] = None,
-            **system_overrides) -> SimulationResult:
-    """Run (or fetch from cache) one workload on one named system.
-
-    ``system_overrides`` are forwarded to
-    :func:`repro.sim.presets.make_system_config` (e.g. ``l3_latency=25`` or
-    ``l2_cache_bytes=4*1024*1024``).  The run is expressed as a
-    :class:`ScenarioSpec` and executed through :func:`repro.api.simulate`,
-    so it shares cache entries with equivalent declarative scenarios.
-    """
-    from repro import api
-
-    settings = settings or ExperimentSettings()
-    spec = scenario_for_run(system_name, workload, settings,
-                            system_label=system_label, **system_overrides)
-    return api.simulate(spec)
 
 
 def run_matrix(system_names: Sequence[str],

@@ -12,7 +12,7 @@ objects on demand.
 Every spec has a stable :meth:`~ScenarioSpec.content_hash` over its *physical*
 fields (the name and description are documentation, not identity), which is
 the key of the experiment run cache: two routes to the same run — a TOML file
-and the legacy ``run_one(system, workload)`` call — share one cache entry.
+and an experiment cell — share one cache entry.
 
 A minimal TOML scenario::
 
@@ -48,7 +48,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 from repro.common.errors import ConfigurationError
 from repro.common.toml_compat import load_toml
 from repro.sim.config import SystemConfig
-from repro.sim.presets import make_system_config
+from repro.sim.presets import SYSTEM_OVERRIDES, make_system_config
 from repro.sim.sampling import SamplingConfig
 from repro.traces import combinators, tracefile
 from repro.workloads.base import Workload, WorkloadConfig
@@ -324,7 +324,7 @@ class ScenarioSpec:
     #: Number of simulated cores.  1 runs the whole workload on one core;
     #: > 1 requires a ``mix`` workload tree whose tenants are placed on cores
     #: (``core = N`` per tenant, least-loaded placement for unpinned ones),
-    #: one stream per core (see :meth:`repro.sim.simulator.Simulator.from_scenario`).
+    #: one stream per core (see :func:`repro.api.build_simulator`).
     num_cores: int = 1
     #: Opt-in SMARTS-style sampled simulation (see :mod:`repro.sim.sampling`).
     #: ``None`` (the default) simulates every reference; a
@@ -350,9 +350,14 @@ class ScenarioSpec:
         if self.num_cores < 1:
             raise ConfigurationError(
                 f"num_cores must be >= 1, got {self.num_cores}")
-        if any(key == "num_cores" for key, _ in self.system_overrides):
-            raise ConfigurationError(
-                "set num_cores at the scenario top level, not in system_overrides")
+        for key, _ in self.system_overrides:
+            if key in ("hardware_scale", "num_cores"):
+                raise ConfigurationError(
+                    f"set {key} at the scenario top level, not in system_overrides")
+            if key not in SYSTEM_OVERRIDES:
+                raise ConfigurationError(
+                    f"unknown system override {key!r}; expected one of: "
+                    + ", ".join(SYSTEM_OVERRIDES))
         pinned = _pinned_nodes(self.workload)
         if self.num_cores == 1:
             if pinned:
@@ -466,7 +471,7 @@ class ScenarioSpec:
 
         ``name`` and ``description`` are documentation and excluded, so the
         same run reached through different spellings (a TOML file, a built-in
-        scenario, a legacy ``run_one`` call) shares one cache entry.  Values
+        scenario, an experiment cell) shares one cache entry.  Values
         are encoded with their type, so ``1`` / ``1.0`` / ``True`` never
         collide.  ``num_cores`` and tenant ``core`` pins are physical and
         participate.

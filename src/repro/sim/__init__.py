@@ -12,7 +12,6 @@ from repro.sim.presets import (
     EVALUATED_NATIVE_SYSTEMS,
     EVALUATED_VIRTUAL_SYSTEMS,
     make_system_config,
-    make_workload_config,
 )
 from repro.sim.simulator import SimulationResult, Simulator
 from repro.sim.system import System, build_system
@@ -27,7 +26,6 @@ __all__ = [
     "EVALUATED_NATIVE_SYSTEMS",
     "EVALUATED_VIRTUAL_SYSTEMS",
     "make_system_config",
-    "make_workload_config",
     "SimulationResult",
     "Simulator",
     "System",

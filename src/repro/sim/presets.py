@@ -36,6 +36,7 @@ import re
 from typing import Optional
 
 from repro.analysis.cacti import tlb_access_latency
+from repro.backends import get_backend
 from repro.common.errors import ConfigurationError
 from repro.sim.config import (
     BOTH_PAGE_SIZES,
@@ -44,7 +45,6 @@ from repro.sim.config import (
     TLBConfig,
     VictimaConfig,
 )
-from repro.workloads.base import WorkloadConfig
 
 #: System names used for the paper's native-execution comparison (Figure 20).
 EVALUATED_NATIVE_SYSTEMS = (
@@ -54,6 +54,11 @@ EVALUATED_NATIVE_SYSTEMS = (
 EVALUATED_VIRTUAL_SYSTEMS = (
     "nested_paging", "virt_pom_tlb", "ideal_shadow", "virt_victima",
 )
+
+#: The keywords of :func:`make_system_config` a scenario's
+#: ``system_overrides`` may set; ``hardware_scale`` and ``num_cores`` are
+#: the scenario's own top-level fields.
+SYSTEM_OVERRIDES = ("l2_cache_bytes", "l3_latency")
 
 _SIZE_RE = re.compile(r"^(opt|real)_l2tlb_(\d+)k$")
 
@@ -80,11 +85,14 @@ def make_system_config(name: str, l3_latency: Optional[int] = None,
     the workload footprints so that the paper's capacity *ratios* — TLB reach
     vs. footprint, L2-cache TLB-block capacity vs. footprint, page-table
     working set vs. cache capacity — are preserved within simulation windows
-    that a pure-Python simulator can execute (see DESIGN.md, "scaled
+    that a pure-Python simulator can execute (see ARCHITECTURE.md, "Scaled
     simulation").  ``hardware_scale=1`` reproduces Table 3 verbatim.
     """
     name = name.lower()
     config = SystemConfig()
+    # Only the size presets and the Victima ablations name themselves; every
+    # other system carries its backend's registry label.
+    label = None
 
     match = _SIZE_RE.match(name)
     if match is not None:
@@ -92,55 +100,44 @@ def make_system_config(name: str, l3_latency: Optional[int] = None,
         entries = _parse_entries(size_token)
         latency = 12 if flavour == "opt" else tlb_access_latency(entries)
         config.kind = "large_l2_tlb"
-        config.label = f"{'Opt.' if flavour == 'opt' else 'Real.'} L2 TLB {size_token}K"
+        label = f"{'Opt.' if flavour == 'opt' else 'Real.'} L2 TLB {size_token}K"
         config.mmu.l2_tlb = TLBConfig(entries, 16, latency, BOTH_PAGE_SIZES)
     elif name in ("opt_l3tlb_64k", "l3_tlb"):
         config.kind = "l3_tlb"
-        config.label = "Opt. L3 TLB 64K"
         config.mmu.l3_tlb = TLBConfig(64 * 1024, 16, l3_latency or 15, BOTH_PAGE_SIZES)
-    elif name == "pom_tlb":
-        config.kind = "pom_tlb"
-        config.label = "POM-TLB 64K"
-        config.l2_cache.replacement_policy = "tlb_aware_srrip"
     elif name.startswith("victima"):
         config.kind = "victima"
-        config.label = "Victima"
         config.l2_cache.replacement_policy = "tlb_aware_srrip"
         if name == "victima_srrip":
-            config.label = "Victima (TLB-agnostic SRRIP)"
+            label = "Victima (TLB-agnostic SRRIP)"
             config.l2_cache.replacement_policy = "srrip"
         elif name == "victima_no_predictor":
-            config.label = "Victima (no PTW-CP)"
+            label = "Victima (no PTW-CP)"
             config.victima = VictimaConfig(use_predictor=False)
         elif name == "victima_miss_only":
-            config.label = "Victima (miss-triggered only)"
+            label = "Victima (miss-triggered only)"
             config.victima = VictimaConfig(insert_on_eviction=False)
         elif name == "victima_eviction_only":
-            config.label = "Victima (eviction-triggered only)"
+            label = "Victima (eviction-triggered only)"
             config.victima = VictimaConfig(insert_on_miss=False)
         elif name != "victima":
             raise ConfigurationError(f"unknown Victima variant: {name!r}")
-    elif name == "virt_pom_tlb":
-        config.kind = "virt_pom_tlb"
-        config.label = "POM-TLB (virtualized)"
+    elif name in ("pom_tlb", "virt_pom_tlb", "virt_victima"):
+        config.kind = name
         config.l2_cache.replacement_policy = "tlb_aware_srrip"
-    elif name in ("ideal_shadow", "ideal_shadow_paging"):
+    elif name == "ideal_shadow":
         config.kind = "ideal_shadow_paging"
-        config.label = "Ideal Shadow Paging"
-    elif name == "virt_victima":
-        config.kind = "virt_victima"
-        config.label = "Victima (virtualized)"
-        config.l2_cache.replacement_policy = "tlb_aware_srrip"
     else:
         # Fall through to the backend registry: any registered backend name
         # (``radix``, ``nested_paging``, ``hash_pt``, or one registered by
         # downstream code) is a valid preset.  ``get_backend`` raises a
         # ConfigurationError listing every registered name when the lookup
         # fails.
-        from repro.backends import get_backend
-        spec = get_backend(name)
-        config.kind = spec.name
-        config.label = spec.label
+        config.kind = name
+    config.label = label or get_backend(config.kind).label
+    if l3_latency is not None and config.mmu.l3_tlb is None:
+        raise ConfigurationError(
+            f"l3_latency applies only to a system with an L3 TLB; {name!r} has none")
 
     if l2_cache_bytes is not None:
         config.l2_cache = CacheConfig(
@@ -194,17 +191,3 @@ def _apply_hardware_scale(config: SystemConfig, scale: int) -> None:
     bucket_scale = 1 << max(0, scale.bit_length() - 1)
     scaled_buckets = max(64, (config.hash_pt.entries // slots) // bucket_scale)
     config.hash_pt.entries = scaled_buckets * slots
-
-
-#: Default number of memory references per workload for experiment runs.  The
-#: paper simulates 500M instructions per benchmark; our Python substrate uses a
-#: smaller window whose TLB/cache behaviour has converged (see DESIGN.md).
-DEFAULT_EXPERIMENT_REFS = 40_000
-
-
-def make_workload_config(name: str, max_refs: int = DEFAULT_EXPERIMENT_REFS,
-                         seed: int = 42, footprint_scale: float = 1.0,
-                         **params) -> WorkloadConfig:
-    """Build a :class:`WorkloadConfig` for a named workload."""
-    return WorkloadConfig(name=name, max_refs=max_refs, seed=seed,
-                          footprint_scale=footprint_scale, params=dict(params))

@@ -37,11 +37,9 @@ from repro.analysis.metrics import reuse_buckets
 from repro.cache.block import BlockKind
 from repro.cache.hierarchy import MemoryLevel
 from repro.common.errors import ConfigurationError
-from repro.sim.config import SystemConfig
 from repro.sim.sampling import SamplingConfig, sampled_batches, sampling_block
-from repro.sim.system import System, build_system
-from repro.workloads.base import Workload, WorkloadConfig
-from repro.workloads.registry import make_workload
+from repro.sim.system import System
+from repro.workloads.base import Workload
 
 
 class CoreRun:
@@ -305,6 +303,9 @@ class Simulator:
     500M-instruction regions of interest.  A core's private statistics are
     zeroed when it crosses its own boundary, and the shared structures'
     (LLC, DRAM, POM-TLB) when the last running core crosses.
+
+    :func:`repro.api.build_simulator` builds one from a scenario; a hand-built
+    machine runs as ``Simulator(build_system(config, huge_page_fraction=...), [w])``.
     """
 
     def __init__(self, system: System,
@@ -333,53 +334,6 @@ class Simulator:
         #: Opt-in SMARTS sampling (see :mod:`repro.sim.sampling`), applied
         #: per core.  ``None`` (the default) simulates every reference.
         self.sampling = sampling
-
-    @classmethod
-    def from_configs(cls, system_config: SystemConfig, workload_config: WorkloadConfig,
-                     epoch_instructions: int = 10_000,
-                     warmup_fraction: float = 0.25) -> "Simulator":
-        """Build the workload, then the system (using the workload's THP mix)."""
-        if system_config.num_cores > 1:
-            raise ConfigurationError(
-                "Simulator.from_configs is single-core; multi-core machines "
-                "take one workload per core — use a num_cores > 1 scenario "
-                "(Simulator.from_scenario) or pass one slot per core to "
-                "Simulator(system, core_workloads)")
-        workload = make_workload(workload_config)
-        system = build_system(system_config, huge_page_fraction=workload.huge_page_fraction)
-        return cls(system, [workload], epoch_instructions=epoch_instructions,
-                   warmup_fraction=warmup_fraction)
-
-    @classmethod
-    def from_scenario(cls, scenario) -> "Simulator":
-        """Build a simulator from a declarative scenario.
-
-        ``scenario`` is anything :func:`repro.scenario.load_scenario` accepts
-        (a :class:`~repro.scenario.ScenarioSpec`, a mapping, a TOML/JSON path
-        or a built-in name).  For a single-workload spec this constructs the
-        exact simulator :meth:`from_configs` would, so both routes produce
-        identical results; composed workload trees (mixes, phases, replays)
-        are materialised through :mod:`repro.traces`.
-
-        With ``num_cores > 1`` the top-level mix's tenants are placed on
-        cores (explicit ``core`` pins first, then least-loaded cores) by
-        :meth:`~repro.traces.combinators.MixWorkload.per_core_workloads`;
-        tenant address-space slots and reference budgets are those of the
-        single-core interleaving of the same spec.  The mix itself names the
-        result and sets the machine's huge-page mix; its own stream is never
-        pulled.
-        """
-        from repro.scenario import load_scenario
-
-        spec = load_scenario(scenario)
-        workload = spec.build_workload()
-        system = build_system(spec.build_system_config(),
-                              huge_page_fraction=workload.huge_page_fraction)
-        core_workloads = (workload.per_core_workloads(spec.num_cores)
-                          if spec.num_cores > 1 else [workload])
-        return cls(system, core_workloads, epoch_instructions=spec.epoch_instructions,
-                   warmup_fraction=spec.warmup_fraction, name=workload.name,
-                   sampling=spec.sampling)
 
     # ------------------------------------------------------------------ #
     # Main loop

@@ -23,7 +23,7 @@ On a multi-core machine the same mix places its tenants on cores instead of
 interleaving them into one stream: ``mix(tenants, cores=[0, 1])`` records the
 placement and :meth:`~repro.traces.combinators.MixWorkload.per_core_workloads`
 splits the (slot-remapped) tenants into one stream per core for the
-simulator (:meth:`repro.sim.simulator.Simulator.from_scenario`).
+simulator (:func:`repro.api.build_simulator`).
 """
 
 from repro.traces.combinators import (

@@ -13,7 +13,7 @@ from repro.common.pressure import PressureMonitor
 from repro.memory.page_allocator import VirtualMemoryManager
 from repro.memory.page_table import RadixPageTable
 from repro.memory.physical import PhysicalMemory
-from repro.sim.presets import make_system_config, make_workload_config
+from repro import api
 from repro.sim.simulator import Simulator
 
 
@@ -135,10 +135,10 @@ def build_tiny_simulator(system_name: str = "radix", workload: str = "rnd",
                          max_refs: int = 600, hardware_scale: int = 16,
                          warmup_fraction: float = 0.0) -> Simulator:
     """A very small end-to-end simulation used by integration tests."""
-    system_config = make_system_config(system_name, hardware_scale=hardware_scale)
-    workload_config = make_workload_config(workload, max_refs=max_refs, seed=7)
-    return Simulator.from_configs(system_config, workload_config,
-                                  warmup_fraction=warmup_fraction)
+    return api.build_simulator({"system": system_name, "workload": workload,
+                                "max_refs": max_refs, "seed": 7,
+                                "hardware_scale": hardware_scale,
+                                "warmup_fraction": warmup_fraction})
 
 
 @pytest.fixture

@@ -1,4 +1,4 @@
-"""The repro.api façade: parity with the legacy path, caching, CLI wiring."""
+"""The repro.api façade: parity with the raw constructor, caching, CLI wiring."""
 
 from __future__ import annotations
 
@@ -10,8 +10,10 @@ from repro import api
 from repro.cli import main
 from repro.experiments import runner
 from repro.scenario import ScenarioSpec, WorkloadSpec
-from repro.sim.presets import make_system_config, make_workload_config
+from repro.sim.presets import make_system_config
 from repro.sim.simulator import Simulator
+from repro.sim.system import build_system
+from repro.workloads import make_workload
 
 MIX_SCENARIO = {
     "name": "mix-under-test",
@@ -36,34 +38,36 @@ def _fresh_cache():
 
 class TestParity:
     def test_single_workload_scenario_matches_legacy_path(self):
-        """The acceptance criterion: api.simulate == Simulator.from_configs."""
+        """The acceptance criterion: api.simulate == the raw constructor."""
         spec = ScenarioSpec(
             name="parity", system="victima",
             workload=WorkloadSpec(kind="workload", workload="bfs"),
             max_refs=1200, seed=7, hardware_scale=16, warmup_fraction=0.0)
         via_api = api.simulate(spec, use_cache=False)
-        legacy = Simulator.from_configs(
-            make_system_config("victima", hardware_scale=16),
-            make_workload_config("bfs", max_refs=1200, seed=7),
-            warmup_fraction=0.0).run()
-        assert via_api == legacy  # full dataclass equality, every field
+        workload = make_workload("bfs", max_refs=1200, seed=7)
+        system = build_system(make_system_config("victima", hardware_scale=16),
+                              huge_page_fraction=workload.huge_page_fraction)
+        raw = Simulator(system, [workload], warmup_fraction=0.0).run()
+        assert via_api == raw  # full dataclass equality, every field
 
-    def test_from_scenario_accepts_every_reference_form(self):
+    def test_build_simulator_accepts_every_reference_form(self):
         spec = ScenarioSpec.from_dict(MIX_SCENARIO)
         for reference in (spec, MIX_SCENARIO):
-            simulator = Simulator.from_scenario(reference)
+            simulator = api.build_simulator(reference)
             assert simulator.name == "mix(bfs+rnd@1)"
             assert [w.name for w in simulator.core_workloads] == ["mix(bfs+rnd@1)"]
             assert simulator.system.config.kind == "victima"
 
-    def test_run_one_and_scenario_share_cache_entries(self):
+    def test_experiment_cell_and_scenario_share_cache_entries(self):
         settings = runner.ExperimentSettings(
             max_refs=600, hardware_scale=16, warmup_fraction=0.0, seed=7,
             workloads=("rnd",))
-        from_legacy = runner.run_one("radix", "rnd", settings)
-        spec = runner.scenario_for_run("radix", "rnd", settings)
-        from_api = api.simulate(spec)
-        assert from_api is from_legacy  # same in-process cache entry
+        from_cell = api.simulate(runner.scenario_for_run("radix", "rnd", settings))
+        from_mapping = api.simulate({"name": "another-name", "system": "radix",
+                                     "workload": "rnd", "max_refs": 600,
+                                     "hardware_scale": 16,
+                                     "warmup_fraction": 0.0, "seed": 7})
+        assert from_mapping is from_cell  # same in-process cache entry
 
 
 class TestMixedScenarioEndToEnd:
@@ -94,9 +98,9 @@ class TestMixedScenarioEndToEnd:
         settings = runner.ExperimentSettings(
             max_refs=400, hardware_scale=16, warmup_fraction=0.0, seed=7,
             workloads=("rnd",))
-        plain = runner.run_one("radix", "rnd", settings)
-        relabeled = runner.run_one("radix", "rnd", settings,
-                                   system_label="Radix (tuned)")
+        plain = api.simulate(runner.scenario_for_run("radix", "rnd", settings))
+        relabeled = api.simulate(runner.scenario_for_run(
+            "radix", "rnd", settings, system_label="Radix (tuned)"))
         assert plain.system_label == "Radix"
         assert relabeled.system_label == "Radix (tuned)"
 

@@ -21,6 +21,7 @@ import re
 import pytest
 
 import repro.backends as backends
+from repro import api
 from repro.backends import (
     BackendSpec,
     HashedPageTable,
@@ -35,7 +36,6 @@ from repro.common.stats import ResettableStats, StatsRegistry
 from repro.sim.config import SystemConfig
 from repro.sim.presets import (EVALUATED_NATIVE_SYSTEMS,
                                EVALUATED_VIRTUAL_SYSTEMS, make_system_config)
-from repro.sim.simulator import Simulator
 from repro.sim.system import build_system
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data",
@@ -152,7 +152,7 @@ class TestGoldenParity:
 
     @pytest.mark.parametrize("key", sorted(_GOLDEN), ids=lambda k: k)
     def test_preset_is_bit_identical_to_pre_registry_golden(self, key):
-        sim = Simulator.from_scenario(_GENERATOR.scenario_for_key(key))
+        sim = api.build_simulator(_GENERATOR.scenario_for_key(key))
         result = sim.run()
         assert _canonical(result.to_json_dict()) == _canonical(_GOLDEN[key]), (
             f"{key}: simulation result diverged from the committed golden "
@@ -298,7 +298,7 @@ class TestResettableStats:
     @pytest.mark.parametrize("warmup_fraction, resets", [(0.25, 1), (0.0, 0)])
     def test_machine_registry_resets_once_every_core_is_warm(
             self, num_cores, warmup_fraction, resets, monkeypatch):
-        sim = Simulator.from_scenario({
+        sim = api.build_simulator({
             "system": "pom_tlb", "max_refs": 600, "seed": 42,
             "hardware_scale": HARDWARE_SCALE, "num_cores": num_cores,
             "warmup_fraction": warmup_fraction,
@@ -333,7 +333,7 @@ class TestBuild:
     def test_a_wrapper_put_on_walk_after_the_build_sees_every_walk(self, name):
         # A tracer wraps a walker's ``walk`` on the built instance, so the
         # backends must look it up on every miss.
-        sim = Simulator.from_scenario({
+        sim = api.build_simulator({
             "system": name, "max_refs": 600, "seed": 42,
             "hardware_scale": HARDWARE_SCALE, "warmup_fraction": 0.0,
             "workload": "rnd"})
@@ -363,7 +363,7 @@ class TestHashedPageTableBackend:
         return scenario
 
     def test_runs_end_to_end_from_scenario(self):
-        result = Simulator.from_scenario(self._system()).run()
+        result = api.build_simulator(self._system()).run()
         assert result.system_kind == "hash_pt"
         assert result.system_label == "Hashed PT"
         assert result.memory_refs > 0
@@ -372,8 +372,8 @@ class TestHashedPageTableBackend:
         assert result.served_by.get("page_walk", 0) > 0
 
     def test_runs_deterministically(self):
-        first = Simulator.from_scenario(self._system()).run()
-        second = Simulator.from_scenario(self._system()).run()
+        first = api.build_simulator(self._system()).run()
+        second = api.build_simulator(self._system()).run()
         assert _canonical(first.to_json_dict()) == _canonical(second.to_json_dict())
 
     def test_cli_run_scenario(self, tmp_path, capsys):
@@ -428,7 +428,7 @@ class TestPOMTLBWarmStart:
         # virt_pom_tlb) against an 8,192-entry POM-TLB, so sets evict.
         spec = {"system": system, "max_refs": 100, "seed": 42, "hardware_scale": 8,
                 "workload": "bfs"}
-        warm, reference = Simulator.from_scenario(spec), Simulator.from_scenario(spec)
+        warm, reference = api.build_simulator(spec), api.build_simulator(spec)
         for simulator in (warm, reference):
             simulator.system.backend.warm_start = lambda page_table: None
             simulator.prefault()

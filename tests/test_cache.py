@@ -286,12 +286,12 @@ class TestPrefetchers:
         assert len(prefetches) == 2
         assert prefetches[0] == 0x10000 + 5 * 64
 
-    def test_prefetcher_stats(self):
+    def test_ip_stride_prefetches_one_stride_ahead(self):
         prefetcher = IPStridePrefetcher(degree=1, confidence_threshold=1)
-        for i in range(4):
-            prefetcher.observe(0x1, 0x1000 + i * 64)
-        assert prefetcher.stats.issued > 0
-        assert prefetcher.stats.trainings == 4
+        targets = [prefetcher.observe(0x1, 0x1000 + i * 64) for i in range(4)]
+        # The first access fills the entry and the second learns the stride;
+        # from the third on, each access prefetches one stride ahead.
+        assert targets == [[], [], [0x1000 + 3 * 64], [0x1000 + 4 * 64]]
 
 
 class TestHierarchy:

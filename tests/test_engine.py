@@ -5,6 +5,7 @@ import pickle
 
 import pytest
 
+from repro import api
 from repro.common.errors import ConfigurationError
 from repro.experiments import engine as engine_mod
 from repro.experiments.engine import RunProgress, resolve_jobs, run_many
@@ -12,7 +13,6 @@ from repro.experiments.runner import (
     ExperimentSettings,
     clear_cache,
     run_matrix,
-    run_one,
     scenario_for_run,
 )
 
@@ -86,7 +86,7 @@ class TestEngineParity:
         spec = scenario_for_run("opt_l3tlb_64k", "rnd", TINY, l3_latency=25)
         (parallel,) = run_many([spec], jobs=2)
         clear_cache()
-        serial = run_one("opt_l3tlb_64k", "rnd", TINY, l3_latency=25)
+        serial = api.simulate(scenario_for_run("opt_l3tlb_64k", "rnd", TINY, l3_latency=25))
         assert parallel == serial
 
 
@@ -143,16 +143,14 @@ class TestEngineSemantics:
         assert not engine_mod._SHARED_POOLS
 
     def test_in_process_batch_runs_each_spec_once(self, monkeypatch):
-        from repro.sim.simulator import Simulator
-
         built = []
-        from_scenario = Simulator.from_scenario
+        build_simulator = api.build_simulator
 
         def counted(scenario):
             built.append(scenario)
-            return from_scenario(scenario)
+            return build_simulator(scenario)
 
-        monkeypatch.setattr(Simulator, "from_scenario", counted)
+        monkeypatch.setattr(api, "build_simulator", counted)
         specs = [scenario_for_run("victima", "rnd", TINY),
                  scenario_for_run("radix", "rnd", TINY),
                  scenario_for_run("victima", "rnd", TINY)]
@@ -213,7 +211,7 @@ class TestDiskCacheSharing:
         def _boom(*args, **kwargs):
             raise AssertionError("simulation ran despite a populated disk cache")
 
-        monkeypatch.setattr("repro.sim.simulator.Simulator.from_scenario", _boom)
+        monkeypatch.setattr("repro.api.build_simulator", _boom)
         serial = run_matrix(("radix",), TINY, jobs=1)
         for workload in TINY.workloads:
             assert serial[workload]["radix"] == parallel[workload]["radix"]
@@ -241,23 +239,23 @@ class TestDiskCacheSharing:
 
     def test_corrupt_cache_entry_is_recomputed(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        reference = run_one("radix", "rnd", TINY)
+        reference = api.simulate(scenario_for_run("radix", "rnd", TINY))
         (path,) = tmp_path.glob("run_*.pkl")
         path.write_bytes(path.read_bytes()[:20])  # truncated mid-write
         clear_cache()
-        result = run_one("radix", "rnd", TINY)
+        result = api.simulate(scenario_for_run("radix", "rnd", TINY))
         assert result == reference
         # The corrupt file must have been replaced by a loadable one.
         clear_cache()
-        assert run_one("radix", "rnd", TINY) == reference
+        assert api.simulate(scenario_for_run("radix", "rnd", TINY)) == reference
 
     def test_garbage_cache_entry_is_recomputed(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        reference = run_one("radix", "rnd", TINY)
+        reference = api.simulate(scenario_for_run("radix", "rnd", TINY))
         (path,) = tmp_path.glob("run_*.pkl")
         path.write_bytes(b"not a pickle at all")
         clear_cache()
-        assert run_one("radix", "rnd", TINY) == reference
+        assert api.simulate(scenario_for_run("radix", "rnd", TINY)) == reference
 
     def test_cache_write_failure_does_not_kill_the_run(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
@@ -266,18 +264,19 @@ class TestDiskCacheSharing:
             raise pickle.PicklingError("cannot persist this result")
 
         monkeypatch.setattr("repro.experiments.runner.pickle.dump", _unpicklable)
-        result = run_one("radix", "rnd", TINY)  # must still return the result
+        # The run must still return its result.
+        result = api.simulate(scenario_for_run("radix", "rnd", TINY))
         assert result.memory_refs > 0
         assert not list(tmp_path.glob("*.tmp"))
         assert not list(tmp_path.glob("run_*.pkl"))
 
     def test_wrong_payload_type_is_ignored(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        reference = run_one("radix", "rnd", TINY)
+        reference = api.simulate(scenario_for_run("radix", "rnd", TINY))
         (path,) = tmp_path.glob("run_*.pkl")
         path.write_bytes(pickle.dumps({"not": "a result"}))
         clear_cache()
-        assert run_one("radix", "rnd", TINY) == reference
+        assert api.simulate(scenario_for_run("radix", "rnd", TINY)) == reference
 
 
 class TestSweepCells:
@@ -290,10 +289,10 @@ class TestSweepCells:
         figure = fig08_l3tlb(TINY, jobs=jobs)
         assert len(figure.rows) == len(TINY.workloads) + 1
         for row, workload in zip(figure.rows, TINY.workloads):
-            baseline = run_one("radix", workload, TINY)
-            expected = [round(baseline.cycles / run_one(
+            baseline = api.simulate(scenario_for_run("radix", workload, TINY))
+            expected = [round(baseline.cycles / api.simulate(scenario_for_run(
                 "opt_l3tlb_64k", workload, TINY, l3_latency=latency,
-                system_label=f"Opt. L3 TLB 64K ({latency} cyc)").cycles, 3)
+                system_label=f"Opt. L3 TLB 64K ({latency} cyc)")).cycles, 3)
                 for latency in L3_TLB_LATENCIES]
             assert row == [workload] + expected
 
@@ -305,10 +304,10 @@ class TestSweepCells:
         figure = fig25_cache_size_sweep(TINY, jobs=jobs)
         assert len(figure.rows) == len(TINY.workloads) + 1
         for row, workload in zip(figure.rows, TINY.workloads):
-            baseline = run_one("radix", workload, TINY)
-            expected = [round(percent_reduction(baseline.page_walks, run_one(
-                "victima", workload, TINY, l2_cache_bytes=size,
-                system_label=f"Victima (L2 {size >> 20}MB)").page_walks), 1)
+            baseline = api.simulate(scenario_for_run("radix", workload, TINY))
+            expected = [round(percent_reduction(baseline.page_walks, api.simulate(
+                scenario_for_run("victima", workload, TINY, l2_cache_bytes=size,
+                                 system_label=f"Victima (L2 {size >> 20}MB)")).page_walks), 1)
                 for size in L2_CACHE_SIZES]
             assert row == [workload] + expected
 

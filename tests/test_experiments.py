@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import api
 from repro.experiments import ALL_EXPERIMENTS
 from repro.experiments.ablations import fig26_replacement_ablation
 from repro.experiments.motivation import fig04_ptw_latency, fig05_tlb_mpki, fig11_cache_reuse
@@ -13,7 +14,7 @@ from repro.experiments.runner import (
     FigureResult,
     clear_cache,
     run_matrix,
-    run_one,
+    scenario_for_run,
 )
 from repro.experiments.virtualized import fig27_virt_speedup
 
@@ -29,14 +30,14 @@ def _clean_cache():
 
 
 class TestRunner:
-    def test_run_one_is_cached(self):
-        first = run_one("radix", "rnd", TINY)
-        second = run_one("radix", "rnd", TINY)
+    def test_experiment_cell_is_cached(self):
+        first = api.simulate(scenario_for_run("radix", "rnd", TINY))
+        second = api.simulate(scenario_for_run("radix", "rnd", TINY))
         assert first is second
 
-    def test_run_one_overrides_change_the_key(self):
-        a = run_one("opt_l3tlb_64k", "rnd", TINY, l3_latency=15)
-        b = run_one("opt_l3tlb_64k", "rnd", TINY, l3_latency=39)
+    def test_experiment_cell_overrides_change_the_key(self):
+        a = api.simulate(scenario_for_run("opt_l3tlb_64k", "rnd", TINY, l3_latency=15))
+        b = api.simulate(scenario_for_run("opt_l3tlb_64k", "rnd", TINY, l3_latency=39))
         assert a is not b
 
     def test_run_matrix_shape(self):
@@ -47,11 +48,11 @@ class TestRunner:
     def test_disk_cache(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         clear_cache()
-        run_one("radix", "rnd", TINY)
+        api.simulate(scenario_for_run("radix", "rnd", TINY))
         assert list(tmp_path.glob("run_*.pkl"))
         clear_cache()
         # Second call must load from disk without error.
-        result = run_one("radix", "rnd", TINY)
+        result = api.simulate(scenario_for_run("radix", "rnd", TINY))
         assert result.memory_refs > 0
 
 

@@ -17,9 +17,8 @@ import os
 
 import pytest
 
+from repro import api
 from repro.common.pressure import PressureMonitor
-from repro.sim.presets import make_system_config, make_workload_config
-from repro.sim.simulator import Simulator
 from repro.traces.combinators import dilate, mix, phased, remap, shard
 from repro.workloads import make_workload
 from repro.workloads.base import MemoryRef
@@ -116,7 +115,7 @@ class TestFastPathParity:
     """
 
     def _assert_matches_reference(self, key, multi_core=False):
-        sim = _GENERATOR.hotpath_simulator(key)
+        sim = api.build_simulator(_GENERATOR.hotpath_scenario(key))
         assert len(sim.core_workloads) == (2 if multi_core else 1)
         result = sim.run()
         assert _canonical(result.to_json_dict()) == _canonical(_HOTPATH_GOLDEN[key]), (
@@ -182,9 +181,8 @@ class TestPressureResetAtWarmupBoundary:
         assert pressure.tlb_pressure_threshold == 5.0
 
     def test_single_core_pressure_counts_measured_window_only(self):
-        sim = Simulator.from_configs(
-            make_system_config("victima"),
-            make_workload_config("rnd", max_refs=4000))
+        sim = api.build_simulator({"system": "victima", "workload": "rnd",
+                                   "max_refs": 4000})
         result = sim.run()
         pressure = sim.system.cores[0].pressure
         # With the reset at the warm-up boundary, the monitor's totals must
@@ -195,7 +193,7 @@ class TestPressureResetAtWarmupBoundary:
         assert pressure.total_l2_tlb_misses == result.l2_tlb_misses
 
     def test_multi_core_pressure_counts_measured_window_only(self):
-        sim = Simulator.from_scenario(dict(TWO_CORE_SCENARIO))
+        sim = api.build_simulator(dict(TWO_CORE_SCENARIO))
         result = sim.run()
         for core_result in result.per_core:
             core = sim.system.cores[core_result.core]
@@ -205,9 +203,8 @@ class TestPressureResetAtWarmupBoundary:
 
 class TestReachSamplesClearedAtMeasureStart:
     def _run(self, warmup_fraction, epoch_instructions=500):
-        sim = Simulator.from_configs(
-            make_system_config("victima"),
-            make_workload_config("rnd", max_refs=4000))
+        sim = api.build_simulator({"system": "victima", "workload": "rnd",
+                                   "max_refs": 4000})
         sim.warmup_fraction = warmup_fraction
         sim.epoch_instructions = epoch_instructions
         return sim.run()

@@ -8,8 +8,7 @@ qualitative claims.
 
 import pytest
 
-from repro.sim.presets import make_system_config, make_workload_config
-from repro.sim.simulator import Simulator
+from repro import api
 
 SCALE = 16
 REFS = 3_000
@@ -17,11 +16,10 @@ REFS = 3_000
 
 def run(system_name: str, workload: str = "rnd", refs: int = REFS,
         warmup: float = 0.3, **overrides):
-    system_config = make_system_config(system_name, hardware_scale=SCALE, **overrides)
-    workload_config = make_workload_config(workload, max_refs=refs, seed=13)
-    simulator = Simulator.from_configs(system_config, workload_config,
-                                       warmup_fraction=warmup)
-    return simulator.run()
+    return api.build_simulator({
+        "system": system_name, "system_overrides": overrides,
+        "hardware_scale": SCALE, "workload": workload, "max_refs": refs,
+        "seed": 13, "warmup_fraction": warmup}).run()
 
 
 @pytest.fixture(scope="module")
@@ -116,12 +114,15 @@ class TestVirtualizedClaims:
         assert shadow.host_page_walks == 0
 
 
+def _victima_rnd_simulator():
+    return api.build_simulator({"system": "victima", "hardware_scale": SCALE,
+                                "workload": "rnd", "max_refs": 1_000, "seed": 13,
+                                "warmup_fraction": 0.0})
+
+
 class TestMaintenanceIntegration:
     def test_full_flush_invalidates_victima_blocks(self):
-        system_config = make_system_config("victima", hardware_scale=SCALE)
-        workload_config = make_workload_config("rnd", max_refs=1_000, seed=13)
-        simulator = Simulator.from_configs(system_config, workload_config,
-                                           warmup_fraction=0.0)
+        simulator = _victima_rnd_simulator()
         simulator.run()
         core = simulator.system.cores[0]
         assert core.victima.resident_tlb_blocks()
@@ -130,10 +131,7 @@ class TestMaintenanceIntegration:
         assert not core.victima.resident_tlb_blocks()
 
     def test_shootdown_after_unmap(self):
-        system_config = make_system_config("victima", hardware_scale=SCALE)
-        workload_config = make_workload_config("rnd", max_refs=1_000, seed=13)
-        simulator = Simulator.from_configs(system_config, workload_config,
-                                           warmup_fraction=0.0)
+        simulator = _victima_rnd_simulator()
         simulator.run()
         core = simulator.system.cores[0]
         entry = next(

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import api
 from repro.backends import L3TLBBackend, RadixBackend
 from repro.cache.cache import Cache
 from repro.cache.hierarchy import CacheHierarchy
@@ -16,8 +17,6 @@ from repro.mmu.mmu import MMU, ServedBy
 from repro.mmu.page_walker import PageTableWalker
 from repro.mmu.pwc import PageWalkCaches
 from repro.mmu.tlb import TLB
-from repro.sim.presets import make_system_config, make_workload_config
-from repro.sim.simulator import Simulator
 from tests.conftest import allocator_state, page_table_state, translate_counted
 
 BOTH = (PageSize.SIZE_4K, PageSize.SIZE_2M)
@@ -324,9 +323,8 @@ class TestDemandPagingInsideARun:
 
     @staticmethod
     def _run(system_name: str, map_first: bool):
-        sim = Simulator.from_configs(
-            make_system_config(system_name, hardware_scale=16),
-            make_workload_config("rnd", max_refs=2000, seed=7))
+        sim = api.build_simulator({"system": system_name, "hardware_scale": 16,
+                                   "workload": "rnd", "max_refs": 2000, "seed": 7})
         sim.prefault = lambda: 0
         system = sim.system
         if map_first:

@@ -13,7 +13,7 @@ from repro.common.errors import ConfigurationError
 from repro.experiments import runner
 from repro.scenario import ScenarioSpec, WorkloadSpec, load_scenario
 from repro.sim.config import SystemConfig
-from repro.sim.presets import make_system_config, make_workload_config
+from repro.sim.presets import make_system_config
 from repro.sim.simulator import Simulator
 from repro.sim.system import build_system
 from repro.traces.combinators import TENANT_STRIDE, mix
@@ -42,7 +42,7 @@ def _fresh_cache():
 
 
 class TestSingleCoreParity:
-    """Acceptance: the num_cores=1 path is dataclass-equal to the pre-PR engine."""
+    """Acceptance: the num_cores=1 path is dataclass-equal to the raw constructor."""
 
     @pytest.mark.parametrize("preset", ["victima", "radix"])
     def test_full_result_parity(self, preset):
@@ -52,11 +52,11 @@ class TestSingleCoreParity:
             max_refs=1200, seed=7, hardware_scale=16, warmup_fraction=0.25,
             num_cores=1)
         via_new_engine = api.simulate(spec, use_cache=False)
-        legacy = Simulator.from_configs(
-            make_system_config(preset, hardware_scale=16),
-            make_workload_config("bfs", max_refs=1200, seed=7),
-            warmup_fraction=0.25).run()
-        assert via_new_engine == legacy  # full dataclass equality, every field
+        workload = make_workload("bfs", max_refs=1200, seed=7)
+        system = build_system(make_system_config(preset, hardware_scale=16),
+                              huge_page_fraction=workload.huge_page_fraction)
+        raw = Simulator(system, [workload], warmup_fraction=0.25).run()
+        assert via_new_engine == raw  # full dataclass equality, every field
         assert via_new_engine.num_cores == 1
         assert via_new_engine.per_core is None
 
@@ -340,12 +340,6 @@ class TestValidation:
             Simulator(system, [make_workload("rnd", max_refs=100)])
         with pytest.raises(ConfigurationError, match="every core is idle"):
             Simulator(system, [None, None])
-
-    def test_from_configs_rejects_multicore(self):
-        with pytest.raises(ConfigurationError, match="single-core"):
-            Simulator.from_configs(
-                make_system_config("radix", num_cores=2),
-                make_workload_config("rnd", max_refs=100))
 
     def test_truncating_multicore_spec_rejected_at_load(self):
         with pytest.raises(ConfigurationError, match="truncating"):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.backends import available_backends, get_backend
 from repro.common.errors import ConfigurationError
 from repro.sim.config import (
     DramTimingConfig,
@@ -54,6 +55,19 @@ class TestEveryDocumentedPreset:
 
     def test_names_are_case_insensitive(self):
         assert make_system_config("VICTIMA").kind == "victima"
+
+
+#: Preset names that build a registered backend under another name, or
+#: that the registry also knows.
+ALIAS_PRESETS = ("pom_tlb", "opt_l3tlb_64k", "ideal_shadow", "virt_pom_tlb", "virt_victima")
+
+
+class TestLabels:
+    @pytest.mark.parametrize("name", sorted({spec.name for spec in available_backends()}
+                                            | set(ALIAS_PRESETS)))
+    def test_label_is_the_backends(self, name):
+        config = make_system_config(name)
+        assert config.label == get_backend(config.kind).label
 
 
 class TestL2TlbRegex:

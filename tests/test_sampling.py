@@ -9,10 +9,9 @@ import pytest
 from repro import api
 from repro.common.errors import ConfigurationError
 from repro.scenario import ScenarioSpec
-from repro.sim.presets import make_system_config, make_workload_config
 from repro.sim.sampling import (SamplingConfig, sampled_batches,
                                 sampling_metadata, window_series_summary)
-from repro.sim.simulator import CoreRun, Simulator
+from repro.sim.simulator import CoreRun
 from repro.traces.combinators import IP_STRIDE, mix, remap
 from repro.workloads import Workload, WorkloadConfig, make_workload
 from repro.workloads.graph import IP_VERTEX
@@ -246,9 +245,8 @@ class TestScenarioThreading:
 # Parity and accuracy
 # --------------------------------------------------------------------------- #
 def _single_core_sim(sampling=None, max_refs=8000):
-    sim = Simulator.from_configs(
-        make_system_config("radix"),
-        make_workload_config("rnd", max_refs=max_refs))
+    sim = api.build_simulator({"system": "radix", "workload": "rnd",
+                               "max_refs": max_refs})
     sim.sampling = sampling
     return sim
 

@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from repro import api
 from repro.common.errors import ConfigurationError
 from repro.common.toml_compat import _parse_mini_toml, loads_toml
 from repro.scenario import (
@@ -17,7 +18,6 @@ from repro.scenario import (
     list_scenarios,
     load_scenario,
 )
-from repro.sim.simulator import Simulator
 from repro.traces.combinators import MixWorkload, PhasedWorkload
 
 MIX_TOML = """
@@ -150,7 +150,7 @@ class TestBuild:
         })
         workload = spec.build_workload()
         assert workload.config.max_refs == len(list(workload.bounded())) == 600
-        result = Simulator.from_scenario(spec).run()
+        result = api.build_simulator(spec).run()
         assert result.memory_refs == 450 == sum(result.data_access_levels.values())
 
     def test_shard_scales_inner_budget(self):
@@ -265,6 +265,50 @@ class TestScenarioSpec:
         path = tmp_path / "my_run.toml"
         path.write_text('system = "radix"\n')
         assert ScenarioSpec.from_file(str(path)).name == "my_run"
+
+
+#: A bad ``system_overrides`` entry, and the key its error must name.
+BAD_OVERRIDES = [
+    ("radix", "l3_latenc", 25),        # misspelled
+    ("radix", "hardware_scale", 2),    # a top-level field
+    ("radix", "l3_latency", 25),       # radix has no L3 TLB
+]
+
+
+class TestSystemOverrides:
+    """Only ``make_system_config``'s own keywords can be overridden, and
+    only where they mean something."""
+
+    @pytest.mark.parametrize("system,key,value", BAD_OVERRIDES)
+    def test_bad_override_raises_naming_the_key(self, system, key, value):
+        with pytest.raises(ConfigurationError, match=key):
+            load_scenario({"system": system,
+                           "system_overrides": {key: value}}).build_system_config()
+
+    @pytest.mark.parametrize("system,key,value", BAD_OVERRIDES)
+    def test_cli_reports_a_bad_override(self, system, key, value, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "bad.toml"
+        path.write_text(f'system = "{system}"\nmax_refs = 100\nhardware_scale = 16\n\n'
+                        f'[system_overrides]\n{key} = {value}\n')
+        assert main(["run", "--scenario", str(path), "--quiet"]) == 2
+        assert "repro: error:" in capsys.readouterr().err
+
+    def test_sweep_specs_still_build(self):
+        from repro.experiments.ablations import L2_CACHE_SIZES
+        from repro.experiments.large_tlbs import L3_TLB_LATENCIES
+        from repro.experiments.runner import ExperimentSettings, scenario_for_run
+
+        settings = ExperimentSettings(max_refs=100, hardware_scale=16, workloads=("rnd",))
+        for latency in L3_TLB_LATENCIES:  # Figure 8
+            config = scenario_for_run("opt_l3tlb_64k", "rnd", settings,
+                                      l3_latency=latency).build_system_config()
+            assert config.mmu.l3_tlb.latency == latency
+        for size in L2_CACHE_SIZES:  # Figure 25
+            config = scenario_for_run("victima", "rnd", settings,
+                                      l2_cache_bytes=size).build_system_config()
+            assert config.kind == "victima"
 
 
 class TestContentHash:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import api
 from repro.common.errors import ConfigurationError
 from repro.mmu.mmu import MMU
 from repro.sim.config import (
@@ -16,7 +17,6 @@ from repro.sim.presets import (
     EVALUATED_NATIVE_SYSTEMS,
     EVALUATED_VIRTUAL_SYSTEMS,
     make_system_config,
-    make_workload_config,
 )
 from repro.sim.simulator import SimulationResult, Simulator
 from repro.sim.system import build_system
@@ -95,11 +95,6 @@ class TestPresets:
         config = make_system_config("victima", l2_cache_bytes=4 * 1024 * 1024)
         assert config.l2_cache.size_bytes == 4 * 1024 * 1024
         assert config.l2_cache.replacement_policy == "tlb_aware_srrip"
-
-    def test_make_workload_config(self):
-        config = make_workload_config("rnd", max_refs=123, seed=9, table_bytes=1 << 20)
-        assert config.max_refs == 123 and config.seed == 9
-        assert config.params["table_bytes"] == 1 << 20
 
 
 class TestSystemFactory:
@@ -205,7 +200,7 @@ class TestSimulator:
 
     @pytest.mark.parametrize("num_cores", [1, 2])
     def test_prefault_warms_once_through_core_zero(self, num_cores, monkeypatch):
-        simulator = Simulator.from_scenario({
+        simulator = api.build_simulator({
             "system": "pom_tlb", "max_refs": 200, "hardware_scale": 16,
             "num_cores": num_cores,
             "workload": {"kind": "mix", "tenants": [{"workload": "bfs"},
@@ -229,12 +224,12 @@ class TestSimulator:
         assert first.l2_tlb_misses == second.l2_tlb_misses
 
     def test_invalid_warmup_fraction(self):
+        system = build_system(make_system_config("radix", hardware_scale=16))
         with pytest.raises(ValueError):
-            build_tiny_simulator("radix", "rnd", max_refs=100, warmup_fraction=1.0)
+            Simulator(system, [make_workload("rnd", max_refs=100)], warmup_fraction=1.0)
 
-    def test_from_configs_uses_workload_thp_mix(self):
-        system_config = make_system_config("radix", hardware_scale=16)
-        workload_config = make_workload_config("dlrm", max_refs=10)
-        simulator = Simulator.from_configs(system_config, workload_config)
+    def test_build_simulator_uses_workload_thp_mix(self):
+        simulator = api.build_simulator({"system": "radix", "hardware_scale": 16,
+                                         "workload": "dlrm", "max_refs": 10})
         expected = make_workload("dlrm", max_refs=10).default_huge_page_fraction
         assert simulator.system.memory_manager.huge_page_fraction == expected

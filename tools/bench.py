@@ -49,9 +49,8 @@ from typing import Dict, List, Optional, Tuple
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
-from repro.sim.presets import make_system_config, make_workload_config  # noqa: E402
+from repro.api import build_simulator  # noqa: E402
 from repro.sim.sampling import SamplingConfig  # noqa: E402
-from repro.sim.simulator import Simulator  # noqa: E402
 
 SCHEMA = "repro-bench-hotpath/1"
 
@@ -115,14 +114,10 @@ def calibration_score(repeats: int = 3) -> float:
 
 def _time_run(system: str, workload: str, refs: int,
               sampling: Optional[SamplingConfig] = None,
-              warmup_fraction: Optional[float] = None):
+              warmup_fraction: float = 0.25):
     """Build a fresh simulator, run it and return (wall seconds, result)."""
-    sim = Simulator.from_configs(
-        make_system_config(system),
-        make_workload_config(workload, max_refs=refs))
-    sim.sampling = sampling
-    if warmup_fraction is not None:
-        sim.warmup_fraction = warmup_fraction
+    sim = build_simulator({"system": system, "workload": workload, "max_refs": refs,
+                           "warmup_fraction": warmup_fraction, "sampling": sampling})
     start = time.perf_counter()
     result = sim.run()
     return time.perf_counter() - start, result
@@ -130,7 +125,7 @@ def _time_run(system: str, workload: str, refs: int,
 
 def _best_rate(system: str, workload: str, refs: int, repeats: int,
                sampling: Optional[SamplingConfig] = None,
-               warmup_fraction: Optional[float] = None):
+               warmup_fraction: float = 0.25):
     """Return (seconds, refs_per_sec, result) for the best of ``repeats``."""
     best = None
     best_result = None

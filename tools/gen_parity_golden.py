@@ -42,7 +42,7 @@ Golden keys read ``<preset>/<N>core`` or ``<preset>/<N>core/<variant>``:
     the unaligned ends of the guest, host and shadow prefault.
 
 The same run also rewrites ``tests/data/hotpath_golden.json``, which
-``tests/test_hotpath.py`` pins: the runs (built by :func:`hotpath_simulator`)
+``tests/test_hotpath.py`` pins: the runs (built from :func:`hotpath_scenario`)
 on which the batched loop was checked against the straight-line reference
 loop while that loop existed.  Its single-core runs hold the reference
 loop's own results, recorded just before it was deleted; the batched loop
@@ -78,9 +78,8 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src"))
 
-from repro.sim.presets import (EVALUATED_NATIVE_SYSTEMS,  # noqa: E402
-                               make_system_config, make_workload_config)
-from repro.sim.simulator import Simulator  # noqa: E402
+from repro.api import build_simulator  # noqa: E402
+from repro.sim.presets import EVALUATED_NATIVE_SYSTEMS  # noqa: E402
 
 #: Small but non-trivial windows: large enough that every back-end path
 #: (probe hit/miss, walks, warm-up boundary reset) is exercised.
@@ -132,7 +131,7 @@ VIRT_BFS_KEYS = ("nested_paging/1core/bfs", "ideal_shadow/1core/bfs",
 HOTPATH_NATIVE_PRESETS = EVALUATED_NATIVE_SYSTEMS + ("hash_pt",)
 
 #: Single-core hot-path runs: key -> (preset, workload, max_refs,
-#: hardware_scale, seed), built with ``Simulator.from_configs``.
+#: hardware_scale, seed), at the default 0.25 warm-up.
 HOTPATH_SINGLE_CORE = {
     "victima/1core/rnd": ("victima", "rnd", 6000, 1, 42),
     "radix/1core/bfs": ("radix", "bfs", 6000, 1, 42),
@@ -209,24 +208,24 @@ def hotpath_keys() -> list:
             + [f"{preset}/2core" for preset in HOTPATH_NATIVE_PRESETS])
 
 
-def hotpath_simulator(key: str) -> Simulator:
-    """The simulator whose result ``hotpath_golden.json`` stores under ``key``."""
+def hotpath_scenario(key: str) -> dict:
+    """The scenario mapping whose result ``hotpath_golden.json`` stores under ``key``."""
     if key in HOTPATH_SINGLE_CORE:
         preset, workload, max_refs, hardware_scale, seed = HOTPATH_SINGLE_CORE[key]
-        return Simulator.from_configs(
-            make_system_config(preset, hardware_scale=hardware_scale),
-            make_workload_config(workload, max_refs=max_refs, seed=seed))
+        return {"system": preset, "workload": workload, "max_refs": max_refs,
+                "hardware_scale": hardware_scale, "seed": seed,
+                "warmup_fraction": 0.25}
     preset, cores = key.split("/")
     if cores != "2core":
         raise ValueError(f"unknown hot-path key {key!r}")
-    return Simulator.from_scenario(dict(HOTPATH_TWO_CORE, system=preset))
+    return dict(HOTPATH_TWO_CORE, system=preset)
 
 
 def run_all() -> dict:
     golden = {}
     for key in golden_keys():
         print(f"  {key} ...", flush=True)
-        result = Simulator.from_scenario(scenario_for_key(key)).run()
+        result = build_simulator(scenario_for_key(key)).run()
         golden[key] = result.to_json_dict()
     return golden
 
@@ -235,7 +234,7 @@ def run_hotpath() -> dict:
     golden = {}
     for key in hotpath_keys():
         print(f"  {key} ...", flush=True)
-        golden[key] = hotpath_simulator(key).run().to_json_dict()
+        golden[key] = build_simulator(hotpath_scenario(key)).run().to_json_dict()
     return golden
 
 
