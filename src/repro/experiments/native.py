@@ -6,7 +6,7 @@ from typing import Dict, Optional
 
 from repro.analysis.metrics import arithmetic_mean, geometric_mean, percent_reduction
 from repro.experiments.runner import ExperimentSettings, FigureResult, run_matrix
-from repro.sim.presets import EVALUATED_NATIVE_SYSTEMS, make_system_config
+from repro.sim.presets import make_system_config
 
 #: Column order and display names for the Figure 20 comparison.
 NATIVE_SYSTEMS = ("pom_tlb", "opt_l3tlb_64k", "opt_l2tlb_64k", "opt_l2tlb_128k", "victima")

@@ -57,8 +57,8 @@ class TestEveryDocumentedPreset:
         assert make_system_config("VICTIMA").kind == "victima"
 
 
-#: Preset names that build a registered backend under another name, or
-#: that the registry also knows.
+#: Presets with a branch of their own in ``make_system_config``: aliases of a
+#: registry name (``opt_l3tlb_64k``, ``ideal_shadow``) and registry names.
 ALIAS_PRESETS = ("pom_tlb", "opt_l3tlb_64k", "ideal_shadow", "virt_pom_tlb", "virt_victima")
 
 

@@ -267,11 +267,11 @@ class TestScenarioSpec:
         assert ScenarioSpec.from_file(str(path)).name == "my_run"
 
 
-#: A bad ``system_overrides`` entry, and the key its error must name.
+#: A bad ``system_overrides`` entry on a radix system; its error names the key.
 BAD_OVERRIDES = [
-    ("radix", "l3_latenc", 25),        # misspelled
-    ("radix", "hardware_scale", 2),    # a top-level field
-    ("radix", "l3_latency", 25),       # radix has no L3 TLB
+    ("l3_latenc", 25),        # misspelled
+    ("hardware_scale", 2),    # a top-level field
+    ("l3_latency", 25),       # radix has no L3 TLB
 ]
 
 
@@ -279,18 +279,18 @@ class TestSystemOverrides:
     """Only ``make_system_config``'s own keywords can be overridden, and
     only where they mean something."""
 
-    @pytest.mark.parametrize("system,key,value", BAD_OVERRIDES)
-    def test_bad_override_raises_naming_the_key(self, system, key, value):
+    @pytest.mark.parametrize("key,value", BAD_OVERRIDES)
+    def test_bad_override_raises_naming_the_key(self, key, value):
         with pytest.raises(ConfigurationError, match=key):
-            load_scenario({"system": system,
+            load_scenario({"system": "radix",
                            "system_overrides": {key: value}}).build_system_config()
 
-    @pytest.mark.parametrize("system,key,value", BAD_OVERRIDES)
-    def test_cli_reports_a_bad_override(self, system, key, value, tmp_path, capsys):
+    @pytest.mark.parametrize("key,value", BAD_OVERRIDES)
+    def test_cli_reports_a_bad_override(self, key, value, tmp_path, capsys):
         from repro.cli import main
 
         path = tmp_path / "bad.toml"
-        path.write_text(f'system = "{system}"\nmax_refs = 100\nhardware_scale = 16\n\n'
+        path.write_text('system = "radix"\nmax_refs = 100\nhardware_scale = 16\n\n'
                         f'[system_overrides]\n{key} = {value}\n')
         assert main(["run", "--scenario", str(path), "--quiet"]) == 2
         assert "repro: error:" in capsys.readouterr().err
